@@ -4,7 +4,7 @@ Subcommands: surface, find-ep, evolve, reproduce, disorder, tomo,
 compile-optics, optimize-schedule. Shared flags (given after the subcommand):
 --config <path> JSON run configuration, --seed <u64>, --out <dir>,
 --format csv|json. Exit codes: 0 success, 2 configuration error,
-3 numerical-guard error. EPLOOP_THREADS caps worker threads.
+3 numerical-guard error.
 """
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ from .harness import (
     reproduce_figure,
     write_text,
     DisorderConfig,
+    case_input,
     classify_density_fidelities,
-    _case_input,
-    _interleave,
+    interleave,
 )
 from .loops import DIRECTIONS, evolve, optimize_schedule
 from .metrics import BELL_LABELS, bell_index, bell_state, density_matrix
@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p)
 
     p = sub.add_parser("find-ep", help="locate the spectral coalescence point")
-    p.add_argument("--phi-box", nargs=2, type=float, default=(-0.05, 0.05), metavar=("LO", "HI"))
     p.add_argument("--theta1-box", nargs=2, type=float, default=(-0.5, -0.1), metavar=("LO", "HI"))
     p.add_argument("--scan-points", type=int, default=257)
     _walk_flags(p, with_theta1=False)
@@ -201,7 +200,11 @@ def _cmd_surface(args, written) -> int:
         theta2=args.theta2, gamma=args.gamma, k=args.k,
     )
     if (args.format or "csv") == "json":
-        body = dump_json({"samples": [list(row) for row in samples]})
+        body = dump_json({"samples": [
+            [s.phi, s.theta1, s.lambda_plus.real, s.lambda_plus.imag,
+             s.lambda_minus.real, s.lambda_minus.imag]
+            for s in samples
+        ]})
         _emit(args, "surface.json", body, written)
     else:
         _emit(args, "surface.csv", surface_csv(samples), written)
@@ -210,8 +213,8 @@ def _cmd_surface(args, written) -> int:
 
 def _cmd_find_ep(args, written) -> int:
     ep = find_ep(
-        phi_box=tuple(args.phi_box), theta1_box=tuple(args.theta1_box),
-        theta2=args.theta2, gamma=args.gamma, k=args.k, scan_points=args.scan_points,
+        theta1_box=tuple(args.theta1_box), theta2=args.theta2, gamma=args.gamma, k=args.k,
+        scan_points=args.scan_points,
     )
     if (args.format or "csv") == "json":
         _emit(args, "ep.json", dump_json({"phi": ep.phi, "theta1": ep.theta1, "residual": ep.residual}), written)
@@ -236,7 +239,7 @@ def _cmd_evolve(args, written) -> int:
     for direction in cfg.directions:
         sched = cfg.schedule(direction)
         for label in cfg.inputs:
-            psi0 = _case_input(label, cfg.input_kind, sched.steps[0])
+            psi0 = case_input(label, cfg.input_kind, sched.steps[0])
             reports.append(
                 evolve(sched, psi0, engine=cfg.engine, input_label=label,
                        record_steps=cfg.record_steps)
@@ -323,7 +326,7 @@ def _cmd_tomo(args, written) -> int:
     rho = reconstruct(counts, tomo_cfg)
     sds = bootstrap_error(counts, tomo_cfg, args.resamples)
     body = {
-        "density": _interleave(rho),
+        "density": interleave(rho),
         "fidelities": classify_density_fidelities(rho),
         "bootstrap_sd": {label: float(s) for label, s in zip(BELL_LABELS, sds)},
     }

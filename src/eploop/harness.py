@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -36,23 +35,6 @@ GRANULARITIES = ("per_step", "per_loop")
 INPUT_KINDS = ("eigenstate", "bell")
 
 
-def thread_count() -> int:
-    """Worker cap from EPLOOP_THREADS (default 1, floor 1)."""
-    try:
-        return max(1, int(os.environ.get("EPLOOP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = thread_count()
-    if n > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 @dataclass(frozen=True)
 class DisorderConfig:
     strength: float = 0.025
@@ -63,6 +45,8 @@ class DisorderConfig:
     def __post_init__(self):
         if self.strength < 0:
             raise ConfigError(f"disorder strength must be >= 0, got {self.strength}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.groups < 1:
             raise ConfigError(f"disorder needs >= 1 group, got {self.groups}")
         if self.granularity not in GRANULARITIES:
@@ -114,7 +98,7 @@ def _perturbed(schedule: LoopSchedule, rng: np.random.Generator, cfg: DisorderCo
     return LoopSchedule(steps=steps, direction=schedule.direction, label=schedule.label)
 
 
-def _case_input(label, kind: str, p: WalkParams) -> np.ndarray:
+def case_input(label, kind: str, p: WalkParams) -> np.ndarray:
     if kind == "eigenstate":
         return bell_eigenstate(label, p)
     return bell_state(label)
@@ -134,7 +118,7 @@ def disorder_run(
     (-strength, strength) at the configured granularity, evolves the case,
     and scores fidelity to the unperturbed run's classified output. Case i,
     group g draws from substream (seed, spawn_key=(i, g)), so results do not
-    depend on execution order or worker count.
+    depend on the order in which cases run.
     """
     if input_kind not in INPUT_KINDS:
         raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {input_kind!r}")
@@ -142,10 +126,9 @@ def disorder_run(
     if not schedules:
         raise ConfigError("disorder_run needs at least one schedule")
     cases = [(sched, label) for sched in schedules for label in inputs]
-
-    def one_case(item) -> CaseStats:
-        case_idx, (sched, label) = item
-        psi0 = _case_input(label, input_kind, sched.steps[0])
+    stats = []
+    for case_idx, (sched, label) in enumerate(cases):
+        psi0 = case_input(label, input_kind, sched.steps[0])
         base_rep = evolve(sched, psi0, engine=engine, record_steps=False)
         ref_idx = bell_index(base_rep.classified_output)
         base_f = base_rep.fidelities[ref_idx - 1]
@@ -158,7 +141,7 @@ def disorder_run(
             fids.append(rep.fidelities[ref_idx - 1])
             if rep.classified_output == base_rep.classified_output:
                 unchanged += 1
-        return CaseStats(
+        stats.append(CaseStats(
             input_label=BELL_LABELS[bell_index(label) - 1],
             direction=sched.direction,
             reference_label=base_rep.classified_output,
@@ -166,9 +149,7 @@ def disorder_run(
             mean_fidelity=float(np.mean(fids)),
             sd_fidelity=float(np.std(fids)),
             unchanged_fraction=unchanged / cfg.groups,
-        )
-
-    stats = _pmap(one_case, enumerate(cases))
+        ))
     return DisorderSummary(cases=tuple(stats))
 
 
@@ -192,6 +173,10 @@ class RunConfig:
     record_steps: bool = False
 
     def __post_init__(self):
+        for name in ("loop", "n_steps", "counts_per_basis", "resamples", "groups", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.loop not in (1, 2):
             raise ConfigError(f"loop must be 1 or 2, got {self.loop!r}")
         if self.n_steps < 1:
@@ -245,7 +230,7 @@ class RunConfig:
         )
 
 
-def _interleave(values: np.ndarray) -> list[float]:
+def interleave(values: np.ndarray) -> list[float]:
     flat = np.asarray(values, dtype=complex).reshape(-1)
     out = []
     for z in flat:
@@ -264,8 +249,8 @@ def report_dict(report: EvolutionReport, include_steps: bool | None = None) -> d
         "N": report.n_steps,
         "loop": report.loop_label,
         "engine": report.engine,
-        "output_state": _interleave(report.output_state),
-        "density": _interleave(report.output_density),
+        "output_state": interleave(report.output_state),
+        "density": interleave(report.output_density),
         "fidelities": {
             label: float(f) for label, f in zip(BELL_LABELS, report.fidelities)
         },
@@ -333,7 +318,7 @@ def _fig1b(out_dir: str, cfg: RunConfig) -> list[str]:
 
 
 def _input_report(label, schedule: LoopSchedule, input_kind: str) -> dict:
-    psi = _case_input(label, input_kind, schedule.steps[0])
+    psi = case_input(label, input_kind, schedule.steps[0])
     cls = classify(psi)
     return {
         "input": BELL_LABELS[bell_index(label) - 1],
@@ -341,8 +326,8 @@ def _input_report(label, schedule: LoopSchedule, input_kind: str) -> dict:
         "N": 0,
         "loop": schedule.label,
         "engine": "input",
-        "output_state": _interleave(psi),
-        "density": _interleave(density_matrix(psi)),
+        "output_state": interleave(psi),
+        "density": interleave(density_matrix(psi)),
         "fidelities": {lab: float(f) for lab, f in zip(BELL_LABELS, cls.fidelities)},
         "classified": cls.label,
     }
@@ -358,21 +343,17 @@ def _fig2(out_dir: str, cfg: RunConfig) -> list[str]:
                 dump_json(_input_report(label, sched0, cfg.input_kind)),
             )
         )
-    cases = [(d, label) for d in DIRECTIONS for label in BELL_LABELS]
-
-    def one(case):
-        direction, label = case
+    for direction in DIRECTIONS:
         sched = loop1_schedule(100, direction)
-        psi0 = _case_input(label, cfg.input_kind, sched.steps[0])
-        return evolve(sched, psi0, engine="full", input_label=label, record_steps=cfg.record_steps)
-
-    for (direction, label), rep in zip(cases, _pmap(one, cases)):
-        paths.append(
-            write_text(
-                os.path.join(out_dir, f"fig2_{direction}_{label}.json"),
-                dump_json(report_dict(rep)),
+        for label in BELL_LABELS:
+            psi0 = case_input(label, cfg.input_kind, sched.steps[0])
+            rep = evolve(sched, psi0, engine="full", input_label=label, record_steps=cfg.record_steps)
+            paths.append(
+                write_text(
+                    os.path.join(out_dir, f"fig2_{direction}_{label}.json"),
+                    dump_json(report_dict(rep)),
+                )
             )
-        )
     return paths
 
 
@@ -396,23 +377,16 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
     else:
         schedules = {d: loop1_schedule(8, d) for d in DIRECTIONS}
     cases = [(d, label) for d in DIRECTIONS for label in BELL_LABELS]
-
-    def one(item):
-        case_idx, (direction, label) = item
+    for case_idx, (direction, label) in enumerate(cases):
         sched = schedules[direction]
-        psi0 = _case_input(label, cfg.input_kind, sched.steps[0])
+        psi0 = case_input(label, cfg.input_kind, sched.steps[0])
         rep = evolve(sched, psi0, engine="simplified", input_label=label, record_steps=cfg.record_steps)
         tomo_cfg = cfg.tomo_config(seed=_derived_seed(cfg.seed, case_idx))
         counts = simulate_counts(rep.output_density, tomo_cfg)
         rho_rec = reconstruct(counts, tomo_cfg)
         sds = bootstrap_error(counts, tomo_cfg, cfg.resamples)
-        return rep, counts, rho_rec, sds
-
-    for (direction, label), (rep, counts, rho_rec, sds) in zip(
-        cases, _pmap(one, enumerate(cases))
-    ):
         body = report_dict(rep)
-        body["reconstructed_density"] = _interleave(rho_rec)
+        body["reconstructed_density"] = interleave(rho_rec)
         rec_cls = classify_density_fidelities(rho_rec)
         body["reconstructed_fidelities"] = rec_cls
         body["bootstrap_sd"] = {lab: float(s) for lab, s in zip(BELL_LABELS, sds)}

@@ -65,11 +65,6 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.trace(psd_sqrt(inner)).real)
 
 
-def similarity(rho_th: np.ndarray, rho_ex: np.ndarray) -> float:
-    """Alias of fidelity, named for theory-vs-reconstruction report rows."""
-    return fidelity(rho_th, rho_ex)
-
-
 def fidelity_pure(psi: np.ndarray, other: np.ndarray) -> float:
     """Root fidelity of a pure state against a state vector or a density matrix.
 

@@ -184,17 +184,11 @@ def compile_symmetry_break(phi: float) -> ElementSequence:
     )
 
 
-def _ppbs_transmittances(gamma: float) -> tuple[float, float]:
-    if gamma < 0:
-        raise DomainError(f"gain-normalized compilation needs gamma >= 0, got {gamma}")
-    return 1.0, math.exp(-4.0 * gamma)
-
-
 def compile_gain_loss(gamma: float) -> ElementSequence:
     """G(gamma) as a post-selected PPBS: e^gamma . PPBS(1, e^{-4 gamma})."""
     return _checked(
         ElementSequence(
-            elements=(ppbs(*_ppbs_transmittances(gamma)),),
+            elements=(ppbs(*transmittance_from_gamma(gamma)),),
             target=gain_loss(gamma),
             scale=math.exp(gamma),
             label=f"gain_loss({gamma:g})",
@@ -206,7 +200,7 @@ def compile_gain_loss_inverse(gamma: float) -> ElementSequence:
     """G^-1(gamma) as the same PPBS conjugated by HWP(pi/2) polarization swaps."""
     return _checked(
         ElementSequence(
-            elements=(hwp(math.pi / 2), ppbs(*_ppbs_transmittances(gamma)), hwp(math.pi / 2)),
+            elements=(hwp(math.pi / 2), ppbs(*transmittance_from_gamma(gamma)), hwp(math.pi / 2)),
             target=gain_loss_inverse(gamma),
             scale=math.exp(gamma),
             label=f"gain_loss_inverse({gamma:g})",
@@ -280,9 +274,6 @@ def compile_control_endpoint(p: WalkParams | None = None) -> ElementSequence:
             f"compiled endpoint control deviates {seq.residual():.3e} from the computed operator"
         )
     return seq
-
-
-compile_CN = compile_control_endpoint
 
 
 def gamma_from_transmittance(t1: float, t2: float) -> float:

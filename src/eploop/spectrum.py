@@ -11,8 +11,6 @@ where D0^2 = 1.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,31 +127,19 @@ def riemann_surface(
     theta2: float = math.pi / 16,
     gamma: float = 0.2,
     k: float = 0.0,
-    threads: int | None = None,
 ) -> list[SurfaceSample]:
     """Quasienergy sheets sampled on a (phi, theta1) grid.
 
-    Output order is phi-major, theta1-ascending, independent of how the rows
-    are scheduled across worker threads.
+    Output order is phi-major, theta1-ascending.
     """
     phis = _axis(*phi_range)
     th1s = _axis(*theta1_range)
-
-    def row(phi: float) -> list[SurfaceSample]:
-        out = []
+    out = []
+    for phi in phis:
         for th1 in th1s:
             lp, lm = quasienergy(WalkParams(theta1=float(th1), theta2=theta2, phi=float(phi), gamma=gamma, k=k))
             out.append(SurfaceSample(phi=float(phi), theta1=float(th1), lambda_plus=lp, lambda_minus=lm))
-        return out
-
-    if threads is None:
-        threads = int(os.environ.get("EPLOOP_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, phis))
-    else:
-        rows = [row(phi) for phi in phis]
-    return [sample for r in rows for sample in r]
+    return out
 
 
 def surface_csv(samples: list[SurfaceSample]) -> str:
@@ -176,7 +162,6 @@ def _coalescence_residual(phi: float, theta1: float, theta2: float, gamma: float
 
 
 def find_ep(
-    phi_box: tuple[float, float] = (-0.05, 0.05),
     theta1_box: tuple[float, float] = (-0.5, -0.1),
     theta2: float = math.pi / 16,
     gamma: float = 0.2,

@@ -9,7 +9,7 @@ normalization, with eigenvalue clipping as an optional projection step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class TomoConfig:
     def __post_init__(self):
         if self.counts_per_basis < 1:
             raise ConfigError(f"counts_per_basis must be >= 1, got {self.counts_per_basis}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,13 @@ def counts_csv(counts: CountsTable) -> str:
 
 
 def counts_from_csv(text: str) -> CountsTable:
+    """Counts table from CSV text; rows may come in any order, one per basis pair."""
     lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
+    if not lines:
+        raise ConfigError("counts file is empty")
     if lines[0] != "basis_a,basis_b,count":
         raise ConfigError(f"unexpected counts header {lines[0]!r}")
-    records = []
+    by_pair = {}
     for ln in lines[1:]:
         try:
             a, b, c = ln.split(",")
@@ -163,11 +168,9 @@ def counts_from_csv(text: str) -> CountsTable:
             raise ConfigError(f"unknown basis pair {a},{b}")
         if n < 0:
             raise ConfigError(f"negative count in row {ln!r}")
-        records.append((a, b, n))
-    if len(records) != 16:
-        raise ConfigError(f"need 16 count rows, got {len(records)}")
-    return CountsTable(records=tuple(records))
-
-
-def with_seed(cfg: TomoConfig, seed: int) -> TomoConfig:
-    return replace(cfg, seed=seed)
+        if (a, b) in by_pair:
+            raise ConfigError(f"duplicate basis pair {a},{b}")
+        by_pair[(a, b)] = n
+    if len(by_pair) != len(BASIS_PAIRS):
+        raise ConfigError(f"need 16 count rows, got {len(by_pair)}")
+    return CountsTable(records=tuple((a, b, by_pair[(a, b)]) for a, b in BASIS_PAIRS))

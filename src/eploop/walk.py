@@ -148,13 +148,6 @@ def u_step(p: WalkParams) -> np.ndarray:
     return u
 
 
-def eta_pair(p: WalkParams) -> tuple[complex, complex]:
-    """Eigenvalue pair (eta_plus, eta_minus) = D0 +/- sqrt(D0^2 - 1), principal root."""
-    D0 = d_coefficients(p).D0
-    s = np.sqrt(complex(D0 * D0 - 1.0))
-    return D0 + s, D0 - s
-
-
 def _coin_eigvec_m(c: complex, d: DCoefficients) -> np.ndarray:
     # eigenvector prefactor 1/c diverges at the EP; callers guard |c|
     return np.array([d.DX + d.DY, c - 1j * d.DZ], dtype=complex) / (math.sqrt(2) * c)

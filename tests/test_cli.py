@@ -26,6 +26,15 @@ def test_surface_grid_rows(capsys):
     assert len(lines) == 13
 
 
+def test_surface_json_rows(capsys):
+    code = main(["surface", "--phi-range", "-0.1", "0.1", "2",
+                 "--theta1-range", "-0.5", "-0.3", "2", "--format", "json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["samples"]
+    assert [row[:2] for row in rows] == [[-0.1, -0.5], [-0.1, -0.3], [0.1, -0.5], [0.1, -0.3]]
+    assert all(len(row) == 6 and all(isinstance(v, float) for v in row) for row in rows)
+
+
 def test_evolve_csv_stdout(capsys):
     code = main(["evolve", "--n-steps", "8", "--engine", "simplified",
                  "--direction", "cw", "--input", "zeta1", "--input", "zeta2"])
@@ -49,9 +58,17 @@ def test_evolve_json_files(tmp_path, capsys):
 
 def test_evolve_rejects_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text('{"n_steps": 8, "loop": 7}')
-    assert main(["evolve", "--config", str(cfg)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for body, argv in (
+        ('{"n_steps": 8, "loop": 7}', ["evolve"]),
+        ('{"n_steps": 8, "loop": true}', ["evolve"]),
+        ('{"n_steps": 8, "groups": 2.5}', ["disorder"]),
+        ('{"n_steps": 8}', ["disorder", "--seed", "-1"]),
+        ('{}', ["tomo", "--state", "zeta1", "--seed", "-1"]),
+    ):
+        cfg.write_text(body)
+        assert main(argv + ["--config", str(cfg)]) == 2, (body, argv)
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1, err
 
 
 def test_evolve_merges_config_file(tmp_path, capsys):
@@ -85,8 +102,11 @@ def test_tomo_state_round_trip(tmp_path, capsys):
     assert again["fidelities"] == body["fidelities"]
 
 
-def test_tomo_missing_counts_file(capsys):
+def test_tomo_missing_counts_file(tmp_path, capsys):
     assert main(["tomo", "--counts", "/nonexistent/counts.csv"]) == 2
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["tomo", "--counts", str(empty)]) == 2
 
 
 def test_compile_optics_text(capsys):

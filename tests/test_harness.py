@@ -14,7 +14,6 @@ from eploop.harness import (
     report_csv,
     report_dict,
     reproduce_figure,
-    thread_count,
 )
 from eploop.loops import bell_eigenstate, evolve_full, loop1_schedule
 
@@ -26,6 +25,8 @@ def test_disorder_config_validation():
         DisorderConfig(groups=0)
     with pytest.raises(ConfigError):
         DisorderConfig(granularity="per_element")
+    with pytest.raises(ConfigError):
+        DisorderConfig(seed=-1)
     assert DisorderConfig().granularity == "per_step"
     assert DisorderConfig().seed == 1234
 
@@ -41,12 +42,10 @@ def test_zero_strength_reproduces_baseline_exactly():
         assert case.drop == 0.0
 
 
-def test_disorder_run_deterministic_and_thread_invariant(monkeypatch):
+def test_disorder_run_deterministic():
     scheds = [loop1_schedule(10, d) for d in ("cw", "ccw")]
     cfg = DisorderConfig(groups=4, seed=77)
     a = disorder_run(scheds, ("zeta1", "zeta3"), cfg)
-    monkeypatch.setenv("EPLOOP_THREADS", "4")
-    assert thread_count() == 4
     b = disorder_run(scheds, ("zeta1", "zeta3"), cfg)
     assert a == b
     assert [c.direction for c in a.cases] == ["cw", "cw", "ccw", "ccw"]
@@ -67,8 +66,9 @@ def test_run_config_validation_and_helpers():
     assert cfg.schedule("cw").n_steps == 16
     assert cfg.tomo_config().counts_per_basis == 10000
     assert cfg.disorder_config().groups == 10
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({"loop": 3})
+    for bad in ({"loop": 3}, {"loop": True}, {"groups": 2.5}, {"n_steps": "8"}, {"seed": -1}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(bad)
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"nsteps": 10})
     with pytest.raises(ConfigError):

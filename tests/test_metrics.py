@@ -10,7 +10,6 @@ from eploop.metrics import (
     density_matrix,
     fidelity,
     fidelity_pure,
-    similarity,
 )
 
 
@@ -61,12 +60,6 @@ def test_fidelity_rejects_bad_density():
         fidelity(np.eye(4, dtype=complex), density_matrix(bell_state(1)))
     with pytest.raises(DomainError):
         fidelity(np.eye(3, dtype=complex) / 3, density_matrix(bell_state(1)))
-
-
-def test_similarity_is_fidelity():
-    rho = density_matrix(bell_state(3))
-    sigma = 0.9 * rho + 0.1 * np.eye(4) / 4
-    assert similarity(rho, sigma) == fidelity(rho, sigma)
 
 
 def test_fidelity_pure_vector_and_matrix():

@@ -9,7 +9,6 @@ from eploop.optics import (
     ElementSequence,
     OpticalElement,
     compile_control_endpoint,
-    compile_CN,
     compile_gain_loss,
     compile_gain_loss_inverse,
     compile_phase_shift,
@@ -103,7 +102,6 @@ def test_control_endpoint_matches_computed_and_reference():
     assert np.max(np.abs(seq.realized() - CONTROL_REFERENCE_4DIGIT)) < 1e-3
     assert seq.scale == pytest.approx(1.2389333364484452, abs=1e-12)
     assert 1 / seq.scale == pytest.approx(0.8071459299550555, abs=1e-12)
-    assert compile_CN is compile_control_endpoint
 
 
 def test_gamma_transmittance_round_trip():

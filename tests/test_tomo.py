@@ -16,7 +16,6 @@ from eploop.tomo import (
     reconstruct,
     reconstruct_from_frequencies,
     simulate_counts,
-    with_seed,
 )
 
 
@@ -63,7 +62,7 @@ def test_simulate_counts_deterministic_and_sized():
     a = simulate_counts(rho, cfg)
     b = simulate_counts(rho, cfg)
     assert a.records == b.records
-    c = simulate_counts(rho, with_seed(cfg, 43))
+    c = simulate_counts(rho, TomoConfig(counts_per_basis=5000, seed=43))
     assert c.records != a.records
     totals = a.counts()
     assert totals.shape == (16,)
@@ -96,6 +95,10 @@ def test_counts_csv_round_trip():
     assert text.splitlines()[0] == "basis_a,basis_b,count"
     back = counts_from_csv(text)
     assert back.records == counts.records
+    header, *rows = text.splitlines()
+    shuffled = counts_from_csv("\n".join([header] + rows[::-1]) + "\n")
+    assert shuffled.records == counts.records
+    assert np.array_equal(reconstruct(shuffled, cfg), reconstruct(counts, cfg))
 
 
 def test_counts_from_csv_validation():
@@ -105,6 +108,10 @@ def test_counts_from_csv_validation():
         counts_from_csv("basis_a,basis_b,count\nQ,H,12\n")
     with pytest.raises(ConfigError):
         counts_from_csv("basis_a,basis_b,count\nH,H,5\n")  # missing rows
+    full = counts_csv(CountsTable(tuple((a, b, 1) for a, b in BASIS_PAIRS)))
+    for bad in ("", "\n", full.replace("R,R,1", "H,H,1")):  # empty, empty, duplicate pair
+        with pytest.raises(ConfigError):
+            counts_from_csv(bad)
 
 
 def test_bootstrap_error_deterministic():
@@ -125,4 +132,6 @@ def test_bootstrap_error_deterministic():
 def test_tomo_config_validation():
     with pytest.raises(ConfigError):
         TomoConfig(counts_per_basis=0)
+    with pytest.raises(ConfigError):
+        TomoConfig(seed=-1)
     assert CountsTable(tuple((a, b, 1) for a, b in BASIS_PAIRS)).counts().sum() == 16

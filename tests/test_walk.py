@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from eploop.errors import TooCloseToEP
+from eploop.spectrum import eigensystem
 from eploop.walk import (
     WalkParams,
     control_operator,
     d_coefficients,
-    eta_pair,
     gain_loss,
     gain_loss_inverse,
     phase_shift,
@@ -100,7 +100,8 @@ def test_trace_is_twice_d0():
 
 
 def test_eta_pair_at_start():
-    ep, em = eta_pair(START)
+    es = eigensystem(START)
+    ep, em = es.eta_plus, es.eta_minus
     assert ep == pytest.approx(0.928563935505873 + 0.37117249046480383j, abs=1e-12)
     assert ep * em == pytest.approx(1.0, abs=1e-12)
 
