@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: surface, find-ep, evolve, reproduce, disorder, tomo,
-compile-optics, optimize-schedule. Shared flags (given after the subcommand):
---config <path> JSON run configuration, --seed <u64>, --out <dir>,
---format csv|json. Exit codes: 0 success, 2 configuration error,
-3 numerical-guard error.
+compile-optics, optimize-schedule. Shared flags (given after the subcommand,
+each only on the subcommands that read it): --config <path> JSON run
+configuration, --seed <u64>, --out <dir>, --format csv|json. Exit codes:
+0 success, 2 configuration error, 3 numerical-guard error.
 """
 from __future__ import annotations
 
@@ -19,19 +19,20 @@ from .harness import (
     FIGURES,
     RunConfig,
     disorder_csv,
-    disorder_run,
+    disorder_json,
+    disorder_pair,
     dump_json,
+    ep_json,
+    evolve_cases,
     report_csv,
     report_dict,
     reproduce_figure,
+    schedule_json,
+    tomography_summary,
     write_text,
-    DisorderConfig,
-    case_input,
-    classify_density_fidelities,
-    interleave,
 )
-from .loops import DIRECTIONS, evolve, optimize_schedule
-from .metrics import BELL_LABELS, bell_index, bell_state, density_matrix
+from .loops import DIRECTIONS, optimize_schedule
+from .metrics import BELL_LABELS, bell_state, density_matrix
 from .optics import (
     compile_control_endpoint,
     compile_gain_loss,
@@ -43,14 +44,7 @@ from .optics import (
     sequence_text,
 )
 from .spectrum import find_ep, riemann_surface, surface_csv
-from .tomo import (
-    TomoConfig,
-    bootstrap_error,
-    counts_csv,
-    counts_from_csv,
-    reconstruct,
-    simulate_counts,
-)
+from .tomo import counts_csv, counts_from_csv, simulate_counts
 from .walk import WalkParams
 
 OPTICS_TARGETS = (
@@ -64,11 +58,17 @@ OPTICS_TARGETS = (
 )
 
 
-def _shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="JSON run configuration; explicit flags override it")
-    p.add_argument("--seed", type=int, metavar="U64", help="random seed")
-    p.add_argument("--out", metavar="DIR", help="output directory (default: print to stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+_SHARED_FLAGS = {
+    "config": dict(metavar="PATH", help="JSON run configuration; explicit flags override it"),
+    "seed": dict(type=int, metavar="U64", help="random seed"),
+    "out": dict(metavar="DIR", help="output directory (default: print to stdout)"),
+    "format": dict(choices=("csv", "json"), help="output format (default csv)"),
+}
+
+
+def _shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _walk_flags(p: argparse.ArgumentParser, with_theta1: bool) -> None:
@@ -90,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1-range", nargs=3, type=float, default=(-0.8, 0.0, 61),
                    metavar=("MIN", "MAX", "POINTS"))
     _walk_flags(p, with_theta1=False)
-    _shared_flags(p)
+    _shared_flags(p, "out", "format")
 
     p = sub.add_parser("find-ep", help="locate the spectral coalescence point")
     p.add_argument("--theta1-box", nargs=2, type=float, default=(-0.5, -0.1), metavar=("LO", "HI"))
     p.add_argument("--scan-points", type=int, default=257)
     _walk_flags(p, with_theta1=False)
-    _shared_flags(p)
+    _shared_flags(p, "out", "format")
 
     p = sub.add_parser("evolve", help="run loop evolutions and classify outputs")
     p.add_argument("--loop", type=int, choices=(1, 2), help="default 1")
@@ -107,13 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; default all")
     p.add_argument("--input-kind", choices=("eigenstate", "bell"), help="default eigenstate")
     p.add_argument("--record-steps", action="store_true", help="include per-step sheet weights")
-    _shared_flags(p)
+    _shared_flags(p, "config", "seed", "out", "format")
 
     p = sub.add_parser("reproduce", help="regenerate a figure-style dataset")
     p.add_argument("figure", choices=FIGURES)
     p.add_argument("--optimized", action="store_true",
                    help="fig4: use the optimized schedule instead of equal spacing")
-    _shared_flags(p)
+    _shared_flags(p, "config", "seed", "out")
 
     p = sub.add_parser("disorder", help="Monte-Carlo robustness under angle noise")
     p.add_argument("--loop", type=int, choices=(1, 2), help="default 1")
@@ -124,27 +124,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=int, help="default 10")
     p.add_argument("--granularity", choices=("per_step", "per_loop"), help="default per_step")
     p.add_argument("--input-kind", choices=("eigenstate", "bell"), help="default eigenstate")
-    _shared_flags(p)
+    _shared_flags(p, "config", "seed", "out", "format")
 
     p = sub.add_parser("tomo", help="simulate or invert two-photon tomography")
     p.add_argument("--state", choices=BELL_LABELS, help="simulate counts for this Bell state")
     p.add_argument("--counts", metavar="PATH", help="reconstruct from an existing counts CSV")
-    p.add_argument("--counts-per-basis", type=int, default=10000)
-    p.add_argument("--resamples", type=int, default=100)
+    p.add_argument("--counts-per-basis", type=int, help="default 10000")
+    p.add_argument("--resamples", type=int, help="default 100")
     p.add_argument("--psd", action="store_true", help="project the reconstruction onto the PSD cone")
-    _shared_flags(p)
+    _shared_flags(p, "config", "seed", "out")
 
     p = sub.add_parser("compile-optics", help="compile an operator into wave-plate elements")
     p.add_argument("--target", choices=OPTICS_TARGETS, required=True)
     p.add_argument("--theta", type=float, default=-0.6, help="rotation angle (rotation target)")
     _walk_flags(p, with_theta1=True)
-    _shared_flags(p)
+    _shared_flags(p, "out", "format")
 
     p = sub.add_parser("optimize-schedule", help="optimize loop phase increments at small N")
     p.add_argument("--n-steps", type=int, default=8)
     p.add_argument("--multistarts", type=int, default=6)
     p.add_argument("--maxiter", type=int, default=2000)
-    _shared_flags(p)
+    _shared_flags(p, "seed", "out", "format")
 
     return parser
 
@@ -193,6 +193,8 @@ def _input_labels(raw) -> tuple[str, ...]:
 def _cmd_surface(args, written) -> int:
     def axis(vals):
         lo, hi, n = vals
+        if not float(n).is_integer():
+            raise ConfigError(f"grid POINTS must be a whole number, got {n}")
         return (float(lo), float(hi), int(n))
 
     samples = riemann_surface(
@@ -217,7 +219,7 @@ def _cmd_find_ep(args, written) -> int:
         scan_points=args.scan_points,
     )
     if (args.format or "csv") == "json":
-        _emit(args, "ep.json", dump_json({"phi": ep.phi, "theta1": ep.theta1, "residual": ep.residual}), written)
+        _emit(args, "ep.json", ep_json(ep), written)
     else:
         _emit(args, "ep.csv",
               "phi,theta1,residual\n"
@@ -235,15 +237,7 @@ def _cmd_evolve(args, written) -> int:
         "input_kind": args.input_kind,
         "record_steps": True if args.record_steps else None,
     })
-    reports = []
-    for direction in cfg.directions:
-        sched = cfg.schedule(direction)
-        for label in cfg.inputs:
-            psi0 = case_input(label, cfg.input_kind, sched.steps[0])
-            reports.append(
-                evolve(sched, psi0, engine=cfg.engine, input_label=label,
-                       record_steps=cfg.record_steps)
-            )
+    reports = evolve_cases(cfg)
     if (args.format or "csv") == "json":
         if args.out:
             for rep in reports:
@@ -273,49 +267,26 @@ def _cmd_disorder(args, written) -> int:
         "groups": args.groups,
         "granularity": args.granularity,
         "input_kind": args.input_kind,
-    }, defaults={"engine": "simplified", "disorder": True})
-    scheds = [cfg.schedule(d) for d in cfg.directions]
-    on = disorder_run(scheds, cfg.inputs, cfg.disorder_config(),
-                      engine=cfg.engine, input_kind=cfg.input_kind)
-    off = disorder_run(scheds, cfg.inputs,
-                       DisorderConfig(strength=0.0, groups=1, seed=cfg.seed,
-                                      granularity=cfg.granularity),
-                       engine=cfg.engine, input_kind=cfg.input_kind)
-    rows = list(zip(on.cases, off.cases))
+    }, defaults={"engine": "simplified"})
+    on, off = disorder_pair(cfg)
     if (args.format or "csv") == "json":
-        body = dump_json({
-            "cases": [
-                {
-                    "direction": c.direction,
-                    "input": c.input_label,
-                    "reference": c.reference_label,
-                    "base_fidelity": c.base_fidelity,
-                    "mean_fidelity": c.mean_fidelity,
-                    "sd_fidelity": c.sd_fidelity,
-                    "unchanged_fraction": c.unchanged_fraction,
-                }
-                for c, _ in rows
-            ],
-            "unchanged_fraction": on.unchanged_fraction,
-            "max_drop": on.max_drop,
-        })
-        _emit(args, "disorder.json", body, written)
+        _emit(args, "disorder.json", disorder_json(on), written)
     else:
-        _emit(args, "disorder.csv", disorder_csv(rows), written)
+        _emit(args, "disorder.csv", disorder_csv(list(zip(on.cases, off.cases))), written)
     return 0
 
 
 def _cmd_tomo(args, written) -> int:
     if bool(args.state) == bool(args.counts):
         raise ConfigError("tomo needs exactly one of --state or --counts")
-    tomo_cfg = TomoConfig(
-        counts_per_basis=args.counts_per_basis,
-        seed=args.seed if args.seed is not None else 0,
-        psd_projection=args.psd,
-    )
+    cfg = _load_config(args, {
+        "counts_per_basis": args.counts_per_basis,
+        "resamples": args.resamples,
+        "psd_projection": True if args.psd else None,
+    }, defaults={"seed": 0})
     if args.state:
         rho_true = density_matrix(bell_state(args.state))
-        counts = simulate_counts(rho_true, tomo_cfg)
+        counts = simulate_counts(rho_true, cfg.tomo_config())
         _emit(args, f"tomo_{args.state}_counts.csv", counts_csv(counts), written)
     else:
         try:
@@ -323,13 +294,7 @@ def _cmd_tomo(args, written) -> int:
                 counts = counts_from_csv(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read counts {args.counts}: {exc}") from exc
-    rho = reconstruct(counts, tomo_cfg)
-    sds = bootstrap_error(counts, tomo_cfg, args.resamples)
-    body = {
-        "density": interleave(rho),
-        "fidelities": classify_density_fidelities(rho),
-        "bootstrap_sd": {label: float(s) for label, s in zip(BELL_LABELS, sds)},
-    }
+    body = tomography_summary(counts, cfg.tomo_config(), cfg.resamples)
     if args.state:
         body = {"state": args.state, **body}
     _emit(args, "tomo.json", dump_json(body), written)
@@ -382,11 +347,7 @@ def _cmd_optimize(args, written) -> int:
         lines.append(f"# baseline_objective,{result.baseline_objective:.12g}")
         _emit(args, "schedule.csv", "\n".join(lines) + "\n", written)
     else:
-        _emit(args, "schedule.json", dump_json({
-            "increments": list(result.increments),
-            "objective": result.objective,
-            "baseline_objective": result.baseline_objective,
-        }), written)
+        _emit(args, "schedule.json", schedule_json(result), written)
     return 0
 
 

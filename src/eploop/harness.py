@@ -10,6 +10,7 @@ order; JSON floats print with repr (shortest round-trip form).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -43,8 +44,8 @@ class DisorderConfig:
     granularity: str = "per_step"
 
     def __post_init__(self):
-        if self.strength < 0:
-            raise ConfigError(f"disorder strength must be >= 0, got {self.strength}")
+        if not 0 <= self.strength < math.inf:
+            raise ConfigError(f"disorder strength must be finite and >= 0, got {self.strength}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.groups < 1:
@@ -161,11 +162,9 @@ class RunConfig:
     engine: str = "full"
     inputs: tuple[str, ...] = BELL_LABELS
     input_kind: str = "eigenstate"
-    tomography: bool = False
     counts_per_basis: int = 10000
     psd_projection: bool = False
     resamples: int = 100
-    disorder: bool = False
     strength: float = 0.025
     groups: int = 10
     granularity: str = "per_step"
@@ -177,6 +176,11 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("record_steps", "psd_projection"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if isinstance(self.strength, bool) or not isinstance(self.strength, (int, float)):
+            raise ConfigError(f"strength must be a number, got {self.strength!r}")
         if self.loop not in (1, 2):
             raise ConfigError(f"loop must be 1 or 2, got {self.loop!r}")
         if self.n_steps < 1:
@@ -187,11 +191,10 @@ class RunConfig:
         if self.engine not in ("full", "simplified"):
             raise ConfigError(f"engine must be full or simplified, got {self.engine!r}")
         for label in self.inputs:
-            bell_index(label)
+            if label not in BELL_LABELS:
+                raise ConfigError(f"unknown input label {label!r}")
         if self.input_kind not in INPUT_KINDS:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {self.input_kind!r}")
-        if self.tomography and not self.inputs:
-            raise ConfigError("tomography needs at least one evolution input")
         if self.counts_per_basis < 1:
             raise ConfigError(f"counts_per_basis must be >= 1, got {self.counts_per_basis}")
         if self.resamples < 2:
@@ -207,6 +210,8 @@ class RunConfig:
         coerced = dict(data)
         for key in ("directions", "inputs"):
             if key in coerced:
+                if not isinstance(coerced[key], (list, tuple)):
+                    raise ConfigError(f"{key} must be a list, got {coerced[key]!r}")
                 coerced[key] = tuple(coerced[key])
         try:
             return cls(**coerced)
@@ -230,6 +235,41 @@ class RunConfig:
         )
 
 
+def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
+    """Evolve every input on every direction of `cfg`, direction-major."""
+    reports = []
+    for direction in cfg.directions:
+        sched = cfg.schedule(direction)
+        for label in cfg.inputs:
+            psi0 = case_input(label, cfg.input_kind, sched.steps[0])
+            reports.append(
+                evolve(sched, psi0, engine=cfg.engine, input_label=label,
+                       record_steps=cfg.record_steps)
+            )
+    return reports
+
+
+def disorder_pair(cfg: RunConfig) -> tuple[DisorderSummary, DisorderSummary]:
+    """Disorder study of `cfg`'s cases and its clean reference (strength 0, one group)."""
+    scheds = [cfg.schedule(d) for d in cfg.directions]
+    off_cfg = DisorderConfig(strength=0.0, groups=1, seed=cfg.seed, granularity=cfg.granularity)
+    on = disorder_run(scheds, cfg.inputs, cfg.disorder_config(),
+                      engine=cfg.engine, input_kind=cfg.input_kind)
+    off = disorder_run(scheds, cfg.inputs, off_cfg, engine=cfg.engine, input_kind=cfg.input_kind)
+    return on, off
+
+
+def tomography_summary(counts, cfg: TomoConfig, resamples: int) -> dict:
+    """Reconstructed density, its Bell fidelities and their bootstrap spread."""
+    rho = reconstruct(counts, cfg)
+    sds = bootstrap_error(counts, cfg, resamples)
+    return {
+        "density": interleave(rho),
+        "fidelities": classify_density_fidelities(rho),
+        "bootstrap_sd": {label: float(s) for label, s in zip(BELL_LABELS, sds)},
+    }
+
+
 def interleave(values: np.ndarray) -> list[float]:
     flat = np.asarray(values, dtype=complex).reshape(-1)
     out = []
@@ -239,10 +279,8 @@ def interleave(values: np.ndarray) -> list[float]:
     return out
 
 
-def report_dict(report: EvolutionReport, include_steps: bool | None = None) -> dict:
-    """Evolution report as a JSON-ready dict with fixed key order."""
-    if include_steps is None:
-        include_steps = report.per_step is not None
+def report_dict(report: EvolutionReport) -> dict:
+    """Evolution report as a JSON-ready dict with fixed key order (`steps` if recorded)."""
     out = {
         "input": report.input_label,
         "direction": report.direction,
@@ -256,7 +294,7 @@ def report_dict(report: EvolutionReport, include_steps: bool | None = None) -> d
         },
         "classified": report.classified_output,
     }
-    if include_steps and report.per_step is not None:
+    if report.per_step is not None:
         out["steps"] = [
             {
                 "n": rec.index,
@@ -294,6 +332,38 @@ def _derived_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=tags).generate_state(1, np.uint64)[0])
 
 
+def ep_json(ep) -> str:
+    return dump_json({"phi": ep.phi, "theta1": ep.theta1, "residual": ep.residual})
+
+
+def schedule_json(result) -> str:
+    return dump_json({
+        "increments": list(result.increments),
+        "objective": result.objective,
+        "baseline_objective": result.baseline_objective,
+    })
+
+
+def disorder_json(summary: DisorderSummary) -> str:
+    """Per-case disorder statistics plus the study-wide aggregates."""
+    return dump_json({
+        "cases": [
+            {
+                "direction": c.direction,
+                "input": c.input_label,
+                "reference": c.reference_label,
+                "base_fidelity": c.base_fidelity,
+                "mean_fidelity": c.mean_fidelity,
+                "sd_fidelity": c.sd_fidelity,
+                "unchanged_fraction": c.unchanged_fraction,
+            }
+            for c in summary.cases
+        ],
+        "unchanged_fraction": summary.unchanged_fraction,
+        "max_drop": summary.max_drop,
+    })
+
+
 def disorder_csv(rows) -> str:
     """Case table `direction,input,mean_on,sd_on,mean_off,sd_off`."""
     lines = ["direction,input,mean_on,sd_on,mean_off,sd_off"]
@@ -310,10 +380,7 @@ def _fig1b(out_dir: str, cfg: RunConfig) -> list[str]:
     ep = find_ep()
     return [
         write_text(os.path.join(out_dir, "fig1b_surface.csv"), surface_csv(samples)),
-        write_text(
-            os.path.join(out_dir, "fig1b_ep.json"),
-            dump_json({"phi": ep.phi, "theta1": ep.theta1, "residual": ep.residual}),
-        ),
+        write_text(os.path.join(out_dir, "fig1b_ep.json"), ep_json(ep)),
     ]
 
 
@@ -343,17 +410,14 @@ def _fig2(out_dir: str, cfg: RunConfig) -> list[str]:
                 dump_json(_input_report(label, sched0, cfg.input_kind)),
             )
         )
-    for direction in DIRECTIONS:
-        sched = loop1_schedule(100, direction)
-        for label in BELL_LABELS:
-            psi0 = case_input(label, cfg.input_kind, sched.steps[0])
-            rep = evolve(sched, psi0, engine="full", input_label=label, record_steps=cfg.record_steps)
-            paths.append(
-                write_text(
-                    os.path.join(out_dir, f"fig2_{direction}_{label}.json"),
-                    dump_json(report_dict(rep)),
-                )
+    cases = replace(cfg, loop=1, n_steps=100, directions=DIRECTIONS, engine="full", inputs=BELL_LABELS)
+    for rep in evolve_cases(cases):
+        paths.append(
+            write_text(
+                os.path.join(out_dir, f"fig2_{rep.direction}_{rep.input_label}.json"),
+                dump_json(report_dict(rep)),
             )
+        )
     return paths
 
 
@@ -362,18 +426,7 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
     if optimized:
         result = optimize_schedule(8)
         schedules = result.schedules()
-        paths.append(
-            write_text(
-                os.path.join(out_dir, "fig4_schedule.json"),
-                dump_json(
-                    {
-                        "increments": list(result.increments),
-                        "objective": result.objective,
-                        "baseline_objective": result.baseline_objective,
-                    }
-                ),
-            )
-        )
+        paths.append(write_text(os.path.join(out_dir, "fig4_schedule.json"), schedule_json(result)))
     else:
         schedules = {d: loop1_schedule(8, d) for d in DIRECTIONS}
     cases = [(d, label) for d in DIRECTIONS for label in BELL_LABELS]
@@ -383,13 +436,11 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
         rep = evolve(sched, psi0, engine="simplified", input_label=label, record_steps=cfg.record_steps)
         tomo_cfg = cfg.tomo_config(seed=_derived_seed(cfg.seed, case_idx))
         counts = simulate_counts(rep.output_density, tomo_cfg)
-        rho_rec = reconstruct(counts, tomo_cfg)
-        sds = bootstrap_error(counts, tomo_cfg, cfg.resamples)
+        tomo = tomography_summary(counts, tomo_cfg, cfg.resamples)
         body = report_dict(rep)
-        body["reconstructed_density"] = interleave(rho_rec)
-        rec_cls = classify_density_fidelities(rho_rec)
-        body["reconstructed_fidelities"] = rec_cls
-        body["bootstrap_sd"] = {lab: float(s) for lab, s in zip(BELL_LABELS, sds)}
+        body["reconstructed_density"] = tomo["density"]
+        body["reconstructed_fidelities"] = tomo["fidelities"]
+        body["bootstrap_sd"] = tomo["bootstrap_sd"]
         paths.append(
             write_text(
                 os.path.join(out_dir, f"fig4_{direction}_{label}.json"), dump_json(body)
@@ -412,11 +463,9 @@ def classify_density_fidelities(rho: np.ndarray) -> dict:
 
 def _fig5(out_dir: str, cfg: RunConfig) -> list[str]:
     paths = []
-    off_cfg = DisorderConfig(strength=0.0, groups=1, seed=cfg.seed, granularity=cfg.granularity)
     for n_steps in (8, 100):
-        scheds = [loop1_schedule(n_steps, d) for d in DIRECTIONS]
-        on = disorder_run(scheds, BELL_LABELS, cfg.disorder_config(), engine="simplified", input_kind=cfg.input_kind)
-        off = disorder_run(scheds, BELL_LABELS, off_cfg, engine="simplified", input_kind=cfg.input_kind)
+        on, off = disorder_pair(replace(cfg, loop=1, n_steps=n_steps, directions=DIRECTIONS,
+                                        engine="simplified", inputs=BELL_LABELS))
         rows = list(zip(on.cases, off.cases))
         paths.append(
             write_text(os.path.join(out_dir, f"fig5_disorder_N{n_steps}.csv"), disorder_csv(rows))

@@ -383,14 +383,18 @@ class OptimizeResult:
     baseline_objective: float
 
     def schedule(self, direction: str) -> LoopSchedule:
-        incr = np.asarray(self.increments)
-        phases = -math.pi / 2 + direction_sign(direction) * np.concatenate(
-            [[0.0], np.cumsum(incr[:-1])]
-        )
-        return schedule_from_phases(phases, direction, label="loop1-optimized")
+        return _schedule_from_increments(np.asarray(self.increments), direction)
 
     def schedules(self) -> dict[str, LoopSchedule]:
         return {d: self.schedule(d) for d in DIRECTIONS}
+
+
+def _schedule_from_increments(incr: np.ndarray, direction: str) -> LoopSchedule:
+    """Loop-1 schedule from the start point whose phase steps are `incr`."""
+    phases = -math.pi / 2 + direction_sign(direction) * np.concatenate(
+        [[0.0], np.cumsum(incr[:-1])]
+    )
+    return schedule_from_phases(phases, direction, label="loop1-optimized")
 
 
 def _increments_from_x(x: np.ndarray) -> np.ndarray:
@@ -417,18 +421,9 @@ def optimize_schedule(
     if n_steps < 4:
         raise ConfigError(f"optimizer needs at least 4 steps, got {n_steps}")
 
-    def schedules_for(x: np.ndarray) -> dict[str, LoopSchedule]:
-        incr = _increments_from_x(x)
-        out = {}
-        for direction in DIRECTIONS:
-            phases = -math.pi / 2 + direction_sign(direction) * np.concatenate(
-                [[0.0], np.cumsum(incr[:-1])]
-            )
-            out[direction] = schedule_from_phases(phases, direction, label="loop1-optimized")
-        return out
-
     def neg_objective(x: np.ndarray) -> float:
-        return -min_case_fidelity(schedules_for(x))
+        incr = _increments_from_x(x)
+        return -min_case_fidelity({d: _schedule_from_increments(incr, d) for d in DIRECTIONS})
 
     rng = np.random.default_rng(seed)
     best_x, best_val = None, -math.inf

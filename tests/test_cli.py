@@ -26,6 +26,12 @@ def test_surface_grid_rows(capsys):
     assert len(lines) == 13
 
 
+def test_surface_rejects_fractional_grid_size(capsys):
+    assert main(["surface", "--phi-range", "-0.1", "0.1", "2.9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1, err
+
+
 def test_surface_json_rows(capsys):
     code = main(["surface", "--phi-range", "-0.1", "0.1", "2",
                  "--theta1-range", "-0.5", "-0.3", "2", "--format", "json"])
@@ -64,6 +70,12 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         ('{"n_steps": 8, "groups": 2.5}', ["disorder"]),
         ('{"n_steps": 8}', ["disorder", "--seed", "-1"]),
         ('{}', ["tomo", "--state", "zeta1", "--seed", "-1"]),
+        ('{"record_steps": "no"}', ["evolve"]),
+        ('{"psd_projection": "yes"}', ["tomo", "--state", "zeta1"]),
+        ('{"n_steps": 8, "strength": true}', ["disorder"]),
+        ('{"directions": "cw"}', ["evolve"]),
+        ('{"inputs": "zeta1"}', ["evolve"]),
+        ('{"disorder": true}', ["disorder"]),
     ):
         cfg.write_text(body)
         assert main(argv + ["--config", str(cfg)]) == 2, (body, argv)
@@ -138,3 +150,22 @@ def test_optimize_schedule_quick(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "step,increment"
     assert len([ln for ln in lines if not ln.startswith("#")]) == 5
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
+    for argv in (
+        ["surface", "--seed", "1"],
+        ["find-ep", "--config", "x"],
+        ["compile-optics", "--target", "gain", "--seed", "1"],
+        ["optimize-schedule", "--config", "x"],
+        ["reproduce", "fig1b", "--format", "json"],
+        ["tomo", "--state", "zeta1", "--format", "csv"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"loop": 9}')
+    assert main(["tomo", "--state", "zeta1", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error")

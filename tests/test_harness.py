@@ -1,8 +1,10 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eploop.errors import ConfigError
 from eploop.harness import (
@@ -66,7 +68,11 @@ def test_run_config_validation_and_helpers():
     assert cfg.schedule("cw").n_steps == 16
     assert cfg.tomo_config().counts_per_basis == 10000
     assert cfg.disorder_config().groups == 10
-    for bad in ({"loop": 3}, {"loop": True}, {"groups": 2.5}, {"n_steps": "8"}, {"seed": -1}):
+    for bad in ({"loop": 3}, {"loop": True}, {"groups": 2.5}, {"n_steps": "8"}, {"seed": -1},
+                {"record_steps": "no"}, {"psd_projection": 1}, {"strength": True},
+                {"strength": "0.1"}, {"strength": float("nan")}, {"directions": "cw"},
+                {"inputs": "zeta1"}, {"inputs": ["zeta5"]}, {"inputs": [1]},
+                {"tomography": True}, {"disorder": True}):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
     with pytest.raises(ConfigError):
@@ -77,6 +83,25 @@ def test_run_config_validation_and_helpers():
         RunConfig(directions=("cw", "up"))
     with pytest.raises(ConfigError):
         RunConfig(resamples=1)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["cw", "ccw", "zeta1", "zeta4", "full", "simplified", "bell", "per_loop"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+# At most two keys, so that one bad value rarely hides the checks behind it.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)] + ["unknown"]),
+                       _JSON_VALUES | st.lists(_JSON_VALUES, max_size=3), max_size=2))
+def test_run_config_from_dict_returns_or_raises_config_error(data):
+    try:
+        RunConfig.from_dict(data)
+    except ConfigError:
+        pass
 
 
 def test_report_dict_key_order_and_shapes():
@@ -99,7 +124,8 @@ def test_report_dict_key_order_and_shapes():
     assert len(d["density"]) == 32
     assert list(d["fidelities"]) == ["zeta1", "zeta2", "zeta3", "zeta4"]
     assert len(d["steps"]) == 6
-    d2 = report_dict(rep, include_steps=False)
+    d2 = report_dict(evolve_full(sched, bell_eigenstate(1, sched.steps[0]), input_label=1,
+                                 record_steps=False))
     assert "steps" not in d2
 
 
