@@ -20,7 +20,7 @@ from .harness import (
     RunConfig,
     disorder_csv,
     disorder_json,
-    disorder_pair,
+    disorder_study,
     dump_json,
     ep_json,
     evolve_cases,
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-steps", type=int, help="default 100")
     p.add_argument("--direction", choices=DIRECTIONS + ("both",), help="default both")
     p.add_argument("--engine", choices=("full", "simplified"), help="default simplified")
-    p.add_argument("--strength", type=float, help="default 0.025")
+    p.add_argument("--strength", type=float, help="in [0, pi], default 0.025")
     p.add_argument("--groups", type=int, help="default 10")
     p.add_argument("--granularity", choices=("per_step", "per_loop"), help="default per_step")
     p.add_argument("--input-kind", choices=("eigenstate", "bell"), help="default eigenstate")
@@ -268,11 +268,11 @@ def _cmd_disorder(args, written) -> int:
         "granularity": args.granularity,
         "input_kind": args.input_kind,
     }, defaults={"engine": "simplified"})
-    on, off = disorder_pair(cfg)
+    summary = disorder_study(cfg)
     if (args.format or "csv") == "json":
-        _emit(args, "disorder.json", disorder_json(on), written)
+        _emit(args, "disorder.json", disorder_json(summary), written)
     else:
-        _emit(args, "disorder.csv", disorder_csv(list(zip(on.cases, off.cases))), written)
+        _emit(args, "disorder.csv", disorder_csv(summary), written)
     return 0
 
 

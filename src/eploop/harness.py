@@ -44,8 +44,9 @@ class DisorderConfig:
     granularity: str = "per_step"
 
     def __post_init__(self):
-        if not 0 <= self.strength < math.inf:
-            raise ConfigError(f"disorder strength must be finite and >= 0, got {self.strength}")
+        # a +-pi offset already spans every distinct theta1 and phi
+        if not 0 <= self.strength <= math.pi:
+            raise ConfigError(f"disorder strength must lie in [0, pi], got {self.strength}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.groups < 1:
@@ -83,19 +84,14 @@ class DisorderSummary:
 
 
 def _perturbed(schedule: LoopSchedule, rng: np.random.Generator, cfg: DisorderConfig) -> LoopSchedule:
-    if cfg.granularity == "per_loop":
-        dth = rng.uniform(-cfg.strength, cfg.strength)
-        dph = rng.uniform(-cfg.strength, cfg.strength)
-        steps = tuple(
-            replace(p, theta1=p.theta1 + dth, phi=p.phi + dph) for p in schedule.steps
-        )
-    else:
-        steps = []
-        for p in schedule.steps:
-            dth = rng.uniform(-cfg.strength, cfg.strength)
-            dph = rng.uniform(-cfg.strength, cfg.strength)
-            steps.append(replace(p, theta1=p.theta1 + dth, phi=p.phi + dph))
-        steps = tuple(steps)
+    """Schedule with (theta1, phi) offsets drawn once per loop or once per step."""
+    draws = 1 if cfg.granularity == "per_loop" else schedule.n_steps
+    offsets = rng.uniform(-cfg.strength, cfg.strength, size=(draws, 2))
+    offsets = np.broadcast_to(offsets, (schedule.n_steps, 2)).tolist()
+    steps = tuple(
+        replace(p, theta1=p.theta1 + dth, phi=p.phi + dph)
+        for p, (dth, dph) in zip(schedule.steps, offsets)
+    )
     return LoopSchedule(steps=steps, direction=schedule.direction, label=schedule.label)
 
 
@@ -249,14 +245,11 @@ def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
     return reports
 
 
-def disorder_pair(cfg: RunConfig) -> tuple[DisorderSummary, DisorderSummary]:
-    """Disorder study of `cfg`'s cases and its clean reference (strength 0, one group)."""
+def disorder_study(cfg: RunConfig) -> DisorderSummary:
+    """Disorder study of every input on every direction of `cfg`."""
     scheds = [cfg.schedule(d) for d in cfg.directions]
-    off_cfg = DisorderConfig(strength=0.0, groups=1, seed=cfg.seed, granularity=cfg.granularity)
-    on = disorder_run(scheds, cfg.inputs, cfg.disorder_config(),
-                      engine=cfg.engine, input_kind=cfg.input_kind)
-    off = disorder_run(scheds, cfg.inputs, off_cfg, engine=cfg.engine, input_kind=cfg.input_kind)
-    return on, off
+    return disorder_run(scheds, cfg.inputs, cfg.disorder_config(),
+                        engine=cfg.engine, input_kind=cfg.input_kind)
 
 
 def tomography_summary(counts, cfg: TomoConfig, resamples: int) -> dict:
@@ -364,13 +357,16 @@ def disorder_json(summary: DisorderSummary) -> str:
     })
 
 
-def disorder_csv(rows) -> str:
-    """Case table `direction,input,mean_on,sd_on,mean_off,sd_off`."""
+def disorder_csv(summary: DisorderSummary) -> str:
+    """Case table `direction,input,mean_on,sd_on,mean_off,sd_off`.
+
+    The off columns are the unperturbed run: its fidelity and a zero spread.
+    """
     lines = ["direction,input,mean_on,sd_on,mean_off,sd_off"]
-    for on, off in rows:
+    for c in summary.cases:
         lines.append(
-            f"{on.direction},{on.input_label},{on.mean_fidelity:.12g},{on.sd_fidelity:.12g},"
-            f"{off.mean_fidelity:.12g},{off.sd_fidelity:.12g}"
+            f"{c.direction},{c.input_label},{c.mean_fidelity:.12g},{c.sd_fidelity:.12g},"
+            f"{c.base_fidelity:.12g},0"
         )
     return "\n".join(lines) + "\n"
 
@@ -464,11 +460,10 @@ def classify_density_fidelities(rho: np.ndarray) -> dict:
 def _fig5(out_dir: str, cfg: RunConfig) -> list[str]:
     paths = []
     for n_steps in (8, 100):
-        on, off = disorder_pair(replace(cfg, loop=1, n_steps=n_steps, directions=DIRECTIONS,
-                                        engine="simplified", inputs=BELL_LABELS))
-        rows = list(zip(on.cases, off.cases))
+        summary = disorder_study(replace(cfg, loop=1, n_steps=n_steps, directions=DIRECTIONS,
+                                         engine="simplified", inputs=BELL_LABELS))
         paths.append(
-            write_text(os.path.join(out_dir, f"fig5_disorder_N{n_steps}.csv"), disorder_csv(rows))
+            write_text(os.path.join(out_dir, f"fig5_disorder_N{n_steps}.csv"), disorder_csv(summary))
         )
     return paths
 

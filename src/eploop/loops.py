@@ -2,11 +2,13 @@
 
 A schedule is a list of walk parameters tracing a closed circle in the
 (phi, theta1) plane around (or away from) the EP. Two evolution engines run
-the same schedule: evolve_full applies the closed-form step operator u_step
-at every step; evolve_simplified applies the product-frame steps I (x) M_n
-between a single pair of control transforms at the loop endpoint. Diagnostics
-cover per-step eigenbasis weights (sheet tracking), the step-to-step drift of
-the control operator, and a small-N schedule optimizer.
+the same schedule through one step / renormalize / record loop and differ only
+in the control frame of a step: evolve_full applies the closed-form step
+operator u_step(p_n) = C_n (I (x) M_n) C_n^-1, rebuilding the control pair at
+every step; evolve_simplified applies C_0 (I (x) M_n) C_0^-1, with the control
+pair frozen at the loop endpoint. Diagnostics cover per-step eigenbasis
+weights (sheet tracking), the step-to-step drift of the control operator, and
+a small-N schedule optimizer.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .linalg import SIGMA_0, inverse4, kron, max_abs
+from .linalg import max_abs
 from .metrics import BELL_LABELS, Classification, bell_index, bell_state, classify, density_matrix
 from .spectrum import eigensystem
 from .walk import WalkParams, control_operator, u_step, walk_operator_closed
@@ -174,14 +176,32 @@ def _canonical_label(label) -> str:
         return str(label)
 
 
-def _finish(
-    psi: np.ndarray,
-    input_label: str,
+def _propagate(
     schedule: LoopSchedule,
+    input_state,
+    input_label: str,
     engine: str,
-    logmag: float,
-    records,
+    step,
+    record_steps: bool,
 ) -> EvolutionReport:
+    """Apply `step(p, psi)` for every step of the schedule and report the result.
+
+    `step` returns the next unnormalized lab-frame state. The state is
+    renormalized after every step; the discarded magnitudes accumulate in
+    log_magnitude (the net amplification is scale-free for every reported
+    quantity but diagnostic for gain/loss balance).
+    """
+    psi = _normalized(input_state)
+    logmag = 0.0
+    records = [] if record_steps else None
+    for n, p in enumerate(schedule.steps):
+        psi = step(p, psi)
+        nrm = np.linalg.norm(psi)
+        logmag += math.log(nrm)
+        psi = psi / nrm
+        if record_steps:
+            raw, norm_w = _weights(p, psi)
+            records.append(StepRecord(n, p, raw, norm_w, logmag))
     cls: Classification = classify(psi)
     return EvolutionReport(
         input_label=_canonical_label(input_label),
@@ -205,24 +225,9 @@ def evolve_full(
     input_label: str = "custom",
     record_steps: bool = True,
 ) -> EvolutionReport:
-    """Run the schedule with the per-step closed-form operator u_step.
-
-    The state is renormalized after every step; the discarded magnitudes
-    accumulate in log_magnitude (the net amplification is scale-free for
-    every reported quantity but diagnostic for gain/loss balance).
-    """
-    psi = _normalized(input_state)
-    logmag = 0.0
-    records = [] if record_steps else None
-    for n, p in enumerate(schedule.steps):
-        psi = u_step(p) @ psi
-        nrm = np.linalg.norm(psi)
-        logmag += math.log(nrm)
-        psi = psi / nrm
-        if record_steps:
-            raw, norm_w = _weights(p, psi)
-            records.append(StepRecord(n, p, raw, norm_w, logmag))
-    return _finish(psi, input_label, schedule, "full", logmag, records)
+    """Run the schedule with the per-step closed-form operator u_step."""
+    return _propagate(schedule, input_state, input_label, "full",
+                      lambda p, psi: u_step(p) @ psi, record_steps)
 
 
 def evolve_simplified(
@@ -231,34 +236,19 @@ def evolve_simplified(
     input_label: str = "custom",
     record_steps: bool = True,
 ) -> EvolutionReport:
-    """Run the schedule in the product frame with endpoint control transforms.
+    """Run the schedule with the control pair frozen at the loop endpoint.
 
-    The state enters through C^-1 and leaves through C, both evaluated at the
+    Each step applies C (I (x) M_n) C^-1 with (C, C^-1) evaluated at the
     schedule's first parameters (for a closed loop the start is the endpoint).
-    Between them each step applies I (x) M_n. Recorded per-step weights map
-    the running state back through C so both engines report in the same
-    eigenbasis frame.
+    Reading the product-frame state phi as a 2x2 matrix, (I (x) M) phi is
+    phi @ M^T, so no 4x4 Kronecker product is formed.
     """
-    p_end = schedule.steps[0]
-    C, C_inv = control_operator(p_end)
-    psi = C_inv @ _normalized(input_state)
-    nrm = np.linalg.norm(psi)
-    logmag = math.log(nrm)
-    psi = psi / nrm
-    records = [] if record_steps else None
-    for n, p in enumerate(schedule.steps):
-        psi = kron(SIGMA_0, walk_operator_closed(p)) @ psi
-        nrm = np.linalg.norm(psi)
-        logmag += math.log(nrm)
-        psi = psi / nrm
-        if record_steps:
-            raw, norm_w = _weights(p, _normalized(C @ psi))
-            records.append(StepRecord(n, p, raw, norm_w, logmag))
-    psi = C @ psi
-    nrm = np.linalg.norm(psi)
-    logmag += math.log(nrm)
-    psi = psi / nrm
-    return _finish(psi, input_label, schedule, "simplified", logmag, records)
+    C, C_inv = control_operator(schedule.steps[0])
+
+    def step(p: WalkParams, psi: np.ndarray) -> np.ndarray:
+        return C @ ((C_inv @ psi).reshape(2, 2) @ walk_operator_closed(p).T).reshape(4)
+
+    return _propagate(schedule, input_state, input_label, "simplified", step, record_steps)
 
 
 ENGINES = {"full": evolve_full, "simplified": evolve_simplified}
@@ -296,13 +286,13 @@ def control_drift(schedule: LoopSchedule) -> ControlDriftReport:
     therefore compared against the nearer of I and sigma_z (x) I, and the
     number of sign jumps is reported as flips.
     """
-    cs = [control_operator(p)[0] for p in schedule.steps]
-    cs.append(cs[0])
+    pairs = [control_operator(p) for p in schedule.steps]
+    pairs.append(pairs[0])
     deviations = []
     flips = 0
     eye = np.eye(4, dtype=complex)
     for n in range(schedule.n_steps):
-        d = inverse4(cs[n + 1]) @ cs[n]
+        d = pairs[n + 1][1] @ pairs[n][0]
         dev_id = max_abs(d - eye)
         dev_flip = max_abs(d - _K_FLIP)
         if dev_flip < dev_id:

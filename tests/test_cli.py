@@ -73,6 +73,7 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         ('{"record_steps": "no"}', ["evolve"]),
         ('{"psd_projection": "yes"}', ["tomo", "--state", "zeta1"]),
         ('{"n_steps": 8, "strength": true}', ["disorder"]),
+        ('{"n_steps": 8}', ["disorder", "--strength", "1e308"]),
         ('{"directions": "cw"}', ["evolve"]),
         ('{"inputs": "zeta1"}', ["evolve"]),
         ('{"disorder": true}', ["disorder"]),

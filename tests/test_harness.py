@@ -70,8 +70,8 @@ def test_run_config_validation_and_helpers():
     assert cfg.disorder_config().groups == 10
     for bad in ({"loop": 3}, {"loop": True}, {"groups": 2.5}, {"n_steps": "8"}, {"seed": -1},
                 {"record_steps": "no"}, {"psd_projection": 1}, {"strength": True},
-                {"strength": "0.1"}, {"strength": float("nan")}, {"directions": "cw"},
-                {"inputs": "zeta1"}, {"inputs": ["zeta5"]}, {"inputs": [1]},
+                {"strength": "0.1"}, {"strength": float("nan")}, {"strength": 1e308},
+                {"directions": "cw"}, {"inputs": "zeta1"}, {"inputs": ["zeta5"]}, {"inputs": [1]},
                 {"tomography": True}, {"disorder": True}):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
@@ -147,11 +147,11 @@ def test_disorder_csv_schema():
     sched = loop1_schedule(6, "cw")
     cfg = DisorderConfig(groups=2)
     on = disorder_run(sched, ("zeta1",), cfg)
-    off = disorder_run(sched, ("zeta1",), DisorderConfig(strength=0.0, groups=1))
-    text = disorder_csv(list(zip(on.cases, off.cases)))
+    text = disorder_csv(on)
     lines = text.splitlines()
     assert lines[0] == "direction,input,mean_on,sd_on,mean_off,sd_off"
     assert lines[1].startswith("cw,zeta1,")
+    assert lines[1].split(",")[4:] == [f"{on.cases[0].base_fidelity:.12g}", "0"]
 
 
 def test_reproduce_fig1b(tmp_path):

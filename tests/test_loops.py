@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eploop.errors import ConfigError, DomainError
 from eploop.loops import (
@@ -22,6 +23,8 @@ from eploop.loops import (
     sheet_trace,
 )
 from eploop.metrics import bell_index, bell_state
+from eploop.spectrum import eigensystem
+from eploop.walk import control_operator, u_step, walk_operator_product
 
 FULL_SWITCH_F = 0.9825345599899842
 FULL_STAY_F = 0.9640449347163164
@@ -144,6 +147,44 @@ def test_evolve_dispatcher():
         evolve(sched, psi0, engine="exact")
     with pytest.raises(DomainError):
         evolve(sched, np.zeros(4, dtype=complex))
+
+
+_STATES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
+    lambda v: np.array(v[::2]) + 1j * np.array(v[1::2])
+).filter(lambda psi: np.linalg.norm(psi) > 0.1)
+
+
+def _eigenbasis_weights(p, psi):
+    psi = psi / np.linalg.norm(psi)
+    raw = np.array([abs(np.vdot(b, psi)) ** 2 for b in eigensystem(p).beta])
+    return raw, raw / raw.sum()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=12),
+       st.sampled_from(DIRECTIONS), _STATES)
+def test_engines_match_their_definitions(phases, direction, psi0):
+    # full: prod_n u_step(p_n) psi0; simplified: C_0 (I (x) M_{N-1}...M_0) C_0^-1 psi0
+    sched = schedule_from_phases(phases, direction)
+    psi0 = psi0 / np.linalg.norm(psi0)
+    C, C_inv = control_operator(sched.steps[0])
+    u, m = np.eye(4), np.eye(2)
+    expected = {"full": [], "simplified": []}
+    for p in sched.steps:
+        u = u_step(p) @ u
+        m = walk_operator_product(p) @ m
+        expected["full"].append(u @ psi0)
+        expected["simplified"].append(C @ np.kron(np.eye(2), m) @ C_inv @ psi0)
+    for engine in (evolve_full, evolve_simplified):
+        rep = engine(sched, psi0)
+        states = expected[rep.engine]
+        final = states[-1] / np.linalg.norm(states[-1])
+        assert np.allclose(rep.output_state, final, rtol=0, atol=1e-10)
+        assert rep.log_magnitude == pytest.approx(math.log(np.linalg.norm(states[-1])), abs=1e-10)
+        for rec, p, psi in zip(rep.per_step, sched.steps, states):
+            raw, weights = _eigenbasis_weights(p, psi)
+            assert np.allclose(rec.weights_raw, raw, rtol=0, atol=1e-10)
+            assert np.allclose(rec.weights, weights, rtol=0, atol=1e-10)
 
 
 def test_report_shape_and_step_records():
