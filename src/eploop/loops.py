@@ -134,6 +134,7 @@ class StepRecord:
     weights_raw: tuple[float, float, float, float]
     weights: tuple[float, float, float, float]
     log_magnitude: float
+    eta: tuple[complex, complex]  # (eta_plus, eta_minus) of u_step(params)
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,11 @@ def _normalized(state) -> np.ndarray:
     return psi / nrm
 
 
-def _weights(p: WalkParams, psi: np.ndarray) -> tuple[tuple, tuple]:
+def _step_record(n: int, p: WalkParams, psi: np.ndarray, logmag: float) -> StepRecord:
     es = eigensystem(p)
     raw = tuple(float(abs(np.vdot(b, psi)) ** 2) for b in es.beta)
     total = sum(raw)
-    return raw, tuple(w / total for w in raw)
+    return StepRecord(n, p, raw, tuple(w / total for w in raw), logmag, (es.eta_plus, es.eta_minus))
 
 
 def _canonical_label(label) -> str:
@@ -200,8 +201,7 @@ def _propagate(
         logmag += math.log(nrm)
         psi = psi / nrm
         if record_steps:
-            raw, norm_w = _weights(p, psi)
-            records.append(StepRecord(n, p, raw, norm_w, logmag))
+            records.append(_step_record(n, p, psi, logmag))
     cls: Classification = classify(psi)
     return EvolutionReport(
         input_label=_canonical_label(input_label),
@@ -327,18 +327,17 @@ def sheet_trace(report: EvolutionReport) -> SheetTrace:
     dominant = []
     eta_track = None
     for rec in report.per_step:
-        es = eigensystem(rec.params)
+        eta_plus, eta_minus = rec.eta
         w = rec.weights
-        group_plus = w[0] + w[3]
-        group_minus = w[1] + w[2]
+        group_plus, group_minus = w[0] + w[3], w[1] + w[2]
         if eta_track is None:
-            eta_track = es.eta_plus
+            eta_track = eta_plus
             dominant.append(0 if group_plus > group_minus else 1)
             continue
-        if abs(es.eta_plus - eta_track) <= abs(es.eta_minus - eta_track):
-            tracked, eta_track = group_plus, es.eta_plus
+        if abs(eta_plus - eta_track) <= abs(eta_minus - eta_track):
+            tracked, eta_track = group_plus, eta_plus
         else:
-            tracked, eta_track = group_minus, es.eta_minus
+            tracked, eta_track = group_minus, eta_minus
         dominant.append(0 if tracked >= 0.5 else 1)
     switch_steps = tuple(
         rec.index
@@ -410,6 +409,8 @@ def optimize_schedule(
 
     if n_steps < 4:
         raise ConfigError(f"optimizer needs at least 4 steps, got {n_steps}")
+    if multistarts < 1:
+        raise ConfigError(f"optimizer needs at least 1 start, got {multistarts}")
 
     def neg_objective(x: np.ndarray) -> float:
         incr = _increments_from_x(x)

@@ -176,6 +176,8 @@ def find_ep(
     change from the lower theta1 end and bisects it. For k != 0 the phi = 0
     solution seeds a 2-dim Newton iteration on (Re D0 - target, Im D0).
     """
+    if scan_points < 2:
+        raise ConfigError(f"EP scan needs at least 2 points, got {scan_points}")
     lo, hi = theta1_box
     grid = np.linspace(lo, hi, scan_points)
 

@@ -64,7 +64,6 @@ def measurement_matrix() -> np.ndarray:
 
 
 _MEAS = measurement_matrix()
-_PROJECTORS = basis_projectors()
 
 
 def probabilities(rho: np.ndarray) -> np.ndarray:

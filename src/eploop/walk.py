@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooCloseToEP
-from .linalg import inverse4, kron
+from .errors import SingularMatrix, TooCloseToEP
 
 EP_PREFACTOR_GUARD = 1e-6
 
@@ -148,51 +147,46 @@ def u_step(p: WalkParams) -> np.ndarray:
     return u
 
 
-def _coin_eigvec_m(c: complex, d: DCoefficients) -> np.ndarray:
-    # eigenvector prefactor 1/c diverges at the EP; callers guard |c|
-    return np.array([d.DX + d.DY, c - 1j * d.DZ], dtype=complex) / (math.sqrt(2) * c)
-
-
-def _coin_eigvec_mu(c: complex, d: DCoefficients, sigma: complex) -> np.ndarray:
-    return -np.array([c + 1j * d.DZ, d.DX - d.DY], dtype=complex) / (math.sqrt(2) * sigma)
-
-
 def control_operator(p: WalkParams) -> tuple[np.ndarray, np.ndarray]:
-    """Control pair (C, C_inv) with C (I (x) M) C_inv = u_step.
+    """Control pair (C, C_inv) with C (I (x) M) C_inv = u_step, in closed form.
 
-    C = A B^-1 where A's columns are the right eigenstates of u_step ordered
-    by the eigenvalue pattern (eta-, eta-, eta+, eta+), A^-1 is assembled from
-    the matching left eigenstates (exact biorthogonality, no inversion), and
-    B's columns are tensor products |0>,|1> with the coin eigenvectors of M in
-    the gauge that reproduces the known endpoint control matrix.
+    C = A B^-1, where A's columns are the right eigenstates of u_step in the
+    eigenvalue order (eta-, eta-, eta+, eta+) and B's columns are |0>, |1>
+    (x) the coin eigenvectors of M, in the gauge of the known endpoint control
+    matrix. Multiplied out symbolically, with X, Y, Z = DX, DY, DZ,
+    s^2 = D0^2 - 1 and sigma = sqrt(1 - D0^2):
 
-    Raises TooCloseToEP when the eigenvector prefactor guard |eta - D0| <= 1e-6
-    trips.
+        C     = ((i,         0, Z/sigma,       -i Z^2/(sigma (X-Y))),
+                 (-Z/(X+Y),  0, i(X-Y)/sigma,  Z/sigma),
+                 (0,         0, 0,             -sigma/(X-Y)),
+                 (i Z/(X+Y), 1, 0,             0))
+        C_inv = ((i(Y^2-X^2)/s^2, Z(X+Y)/s^2,   0,           0),
+                 (Z(Y-X)/s^2,     -i Z^2/s^2,   0,           1),
+                 (Z/sigma,        i(X+Y)/sigma, -i Z/sigma,  0),
+                 (0,              0,            (Y-X)/sigma, 0))
+
+    Raises TooCloseToEP when |eta - D0| = |s| <= 1e-6, and SingularMatrix
+    when |det B| = |X^2 - Y^2| / |s|^2 is at most 1e-12 max|B|^4, where
+    max|B| = max(|X+Y|, |X-Y|, |s+iZ|, |s-iZ|) / (sqrt(2) |s|).
     """
-    from .spectrum import eigensystem  # local import to avoid a module cycle
-
     d = d_coefficients(p)
-    s = np.sqrt(complex(d.D0 * d.D0 - 1.0))
+    X, Y, Z = d.DX, d.DY, d.DZ
+    s2 = d.D0 * d.D0 - 1.0
+    s = np.sqrt(complex(s2))
     if abs(s) <= EP_PREFACTOR_GUARD:
         raise TooCloseToEP(f"|eta - D0| = {abs(s):.3e} at {p}")
+    plus, minus = X + Y, X - Y
+    det_b = abs(plus * minus) / abs(s2)
+    scale = (max(abs(plus), abs(minus), abs(s + 1j * Z), abs(s - 1j * Z)) / (math.sqrt(2) * abs(s))) ** 4
+    if det_b <= 1e-12 * scale:
+        raise SingularMatrix(f"|det| = {det_b:.3e} below threshold {1e-12 * scale:.3e}")
     sigma = np.sqrt(complex(1.0 - d.D0 * d.D0))
-    es = eigensystem(p)
-    a = es.alpha
-    b = es.beta
-    # eigenvalue pattern (eta-, eta-, eta+, eta+): columns (alpha2, alpha3, alpha1, alpha4)
-    A = np.column_stack([a[1], a[2], a[0], a[3]])
-    # beta kets satisfy beta_i^dag alpha_j = delta_ij, so the dual rows are beta^dag
-    A_inv = np.vstack([b[1].conj(), b[2].conj(), b[0].conj(), b[3].conj()])
-    e0 = np.array([1, 0], dtype=complex)
-    e1 = np.array([0, 1], dtype=complex)
-    B = np.column_stack(
-        [
-            kron(e0, _coin_eigvec_m(-s, d)),
-            kron(e1, _coin_eigvec_mu(-s, d, sigma)),
-            kron(e0, _coin_eigvec_m(s, d)),
-            kron(e1, _coin_eigvec_mu(s, d, sigma)),
-        ]
-    )
-    C = A @ inverse4(B)
-    C_inv = B @ A_inv
+    C = np.array([[1j, 0, Z / sigma, -1j * Z * Z / (sigma * minus)],
+                  [-Z / plus, 0, 1j * minus / sigma, Z / sigma],
+                  [0, 0, 0, -sigma / minus],
+                  [1j * Z / plus, 1, 0, 0]], dtype=complex)
+    C_inv = np.array([[-1j * plus * minus / s2, Z * plus / s2, 0, 0],
+                      [-Z * minus / s2, -1j * Z * Z / s2, 0, 1],
+                      [Z / sigma, 1j * plus / sigma, -1j * Z / sigma, 0],
+                      [0, 0, -minus / sigma, 0]], dtype=complex)
     return C, C_inv

@@ -3,9 +3,9 @@
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
 criterion. Criterion 7's fidelity-gap bound is known-red: the simplified
 engine agrees with the full engine in classification for all eight cases,
-but its per-case fidelity sits up to 0.032 away (the endpoint-control
-approximation washes out input dependence), so the 0.01 bound fails and is
-left failing on purpose rather than weakened.
+but its per-case fidelity sits up to 0.032 away (the frame rotation
+C_0^-1 C_n that the endpoint control drops is O(1) at every step count), so
+the 0.01 bound fails and is left failing on purpose rather than weakened.
 """
 import filecmp
 import os

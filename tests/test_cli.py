@@ -77,9 +77,13 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         ('{"directions": "cw"}', ["evolve"]),
         ('{"inputs": "zeta1"}', ["evolve"]),
         ('{"disorder": true}', ["disorder"]),
+        (None, ["optimize-schedule", "--n-steps", "4", "--multistarts", "0"]),
+        (None, ["find-ep", "--scan-points", "-5"]),
     ):
-        cfg.write_text(body)
-        assert main(argv + ["--config", str(cfg)]) == 2, (body, argv)
+        if body is not None:
+            cfg.write_text(body)
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv) == 2, (body, argv)
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1, err
 
@@ -127,6 +131,12 @@ def test_compile_optics_text(capsys):
     out = capsys.readouterr().out
     assert "PPBS" in out and "CNOT" in out and "SWAP" in out
     assert "# residual" in out
+
+
+def test_compile_optics_singular_control_exit_code(capsys):
+    assert main(["compile-optics", "--target", "control",
+                 "--theta1", "-0.3508237905748691", "--k", "0.3"]) == 3
+    assert capsys.readouterr().err.startswith("numerical guard: |det| =")
 
 
 def test_compile_optics_json(capsys):

@@ -265,6 +265,8 @@ def test_optimizer_improves_small_loop():
     assert sum(result.increments) == pytest.approx(2 * math.pi)
     with pytest.raises(ConfigError):
         optimize_schedule(3)
+    with pytest.raises(ConfigError):
+        optimize_schedule(4, multistarts=0)
 
 
 def test_optimizer_reaches_target_at_experimental_scale():

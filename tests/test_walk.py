@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eploop.errors import TooCloseToEP
+from eploop.errors import SingularMatrix, TooCloseToEP
 from eploop.spectrum import eigensystem
 from eploop.walk import (
     WalkParams,
@@ -148,6 +148,17 @@ def test_control_operator_similarity():
 def test_control_operator_guards_near_coalescence():
     with pytest.raises(TooCloseToEP):
         control_operator(WalkParams(theta1=-0.2917760531146608))
+
+
+def test_control_operator_guards_singular_coin_basis():
+    # far from the EP (|eta - D0| ~ 0.55) but DX + DY ~ 1e-17, so the coin
+    # eigenvector basis B is singular and C = A B^-1 has no finite value
+    p = WalkParams(theta1=-0.3508237905748691, k=0.3)
+    d = d_coefficients(p)
+    assert abs(d.DX + d.DY) < 1e-15
+    assert abs(np.sqrt(complex(d.D0 * d.D0 - 1.0))) > 0.5
+    with pytest.raises(SingularMatrix):
+        control_operator(p)
 
 
 def test_control_inverse_matches_reference_start_value():
