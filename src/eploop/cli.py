@@ -66,6 +66,19 @@ _SHARED_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line and exit code 2, like a ConfigError
+        self.exit(2, f"config error: {message}\n")
+
+
+def finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities exit 2."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
         p.add_argument(f"--{name}", **_SHARED_FLAGS[name])
@@ -73,27 +86,27 @@ def _shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
 
 def _walk_flags(p: argparse.ArgumentParser, with_theta1: bool) -> None:
     if with_theta1:
-        p.add_argument("--theta1", type=float, default=-0.6)
-    p.add_argument("--theta2", type=float, default=math.pi / 16)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.2)
-    p.add_argument("--k", type=float, default=0.0)
+        p.add_argument("--theta1", type=finite_float, default=-0.6)
+    p.add_argument("--theta2", type=finite_float, default=math.pi / 16)
+    p.add_argument("--phi", type=finite_float, default=0.0)
+    p.add_argument("--gamma", type=finite_float, default=0.2)
+    p.add_argument("--k", type=finite_float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="eploop", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="eploop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("surface", help="quasienergy sheets on a parameter grid")
-    p.add_argument("--phi-range", nargs=3, type=float, default=(-0.3, 0.3, 61),
+    p.add_argument("--phi-range", nargs=3, type=finite_float, default=(-0.3, 0.3, 61),
                    metavar=("MIN", "MAX", "POINTS"))
-    p.add_argument("--theta1-range", nargs=3, type=float, default=(-0.8, 0.0, 61),
+    p.add_argument("--theta1-range", nargs=3, type=finite_float, default=(-0.8, 0.0, 61),
                    metavar=("MIN", "MAX", "POINTS"))
     _walk_flags(p, with_theta1=False)
     _shared_flags(p, "out", "format")
 
     p = sub.add_parser("find-ep", help="locate the spectral coalescence point")
-    p.add_argument("--theta1-box", nargs=2, type=float, default=(-0.5, -0.1), metavar=("LO", "HI"))
+    p.add_argument("--theta1-box", nargs=2, type=finite_float, default=(-0.5, -0.1), metavar=("LO", "HI"))
     p.add_argument("--scan-points", type=int, default=257)
     _walk_flags(p, with_theta1=False)
     _shared_flags(p, "out", "format")
@@ -120,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-steps", type=int, help="default 100")
     p.add_argument("--direction", choices=DIRECTIONS + ("both",), help="default both")
     p.add_argument("--engine", choices=("full", "simplified"), help="default simplified")
-    p.add_argument("--strength", type=float, help="in [0, pi], default 0.025")
+    p.add_argument("--strength", type=finite_float, help="in [0, pi], default 0.025")
     p.add_argument("--groups", type=int, help="default 10")
     p.add_argument("--granularity", choices=("per_step", "per_loop"), help="default per_step")
     p.add_argument("--input-kind", choices=("eigenstate", "bell"), help="default eigenstate")
@@ -136,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile-optics", help="compile an operator into wave-plate elements")
     p.add_argument("--target", choices=OPTICS_TARGETS, required=True)
-    p.add_argument("--theta", type=float, default=-0.6, help="rotation angle (rotation target)")
+    p.add_argument("--theta", type=finite_float, default=-0.6, help="rotation angle (rotation target)")
     _walk_flags(p, with_theta1=True)
     _shared_flags(p, "out", "format")
 
@@ -374,6 +387,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # math.cosh / math.exp of a huge gain-loss gamma
+        print(f"numerical guard: overflow ({exc}); a coin parameter is too large", file=sys.stderr)
         return 3
     except EploopError as exc:
         print(f"error: {exc}", file=sys.stderr)

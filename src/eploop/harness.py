@@ -102,13 +102,13 @@ def case_input(label, kind: str, p: WalkParams) -> np.ndarray:
 
 
 def disorder_run(
-    base,
+    schedules: list[LoopSchedule],
     inputs,
     cfg: DisorderConfig,
     engine: str = "simplified",
     input_kind: str = "eigenstate",
 ) -> DisorderSummary:
-    """Monte-Carlo perturbation study over one schedule or a list of them.
+    """Monte-Carlo perturbation study over a list of schedules.
 
     Cases enumerate (schedule, input) pairs schedule-major. Each group
     perturbs theta1 and phi by independent uniform draws in
@@ -119,7 +119,6 @@ def disorder_run(
     """
     if input_kind not in INPUT_KINDS:
         raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {input_kind!r}")
-    schedules = [base] if isinstance(base, LoopSchedule) else list(base)
     if not schedules:
         raise ConfigError("disorder_run needs at least one schedule")
     cases = [(sched, label) for sched in schedules for label in inputs]

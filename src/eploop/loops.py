@@ -68,21 +68,12 @@ def schedule_from_phases(
     direction: str,
     radius: float = 0.2,
     theta1_center: float = -0.4,
-    theta2: float = math.pi / 16,
-    gamma: float = 0.2,
-    k: float = 0.0,
     label: str = "custom",
 ) -> LoopSchedule:
-    """Schedule tracing phi = radius*cos(t), theta1 = radius*sin(t) + center."""
+    """Schedule tracing phi = radius*cos(t), theta1 = radius*sin(t) + center (other knobs default)."""
     _check_direction(direction)
     steps = tuple(
-        WalkParams(
-            theta1=radius * math.sin(t) + theta1_center,
-            theta2=theta2,
-            phi=radius * math.cos(t),
-            gamma=gamma,
-            k=k,
-        )
+        WalkParams(theta1=radius * math.sin(t) + theta1_center, phi=radius * math.cos(t))
         for t in np.asarray(phases, dtype=float)
     )
     if not steps:
@@ -130,11 +121,10 @@ def expected_output(direction: str, label) -> str:
 @dataclass(frozen=True)
 class StepRecord:
     index: int
-    params: WalkParams
     weights_raw: tuple[float, float, float, float]
     weights: tuple[float, float, float, float]
     log_magnitude: float
-    eta: tuple[complex, complex]  # (eta_plus, eta_minus) of u_step(params)
+    eta: tuple[complex, complex]  # (eta_plus, eta_minus) of the step's u_step
 
 
 @dataclass(frozen=True)
@@ -167,7 +157,7 @@ def _step_record(n: int, p: WalkParams, psi: np.ndarray, logmag: float) -> StepR
     es = eigensystem(p)
     raw = tuple(float(abs(np.vdot(b, psi)) ** 2) for b in es.beta)
     total = sum(raw)
-    return StepRecord(n, p, raw, tuple(w / total for w in raw), logmag, (es.eta_plus, es.eta_minus))
+    return StepRecord(n, raw, tuple(w / total for w in raw), logmag, (es.eta_plus, es.eta_minus))
 
 
 def _canonical_label(label) -> str:
@@ -347,20 +337,18 @@ def sheet_trace(report: EvolutionReport) -> SheetTrace:
     return SheetTrace(dominant=tuple(dominant), switches=len(switch_steps), switch_steps=switch_steps)
 
 
-def min_case_fidelity(
-    schedules: dict[str, LoopSchedule],
-    engine: str = "simplified",
-) -> float:
+def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
     """Minimum over the 8 chirality cases of fidelity to the target Bell state.
 
     Inputs are the start-point eigenstates labeled by nearest Bell state; the
-    schedules dict supplies one schedule per direction.
+    schedules dict supplies one schedule per direction; the simplified engine
+    runs every case.
     """
     worst = math.inf
     for (direction, j), target in CHIRAL_TARGETS.items():
         sched = schedules[direction]
         psi0 = bell_eigenstate(j, sched.steps[0])
-        rep = evolve(sched, psi0, engine=engine, input_label=BELL_LABELS[j - 1], record_steps=False)
+        rep = evolve_simplified(sched, psi0, input_label=BELL_LABELS[j - 1], record_steps=False)
         worst = min(worst, rep.fidelities[target - 1])
     return worst
 

@@ -309,14 +309,11 @@ def _fmt_param(x: float) -> str:
     return s if ("." in s or "e" in s or "inf" in s) else s + ".0"
 
 
-def sequence_text(seq: ElementSequence, comment: str = "") -> str:
+def sequence_text(seq: ElementSequence) -> str:
     """Element-list text: one element per line, application order, with the
     physical mount angle (half the Jones angle, in degrees) as the trailing
     column on waveplate lines."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("# application order; waveplate columns: jones angle (rad), mount angle (deg)")
+    lines = ["# application order; waveplate columns: jones angle (rad), mount angle (deg)"]
     two_photon = seq.target.shape[0] == 4
     for e in seq.elements:
         if two_photon and e.kind in SINGLE_PHOTON_KINDS and e.kind != "PHASE":

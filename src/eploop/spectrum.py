@@ -23,7 +23,7 @@ EIGENVECTOR_GUARD = 1e-8
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Right/left eigenstates of u_step with their eigenvalues and quasienergies.
+    """Right/left eigenstates of u_step with their eigenvalues.
 
     Index convention: alpha[0] and alpha[3] carry eta_plus, alpha[1] and
     alpha[2] carry eta_minus (so that at the standard start point alpha[j]
@@ -33,8 +33,6 @@ class EigenSystem:
 
     eta_plus: complex
     eta_minus: complex
-    lambda_plus: complex
-    lambda_minus: complex
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     beta: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -103,13 +101,9 @@ def eigensystem(p: WalkParams) -> EigenSystem:
         row = np.array([-d.DZ, -1j * (d.DX + d.DY), c, 0.0], dtype=complex) / (rt2 * c)
         return row.conj()
 
-    eta_p = complex(d.D0 + s)
-    eta_m = complex(d.D0 - s)
     return EigenSystem(
-        eta_plus=eta_p,
-        eta_minus=eta_m,
-        lambda_plus=_principal_lambda(eta_p),
-        lambda_minus=_principal_lambda(eta_m),
+        eta_plus=complex(d.D0 + s),
+        eta_minus=complex(d.D0 - s),
         alpha=(a12(s), a12(-s), a34(-s), a34(s)),
         beta=(b12(s), b12(-s), b34(-s), b34(s)),
     )
@@ -152,15 +146,6 @@ def surface_csv(samples: list[SurfaceSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _d0_at(theta1: float, theta2: float, gamma: float) -> float:
-    return d_coefficients(WalkParams(theta1=theta1, theta2=theta2, phi=0.0, gamma=gamma, k=0.0)).d0
-
-
-def _coalescence_residual(phi: float, theta1: float, theta2: float, gamma: float, k: float) -> float:
-    D0 = d_coefficients(WalkParams(theta1=theta1, theta2=theta2, phi=phi, gamma=gamma, k=k)).D0
-    return abs(D0 * D0 - 1.0)
-
-
 def find_ep(
     theta1_box: tuple[float, float] = (-0.5, -0.1),
     theta2: float = math.pi / 16,
@@ -170,70 +155,44 @@ def find_ep(
 ) -> EpLocation:
     """Locate the eigenvalue coalescence D0^2 = 1 inside the search box.
 
-    Along phi = 0 with k = 0 the coefficient D0 = d0 is real, so the problem
-    reduces to a 1-dim root of d0 -/+ 1. The box may contain two such roots
+    D0 = cos(phi) d0 + i sin(phi) dx can reach +-1 only where sin(phi) dx = 0,
+    and dx = -sinh(2 gamma) sin(theta2) is nonzero whenever there is gain or
+    loss. So for every k the EP lies on phi = 0, where D0 = d0 is real, and the
+    search is a 1-dim root of d0 -/+ 1. The box may contain two such roots
     (the edges of the broken-symmetry window); the scan takes the first sign
-    change from the lower theta1 end and bisects it. For k != 0 the phi = 0
-    solution seeds a 2-dim Newton iteration on (Re D0 - target, Im D0).
+    change from the lower theta1 end and bisects it.
     """
     if scan_points < 2:
         raise ConfigError(f"EP scan needs at least 2 points, got {scan_points}")
+
+    def coefficients(theta1: float):
+        return d_coefficients(WalkParams(theta1=theta1, theta2=theta2, phi=0.0, gamma=gamma, k=k))
+
     lo, hi = theta1_box
     grid = np.linspace(lo, hi, scan_points)
-
-    bracket = None
-    target = 1.0
-    for sign_target in (1.0, -1.0):
-        vals = [_d0_at(float(t), theta2, gamma) - sign_target for t in grid]
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                bracket = (float(grid[i]), float(grid[i]))
-                break
-            if vals[i] * vals[i + 1] < 0:
-                bracket = (float(grid[i]), float(grid[i + 1]))
-                break
-        if bracket is not None:
-            target = sign_target
+    d0s = [coefficients(float(t)).d0 for t in grid]
+    for target in (1.0, -1.0):
+        hits = [i for i in range(scan_points - 1) if (d0s[i] - target) * (d0s[i + 1] - target) <= 0]
+        if hits:
             break
-    if bracket is None:
+    else:
         raise NoBracket(
             f"no sign change of d0 -/+ 1 for theta1 in [{lo}, {hi}] "
-            f"(theta2={theta2}, gamma={gamma})"
+            f"(theta2={theta2}, gamma={gamma}, k={k})"
         )
 
-    a, b = bracket
-    fa = _d0_at(a, theta2, gamma) - target
+    a, b = float(grid[hits[0]]), float(grid[hits[0] + 1])
+    fa = coefficients(a).d0 - target
     for _ in range(200):
         m = 0.5 * (a + b)
-        fm = _d0_at(m, theta2, gamma) - target
+        fm = coefficients(m).d0 - target
         if fa * fm <= 0:
             b = m
         else:
             a, fa = m, fm
-    phi_ep, th1_ep = 0.0, 0.5 * (a + b)
-
-    if k != 0.0:
-        x = np.array([phi_ep, th1_ep])
-        h = 1e-7
-        for _ in range(60):
-            def g(v: np.ndarray) -> np.ndarray:
-                D0 = d_coefficients(
-                    WalkParams(theta1=float(v[1]), theta2=theta2, phi=float(v[0]), gamma=gamma, k=k)
-                ).D0
-                return np.array([D0.real - target, D0.imag])
-
-            f0 = g(x)
-            if np.abs(f0).max() < 1e-14:
-                break
-            J = np.column_stack([(g(x + h * e) - f0) / h for e in np.eye(2)])
-            try:
-                x = x - np.linalg.solve(J, f0)
-            except np.linalg.LinAlgError as exc:
-                raise NoBracket(f"Newton refinement stalled at {x}") from exc
-        phi_ep, th1_ep = float(x[0]), float(x[1])
-
-    residual = _coalescence_residual(phi_ep, th1_ep, theta2, gamma, k)
-    return EpLocation(phi=phi_ep, theta1=th1_ep, residual=residual)
+    theta1 = 0.5 * (a + b)
+    D0 = coefficients(theta1).D0
+    return EpLocation(phi=0.0, theta1=theta1, residual=abs(D0 * D0 - 1.0))
 
 
 def point_in_polygon(point: tuple[float, float], vertices: list[tuple[float, float]]) -> bool:

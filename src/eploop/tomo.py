@@ -130,13 +130,9 @@ def bootstrap_error(counts: CountsTable, cfg: TomoConfig, resamples: int) -> tup
     fids = np.empty((resamples, 4))
     for r in range(resamples):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))))
-        fake = CountsTable(
-            records=tuple(
-                (a, b, int(c))
-                for (a, b), c in zip(BASIS_PAIRS, rng.poisson(observed))
-            )
+        rho = reconstruct_from_frequencies(
+            rng.poisson(observed) / cfg.counts_per_basis, psd_projection=cfg.psd_projection
         )
-        rho = reconstruct(fake, cfg)
         fids[r] = [fidelity_pure(bell_state(j), rho) for j in (1, 2, 3, 4)]
     sds = fids.std(axis=0, ddof=1)
     return tuple(float(s) for s in sds)

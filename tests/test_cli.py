@@ -12,9 +12,25 @@ def test_find_ep_json(capsys):
     assert out["residual"] < 1e-10
 
 
+def _exit_code(argv) -> int:
+    """Exit code of `eploop argv`: main's return value, or argparse's SystemExit code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_find_ep_guard_exit_code(capsys):
-    assert main(["find-ep", "--gamma", "0"]) == 3
-    assert "numerical guard" in capsys.readouterr().err
+    for argv in (
+        ["find-ep", "--gamma", "0"],
+        ["find-ep", "--k", "0.1"],
+        ["find-ep", "--gamma", "1e3"],
+        ["surface", "--gamma", "1e3", "--phi-range", "-0.1", "0.1", "2"],
+        ["compile-optics", "--target", "walk-step", "--gamma", "1e3"],
+    ):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("numerical guard") and err.count("\n") == 1, (argv, err)
 
 
 def test_surface_grid_rows(capsys):
@@ -79,11 +95,21 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         ('{"disorder": true}', ["disorder"]),
         (None, ["optimize-schedule", "--n-steps", "4", "--multistarts", "0"]),
         (None, ["find-ep", "--scan-points", "-5"]),
+        (None, ["compile-optics", "--target", "walk-step", "--theta1", "inf"]),
+        (None, ["surface", "--theta2", "nan", "--phi-range", "-0.1", "0.1", "2",
+                "--theta1-range", "-0.5", "-0.4", "2"]),
+        (None, ["surface", "--phi-range", "0", "inf", "2"]),
+        (None, ["surface", "--theta1-range", "-0.5", "-0.4", "nan"]),
+        (None, ["find-ep", "--theta1-box", "-0.5", "nan"]),
+        (None, ["find-ep", "--k", "-inf"]),
+        (None, ["compile-optics", "--target", "control", "--phi", "nan"]),
+        (None, ["compile-optics", "--target", "rotation", "--theta", "inf"]),
+        ('{"n_steps": 8}', ["disorder", "--strength", "nan"]),
     ):
         if body is not None:
             cfg.write_text(body)
             argv = argv + ["--config", str(cfg)]
-        assert main(argv) == 2, (body, argv)
+        assert _exit_code(argv) == 2, (body, argv)
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1, err
 

@@ -36,7 +36,7 @@ def test_disorder_config_validation():
 def test_zero_strength_reproduces_baseline_exactly():
     sched = loop1_schedule(12, "cw")
     cfg = DisorderConfig(strength=0.0, groups=3)
-    summary = disorder_run(sched, ("zeta1", "zeta2"), cfg)
+    summary = disorder_run([sched], ("zeta1", "zeta2"), cfg)
     for case in summary.cases:
         assert case.mean_fidelity == case.base_fidelity
         assert case.sd_fidelity == 0.0
@@ -57,7 +57,7 @@ def test_disorder_run_deterministic():
 def test_disorder_rejects_bad_inputs():
     sched = loop1_schedule(8, "cw")
     with pytest.raises(ConfigError):
-        disorder_run(sched, ("zeta1",), DisorderConfig(), input_kind="random")
+        disorder_run([sched], ("zeta1",), DisorderConfig(), input_kind="random")
     with pytest.raises(ConfigError):
         disorder_run([], ("zeta1",), DisorderConfig())
 
@@ -146,7 +146,7 @@ def test_report_csv_header():
 def test_disorder_csv_schema():
     sched = loop1_schedule(6, "cw")
     cfg = DisorderConfig(groups=2)
-    on = disorder_run(sched, ("zeta1",), cfg)
+    on = disorder_run([sched], ("zeta1",), cfg)
     text = disorder_csv(on)
     lines = text.splitlines()
     assert lines[0] == "direction,input,mean_on,sd_on,mean_off,sd_off"

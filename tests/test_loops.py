@@ -187,6 +187,23 @@ def test_engines_match_their_definitions(phases, direction, psi0):
             assert np.allclose(rec.weights, weights, rtol=0, atol=1e-10)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=12),
+       st.sampled_from(DIRECTIONS))
+def test_full_engine_is_the_simplified_product_in_a_rotated_frame(phases, direction):
+    # prod_n u_step(p_n) = C_0 [prod_n G_n (I (x) M_n) G_n^-1] C_0^-1 with
+    # G_n = C_0^-1 C_n; the simplified engine sets every G_n to I (criterion 7)
+    sched = schedule_from_phases(phases, direction)
+    C0, C0_inv = control_operator(sched.steps[0])
+    lab, rotated = np.eye(4), np.eye(4)
+    for p in sched.steps:
+        C, C_inv = control_operator(p)
+        lab = u_step(p) @ lab
+        rotated = (C0_inv @ C) @ np.kron(np.eye(2), walk_operator_product(p)) @ (C_inv @ C0) @ rotated
+    scale = max(1.0, np.abs(lab).max())
+    assert np.allclose(C0 @ rotated @ C0_inv, lab, rtol=0, atol=1e-12 * scale)
+
+
 def test_report_shape_and_step_records():
     sched = loop1_schedule(10, "cw")
     rep = evolve_full(sched, bell_eigenstate(2, sched.steps[0]), input_label=2)

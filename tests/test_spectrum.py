@@ -97,15 +97,20 @@ def test_surface_csv_layout():
 
 
 def test_find_ep_frozen_location():
-    loc = find_ep()
-    assert loc.phi == pytest.approx(0.0, abs=1e-12)
-    assert loc.theta1 == pytest.approx(-0.2917760531146608, abs=1e-9)
-    assert loc.residual < 1e-10
+    # the EP lies on phi = 0 for every k, since dx != 0 whenever gamma != 0
+    for k, theta1 in ((0.0, -0.2917760531146608), (0.01, -0.2893946656793739),
+                      (0.02, -0.2817437286771233), (0.03, -0.26655969130919077)):
+        loc = find_ep(k=k)
+        assert loc.phi == 0.0, k
+        assert loc.theta1 == pytest.approx(theta1, abs=1e-9), k
+        assert loc.residual <= 1e-15, (k, loc)
 
 
 def test_find_ep_no_bracket_without_gain():
-    with pytest.raises(NoBracket):
-        find_ep(gamma=0.0)
+    # with gain 0 |d0| never crosses 1; beyond |k| = 0.0409 it stays below 1
+    for kwargs in ({"gamma": 0.0}, {"k": 0.05}, {"k": 0.1}):
+        with pytest.raises(NoBracket):
+            find_ep(**kwargs)
 
 
 def test_point_in_polygon_square():
