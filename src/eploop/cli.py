@@ -264,6 +264,8 @@ def _cmd_evolve(args, written) -> int:
 
 
 def _cmd_reproduce(args, written) -> int:
+    if args.figure == "fig1b" and (args.config or args.seed is not None):
+        raise ConfigError("reproduce fig1b reads neither --config nor --seed")
     cfg = _load_config(args, {})
     out_dir = args.out or "reports"
     written.extend(reproduce_figure(args.figure, out_dir, cfg, optimized=args.optimized))

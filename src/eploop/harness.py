@@ -370,7 +370,7 @@ def disorder_csv(summary: DisorderSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fig1b(out_dir: str, cfg: RunConfig) -> list[str]:
+def _fig1b(out_dir: str) -> list[str]:
     samples = riemann_surface((-0.3, 0.3, 61), (-0.8, 0.0, 61))
     ep = find_ep()
     return [
@@ -481,10 +481,12 @@ def reproduce_figure(which: str, out_dir: str, cfg: RunConfig | None = None, opt
     """
     if which not in FIGURES:
         raise ConfigError(f"figure must be one of {FIGURES}, got {which!r}")
+    if optimized and which != "fig4":
+        raise ConfigError(f"optimized applies only to fig4, not {which}")
     cfg = cfg or RunConfig()
     os.makedirs(out_dir, exist_ok=True)
     if which == "fig1b":
-        return _fig1b(out_dir, cfg)
+        return _fig1b(out_dir)
     if which == "fig2":
         return _fig2(out_dir, cfg)
     if which == "fig4":

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .linalg import max_abs
-from .metrics import BELL_LABELS, Classification, bell_index, bell_state, classify, density_matrix
-from .spectrum import eigensystem
+from .metrics import BELL_LABELS, Classification, bell_index, bell_state, classify, density_matrix, fidelity_pure
+from .spectrum import EigenSystem, eigensystem
 from .walk import WalkParams, control_operator, u_step, walk_operator_closed
 
 DIRECTIONS = ("cw", "ccw")
@@ -95,15 +95,16 @@ def loop2_schedule(n_steps: int, direction: str) -> LoopSchedule:
     )
 
 
-def bell_eigenstate(label, p: WalkParams) -> np.ndarray:
+def bell_eigenstate(label, p: WalkParams | EigenSystem) -> np.ndarray:
     """The normalized right eigenstate of u_step(p) nearest the given Bell state.
 
     Labeling by overlap rather than by eigenvalue index is stable across the
     square-root branch cut at phi = 0, where index labels swap but the
-    physical rays do not.
+    physical rays do not. `p` may also be eigensystem(p) itself, so several
+    labels can be picked from one eigensystem.
     """
     target = bell_state(label)
-    es = eigensystem(p)
+    es = p if isinstance(p, EigenSystem) else eigensystem(p)
     best, best_f = None, -1.0
     for a in es.alpha:
         v = a / np.linalg.norm(a)
@@ -299,13 +300,12 @@ def control_drift(schedule: LoopSchedule) -> ControlDriftReport:
 
 @dataclass(frozen=True)
 class SheetTrace:
-    dominant: tuple[int, ...]
     switches: int
     switch_steps: tuple[int, ...]
 
 
 def sheet_trace(report: EvolutionReport) -> SheetTrace:
-    """Per-step dominant eigenvalue branch and its non-adiabatic switches.
+    """Non-adiabatic switches of the per-step dominant eigenvalue branch.
 
     Branch 0 is the one continuously connected to eta_plus at the first step;
     the eta value itself is tracked (not the index) so the sequence is stable
@@ -334,22 +334,32 @@ def sheet_trace(report: EvolutionReport) -> SheetTrace:
         for prev, cur, rec in zip(dominant, dominant[1:], report.per_step[1:])
         if prev != cur
     )
-    return SheetTrace(dominant=tuple(dominant), switches=len(switch_steps), switch_steps=switch_steps)
+    return SheetTrace(switches=len(switch_steps), switch_steps=switch_steps)
 
 
 def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
     """Minimum over the 8 chirality cases of fidelity to the target Bell state.
 
     Inputs are the start-point eigenstates labeled by nearest Bell state; the
-    schedules dict supplies one schedule per direction; the simplified engine
-    runs every case.
+    schedules dict supplies one schedule per direction. The outputs are the
+    simplified engine's, in collapsed form: normalize(C_0 (I (x) P) C_0^-1 psi_j)
+    with one 2x2 chain P = M_{N-1}...M_0 per direction, applied to the four
+    inputs as one 4x4 block. This equals evolve_simplified exactly; P is
+    rescaled at every step in place of the engine's renormalization.
     """
     worst = math.inf
-    for (direction, j), target in CHIRAL_TARGETS.items():
-        sched = schedules[direction]
-        psi0 = bell_eigenstate(j, sched.steps[0])
-        rep = evolve_simplified(sched, psi0, input_label=BELL_LABELS[j - 1], record_steps=False)
-        worst = min(worst, rep.fidelities[target - 1])
+    for direction in DIRECTIONS:
+        steps = schedules[direction].steps
+        C, C_inv = control_operator(steps[0])
+        es = eigensystem(steps[0])
+        psi0 = np.array([bell_eigenstate(j, es) for j in (1, 2, 3, 4)])
+        P = np.eye(2, dtype=complex)
+        for p in steps:
+            P = walk_operator_closed(p) @ P
+            P /= max_abs(P)  # unscaled, |P| reaches 1e115 at N = 5000 on loop 1
+        out = ((psi0 @ C_inv.T).reshape(4, 2, 2) @ P.T).reshape(4, 4) @ C.T
+        for j, psi in enumerate(out, start=1):
+            worst = min(worst, fidelity_pure(bell_state(CHIRAL_TARGETS[direction, j]), _normalized(psi)))
     return worst
 
 
@@ -399,6 +409,10 @@ def optimize_schedule(
         raise ConfigError(f"optimizer needs at least 4 steps, got {n_steps}")
     if multistarts < 1:
         raise ConfigError(f"optimizer needs at least 1 start, got {multistarts}")
+    if maxiter < 1:
+        raise ConfigError(f"optimizer needs at least 1 iteration, got {maxiter}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     def neg_objective(x: np.ndarray) -> float:
         incr = _increments_from_x(x)

@@ -9,7 +9,7 @@ target only up to the amplitude discarded at the beam splitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,7 +16,7 @@ import pytest
 
 import eploop as ep
 from eploop.harness import RunConfig, disorder_run, reproduce_figure
-from eploop.tomo import basis_projectors, probabilities
+from eploop.tomo import probabilities
 
 START = ep.WalkParams(theta1=-0.6)
 

@@ -94,6 +94,12 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         ('{"inputs": "zeta1"}', ["evolve"]),
         ('{"disorder": true}', ["disorder"]),
         (None, ["optimize-schedule", "--n-steps", "4", "--multistarts", "0"]),
+        (None, ["optimize-schedule", "--n-steps", "4", "--seed", "-3"]),
+        (None, ["optimize-schedule", "--n-steps", "4", "--maxiter", "-5"]),
+        ('{}', ["reproduce", "fig1b", "--out", str(tmp_path / "r")]),
+        (None, ["reproduce", "fig1b", "--seed", "5", "--out", str(tmp_path / "r")]),
+        (None, ["reproduce", "fig2", "--optimized", "--out", str(tmp_path / "r")]),
+        (None, ["reproduce", "fig5", "--optimized", "--out", str(tmp_path / "r")]),
         (None, ["find-ep", "--scan-points", "-5"]),
         (None, ["compile-optics", "--target", "walk-step", "--theta1", "inf"]),
         (None, ["surface", "--theta2", "nan", "--phi-range", "-0.1", "0.1", "2",

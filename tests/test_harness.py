@@ -2,7 +2,6 @@ import json
 import os
 from dataclasses import fields
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

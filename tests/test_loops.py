@@ -8,6 +8,7 @@ from eploop.errors import ConfigError, DomainError
 from eploop.loops import (
     CHIRAL_TARGETS,
     DIRECTIONS,
+    OptimizeResult,
     bell_eigenstate,
     control_drift,
     equal_phases,
@@ -272,6 +273,34 @@ def test_min_case_fidelity_scan():
         assert min_case_fidelity(scheds) == pytest.approx(expected, abs=1e-9)
 
 
+def _engine_min_case_fidelity(schedules):
+    worst = math.inf
+    for (direction, j), target in CHIRAL_TARGETS.items():
+        sched = schedules[direction]
+        rep = evolve_simplified(sched, bell_eigenstate(j, sched.steps[0]), record_steps=False)
+        worst = min(worst, rep.fidelities[target - 1])
+    return worst
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(
+    st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=16).map(
+        lambda incr: OptimizeResult(tuple(incr), 0.0, 0.0).schedules()),
+    st.integers(1, 16).map(lambda n: {d: loop2_schedule(n, d) for d in DIRECTIONS}),
+))
+def test_min_case_fidelity_is_the_simplified_engine(schedules):
+    expected = _engine_min_case_fidelity(schedules)
+    assert min_case_fidelity(schedules) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_min_case_fidelity_long_loop_stays_finite():
+    # unrescaled, M_{N-1}...M_0 on loop 1 overflows near N = 13,500
+    schedules = {d: loop1_schedule(13500, d) for d in DIRECTIONS}
+    value = min_case_fidelity(schedules)
+    assert math.isfinite(value)
+    assert value == pytest.approx(_engine_min_case_fidelity(schedules), rel=0, abs=1e-12)
+
+
 def test_optimizer_improves_small_loop():
     result = optimize_schedule(4, multistarts=2, maxiter=400)
     assert result.baseline_objective == pytest.approx(0.2301864749726884, abs=1e-9)
@@ -284,6 +313,10 @@ def test_optimizer_improves_small_loop():
         optimize_schedule(3)
     with pytest.raises(ConfigError):
         optimize_schedule(4, multistarts=0)
+    with pytest.raises(ConfigError):
+        optimize_schedule(4, maxiter=0)
+    with pytest.raises(ConfigError):
+        optimize_schedule(4, seed=-1)
 
 
 def test_optimizer_reaches_target_at_experimental_scale():
