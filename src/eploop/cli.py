@@ -3,8 +3,10 @@
 Subcommands: surface, find-ep, evolve, reproduce, disorder, tomo,
 compile-optics, optimize-schedule. Shared flags (given after the subcommand,
 each only on the subcommands that read it): --config <path> JSON run
-configuration, --seed <u64>, --out <dir>, --format csv|json. Exit codes:
-0 success, 2 configuration error, 3 numerical-guard error.
+configuration, --seed <u64>, --out <dir>, --format csv|json. A config key or
+--seed outside the RunConfig fields a command reads (READS, harness.FIGURES)
+is a configuration error. Exit codes: 0 success, 2 configuration error,
+3 numerical-guard error.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .harness import (
     RunConfig,
     disorder_csv,
     disorder_json,
-    disorder_study,
+    disorder_run,
     dump_json,
     ep_json,
     evolve_cases,
@@ -57,6 +59,15 @@ OPTICS_TARGETS = (
     "control",
 )
 
+
+_CASE_FIELDS = ("loop", "n_steps", "directions", "engine", "inputs", "input_kind")
+
+# the RunConfig fields each config-reading command reads (reproduce: harness.FIGURES)
+READS = {
+    "evolve": _CASE_FIELDS + ("record_steps",),
+    "disorder": _CASE_FIELDS + ("strength", "groups", "granularity", "seed"),
+    "tomo": ("counts_per_basis", "psd_projection", "resamples", "seed"),
+}
 
 _SHARED_FLAGS = {
     "config": dict(metavar="PATH", help="JSON run configuration; explicit flags override it"),
@@ -120,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; default all")
     p.add_argument("--input-kind", choices=("eigenstate", "bell"), help="default eigenstate")
     p.add_argument("--record-steps", action="store_true", help="include per-step sheet weights")
-    _shared_flags(p, "config", "seed", "out", "format")
+    _shared_flags(p, "config", "out", "format")
 
     p = sub.add_parser("reproduce", help="regenerate a figure-style dataset")
     p.add_argument("figure", choices=FIGURES)
@@ -162,10 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace, overrides: dict, defaults: dict | None = None) -> RunConfig:
-    """Merge precedence: explicit flags > config file > subcommand defaults."""
+def _load_config(args: argparse.Namespace, reads: tuple[str, ...], overrides: dict,
+                 defaults: dict | None = None) -> RunConfig:
+    """Merge precedence: explicit flags > config file > subcommand defaults.
+
+    A config key or --seed outside `reads` is a ConfigError.
+    """
+    command = " ".join(filter(None, (args.command, getattr(args, "figure", None))))
     data = dict(defaults or {})
     if args.config:
+        if not reads:
+            raise ConfigError(f"{command} reads no --config")
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -173,11 +191,16 @@ def _load_config(args: argparse.Namespace, overrides: dict, defaults: dict | Non
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        unread = sorted(set(loaded) - set(reads))
+        if unread:
+            raise ConfigError(f"{command} does not read config keys {unread}")
         data.update(loaded)
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
+        if "seed" not in reads:
+            raise ConfigError(f"{command} does not read --seed")
         data["seed"] = args.seed
     return RunConfig.from_dict(data)
 
@@ -241,7 +264,7 @@ def _cmd_find_ep(args, written) -> int:
 
 
 def _cmd_evolve(args, written) -> int:
-    cfg = _load_config(args, {
+    cfg = _load_config(args, READS["evolve"], {
         "loop": args.loop,
         "n_steps": args.n_steps,
         "directions": list(_directions(args.direction)) if args.direction else None,
@@ -264,16 +287,14 @@ def _cmd_evolve(args, written) -> int:
 
 
 def _cmd_reproduce(args, written) -> int:
-    if args.figure == "fig1b" and (args.config or args.seed is not None):
-        raise ConfigError("reproduce fig1b reads neither --config nor --seed")
-    cfg = _load_config(args, {})
+    cfg = _load_config(args, FIGURES[args.figure], {})
     out_dir = args.out or "reports"
     written.extend(reproduce_figure(args.figure, out_dir, cfg, optimized=args.optimized))
     return 0
 
 
 def _cmd_disorder(args, written) -> int:
-    cfg = _load_config(args, {
+    cfg = _load_config(args, READS["disorder"], {
         "loop": args.loop,
         "n_steps": args.n_steps,
         "directions": list(_directions(args.direction)) if args.direction else None,
@@ -283,7 +304,7 @@ def _cmd_disorder(args, written) -> int:
         "granularity": args.granularity,
         "input_kind": args.input_kind,
     }, defaults={"engine": "simplified"})
-    summary = disorder_study(cfg)
+    summary = disorder_run(cfg)
     if (args.format or "csv") == "json":
         _emit(args, "disorder.json", disorder_json(summary), written)
     else:
@@ -294,7 +315,7 @@ def _cmd_disorder(args, written) -> int:
 def _cmd_tomo(args, written) -> int:
     if bool(args.state) == bool(args.counts):
         raise ConfigError("tomo needs exactly one of --state or --counts")
-    cfg = _load_config(args, {
+    cfg = _load_config(args, READS["tomo"], {
         "counts_per_basis": args.counts_per_basis,
         "resamples": args.resamples,
         "psd_projection": True if args.psd else None,

@@ -37,119 +37,6 @@ INPUT_KINDS = ("eigenstate", "bell")
 
 
 @dataclass(frozen=True)
-class DisorderConfig:
-    strength: float = 0.025
-    groups: int = 10
-    seed: int = 1234
-    granularity: str = "per_step"
-
-    def __post_init__(self):
-        # a +-pi offset already spans every distinct theta1 and phi
-        if not 0 <= self.strength <= math.pi:
-            raise ConfigError(f"disorder strength must lie in [0, pi], got {self.strength}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.groups < 1:
-            raise ConfigError(f"disorder needs >= 1 group, got {self.groups}")
-        if self.granularity not in GRANULARITIES:
-            raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}")
-
-
-@dataclass(frozen=True)
-class CaseStats:
-    input_label: str
-    direction: str
-    reference_label: str
-    base_fidelity: float
-    mean_fidelity: float
-    sd_fidelity: float
-    unchanged_fraction: float
-
-    @property
-    def drop(self) -> float:
-        return self.base_fidelity - self.mean_fidelity
-
-
-@dataclass(frozen=True)
-class DisorderSummary:
-    cases: tuple[CaseStats, ...]
-
-    @property
-    def unchanged_fraction(self) -> float:
-        return float(np.mean([c.unchanged_fraction for c in self.cases]))
-
-    @property
-    def max_drop(self) -> float:
-        return max(c.drop for c in self.cases)
-
-
-def _perturbed(schedule: LoopSchedule, rng: np.random.Generator, cfg: DisorderConfig) -> LoopSchedule:
-    """Schedule with (theta1, phi) offsets drawn once per loop or once per step."""
-    draws = 1 if cfg.granularity == "per_loop" else schedule.n_steps
-    offsets = rng.uniform(-cfg.strength, cfg.strength, size=(draws, 2))
-    offsets = np.broadcast_to(offsets, (schedule.n_steps, 2)).tolist()
-    steps = tuple(
-        replace(p, theta1=p.theta1 + dth, phi=p.phi + dph)
-        for p, (dth, dph) in zip(schedule.steps, offsets)
-    )
-    return LoopSchedule(steps=steps, direction=schedule.direction, label=schedule.label)
-
-
-def case_input(label, kind: str, p: WalkParams) -> np.ndarray:
-    if kind == "eigenstate":
-        return bell_eigenstate(label, p)
-    return bell_state(label)
-
-
-def disorder_run(
-    schedules: list[LoopSchedule],
-    inputs,
-    cfg: DisorderConfig,
-    engine: str = "simplified",
-    input_kind: str = "eigenstate",
-) -> DisorderSummary:
-    """Monte-Carlo perturbation study over a list of schedules.
-
-    Cases enumerate (schedule, input) pairs schedule-major. Each group
-    perturbs theta1 and phi by independent uniform draws in
-    (-strength, strength) at the configured granularity, evolves the case,
-    and scores fidelity to the unperturbed run's classified output. Case i,
-    group g draws from substream (seed, spawn_key=(i, g)), so results do not
-    depend on the order in which cases run.
-    """
-    if input_kind not in INPUT_KINDS:
-        raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {input_kind!r}")
-    if not schedules:
-        raise ConfigError("disorder_run needs at least one schedule")
-    cases = [(sched, label) for sched in schedules for label in inputs]
-    stats = []
-    for case_idx, (sched, label) in enumerate(cases):
-        psi0 = case_input(label, input_kind, sched.steps[0])
-        base_rep = evolve(sched, psi0, engine=engine, record_steps=False)
-        ref_idx = bell_index(base_rep.classified_output)
-        base_f = base_rep.fidelities[ref_idx - 1]
-        fids, unchanged = [], 0
-        for g in range(cfg.groups):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(case_idx, g)))
-            )
-            rep = evolve(_perturbed(sched, rng, cfg), psi0, engine=engine, record_steps=False)
-            fids.append(rep.fidelities[ref_idx - 1])
-            if rep.classified_output == base_rep.classified_output:
-                unchanged += 1
-        stats.append(CaseStats(
-            input_label=BELL_LABELS[bell_index(label) - 1],
-            direction=sched.direction,
-            reference_label=base_rep.classified_output,
-            base_fidelity=float(base_f),
-            mean_fidelity=float(np.mean(fids)),
-            sd_fidelity=float(np.std(fids)),
-            unchanged_fraction=unchanged / cfg.groups,
-        ))
-    return DisorderSummary(cases=tuple(stats))
-
-
-@dataclass(frozen=True)
 class RunConfig:
     loop: int = 1
     n_steps: int = 100
@@ -180,6 +67,8 @@ class RunConfig:
             raise ConfigError(f"loop must be 1 or 2, got {self.loop!r}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not self.directions or not self.inputs:
+            raise ConfigError("directions and inputs each need at least one entry")
         for d in self.directions:
             if d not in DIRECTIONS:
                 raise ConfigError(f"unknown direction {d!r}")
@@ -190,11 +79,16 @@ class RunConfig:
                 raise ConfigError(f"unknown input label {label!r}")
         if self.input_kind not in INPUT_KINDS:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {self.input_kind!r}")
-        if self.counts_per_basis < 1:
-            raise ConfigError(f"counts_per_basis must be >= 1, got {self.counts_per_basis}")
         if self.resamples < 2:
             raise ConfigError(f"resamples must be >= 2, got {self.resamples}")
-        DisorderConfig(strength=self.strength, groups=self.groups, seed=self.seed, granularity=self.granularity)
+        self.tomo_config()  # counts_per_basis and seed bounds live in TomoConfig
+        # a +-pi offset already spans every distinct theta1 and phi
+        if not 0 <= self.strength <= math.pi:
+            raise ConfigError(f"disorder strength must lie in [0, pi], got {self.strength}")
+        if self.groups < 1:
+            raise ConfigError(f"disorder needs >= 1 group, got {self.groups}")
+        if self.granularity not in GRANULARITIES:
+            raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -224,10 +118,90 @@ class RunConfig:
             psd_projection=self.psd_projection,
         )
 
-    def disorder_config(self) -> DisorderConfig:
-        return DisorderConfig(
-            strength=self.strength, groups=self.groups, seed=self.seed, granularity=self.granularity
-        )
+
+@dataclass(frozen=True)
+class CaseStats:
+    input_label: str
+    direction: str
+    reference_label: str
+    base_fidelity: float
+    mean_fidelity: float
+    sd_fidelity: float
+    unchanged_fraction: float
+
+    @property
+    def drop(self) -> float:
+        return self.base_fidelity - self.mean_fidelity
+
+
+@dataclass(frozen=True)
+class DisorderSummary:
+    cases: tuple[CaseStats, ...]
+
+    @property
+    def unchanged_fraction(self) -> float:
+        return float(np.mean([c.unchanged_fraction for c in self.cases]))
+
+    @property
+    def max_drop(self) -> float:
+        return max(c.drop for c in self.cases)
+
+
+def _perturbed(schedule: LoopSchedule, rng: np.random.Generator, cfg: RunConfig) -> LoopSchedule:
+    """Schedule with (theta1, phi) offsets drawn once per loop or once per step."""
+    draws = 1 if cfg.granularity == "per_loop" else schedule.n_steps
+    offsets = rng.uniform(-cfg.strength, cfg.strength, size=(draws, 2))
+    offsets = np.broadcast_to(offsets, (schedule.n_steps, 2)).tolist()
+    steps = tuple(
+        replace(p, theta1=p.theta1 + dth, phi=p.phi + dph)
+        for p, (dth, dph) in zip(schedule.steps, offsets)
+    )
+    return LoopSchedule(steps=steps, direction=schedule.direction, label=schedule.label)
+
+
+def case_input(label, kind: str, p: WalkParams) -> np.ndarray:
+    if kind == "eigenstate":
+        return bell_eigenstate(label, p)
+    return bell_state(label)
+
+
+def disorder_run(cfg: RunConfig) -> DisorderSummary:
+    """Monte-Carlo perturbation study of every input on every direction of `cfg`.
+
+    Cases enumerate (direction, input) pairs direction-major. Each group
+    perturbs theta1 and phi by independent uniform draws in
+    (-strength, strength) at the configured granularity, evolves the case,
+    and scores fidelity to the unperturbed run's classified output. Case i,
+    group g draws from substream (seed, spawn_key=(i, g)), so results do not
+    depend on the order in which cases run.
+    """
+    schedules = [cfg.schedule(d) for d in cfg.directions]
+    cases = [(sched, label) for sched in schedules for label in cfg.inputs]
+    stats = []
+    for case_idx, (sched, label) in enumerate(cases):
+        psi0 = case_input(label, cfg.input_kind, sched.steps[0])
+        base_rep = evolve(sched, psi0, engine=cfg.engine, record_steps=False)
+        ref_idx = bell_index(base_rep.classified_output)
+        base_f = base_rep.fidelities[ref_idx - 1]
+        fids, unchanged = [], 0
+        for g in range(cfg.groups):
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(case_idx, g)))
+            )
+            rep = evolve(_perturbed(sched, rng, cfg), psi0, engine=cfg.engine, record_steps=False)
+            fids.append(rep.fidelities[ref_idx - 1])
+            if rep.classified_output == base_rep.classified_output:
+                unchanged += 1
+        stats.append(CaseStats(
+            input_label=label,
+            direction=sched.direction,
+            reference_label=base_rep.classified_output,
+            base_fidelity=float(base_f),
+            mean_fidelity=float(np.mean(fids)),
+            sd_fidelity=float(np.std(fids)),
+            unchanged_fraction=unchanged / cfg.groups,
+        ))
+    return DisorderSummary(cases=tuple(stats))
 
 
 def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
@@ -242,13 +216,6 @@ def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
                        record_steps=cfg.record_steps)
             )
     return reports
-
-
-def disorder_study(cfg: RunConfig) -> DisorderSummary:
-    """Disorder study of every input on every direction of `cfg`."""
-    scheds = [cfg.schedule(d) for d in cfg.directions]
-    return disorder_run(scheds, cfg.inputs, cfg.disorder_config(),
-                        engine=cfg.engine, input_kind=cfg.input_kind)
 
 
 def tomography_summary(counts, cfg: TomoConfig, resamples: int) -> dict:
@@ -459,15 +426,21 @@ def classify_density_fidelities(rho: np.ndarray) -> dict:
 def _fig5(out_dir: str, cfg: RunConfig) -> list[str]:
     paths = []
     for n_steps in (8, 100):
-        summary = disorder_study(replace(cfg, loop=1, n_steps=n_steps, directions=DIRECTIONS,
-                                         engine="simplified", inputs=BELL_LABELS))
+        summary = disorder_run(replace(cfg, loop=1, n_steps=n_steps, directions=DIRECTIONS,
+                                       engine="simplified", inputs=BELL_LABELS))
         paths.append(
             write_text(os.path.join(out_dir, f"fig5_disorder_N{n_steps}.csv"), disorder_csv(summary))
         )
     return paths
 
 
-FIGURES = ("fig1b", "fig2", "fig4", "fig5")
+# the RunConfig fields each figure reads; every other setting is fixed by the figure
+FIGURES = {
+    "fig1b": (),
+    "fig2": ("input_kind", "record_steps"),
+    "fig4": ("input_kind", "record_steps", "seed", "counts_per_basis", "psd_projection", "resamples"),
+    "fig5": ("input_kind", "seed", "strength", "groups", "granularity"),
+}
 
 
 def reproduce_figure(which: str, out_dir: str, cfg: RunConfig | None = None, optimized: bool = False) -> list[str]:
@@ -480,7 +453,7 @@ def reproduce_figure(which: str, out_dir: str, cfg: RunConfig | None = None, opt
     N=100.
     """
     if which not in FIGURES:
-        raise ConfigError(f"figure must be one of {FIGURES}, got {which!r}")
+        raise ConfigError(f"figure must be one of {tuple(FIGURES)}, got {which!r}")
     if optimized and which != "fig4":
         raise ConfigError(f"optimized applies only to fig4, not {which}")
     cfg = cfg or RunConfig()

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .linalg import max_abs
 from .metrics import BELL_LABELS, Classification, bell_index, bell_state, classify, density_matrix, fidelity_pure
-from .spectrum import EigenSystem, eigensystem
+from .spectrum import eigensystem
 from .walk import WalkParams, control_operator, u_step, walk_operator_closed
 
 DIRECTIONS = ("cw", "ccw")
@@ -95,23 +95,23 @@ def loop2_schedule(n_steps: int, direction: str) -> LoopSchedule:
     )
 
 
-def bell_eigenstate(label, p: WalkParams | EigenSystem) -> np.ndarray:
-    """The normalized right eigenstate of u_step(p) nearest the given Bell state.
+_BELLS = np.array([bell_state(j) for j in (1, 2, 3, 4)])
+
+
+def bell_eigenstates(p: WalkParams) -> np.ndarray:
+    """Normalized right eigenstates of u_step(p); row j-1 is the one nearest Bell state j.
 
     Labeling by overlap rather than by eigenvalue index is stable across the
     square-root branch cut at phi = 0, where index labels swap but the
-    physical rays do not. `p` may also be eigensystem(p) itself, so several
-    labels can be picked from one eigensystem.
+    physical rays do not.
     """
-    target = bell_state(label)
-    es = p if isinstance(p, EigenSystem) else eigensystem(p)
-    best, best_f = None, -1.0
-    for a in es.alpha:
-        v = a / np.linalg.norm(a)
-        f = abs(np.vdot(target, v))
-        if f > best_f:
-            best, best_f = v, f
-    return best
+    alpha = np.array([a / np.linalg.norm(a) for a in eigensystem(p).alpha])
+    return alpha[np.argmax(np.abs(_BELLS.conj() @ alpha.T), axis=1)]
+
+
+def bell_eigenstate(label, p: WalkParams) -> np.ndarray:
+    """The normalized right eigenstate of u_step(p) nearest the given Bell state."""
+    return bell_eigenstates(p)[bell_index(label) - 1]
 
 
 def expected_output(direction: str, label) -> str:
@@ -351,8 +351,7 @@ def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
     for direction in DIRECTIONS:
         steps = schedules[direction].steps
         C, C_inv = control_operator(steps[0])
-        es = eigensystem(steps[0])
-        psi0 = np.array([bell_eigenstate(j, es) for j in (1, 2, 3, 4)])
+        psi0 = bell_eigenstates(steps[0])
         P = np.eye(2, dtype=complex)
         for p in steps:
             P = walk_operator_closed(p) @ P

@@ -27,6 +27,9 @@ _KETS = {
 
 BASIS_PAIRS = tuple((a, b) for a in BASIS_LABELS for b in BASIS_LABELS)
 
+# numpy's Poisson sampler rejects a mean above about 9.2e18
+MAX_COUNTS_PER_BASIS = 10**12
+
 
 @dataclass(frozen=True)
 class TomoConfig:
@@ -35,8 +38,8 @@ class TomoConfig:
     psd_projection: bool = False
 
     def __post_init__(self):
-        if self.counts_per_basis < 1:
-            raise ConfigError(f"counts_per_basis must be >= 1, got {self.counts_per_basis}")
+        if not 1 <= self.counts_per_basis <= MAX_COUNTS_PER_BASIS:
+            raise ConfigError(f"counts_per_basis must lie in [1, {MAX_COUNTS_PER_BASIS}], got {self.counts_per_basis}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -1,8 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eploop.cli import main
+from eploop.cli import READS, main
+from eploop.harness import FIGURES, RunConfig
 
 
 def test_find_ep_json(capsys):
@@ -93,6 +96,16 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         ('{"directions": "cw"}', ["evolve"]),
         ('{"inputs": "zeta1"}', ["evolve"]),
         ('{"disorder": true}', ["disorder"]),
+        ('{"directions": []}', ["evolve"]),
+        ('{"inputs": []}', ["evolve"]),
+        ('{"inputs": []}', ["disorder", "--format", "json"]),
+        (None, ["tomo", "--state", "zeta1", "--counts-per-basis", "100000000000000000000"]),
+        ('{"n_steps": 7, "engine": "full", "loop": 2}', ["reproduce", "fig4", "--out", str(tmp_path / "r")]),
+        (None, ["reproduce", "fig2", "--seed", "5", "--out", str(tmp_path / "r")]),
+        ('{"n_steps": 7}', ["reproduce", "fig5", "--out", str(tmp_path / "r")]),
+        ('{"n_steps": 7}', ["tomo", "--state", "zeta1"]),
+        (None, ["evolve", "--seed", "5"]),
+        ('{"record_steps": true}', ["disorder"]),
         (None, ["optimize-schedule", "--n-steps", "4", "--multistarts", "0"]),
         (None, ["optimize-schedule", "--n-steps", "4", "--seed", "-3"]),
         (None, ["optimize-schedule", "--n-steps", "4", "--maxiter", "-5"]),
@@ -212,3 +225,89 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
     cfg.write_text('{"loop": 9}')
     assert main(["tomo", "--state", "zeta1", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error")
+
+
+# The RunConfig fields each command reads, as README's "Configuration files" table lists them.
+_CASE = ("loop", "n_steps", "directions", "engine", "inputs", "input_kind")
+_READ_SETS = {
+    "evolve": _CASE + ("record_steps",),
+    "disorder": _CASE + ("strength", "groups", "granularity", "seed"),
+    "tomo": ("counts_per_basis", "psd_projection", "resamples", "seed"),
+    "fig1b": (),
+    "fig2": ("input_kind", "record_steps"),
+    "fig4": ("input_kind", "record_steps", "seed", "counts_per_basis", "psd_projection", "resamples"),
+    "fig5": ("input_kind", "seed", "strength", "groups", "granularity"),
+}
+_KEYS = [f.name for f in fields(RunConfig)] + ["unknown", "nsteps"]
+
+
+def test_read_sets_are_the_documented_table():
+    assert {**READS, **FIGURES} == _READ_SETS
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**62) | st.floats()
+    | st.text(max_size=4) | st.just([]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+# values that pass their own field's check, so that a body reaches the command it configures
+_VALID = {
+    "loop": st.sampled_from([1, 2]),
+    "n_steps": st.integers(1, 4),
+    "directions": st.lists(st.sampled_from(["cw", "ccw"]), max_size=2),
+    "engine": st.sampled_from(["full", "simplified"]),
+    "inputs": st.lists(st.sampled_from(["zeta1", "zeta2", "zeta3", "zeta4"]), max_size=2),
+    "input_kind": st.sampled_from(["eigenstate", "bell"]),
+    "counts_per_basis": st.integers(1, 10**4) | st.integers(10**11, 2**70),
+    "psd_projection": st.booleans(),
+    "resamples": st.integers(2, 3),
+    "strength": st.floats(0.0, 3.0),
+    "groups": st.integers(1, 2),
+    "granularity": st.sampled_from(["per_step", "per_loop"]),
+    "seed": st.integers(0, 2**70),
+    "record_steps": st.booleans(),
+}
+
+
+def _bodies(keys, min_size=0):
+    entry = st.sampled_from(keys).flatmap(
+        lambda k: st.tuples(st.just(k), _VALID.get(k, _JSON_VALUES) | _JSON_VALUES))
+    return st.lists(entry, min_size=min_size, max_size=2).map(dict)
+
+
+# flags that keep every run small; an explicit flag overrides the config body
+_SMALL_RUNS = {
+    "evolve": ["evolve", "--n-steps", "2", "--format", "json"],
+    "disorder": ["disorder", "--n-steps", "2", "--groups", "1", "--format", "json"],
+    "tomo": ["tomo", "--state", "zeta1", "--resamples", "2"],
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_SMALL_RUNS)), _bodies(_KEYS))
+def test_config_bodies_exit_0_2_or_3_with_one_line(tmp_path, capsys, command, body):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(body))
+    code = _exit_code(_SMALL_RUNS[command] + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (command, body, code)
+    if code:
+        assert err.count("\n") == 1, (command, body, err)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(FIGURES)).flatmap(lambda fig: st.tuples(
+    st.just(fig),
+    _bodies([k for k in _KEYS if k not in _READ_SETS[fig]], min_size=1),
+    _bodies(_READ_SETS[fig] or ("seed",)),
+)))
+def test_reproduce_rejects_config_keys_the_figure_does_not_read(tmp_path, capsys, case):
+    fig, unread, read = case
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**read, **unread}))
+    assert _exit_code(["reproduce", fig, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1, err

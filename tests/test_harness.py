@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from eploop.errors import ConfigError
 from eploop.harness import (
-    DisorderConfig,
     RunConfig,
     disorder_csv,
     disorder_run,
@@ -21,21 +20,21 @@ from eploop.loops import bell_eigenstate, evolve_full, loop1_schedule
 
 def test_disorder_config_validation():
     with pytest.raises(ConfigError):
-        DisorderConfig(strength=-0.1)
+        RunConfig(strength=-0.1)
     with pytest.raises(ConfigError):
-        DisorderConfig(groups=0)
+        RunConfig(groups=0)
     with pytest.raises(ConfigError):
-        DisorderConfig(granularity="per_element")
+        RunConfig(granularity="per_element")
     with pytest.raises(ConfigError):
-        DisorderConfig(seed=-1)
-    assert DisorderConfig().granularity == "per_step"
-    assert DisorderConfig().seed == 1234
+        RunConfig(seed=-1)
+    assert RunConfig().granularity == "per_step"
+    assert RunConfig().seed == 1234
 
 
 def test_zero_strength_reproduces_baseline_exactly():
-    sched = loop1_schedule(12, "cw")
-    cfg = DisorderConfig(strength=0.0, groups=3)
-    summary = disorder_run([sched], ("zeta1", "zeta2"), cfg)
+    cfg = RunConfig(n_steps=12, directions=("cw",), engine="simplified", inputs=("zeta1", "zeta2"),
+                    strength=0.0, groups=3)
+    summary = disorder_run(cfg)
     for case in summary.cases:
         assert case.mean_fidelity == case.base_fidelity
         assert case.sd_fidelity == 0.0
@@ -44,21 +43,19 @@ def test_zero_strength_reproduces_baseline_exactly():
 
 
 def test_disorder_run_deterministic():
-    scheds = [loop1_schedule(10, d) for d in ("cw", "ccw")]
-    cfg = DisorderConfig(groups=4, seed=77)
-    a = disorder_run(scheds, ("zeta1", "zeta3"), cfg)
-    b = disorder_run(scheds, ("zeta1", "zeta3"), cfg)
+    cfg = RunConfig(n_steps=10, engine="simplified", inputs=("zeta1", "zeta3"), groups=4, seed=77)
+    a = disorder_run(cfg)
+    b = disorder_run(cfg)
     assert a == b
     assert [c.direction for c in a.cases] == ["cw", "cw", "ccw", "ccw"]
     assert 0.0 <= a.max_drop < 1.0
 
 
 def test_disorder_rejects_bad_inputs():
-    sched = loop1_schedule(8, "cw")
     with pytest.raises(ConfigError):
-        disorder_run([sched], ("zeta1",), DisorderConfig(), input_kind="random")
+        disorder_run(RunConfig(n_steps=8, directions=("cw",), inputs=("zeta1",), input_kind="random"))
     with pytest.raises(ConfigError):
-        disorder_run([], ("zeta1",), DisorderConfig())
+        disorder_run(RunConfig(n_steps=8, directions=(), inputs=("zeta1",)))
 
 
 def test_run_config_validation_and_helpers():
@@ -66,12 +63,13 @@ def test_run_config_validation_and_helpers():
     assert cfg.schedule("cw").label == "loop2"
     assert cfg.schedule("cw").n_steps == 16
     assert cfg.tomo_config().counts_per_basis == 10000
-    assert cfg.disorder_config().groups == 10
+    assert cfg.groups == 10
     for bad in ({"loop": 3}, {"loop": True}, {"groups": 2.5}, {"n_steps": "8"}, {"seed": -1},
                 {"record_steps": "no"}, {"psd_projection": 1}, {"strength": True},
                 {"strength": "0.1"}, {"strength": float("nan")}, {"strength": 1e308},
                 {"directions": "cw"}, {"inputs": "zeta1"}, {"inputs": ["zeta5"]}, {"inputs": [1]},
-                {"tomography": True}, {"disorder": True}):
+                {"tomography": True}, {"disorder": True}, {"directions": []}, {"inputs": []},
+                {"counts_per_basis": 10**13}):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
     with pytest.raises(ConfigError):
@@ -143,9 +141,8 @@ def test_report_csv_header():
 
 
 def test_disorder_csv_schema():
-    sched = loop1_schedule(6, "cw")
-    cfg = DisorderConfig(groups=2)
-    on = disorder_run([sched], ("zeta1",), cfg)
+    cfg = RunConfig(n_steps=6, directions=("cw",), engine="simplified", inputs=("zeta1",), groups=2)
+    on = disorder_run(cfg)
     text = disorder_csv(on)
     lines = text.splitlines()
     assert lines[0] == "direction,input,mean_on,sd_on,mean_off,sd_off"

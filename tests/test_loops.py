@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eploop.errors import ConfigError, DomainError
+from eploop.errors import ConfigError, DomainError, TooCloseToEP
 from eploop.loops import (
     CHIRAL_TARGETS,
     DIRECTIONS,
     OptimizeResult,
     bell_eigenstate,
+    bell_eigenstates,
     control_drift,
     equal_phases,
     evolve,
@@ -25,7 +26,7 @@ from eploop.loops import (
 )
 from eploop.metrics import bell_index, bell_state
 from eploop.spectrum import eigensystem
-from eploop.walk import control_operator, u_step, walk_operator_product
+from eploop.walk import WalkParams, control_operator, u_step, walk_operator_product
 
 FULL_SWITCH_F = 0.9825345599899842
 FULL_STAY_F = 0.9640449347163164
@@ -93,6 +94,24 @@ def test_bell_eigenstate_labels_cover_all_four():
         assert overlap == pytest.approx(0.994353869837, abs=1e-9)
         others = [abs(np.vdot(bell_state(i), v)) for i in range(1, 5) if i != j]
         assert overlap > max(others)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.floats(-1.5, 1.5), st.floats(-1.0, 1.0), st.floats(0.05, 0.5), st.floats(-0.3, 0.3))
+def test_bell_eigenstates_match_the_per_label_overlap_loop(theta1, phi, gamma, k):
+    p = WalkParams(theta1=theta1, phi=phi, gamma=gamma, k=k)
+    try:
+        picks = bell_eigenstates(p)
+    except TooCloseToEP:
+        return
+    for j in range(1, 5):
+        target, best, best_f = bell_state(j), None, -1.0
+        for a in eigensystem(p).alpha:
+            v = a / np.linalg.norm(a)
+            if abs(np.vdot(target, v)) > best_f:
+                best, best_f = v, abs(np.vdot(target, v))
+        assert np.array_equal(picks[j - 1], best)
+        assert np.array_equal(bell_eigenstate(j, p), best)
 
 
 def test_expected_output_table():
