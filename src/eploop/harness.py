@@ -23,6 +23,7 @@ from .loops import (
     LoopSchedule,
     bell_eigenstate,
     evolve,
+    evolve_batch,
     loop1_schedule,
     loop2_schedule,
     optimize_schedule,
@@ -77,6 +78,10 @@ class RunConfig:
         for label in self.inputs:
             if label not in BELL_LABELS:
                 raise ConfigError(f"unknown input label {label!r}")
+        for name in ("directions", "inputs"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{name} must not repeat an entry, got {list(entries)}")
         if self.input_kind not in INPUT_KINDS:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {self.input_kind!r}")
         if self.resamples < 2:
@@ -147,18 +152,6 @@ class DisorderSummary:
         return max(c.drop for c in self.cases)
 
 
-def _perturbed(schedule: LoopSchedule, rng: np.random.Generator, cfg: RunConfig) -> LoopSchedule:
-    """Schedule with (theta1, phi) offsets drawn once per loop or once per step."""
-    draws = 1 if cfg.granularity == "per_loop" else schedule.n_steps
-    offsets = rng.uniform(-cfg.strength, cfg.strength, size=(draws, 2))
-    offsets = np.broadcast_to(offsets, (schedule.n_steps, 2)).tolist()
-    steps = tuple(
-        replace(p, theta1=p.theta1 + dth, phi=p.phi + dph)
-        for p, (dth, dph) in zip(schedule.steps, offsets)
-    )
-    return LoopSchedule(steps=steps, direction=schedule.direction, label=schedule.label)
-
-
 def case_input(label, kind: str, p: WalkParams) -> np.ndarray:
     if kind == "eigenstate":
         return bell_eigenstate(label, p)
@@ -170,36 +163,45 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
 
     Cases enumerate (direction, input) pairs direction-major. Each group
     perturbs theta1 and phi by independent uniform draws in
-    (-strength, strength) at the configured granularity, evolves the case,
-    and scores fidelity to the unperturbed run's classified output. Case i,
-    group g draws from substream (seed, spawn_key=(i, g)), so results do not
-    depend on the order in which cases run.
+    (-strength, strength), once per loop or once per step as `granularity`
+    says, and scores fidelity to the unperturbed run's classified output.
+    Case i, group g draws from substream (seed, spawn_key=(i, g)), so results
+    do not depend on the order in which cases run. Every run, perturbed or
+    not, goes through one evolve_batch call, each case's unperturbed run
+    first among its rows.
     """
     schedules = [cfg.schedule(d) for d in cfg.directions]
     cases = [(sched, label) for sched in schedules for label in cfg.inputs]
-    stats = []
+    per_case = cfg.groups + 1  # the unperturbed run, then one row per group
+    runs = np.empty((len(cases) * per_case, cfg.n_steps, 2))  # (theta1, phi) of every step
+    psi0 = []
     for case_idx, (sched, label) in enumerate(cases):
-        psi0 = case_input(label, cfg.input_kind, sched.steps[0])
-        base_rep = evolve(sched, psi0, engine=cfg.engine, record_steps=False)
-        ref_idx = bell_index(base_rep.classified_output)
-        base_f = base_rep.fidelities[ref_idx - 1]
-        fids, unchanged = [], 0
+        base = runs[case_idx * per_case]
+        base[:] = [(p.theta1, p.phi) for p in sched.steps]
+        draws = 1 if cfg.granularity == "per_loop" else sched.n_steps
         for g in range(cfg.groups):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(case_idx, g)))
             )
-            rep = evolve(_perturbed(sched, rng, cfg), psi0, engine=cfg.engine, record_steps=False)
-            fids.append(rep.fidelities[ref_idx - 1])
-            if rep.classified_output == base_rep.classified_output:
-                unchanged += 1
+            offsets = rng.uniform(-cfg.strength, cfg.strength, size=(draws, 2))
+            runs[case_idx * per_case + 1 + g] = base + offsets
+        psi0 += [case_input(label, cfg.input_kind, sched.steps[0])] * per_case
+    outputs = [classify(psi) for psi in evolve_batch(runs[..., 0], runs[..., 1], psi0, cfg.engine)]
+    stats = []
+    for case_idx, (sched, label) in enumerate(cases):
+        base_cls, *group_cls = outputs[case_idx * per_case:(case_idx + 1) * per_case]
+        ref_idx = bell_index(base_cls.label)
+        base_f = base_cls.fidelities[ref_idx - 1]
+        # deviations from base_f keep mean == base_f and sd == 0 exact for identical runs
+        dev = np.array([c.fidelities[ref_idx - 1] for c in group_cls]) - base_f
         stats.append(CaseStats(
             input_label=label,
             direction=sched.direction,
-            reference_label=base_rep.classified_output,
+            reference_label=base_cls.label,
             base_fidelity=float(base_f),
-            mean_fidelity=float(np.mean(fids)),
-            sd_fidelity=float(np.std(fids)),
-            unchanged_fraction=unchanged / cfg.groups,
+            mean_fidelity=float(base_f + np.mean(dev)),
+            sd_fidelity=float(np.std(dev)),
+            unchanged_fraction=sum(c.label == base_cls.label for c in group_cls) / cfg.groups,
         ))
     return DisorderSummary(cases=tuple(stats))
 

@@ -6,9 +6,10 @@ the same schedule through one step / renormalize / record loop and differ only
 in the control frame of a step: evolve_full applies the closed-form step
 operator u_step(p_n) = C_n (I (x) M_n) C_n^-1, rebuilding the control pair at
 every step; evolve_simplified applies C_0 (I (x) M_n) C_0^-1, with the control
-pair frozen at the loop endpoint. Diagnostics cover per-step eigenbasis
-weights (sheet tracking), the step-to-step drift of the control operator, and
-a small-N schedule optimizer.
+pair frozen at the loop endpoint. evolve_batch steps many runs of one engine
+together as arrays and returns only their final states. Diagnostics cover
+per-step eigenbasis weights (sheet tracking), the step-to-step drift of the
+control operator, and a small-N schedule optimizer.
 """
 from __future__ import annotations
 
@@ -21,7 +22,14 @@ from .errors import ConfigError, DomainError
 from .linalg import max_abs
 from .metrics import BELL_LABELS, Classification, bell_index, bell_state, classify, density_matrix, fidelity_pure
 from .spectrum import eigensystem
-from .walk import WalkParams, control_operator, u_step, walk_operator_closed
+from .walk import (
+    WalkParams,
+    control_operator,
+    u_step,
+    u_step_array,
+    walk_operator_closed,
+    walk_operator_closed_array,
+)
 
 DIRECTIONS = ("cw", "ccw")
 
@@ -255,6 +263,40 @@ def evolve(
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
     return ENGINES[engine](schedule, input_state, input_label=input_label, record_steps=record_steps)
+
+
+def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
+    """Final normalized states of many runs of one engine, propagated together.
+
+    Row r steps through (theta1[r, n], phi[r, n]), n = 0..N-1, with the other
+    knobs at their WalkParams defaults, from the state psi0[r]. The full engine
+    applies u_step at every step. The simplified engine takes each row's own
+    control pair at its first step, so TooCloseToEP and SingularMatrix come
+    from the same control_operator call as in evolve_simplified, and advances
+    the product-frame state x as x @ M_n^T. States are renormalized after every
+    step. Every operation is elementwise over rows, so a row's result does not
+    depend on the rows beside it.
+    """
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
+    theta1 = np.asarray(theta1, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    psi = np.array([_normalized(s) for s in psi0])
+    if engine == "simplified":
+        c, c_inv = np.empty((2, len(psi), 4, 4), dtype=complex)
+        for r, (t, f) in enumerate(zip(theta1[:, 0].tolist(), phi[:, 0].tolist())):
+            c[r], c_inv[r] = control_operator(WalkParams(theta1=t, phi=f))
+        psi = (c_inv * psi[:, None, :]).sum(-1)
+    for n in range(theta1.shape[1]):
+        if engine == "full":
+            psi = (u_step_array(theta1[:, n], phi[:, n]) * psi[:, None, :]).sum(-1)
+        else:
+            m = walk_operator_closed_array(theta1[:, n], phi[:, n])
+            psi = (psi.reshape(-1, 2, 1, 2) * m[:, None, :, :]).sum(-1).reshape(-1, 4)
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    if engine == "simplified":
+        psi = (c * psi[:, None, :]).sum(-1)
+    return np.array([_normalized(s) for s in psi])
 
 
 @dataclass(frozen=True)

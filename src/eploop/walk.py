@@ -8,6 +8,8 @@ built from rotations R, the momentum phase S, the gain/loss pair G/G^-1 and
 the symmetry-breaking operator psi. The same step has a closed form through
 eight scalar coefficients (d0, dx, dy, dz) and their phi-mixed complex
 counterparts (D0, DX, DY, DZ); both constructions are kept and cross-checked.
+The closed forms also come elementwise over arrays of (theta1, phi), for
+propagating many runs at once.
 The two-particle step I (x) M is similar to a closed-form 4x4 operator
 u_step whose eigenstates are near-Bell, with the similarity transform given
 by the control operator C.
@@ -102,6 +104,28 @@ def d_coefficients(p: WalkParams) -> DCoefficients:
     )
 
 
+def d_arrays(theta1, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(D0, DX, DY, DZ) of d_coefficients, elementwise over arrays of theta1 and phi.
+
+    theta2, gamma and k take their WalkParams defaults.
+    """
+    p = WalkParams(theta1=0.0)
+    c1, s1 = np.cos(theta1), np.sin(theta1)
+    c2k = math.cos(2 * p.k)
+    ch = math.cosh(2 * p.gamma)
+    d0 = c2k * c1 * math.cos(p.theta2) - ch * s1 * math.sin(p.theta2)
+    dx = -math.sinh(2 * p.gamma) * math.sin(p.theta2)
+    dy = -math.cos(p.theta2) * s1 * c2k - ch * c1 * math.sin(p.theta2)
+    dz = math.cos(p.theta2) * math.sin(2 * p.k)
+    cp, sp = np.cos(phi), np.sin(phi)
+    return cp * d0 + 1j * sp * dx, cp * dx + 1j * sp * d0, cp * dy + sp * dz, cp * dz - sp * dy
+
+
+def _blocks(rows) -> np.ndarray:
+    """A 2x2 nested list of equal-shape arrays as one array of shape (..., 2, 2)."""
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
 def walk_operator_product(p: WalkParams) -> np.ndarray:
     """One-step coin operator M as the explicit seven-factor product."""
     r1 = rotation(p.theta1 / 2)
@@ -127,6 +151,12 @@ def walk_operator_closed(p: WalkParams) -> np.ndarray:
     )
 
 
+def walk_operator_closed_array(theta1, phi) -> np.ndarray:
+    """walk_operator_closed over arrays of theta1 and phi (other knobs default): shape (..., 2, 2)."""
+    D0, DX, DY, DZ = d_arrays(theta1, phi)
+    return _blocks([[D0 + 1j * DZ, DX + DY], [DX - DY, D0 - 1j * DZ]])
+
+
 def u_step(p: WalkParams) -> np.ndarray:
     """Closed-form two-particle step operator, similar to I (x) M.
 
@@ -144,6 +174,17 @@ def u_step(p: WalkParams) -> np.ndarray:
     u[0, 0] = u[1, 1] = u[2, 2] = u[3, 3] = d.D0
     u[:2, 2:] = w
     u[2:, :2] = -w
+    return u
+
+
+def u_step_array(theta1, phi) -> np.ndarray:
+    """u_step over arrays of theta1 and phi (other knobs default): shape (..., 4, 4)."""
+    D0, DX, DY, DZ = d_arrays(theta1, phi)
+    w = _blocks([[DZ, 1j * (DX + DY)], [1j * (DX - DY), -DZ]])
+    u = np.zeros(D0.shape + (4, 4), dtype=complex)
+    u[..., range(4), range(4)] = D0[..., None]
+    u[..., :2, 2:] = w
+    u[..., 2:, :2] = -w
     return u
 
 

@@ -99,6 +99,8 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         ('{"directions": []}', ["evolve"]),
         ('{"inputs": []}', ["evolve"]),
         ('{"inputs": []}', ["disorder", "--format", "json"]),
+        ('{"inputs": ["zeta1", "zeta1"], "directions": ["cw", "cw"]}', ["evolve"]),
+        ('{"inputs": ["zeta1", "zeta1"]}', ["disorder", "--format", "json"]),
         (None, ["tomo", "--state", "zeta1", "--counts-per-basis", "100000000000000000000"]),
         ('{"n_steps": 7, "engine": "full", "loop": 2}', ["reproduce", "fig4", "--out", str(tmp_path / "r")]),
         (None, ["reproduce", "fig2", "--seed", "5", "--out", str(tmp_path / "r")]),

@@ -1,13 +1,16 @@
 import json
+import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eploop.errors import ConfigError
+from eploop.errors import ConfigError, EploopError
 from eploop.harness import (
     RunConfig,
+    case_input,
     disorder_csv,
     disorder_run,
     dump_json,
@@ -15,7 +18,8 @@ from eploop.harness import (
     report_dict,
     reproduce_figure,
 )
-from eploop.loops import bell_eigenstate, evolve_full, loop1_schedule
+from eploop.loops import LoopSchedule, bell_eigenstate, evolve, evolve_full, loop1_schedule
+from eploop.metrics import bell_index
 
 
 def test_disorder_config_validation():
@@ -51,6 +55,57 @@ def test_disorder_run_deterministic():
     assert 0.0 <= a.max_drop < 1.0
 
 
+def _reference_disorder_run(cfg):
+    """One perturbed WalkParams schedule and one evolve per group, case after case."""
+    rows = []
+    cases = [(cfg.schedule(d), label) for d in cfg.directions for label in cfg.inputs]
+    for case_idx, (sched, label) in enumerate(cases):
+        psi0 = case_input(label, cfg.input_kind, sched.steps[0])
+        base = evolve(sched, psi0, engine=cfg.engine, record_steps=False)
+        ref = bell_index(base.classified_output) - 1
+        fids, unchanged = [], 0
+        for g in range(cfg.groups):
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(case_idx, g)))
+            )
+            draws = 1 if cfg.granularity == "per_loop" else sched.n_steps
+            offsets = rng.uniform(-cfg.strength, cfg.strength, size=(draws, 2))
+            offsets = np.broadcast_to(offsets, (sched.n_steps, 2)).tolist()
+            steps = tuple(replace(p, theta1=p.theta1 + dth, phi=p.phi + dph)
+                          for p, (dth, dph) in zip(sched.steps, offsets))
+            rep = evolve(LoopSchedule(steps=steps, direction=sched.direction, label=sched.label),
+                         psi0, engine=cfg.engine, record_steps=False)
+            fids.append(rep.fidelities[ref])
+            unchanged += rep.classified_output == base.classified_output
+        rows.append((label, sched.direction, base.classified_output, base.fidelities[ref],
+                     float(np.mean(fids)), float(np.std(fids)), unchanged / cfg.groups))
+    return rows
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(["full", "simplified"]), st.sampled_from([1, 2]),
+       st.sampled_from(["per_step", "per_loop"]), st.sampled_from(["eigenstate", "bell"]),
+       st.integers(1, 16), st.integers(1, 4), st.floats(0.0, math.pi), st.integers(0, 2**32))
+def test_disorder_run_matches_the_per_run_loop(engine, loop, granularity, input_kind, n_steps,
+                                               groups, strength, seed):
+    cfg = RunConfig(loop=loop, n_steps=n_steps, engine=engine, input_kind=input_kind,
+                    strength=strength, groups=groups, granularity=granularity, seed=seed)
+    try:
+        expected = _reference_disorder_run(cfg)
+    except EploopError as exc:
+        with pytest.raises(type(exc)):
+            disorder_run(cfg)
+        return
+    got = disorder_run(cfg).cases
+    assert len(got) == len(expected)
+    for case, (label, direction, reference, base_f, mean_f, sd_f, unchanged) in zip(got, expected):
+        assert (case.input_label, case.direction) == (label, direction)
+        assert case.reference_label == reference
+        assert case.unchanged_fraction == unchanged
+        assert np.allclose([case.base_fidelity, case.mean_fidelity, case.sd_fidelity],
+                           [base_f, mean_f, sd_f], rtol=0, atol=1e-12)
+
+
 def test_disorder_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         disorder_run(RunConfig(n_steps=8, directions=("cw",), inputs=("zeta1",), input_kind="random"))
@@ -69,7 +124,7 @@ def test_run_config_validation_and_helpers():
                 {"strength": "0.1"}, {"strength": float("nan")}, {"strength": 1e308},
                 {"directions": "cw"}, {"inputs": "zeta1"}, {"inputs": ["zeta5"]}, {"inputs": [1]},
                 {"tomography": True}, {"disorder": True}, {"directions": []}, {"inputs": []},
-                {"counts_per_basis": 10**13}):
+                {"counts_per_basis": 10**13}, {"directions": ["ccw", "cw", "ccw"]}):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
     with pytest.raises(ConfigError):

@@ -8,12 +8,14 @@ from eploop.errors import ConfigError, DomainError, TooCloseToEP
 from eploop.loops import (
     CHIRAL_TARGETS,
     DIRECTIONS,
+    LoopSchedule,
     OptimizeResult,
     bell_eigenstate,
     bell_eigenstates,
     control_drift,
     equal_phases,
     evolve,
+    evolve_batch,
     evolve_full,
     evolve_simplified,
     expected_output,
@@ -25,7 +27,7 @@ from eploop.loops import (
     sheet_trace,
 )
 from eploop.metrics import bell_index, bell_state
-from eploop.spectrum import eigensystem
+from eploop.spectrum import eigensystem, find_ep
 from eploop.walk import WalkParams, control_operator, u_step, walk_operator_product
 
 FULL_SWITCH_F = 0.9825345599899842
@@ -167,6 +169,23 @@ def test_evolve_dispatcher():
         evolve(sched, psi0, engine="exact")
     with pytest.raises(DomainError):
         evolve(sched, np.zeros(4, dtype=complex))
+
+
+def test_evolve_batch_guards_the_ep_like_evolve_simplified():
+    ep = find_ep()
+    theta1 = np.array([[-0.6, -0.5], [ep.theta1, -0.5]])
+    phi = np.zeros_like(theta1)
+    psi0 = [bell_state(1), bell_state(3)]
+    at_ep = LoopSchedule(steps=(WalkParams(theta1=ep.theta1), WalkParams(theta1=-0.5)),
+                         direction="cw", label="custom")
+    with pytest.raises(TooCloseToEP):
+        evolve_simplified(at_ep, psi0[1])
+    with pytest.raises(TooCloseToEP):
+        evolve_batch(theta1, phi, psi0, "simplified")
+    out = evolve_batch(theta1, phi, psi0, "full")[1]
+    assert np.allclose(out, evolve_full(at_ep, psi0[1], record_steps=False).output_state, rtol=0, atol=1e-12)
+    with pytest.raises(ConfigError):
+        evolve_batch(theta1, phi, psi0, "exact")
 
 
 _STATES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(

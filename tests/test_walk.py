@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eploop.errors import SingularMatrix, TooCloseToEP
 from eploop.spectrum import eigensystem
 from eploop.walk import (
     WalkParams,
     control_operator,
+    d_arrays,
     d_coefficients,
     gain_loss,
     gain_loss_inverse,
@@ -15,7 +17,9 @@ from eploop.walk import (
     rotation,
     symmetry_break,
     u_step,
+    u_step_array,
     walk_operator_closed,
+    walk_operator_closed_array,
     walk_operator_product,
 )
 
@@ -92,6 +96,21 @@ def test_product_matches_closed_form_random():
     for _ in range(300):
         p = random_params(rng)
         assert np.max(np.abs(walk_operator_product(p) - walk_operator_closed(p))) < 1e-12
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-2 * math.pi, 2 * math.pi)),
+                min_size=1, max_size=6))
+def test_array_forms_match_the_scalar_operators(points):
+    theta1, phi = np.array(points).T
+    d = np.array(d_arrays(theta1, phi))
+    m, u = walk_operator_closed_array(theta1, phi), u_step_array(theta1, phi)
+    for j, (t, f) in enumerate(points):
+        p = WalkParams(theta1=t, phi=f)
+        c = d_coefficients(p)
+        assert np.allclose(d[:, j], [c.D0, c.DX, c.DY, c.DZ], rtol=0, atol=1e-14)
+        assert np.allclose(m[j], walk_operator_closed(p), rtol=0, atol=1e-14)
+        assert np.allclose(u[j], u_step(p), rtol=0, atol=1e-14)
 
 
 def test_trace_is_twice_d0():
