@@ -11,6 +11,7 @@ is a configuration error. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,15 +50,16 @@ from .spectrum import find_ep, riemann_surface, surface_csv
 from .tomo import counts_csv, counts_from_csv, simulate_counts
 from .walk import WalkParams
 
-OPTICS_TARGETS = (
-    "rotation",
-    "phase-shift",
-    "symmetry-break",
-    "gain",
-    "gain-inverse",
-    "walk-step",
-    "control",
-)
+# compile-optics targets: args -> element sequence
+_OPTICS = {
+    "rotation": lambda a: compile_rotation(a.theta),
+    "phase-shift": lambda a: compile_phase_shift(a.k),
+    "symmetry-break": lambda a: compile_symmetry_break(a.phi),
+    "gain": lambda a: compile_gain_loss(a.gamma),
+    "gain-inverse": lambda a: compile_gain_loss_inverse(a.gamma),
+    "walk-step": lambda a: compile_walk_step(_walk_params(a)),
+    "control": lambda a: compile_control_endpoint(_walk_params(a)),
+}
 
 
 _CASE_FIELDS = ("loop", "n_steps", "directions", "engine", "inputs", "input_kind")
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p, "config", "seed", "out")
 
     p = sub.add_parser("compile-optics", help="compile an operator into wave-plate elements")
-    p.add_argument("--target", choices=OPTICS_TARGETS, required=True)
+    p.add_argument("--target", choices=tuple(_OPTICS), required=True)
     p.add_argument("--theta", type=finite_float, default=-0.6, help="rotation angle (rotation target)")
     _walk_flags(p, with_theta1=True)
     _shared_flags(p, "out", "format")
@@ -337,23 +339,12 @@ def _cmd_tomo(args, written) -> int:
     return 0
 
 
+def _walk_params(args) -> WalkParams:
+    return WalkParams(theta1=args.theta1, theta2=args.theta2, phi=args.phi, gamma=args.gamma, k=args.k)
+
+
 def _cmd_compile_optics(args, written) -> int:
-    p = WalkParams(theta1=args.theta1, theta2=args.theta2, phi=args.phi,
-                   gamma=args.gamma, k=args.k)
-    if args.target == "rotation":
-        seq = compile_rotation(args.theta)
-    elif args.target == "phase-shift":
-        seq = compile_phase_shift(args.k)
-    elif args.target == "symmetry-break":
-        seq = compile_symmetry_break(args.phi)
-    elif args.target == "gain":
-        seq = compile_gain_loss(args.gamma)
-    elif args.target == "gain-inverse":
-        seq = compile_gain_loss_inverse(args.gamma)
-    elif args.target == "walk-step":
-        seq = compile_walk_step(p)
-    else:
-        seq = compile_control_endpoint(p)
+    seq = _OPTICS[args.target](args)
     if (args.format or "csv") == "json":
         body = dump_json({
             "label": seq.label,
@@ -399,9 +390,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     written: list[str] = []
     try:
         code = _HANDLERS[args.command](args, written)

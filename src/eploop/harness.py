@@ -22,8 +22,8 @@ from .loops import (
     EvolutionReport,
     LoopSchedule,
     bell_eigenstate,
-    evolve,
     evolve_batch,
+    evolve_many,
     loop1_schedule,
     loop2_schedule,
     optimize_schedule,
@@ -207,17 +207,11 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
 
 
 def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
-    """Evolve every input on every direction of `cfg`, direction-major."""
-    reports = []
-    for direction in cfg.directions:
-        sched = cfg.schedule(direction)
-        for label in cfg.inputs:
-            psi0 = case_input(label, cfg.input_kind, sched.steps[0])
-            reports.append(
-                evolve(sched, psi0, engine=cfg.engine, input_label=label,
-                       record_steps=cfg.record_steps)
-            )
-    return reports
+    """Evolve every input on every direction of `cfg`, direction-major, in one evolve_many call."""
+    cases = [(sched, label) for sched in map(cfg.schedule, cfg.directions) for label in cfg.inputs]
+    schedules, labels = zip(*cases)
+    inputs = [case_input(label, cfg.input_kind, sched.steps[0]) for sched, label in cases]
+    return evolve_many(schedules, inputs, labels, cfg.engine, cfg.record_steps)
 
 
 def tomography_summary(counts, cfg: TomoConfig, resamples: int) -> dict:
@@ -232,12 +226,8 @@ def tomography_summary(counts, cfg: TomoConfig, resamples: int) -> dict:
 
 
 def interleave(values: np.ndarray) -> list[float]:
-    flat = np.asarray(values, dtype=complex).reshape(-1)
-    out = []
-    for z in flat:
-        out.append(float(z.real))
-        out.append(float(z.imag))
-    return out
+    """Real and imaginary parts of every entry, in turn."""
+    return np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float).tolist()
 
 
 def report_dict(report: EvolutionReport) -> dict:
@@ -351,38 +341,21 @@ def _fig1b(out_dir: str) -> list[str]:
 def _input_report(label, schedule: LoopSchedule, input_kind: str) -> dict:
     psi = case_input(label, input_kind, schedule.steps[0])
     cls = classify(psi)
-    return {
-        "input": BELL_LABELS[bell_index(label) - 1],
-        "direction": "none",
-        "N": 0,
-        "loop": schedule.label,
-        "engine": "input",
-        "output_state": interleave(psi),
-        "density": interleave(density_matrix(psi)),
-        "fidelities": {lab: float(f) for lab, f in zip(BELL_LABELS, cls.fidelities)},
-        "classified": cls.label,
-    }
+    return report_dict(EvolutionReport(
+        input_label=BELL_LABELS[bell_index(label) - 1], direction="none", n_steps=0,
+        loop_label=schedule.label, engine="input", output_state=psi, output_density=density_matrix(psi),
+        fidelities=cls.fidelities, classified_output=cls.label, tie=cls.tie, log_magnitude=0.0, per_step=None))
 
 
 def _fig2(out_dir: str, cfg: RunConfig) -> list[str]:
-    paths = []
     sched0 = loop1_schedule(100, "cw")
-    for label in BELL_LABELS:
-        paths.append(
-            write_text(
-                os.path.join(out_dir, f"fig2_input_{label}.json"),
-                dump_json(_input_report(label, sched0, cfg.input_kind)),
-            )
-        )
+    paths = [write_text(os.path.join(out_dir, f"fig2_input_{label}.json"),
+                        dump_json(_input_report(label, sched0, cfg.input_kind)))
+             for label in BELL_LABELS]
     cases = replace(cfg, loop=1, n_steps=100, directions=DIRECTIONS, engine="full", inputs=BELL_LABELS)
-    for rep in evolve_cases(cases):
-        paths.append(
-            write_text(
-                os.path.join(out_dir, f"fig2_{rep.direction}_{rep.input_label}.json"),
-                dump_json(report_dict(rep)),
-            )
-        )
-    return paths
+    return paths + [write_text(os.path.join(out_dir, f"fig2_{rep.direction}_{rep.input_label}.json"),
+                               dump_json(report_dict(rep)))
+                    for rep in evolve_cases(cases)]
 
 
 def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
@@ -393,28 +366,20 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
         paths.append(write_text(os.path.join(out_dir, "fig4_schedule.json"), schedule_json(result)))
     else:
         schedules = {d: loop1_schedule(8, d) for d in DIRECTIONS}
-    cases = [(d, label) for d in DIRECTIONS for label in BELL_LABELS]
-    for case_idx, (direction, label) in enumerate(cases):
-        sched = schedules[direction]
-        psi0 = case_input(label, cfg.input_kind, sched.steps[0])
-        rep = evolve(sched, psi0, engine="simplified", input_label=label, record_steps=cfg.record_steps)
+    cases = [(schedules[d], label) for d in DIRECTIONS for label in BELL_LABELS]
+    inputs = [case_input(label, cfg.input_kind, sched.steps[0]) for sched, label in cases]
+    reports = evolve_many([sched for sched, _ in cases], inputs, [label for _, label in cases],
+                          "simplified", cfg.record_steps)
+    for case_idx, rep in enumerate(reports):
         tomo_cfg = cfg.tomo_config(seed=_derived_seed(cfg.seed, case_idx))
         counts = simulate_counts(rep.output_density, tomo_cfg)
         tomo = tomography_summary(counts, tomo_cfg, cfg.resamples)
-        body = report_dict(rep)
-        body["reconstructed_density"] = tomo["density"]
-        body["reconstructed_fidelities"] = tomo["fidelities"]
-        body["bootstrap_sd"] = tomo["bootstrap_sd"]
-        paths.append(
-            write_text(
-                os.path.join(out_dir, f"fig4_{direction}_{label}.json"), dump_json(body)
-            )
-        )
-        paths.append(
-            write_text(
-                os.path.join(out_dir, f"fig4_{direction}_{label}_counts.csv"), counts_csv(counts)
-            )
-        )
+        body = report_dict(rep) | {"reconstructed_density": tomo["density"],
+                                   "reconstructed_fidelities": tomo["fidelities"],
+                                   "bootstrap_sd": tomo["bootstrap_sd"]}
+        stem = os.path.join(out_dir, f"fig4_{rep.direction}_{rep.input_label}")
+        paths += [write_text(stem + ".json", dump_json(body)),
+                  write_text(stem + "_counts.csv", counts_csv(counts))]
     return paths
 
 

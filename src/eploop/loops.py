@@ -1,15 +1,18 @@
 """Closed parameter loops, multi-step evolution, and loop diagnostics.
 
 A schedule is a list of walk parameters tracing a closed circle in the
-(phi, theta1) plane around (or away from) the EP. Two evolution engines run
-the same schedule through one step / renormalize / record loop and differ only
-in the control frame of a step: evolve_full applies the closed-form step
-operator u_step(p_n) = C_n (I (x) M_n) C_n^-1, rebuilding the control pair at
-every step; evolve_simplified applies C_0 (I (x) M_n) C_0^-1, with the control
-pair frozen at the loop endpoint. evolve_batch steps many runs of one engine
-together as arrays and returns only their final states. Diagnostics cover
-per-step eigenbasis weights (sheet tracking), the step-to-step drift of the
-control operator, and a small-N schedule optimizer.
+(phi, theta1) plane around (or away from) the EP. One propagation core,
+_propagate, steps any number of runs (rows) together as arrays, looping in
+Python over steps only: apply the step operator, renormalize, and optionally
+record the eigenbasis weights of every step. The two engines differ only in
+the per-row step operator they hand it: full applies the closed-form
+u_step(p_n) = C_n (I (x) M_n) C_n^-1, rebuilding the control pair at every
+step; simplified applies C_0 (I (x) M_n) C_0^-1, with the control pair frozen
+at the loop endpoint. evolve_full and evolve_simplified run one row,
+evolve_many runs many schedules and inputs with step records, and
+evolve_batch runs many (theta1, phi) rows to their final states. Diagnostics
+cover sheet tracking, the step-to-step drift of the control operator, and a
+small-N schedule optimizer.
 """
 from __future__ import annotations
 
@@ -18,14 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, TooCloseToEP
 from .linalg import max_abs
-from .metrics import BELL_LABELS, Classification, bell_index, bell_state, classify, density_matrix, fidelity_pure
-from .spectrum import eigensystem
+from .metrics import BELL_LABELS, bell_index, bell_state, classify, density_matrix, fidelity_pure
+from .spectrum import EIGENVECTOR_GUARD, eigensystem
 from .walk import (
     WalkParams,
     control_operator,
-    u_step,
+    d_arrays,
     u_step_array,
     walk_operator_closed,
     walk_operator_closed_array,
@@ -162,13 +165,6 @@ def _normalized(state) -> np.ndarray:
     return psi / nrm
 
 
-def _step_record(n: int, p: WalkParams, psi: np.ndarray, logmag: float) -> StepRecord:
-    es = eigensystem(p)
-    raw = tuple(float(abs(np.vdot(b, psi)) ** 2) for b in es.beta)
-    total = sum(raw)
-    return StepRecord(n, raw, tuple(w / total for w in raw), logmag, (es.eta_plus, es.eta_minus))
-
-
 def _canonical_label(label) -> str:
     try:
         return BELL_LABELS[bell_index(label) - 1]
@@ -176,46 +172,114 @@ def _canonical_label(label) -> str:
         return str(label)
 
 
-def _propagate(
-    schedule: LoopSchedule,
-    input_state,
-    input_label: str,
-    engine: str,
-    step,
-    record_steps: bool,
-) -> EvolutionReport:
-    """Apply `step(p, psi)` for every step of the schedule and report the result.
+def _eigenbases(knobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigensystem over (5, rows, steps) knobs: the betas (rows, steps, 4, 4) and eta pairs (rows, steps, 2).
 
-    `step` returns the next unnormalized lab-frame state. The state is
-    renormalized after every step; the discarded magnitudes accumulate in
-    log_magnitude (the net amplification is scale-free for every reported
-    quantity but diagnostic for gain/loss balance).
+    Every value repeats eigensystem's arithmetic, so it is bitwise the scalar
+    one. The first step of the first row within EIGENVECTOR_GUARD of the EP
+    raises TooCloseToEP with eigensystem's message for that step.
     """
-    psi = _normalized(input_state)
-    logmag = 0.0
-    records = [] if record_steps else None
-    for n, p in enumerate(schedule.steps):
-        psi = step(p, psi)
-        nrm = np.linalg.norm(psi)
-        logmag += math.log(nrm)
+    D0, DX, DY, DZ = d_arrays(*knobs)
+    r, i = D0.real, D0.imag
+    s2 = np.empty_like(D0)  # D0 * D0 - 1.0 as Python's complex product forms it
+    s2.real, s2.imag = r * r - i * i - 1.0, r * i + i * r
+    s = np.sqrt(s2)
+    close = np.argwhere(np.abs(s) <= EIGENVECTOR_GUARD)
+    if len(close):
+        row, n = close[0]
+        raise TooCloseToEP(f"|eta - D0| = {abs(s[row, n]):.3e} at {WalkParams(*knobs[:, row, n].tolist())}")
+    c = np.stack([s, -s, -s, s], axis=-1)
+    b = np.zeros(c.shape + (4,), dtype=complex)  # row j: beta_j conjugated and scaled by sqrt(2) c_j
+    b[..., :2, 0], b[..., :2, 1] = (-1j * (DX - DY))[..., None], DZ[..., None]
+    b[..., 2:, 0], b[..., 2:, 1] = -DZ[..., None], (-1j * (DX + DY))[..., None]
+    b[..., :2, 3], b[..., 2:, 2] = c[..., :2], c[..., 2:]
+    return (b / (math.sqrt(2) * c)[..., None]).conj(), np.stack([D0 + s, D0 - s], axis=-1)
+
+
+def _propagate(ops, psi0, knobs: np.ndarray | None = None):
+    """The propagation core of both engines: every row r from psi0[r] through ops[n][r].
+
+    ops yields one (rows, 4, 4) array of step operators per step, the only
+    thing an engine chooses. The state is renormalized after every step; the
+    discarded magnitudes accumulate in log_magnitude (scale-free for every
+    reported quantity but diagnostic for gain/loss balance). Given the
+    (5, rows, steps) knobs, every step is recorded: the state's weights in the
+    biorthogonal eigenbasis of u_step (sheet tracking) and the eta pair.
+    Every value takes the same floating-point operations as a per-row loop of
+    u_step(p) @ psi, np.linalg.norm, math.log and vdot with eigensystem(p).beta,
+    so it is bitwise that loop's and independent of the rows beside it.
+    Returns the final states, the log magnitudes and the records (or None).
+    """
+    psi = np.array([_normalized(s) for s in psi0])
+    bases = None if knobs is None else _eigenbases(knobs)
+    states, norms = [], []
+    for u in ops:
+        psi = np.matmul(u, psi[:, :, None])[:, :, 0]
+        re, im = psi.real[:, None, :], psi.imag[:, None, :]
+        nrm = np.sqrt(np.matmul(re, re.mT) + np.matmul(im, im.mT))[:, :, 0]
         psi = psi / nrm
-        if record_steps:
-            records.append(_step_record(n, p, psi, logmag))
-    cls: Classification = classify(psi)
-    return EvolutionReport(
-        input_label=_canonical_label(input_label),
-        direction=schedule.direction,
-        n_steps=schedule.n_steps,
-        loop_label=schedule.label,
-        engine=engine,
-        output_state=psi,
-        output_density=density_matrix(psi),
-        fidelities=cls.fidelities,
-        classified_output=cls.label,
-        tie=cls.tie,
-        log_magnitude=logmag,
-        per_step=tuple(records) if records is not None else None,
-    )
+        norms.append(nrm[:, 0])
+        if bases is not None:
+            states.append(psi)
+    logmag = np.cumsum([[math.log(x) for x in row] for row in np.array(norms).T.tolist()], axis=1)
+    if bases is None:
+        return psi, logmag[:, -1].tolist(), None
+    z = np.vecdot(bases[0], np.stack(states, axis=1)[:, :, None, :])
+    quads = zip(*[iter([abs(c) ** 2 for c in z.ravel().tolist()])] * 4)  # Python abs: numpy's differs
+    records = [
+        tuple(StepRecord(n, raw, tuple([w / sum(raw) for w in raw]), lm, tuple(eta))
+              for n, (eta, lm, raw) in enumerate(zip(row_eta, row_log, quads)))  # quads last: no overdraw
+        for row_eta, row_log in zip(bases[1].tolist(), logmag.tolist())
+    ]
+    return psi, logmag[:, -1].tolist(), records
+
+
+def _step_operators(engine: str, knobs, schedules=None):
+    """One engine's (rows, 4, 4) step operators, step by step, for knobs broadcastable to (rows, steps).
+
+    The simplified engine applies C_r (I (x) M_rn) C_r^-1 with the control pair
+    at row r's first step. (I (x) M) is the block diagonal of two M, so that is
+    sum_ij M_ij E_ij with per-row constants E_ij = sum_b C[:, 2b+i] C^-1[2b+j, :].
+    Given the schedules, its M come from one walk_operator_closed call per step
+    (bitwise walk_operator_closed_array), which keeps that layer visible to
+    perfbench's per-function tracer.
+    """
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
+    if engine == "full":
+        return np.moveaxis(u_step_array(*knobs), 1, 0)
+    first = zip(*(k[:, 0].tolist() for k in np.broadcast_arrays(*knobs)))
+    pairs = [control_operator(WalkParams(*p)) for p in first]  # guarded here, before any step
+    c = np.array([c for c, _ in pairs]).reshape(-1, 4, 2, 2)
+    c_inv = np.array([c_inv for _, c_inv in pairs]).reshape(-1, 2, 2, 4)
+    e = np.einsum("raqi,rqjb->rijab", c, c_inv).reshape(-1, 4, 16)
+    m = (walk_operator_closed_array(*knobs) if schedules is None
+         else np.array([[walk_operator_closed(p) for p in s.steps] for s in schedules]))
+    return (np.matmul(m[:, n].reshape(-1, 1, 4), e).reshape(-1, 4, 4) for n in range(m.shape[1]))
+
+
+def evolve_many(schedules, inputs, labels, engine: str = "full",
+                record_steps: bool = True) -> list[EvolutionReport]:
+    """Run row r's input through row r's schedule, every row in one propagation.
+
+    The schedules must have equal length. Each report is bitwise the one
+    evolve gives for that row alone.
+    """
+    if len({s.n_steps for s in schedules}) != 1:
+        raise ConfigError("evolve_many needs schedules of one length")
+    steps = [[(p.theta1, p.theta2, p.phi, p.gamma, p.k) for p in s.steps] for s in schedules]
+    knobs = np.moveaxis(np.array(steps), -1, 0)  # (5, rows, steps)
+    psi, logmag, records = _propagate(_step_operators(engine, knobs, schedules), inputs,
+                                      knobs if record_steps else None)
+    reports = []
+    for r, (sched, label) in enumerate(zip(schedules, labels)):
+        cls = classify(psi[r])
+        reports.append(EvolutionReport(
+            input_label=_canonical_label(label), direction=sched.direction, n_steps=sched.n_steps,
+            loop_label=sched.label, engine=engine, output_state=psi[r], output_density=density_matrix(psi[r]),
+            fidelities=cls.fidelities, classified_output=cls.label, tie=cls.tie, log_magnitude=logmag[r],
+            per_step=None if records is None else records[r]))
+    return reports
 
 
 def evolve_full(
@@ -225,8 +289,7 @@ def evolve_full(
     record_steps: bool = True,
 ) -> EvolutionReport:
     """Run the schedule with the per-step closed-form operator u_step."""
-    return _propagate(schedule, input_state, input_label, "full",
-                      lambda p, psi: u_step(p) @ psi, record_steps)
+    return evolve_many([schedule], [input_state], [input_label], "full", record_steps)[0]
 
 
 def evolve_simplified(
@@ -239,15 +302,8 @@ def evolve_simplified(
 
     Each step applies C (I (x) M_n) C^-1 with (C, C^-1) evaluated at the
     schedule's first parameters (for a closed loop the start is the endpoint).
-    Reading the product-frame state phi as a 2x2 matrix, (I (x) M) phi is
-    phi @ M^T, so no 4x4 Kronecker product is formed.
     """
-    C, C_inv = control_operator(schedule.steps[0])
-
-    def step(p: WalkParams, psi: np.ndarray) -> np.ndarray:
-        return C @ ((C_inv @ psi).reshape(2, 2) @ walk_operator_closed(p).T).reshape(4)
-
-    return _propagate(schedule, input_state, input_label, "simplified", step, record_steps)
+    return evolve_many([schedule], [input_state], [input_label], "simplified", record_steps)[0]
 
 
 ENGINES = {"full": evolve_full, "simplified": evolve_simplified}
@@ -269,34 +325,13 @@ def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
     """Final normalized states of many runs of one engine, propagated together.
 
     Row r steps through (theta1[r, n], phi[r, n]), n = 0..N-1, with the other
-    knobs at their WalkParams defaults, from the state psi0[r]. The full engine
-    applies u_step at every step. The simplified engine takes each row's own
-    control pair at its first step, so TooCloseToEP and SingularMatrix come
-    from the same control_operator call as in evolve_simplified, and advances
-    the product-frame state x as x @ M_n^T. States are renormalized after every
-    step. Every operation is elementwise over rows, so a row's result does not
-    depend on the rows beside it.
+    knobs at their WalkParams defaults, from the state psi0[r]. This is the
+    propagation core without step records.
     """
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
-    theta1 = np.asarray(theta1, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    psi = np.array([_normalized(s) for s in psi0])
-    if engine == "simplified":
-        c, c_inv = np.empty((2, len(psi), 4, 4), dtype=complex)
-        for r, (t, f) in enumerate(zip(theta1[:, 0].tolist(), phi[:, 0].tolist())):
-            c[r], c_inv[r] = control_operator(WalkParams(theta1=t, phi=f))
-        psi = (c_inv * psi[:, None, :]).sum(-1)
-    for n in range(theta1.shape[1]):
-        if engine == "full":
-            psi = (u_step_array(theta1[:, n], phi[:, n]) * psi[:, None, :]).sum(-1)
-        else:
-            m = walk_operator_closed_array(theta1[:, n], phi[:, n])
-            psi = (psi.reshape(-1, 2, 1, 2) * m[:, None, :, :]).sum(-1).reshape(-1, 4)
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    if engine == "simplified":
-        psi = (c * psi[:, None, :]).sum(-1)
-    return np.array([_normalized(s) for s in psi])
+    default = WalkParams(theta1=0.0)
+    knobs = (np.asarray(theta1, dtype=float), default.theta2, np.asarray(phi, dtype=float),
+             default.gamma, default.k)
+    return _propagate(_step_operators(engine, knobs), psi0)[0]
 
 
 @dataclass(frozen=True)
@@ -326,13 +361,9 @@ def control_drift(schedule: LoopSchedule) -> ControlDriftReport:
     eye = np.eye(4, dtype=complex)
     for n in range(schedule.n_steps):
         d = pairs[n + 1][1] @ pairs[n][0]
-        dev_id = max_abs(d - eye)
-        dev_flip = max_abs(d - _K_FLIP)
-        if dev_flip < dev_id:
-            flips += 1
-            deviations.append(dev_flip)
-        else:
-            deviations.append(dev_id)
+        dev_id, dev_flip = max_abs(d - eye), max_abs(d - _K_FLIP)
+        flips += dev_flip < dev_id
+        deviations.append(min(dev_id, dev_flip))
     return ControlDriftReport(
         deviations=tuple(deviations),
         global_max=max(deviations),

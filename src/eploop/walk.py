@@ -8,8 +8,8 @@ built from rotations R, the momentum phase S, the gain/loss pair G/G^-1 and
 the symmetry-breaking operator psi. The same step has a closed form through
 eight scalar coefficients (d0, dx, dy, dz) and their phi-mixed complex
 counterparts (D0, DX, DY, DZ); both constructions are kept and cross-checked.
-The closed forms also come elementwise over arrays of (theta1, phi), for
-propagating many runs at once.
+The closed forms also come elementwise over arrays of the five knobs,
+bitwise equal to the scalar forms, for propagating many runs at once.
 The two-particle step I (x) M is similar to a closed-form 4x4 operator
 u_step whose eigenstates are near-Bell, with the similarity transform given
 by the control operator C.
@@ -104,26 +104,28 @@ def d_coefficients(p: WalkParams) -> DCoefficients:
     )
 
 
-def d_arrays(theta1, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(D0, DX, DY, DZ) of d_coefficients, elementwise over arrays of theta1 and phi.
+def _libm(fn, x) -> np.ndarray:
+    """math.fn elementwise, once per distinct value (numpy's cosh and sinh differ from libm's)."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([fn(v) for v in values.tolist()])[inverse].reshape(np.shape(x))
 
-    theta2, gamma and k take their WalkParams defaults.
+
+def d_arrays(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(D0, DX, DY, DZ) of d_coefficients, elementwise over broadcastable arrays of the five knobs.
+
+    Every operation repeats d_coefficients' own, so each element is bitwise
+    the scalar value.
     """
-    p = WalkParams(theta1=0.0)
     c1, s1 = np.cos(theta1), np.sin(theta1)
-    c2k = math.cos(2 * p.k)
-    ch = math.cosh(2 * p.gamma)
-    d0 = c2k * c1 * math.cos(p.theta2) - ch * s1 * math.sin(p.theta2)
-    dx = -math.sinh(2 * p.gamma) * math.sin(p.theta2)
-    dy = -math.cos(p.theta2) * s1 * c2k - ch * c1 * math.sin(p.theta2)
-    dz = math.cos(p.theta2) * math.sin(2 * p.k)
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    c2k = np.cos(2 * k)
+    ch = _libm(math.cosh, 2 * gamma)
+    d0 = c2k * c1 * c2 - ch * s1 * s2
+    dx = -_libm(math.sinh, 2 * gamma) * s2
+    dy = -c2 * s1 * c2k - ch * c1 * s2
+    dz = c2 * np.sin(2 * k)
     cp, sp = np.cos(phi), np.sin(phi)
     return cp * d0 + 1j * sp * dx, cp * dx + 1j * sp * d0, cp * dy + sp * dz, cp * dz - sp * dy
-
-
-def _blocks(rows) -> np.ndarray:
-    """A 2x2 nested list of equal-shape arrays as one array of shape (..., 2, 2)."""
-    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def walk_operator_product(p: WalkParams) -> np.ndarray:
@@ -151,10 +153,13 @@ def walk_operator_closed(p: WalkParams) -> np.ndarray:
     )
 
 
-def walk_operator_closed_array(theta1, phi) -> np.ndarray:
-    """walk_operator_closed over arrays of theta1 and phi (other knobs default): shape (..., 2, 2)."""
-    D0, DX, DY, DZ = d_arrays(theta1, phi)
-    return _blocks([[D0 + 1j * DZ, DX + DY], [DX - DY, D0 - 1j * DZ]])
+def walk_operator_closed_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
+    """walk_operator_closed over broadcastable arrays of the five knobs: shape (..., 2, 2)."""
+    D0, DX, DY, DZ = d_arrays(theta1, theta2, phi, gamma, k)
+    m = np.empty(np.shape(D0) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1] = D0 + 1j * DZ, DX + DY
+    m[..., 1, 0], m[..., 1, 1] = DX - DY, D0 - 1j * DZ
+    return m
 
 
 def u_step(p: WalkParams) -> np.ndarray:
@@ -177,14 +182,14 @@ def u_step(p: WalkParams) -> np.ndarray:
     return u
 
 
-def u_step_array(theta1, phi) -> np.ndarray:
-    """u_step over arrays of theta1 and phi (other knobs default): shape (..., 4, 4)."""
-    D0, DX, DY, DZ = d_arrays(theta1, phi)
-    w = _blocks([[DZ, 1j * (DX + DY)], [1j * (DX - DY), -DZ]])
-    u = np.zeros(D0.shape + (4, 4), dtype=complex)
-    u[..., range(4), range(4)] = D0[..., None]
-    u[..., :2, 2:] = w
-    u[..., 2:, :2] = -w
+def u_step_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
+    """u_step over broadcastable arrays of the five knobs: shape (..., 4, 4)."""
+    D0, DX, DY, DZ = d_arrays(theta1, theta2, phi, gamma, k)
+    u = np.zeros(np.shape(D0) + (4, 4), dtype=complex)
+    u[..., range(4), range(4)] = np.expand_dims(D0, -1)
+    u[..., 0, 2], u[..., 0, 3] = DZ, 1j * (DX + DY)
+    u[..., 1, 2], u[..., 1, 3] = 1j * (DX - DY), -DZ
+    u[..., 2:, :2] = -u[..., :2, 2:]
     return u
 
 

@@ -81,6 +81,15 @@ def test_evolve_json_files(tmp_path, capsys):
     assert len(body["density"]) == 32
 
 
+def test_main_keeps_no_state_between_calls(capsys):
+    # the parser is built once and reused, so a flag of one call must not leak into the next
+    argv = ["evolve", "--n-steps", "4", "--direction", "cw", "--format", "json"]
+    assert main(argv + ["--input", "zeta1"]) == 0
+    assert [r["input"] for r in json.loads(capsys.readouterr().out)] == ["zeta1"]
+    assert main(argv) == 0
+    assert [r["input"] for r in json.loads(capsys.readouterr().out)] == ["zeta1", "zeta2", "zeta3", "zeta4"]
+
+
 def test_evolve_rejects_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     for body, argv in (

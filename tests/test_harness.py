@@ -14,6 +14,7 @@ from eploop.harness import (
     disorder_csv,
     disorder_run,
     dump_json,
+    evolve_cases,
     report_csv,
     report_dict,
     reproduce_figure,
@@ -104,6 +105,30 @@ def test_disorder_run_matches_the_per_run_loop(engine, loop, granularity, input_
         assert case.unchanged_fraction == unchanged
         assert np.allclose([case.base_fidelity, case.mean_fidelity, case.sd_fidelity],
                            [base_f, mean_f, sd_f], rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(["full", "simplified"]), st.sampled_from([1, 2]),
+       st.sampled_from(["eigenstate", "bell"]), st.integers(1, 24), st.booleans(),
+       st.sampled_from([("cw",), ("ccw",), ("cw", "ccw"), ("ccw", "cw")]),
+       st.lists(st.sampled_from(["zeta1", "zeta2", "zeta3", "zeta4"]), min_size=1, max_size=4, unique=True))
+def test_evolve_cases_rows_do_not_depend_on_their_neighbours(engine, loop, input_kind, n_steps,
+                                                            record_steps, directions, inputs):
+    cfg = RunConfig(loop=loop, n_steps=n_steps, engine=engine, input_kind=input_kind,
+                    record_steps=record_steps, directions=directions, inputs=tuple(inputs))
+    alone = []
+    for direction in directions:
+        sched = cfg.schedule(direction)
+        for label in inputs:
+            alone.append(evolve(sched, case_input(label, input_kind, sched.steps[0]), engine=engine,
+                                input_label=label, record_steps=record_steps))
+    batched = evolve_cases(cfg)
+    assert len(batched) == len(alone)
+    for got, want in zip(batched, alone):
+        for f in fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a.tolist() if isinstance(a, np.ndarray) else a) == \
+                (b.tolist() if isinstance(b, np.ndarray) else b), f.name
 
 
 def test_disorder_rejects_bad_inputs():

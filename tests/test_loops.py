@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from eploop.loops import (
     evolve,
     evolve_batch,
     evolve_full,
+    evolve_many,
     evolve_simplified,
     expected_output,
     loop1_schedule,
@@ -224,6 +226,75 @@ def test_engines_match_their_definitions(phases, direction, psi0):
             raw, weights = _eigenbasis_weights(p, psi)
             assert np.allclose(rec.weights_raw, raw, rtol=0, atol=1e-10)
             assert np.allclose(rec.weights, weights, rtol=0, atol=1e-10)
+
+
+def _scalar_steps(steps, psi0):
+    """The per-step loop of the full engine: u_step, np.linalg.norm, math.log, vdot with the betas."""
+    psi = psi0 / np.linalg.norm(psi0)
+    logmag, records = 0.0, []
+    for p in steps:
+        psi = u_step(p) @ psi
+        nrm = np.linalg.norm(psi)
+        logmag += math.log(nrm)
+        psi = psi / nrm
+        es = eigensystem(p)
+        raw = tuple(float(abs(np.vdot(b, psi)) ** 2) for b in es.beta)
+        records.append((raw, tuple(w / sum(raw) for w in raw), logmag, (es.eta_plus, es.eta_minus)))
+    return psi, logmag, records
+
+
+_ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+_EP_THETA1 = -0.2917760531146608  # within EIGENVECTOR_GUARD of the EP (at the default knobs, phi = 0)
+# (theta1, theta2, phi, gamma, k) over the whole domain, or default knobs near the EP:
+# an offset of 1e-14 to 1e-8 puts |eta - D0| between about 1e-7 and 4e-5, outside the guard
+_STEP = st.one_of(
+    st.tuples(_ANGLE, _ANGLE, _ANGLE, st.floats(-2.0, 2.0), _ANGLE).map(lambda v: WalkParams(*v)),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-14, 1e-8)).map(
+        lambda v: WalkParams(theta1=_EP_THETA1 + v[0] * v[1])),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.lists(st.tuples(st.lists(_STEP, min_size=n, max_size=n), _STATES), min_size=1, max_size=4)))
+def test_core_is_bitwise_the_scalar_step_loop(rows):
+    schedules = [LoopSchedule(tuple(steps), "cw", "custom") for steps, _ in rows]
+    inputs = [psi0 for _, psi0 in rows]
+    try:
+        expected = [_scalar_steps(sched.steps, psi0) for sched, psi0 in zip(schedules, inputs)]
+    except TooCloseToEP as exc:  # e.g. gamma = 0 puts some steps on an EP
+        with pytest.raises(TooCloseToEP, match=re.escape(str(exc))):
+            evolve_many(schedules, inputs, ["custom"] * len(rows))
+        return
+    reports = evolve_many(schedules, inputs, ["custom"] * len(rows))
+    for rep, (psi, logmag, records) in zip(reports, expected):
+        assert rep.output_state.tolist() == psi.tolist()
+        assert rep.log_magnitude == logmag
+        assert [(r.weights_raw, r.weights, r.log_magnitude, r.eta) for r in rep.per_step] == records
+
+
+def test_step_records_guard_the_ep_like_eigensystem():
+    healthy = loop1_schedule(6, "cw")
+    steps = list(healthy.steps)
+    steps[3] = WalkParams(theta1=_EP_THETA1)
+    near = LoopSchedule(tuple(steps), "cw", "custom")
+    with pytest.raises(TooCloseToEP) as ref:
+        eigensystem(steps[3])
+    assert str(steps[3]) in str(ref.value)
+    guard = re.escape(str(ref.value))
+    psi0 = bell_state(1)
+    for name, engine in (("full", evolve_full), ("simplified", evolve_simplified)):
+        with pytest.raises(TooCloseToEP, match=guard):
+            engine(near, psi0, record_steps=True)
+        with pytest.raises(TooCloseToEP, match=guard):
+            evolve_many([healthy, near, healthy], [psi0] * 3, ["zeta1"] * 3, name)
+    # u_step has no guard: without records the full engine runs through the EP step
+    alone = evolve_full(near, psi0, record_steps=False)
+    assert np.isfinite(alone.output_state).all()
+    batched = evolve_many([healthy, near], [psi0] * 2, ["zeta1"] * 2, "full", record_steps=False)
+    assert batched[1].output_state.tolist() == alone.output_state.tolist()
+    with pytest.raises(ConfigError):
+        evolve_many([healthy], [psi0], ["zeta1"], "exact")
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

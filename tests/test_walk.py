@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eploop.errors import SingularMatrix, TooCloseToEP
-from eploop.spectrum import eigensystem
+from eploop.spectrum import eigensystem, find_ep
 from eploop.walk import (
     WalkParams,
     control_operator,
@@ -98,19 +98,28 @@ def test_product_matches_closed_form_random():
         assert np.max(np.abs(walk_operator_product(p) - walk_operator_closed(p))) < 1e-12
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-2 * math.pi, 2 * math.pi)),
-                min_size=1, max_size=6))
+_ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+_EP_THETA1 = find_ep().theta1
+# every knob over its domain, plus default-knob points within 1e-9 of the EP at phi = 0
+_KNOBS = st.one_of(
+    st.tuples(_ANGLE, _ANGLE, _ANGLE, st.floats(-3.0, 3.0), _ANGLE),
+    st.tuples(st.floats(-1e-9, 1e-9), st.floats(-1e-9, 1e-9)).map(
+        lambda d: (_EP_THETA1 + d[0], math.pi / 16, d[1], 0.2, 0.0)),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_KNOBS, min_size=1, max_size=6))
 def test_array_forms_match_the_scalar_operators(points):
-    theta1, phi = np.array(points).T
-    d = np.array(d_arrays(theta1, phi))
-    m, u = walk_operator_closed_array(theta1, phi), u_step_array(theta1, phi)
-    for j, (t, f) in enumerate(points):
-        p = WalkParams(theta1=t, phi=f)
+    knobs = np.array(points).T
+    d = np.array(d_arrays(*knobs))
+    m, u = walk_operator_closed_array(*knobs), u_step_array(*knobs)
+    for j, values in enumerate(points):
+        p = WalkParams(*values)
         c = d_coefficients(p)
-        assert np.allclose(d[:, j], [c.D0, c.DX, c.DY, c.DZ], rtol=0, atol=1e-14)
-        assert np.allclose(m[j], walk_operator_closed(p), rtol=0, atol=1e-14)
-        assert np.allclose(u[j], u_step(p), rtol=0, atol=1e-14)
+        assert d[:, j].tolist() == [c.D0, c.DX, c.DY, c.DZ]
+        assert (m[j] == walk_operator_closed(p)).all()
+        assert (u[j] == u_step(p)).all()
 
 
 def test_trace_is_twice_d0():
