@@ -3,10 +3,14 @@
 Subcommands: surface, find-ep, evolve, reproduce, disorder, tomo,
 compile-optics, optimize-schedule. Shared flags (given after the subcommand,
 each only on the subcommands that read it): --config <path> JSON run
-configuration, --seed <u64>, --out <dir>, --format csv|json. A config key or
---seed outside the RunConfig fields a command reads (READS, harness.FIGURES)
-is a configuration error. Exit codes: 0 success, 2 configuration error,
-3 numerical-guard error.
+configuration, --seed <u64>, --out <dir>, --format csv|json (default csv).
+Every other run setting of evolve, disorder and tomo is one RunConfig field
+with one flag (_RUN_FLAGS), and each command takes the flags of the fields it
+reads (READS); --direction and --input repeat, with repeats dropped. A config
+key or --seed outside the RunConfig fields a command reads (READS,
+harness.FIGURES) is a configuration error. Exit codes: 0 success,
+2 configuration error (a size too large to allocate included), 3
+numerical-guard error.
 """
 from __future__ import annotations
 
@@ -16,10 +20,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError, EploopError, NumericalGuardError
 from .harness import (
     FIGURES,
+    GRANULARITIES,
+    INPUT_KINDS,
     RunConfig,
     disorder_csv,
     disorder_json,
@@ -34,7 +41,7 @@ from .harness import (
     tomography_summary,
     write_text,
 )
-from .loops import DIRECTIONS, optimize_schedule
+from .loops import DIRECTIONS, ENGINES, optimize_schedule
 from .metrics import BELL_LABELS, bell_state, density_matrix
 from .optics import (
     compile_control_endpoint,
@@ -75,7 +82,7 @@ _SHARED_FLAGS = {
     "config": dict(metavar="PATH", help="JSON run configuration; explicit flags override it"),
     "seed": dict(type=int, metavar="U64", help="random seed"),
     "out": dict(metavar="DIR", help="output directory (default: print to stdout)"),
-    "format": dict(choices=("csv", "json"), help="output format (default csv)"),
+    "format": dict(choices=("csv", "json"), default="csv", help="output format (default csv)"),
 }
 
 
@@ -92,9 +99,43 @@ def finite_float(text: str) -> float:
     return value
 
 
+# the flag of each RunConfig field a command line sets (dest: the field name)
+_RUN_FLAGS = {
+    "loop": ("--loop", dict(type=int, choices=(1, 2))),
+    "n_steps": ("--n-steps", dict(type=int)),
+    "directions": ("--direction", dict(action="append", choices=DIRECTIONS, help="repeatable; default {}")),
+    "engine": ("--engine", dict(choices=tuple(ENGINES))),
+    "inputs": ("--input", dict(action="append", choices=BELL_LABELS, help="repeatable; default {}")),
+    "input_kind": ("--input-kind", dict(choices=INPUT_KINDS)),
+    "record_steps": ("--record-steps", dict(action="store_const", const=True,
+                                            help="include per-step sheet weights")),
+    "strength": ("--strength", dict(type=finite_float, help="in [0, pi]; default {}")),
+    "groups": ("--groups", dict(type=int)),
+    "granularity": ("--granularity", dict(choices=GRANULARITIES)),
+    "counts_per_basis": ("--counts-per-basis", dict(type=int)),
+    "resamples": ("--resamples", dict(type=int)),
+    "psd_projection": ("--psd", dict(action="store_const", const=True,
+                                     help="project the reconstruction onto the PSD cone")),
+}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+# where a command's default differs from RunConfig's
+_DEFAULTS = {"disorder": {"engine": "simplified"}, "tomo": {"seed": 0}}
+_CONFIG_ONLY = {"disorder": ("inputs",)}  # fields a command reads from --config alone
+
+
 def _shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
         p.add_argument(f"--{name}", **_SHARED_FLAGS[name])
+
+
+def _run_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """The flags of the fields `command` reads, with the command's default in each help."""
+    defaults = _FIELD_DEFAULTS | _DEFAULTS.get(command, {})
+    for name in READS[command]:
+        if name in _RUN_FLAGS and name not in _CONFIG_ONLY.get(command, ()):
+            flag, kwargs = _RUN_FLAGS[name]
+            shown = " ".join(d) if isinstance(d := defaults[name], tuple) else d
+            p.add_argument(flag, dest=name, **kwargs | {"help": kwargs.get("help", "default {}").format(shown)})
 
 
 def _walk_flags(p: argparse.ArgumentParser, with_theta1: bool) -> None:
@@ -125,14 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p, "out", "format")
 
     p = sub.add_parser("evolve", help="run loop evolutions and classify outputs")
-    p.add_argument("--loop", type=int, choices=(1, 2), help="default 1")
-    p.add_argument("--n-steps", type=int, help="default 100")
-    p.add_argument("--direction", choices=DIRECTIONS + ("both",), help="default both")
-    p.add_argument("--engine", choices=("full", "simplified"), help="default full")
-    p.add_argument("--input", dest="inputs", action="append", choices=BELL_LABELS + ("all",),
-                   help="repeatable; default all")
-    p.add_argument("--input-kind", choices=("eigenstate", "bell"), help="default eigenstate")
-    p.add_argument("--record-steps", action="store_true", help="include per-step sheet weights")
+    _run_flags(p, "evolve")
     _shared_flags(p, "config", "out", "format")
 
     p = sub.add_parser("reproduce", help="regenerate a figure-style dataset")
@@ -142,22 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p, "config", "seed", "out")
 
     p = sub.add_parser("disorder", help="Monte-Carlo robustness under angle noise")
-    p.add_argument("--loop", type=int, choices=(1, 2), help="default 1")
-    p.add_argument("--n-steps", type=int, help="default 100")
-    p.add_argument("--direction", choices=DIRECTIONS + ("both",), help="default both")
-    p.add_argument("--engine", choices=("full", "simplified"), help="default simplified")
-    p.add_argument("--strength", type=finite_float, help="in [0, pi], default 0.025")
-    p.add_argument("--groups", type=int, help="default 10")
-    p.add_argument("--granularity", choices=("per_step", "per_loop"), help="default per_step")
-    p.add_argument("--input-kind", choices=("eigenstate", "bell"), help="default eigenstate")
+    _run_flags(p, "disorder")
     _shared_flags(p, "config", "seed", "out", "format")
 
     p = sub.add_parser("tomo", help="simulate or invert two-photon tomography")
     p.add_argument("--state", choices=BELL_LABELS, help="simulate counts for this Bell state")
     p.add_argument("--counts", metavar="PATH", help="reconstruct from an existing counts CSV")
-    p.add_argument("--counts-per-basis", type=int, help="default 10000")
-    p.add_argument("--resamples", type=int, help="default 100")
-    p.add_argument("--psd", action="store_true", help="project the reconstruction onto the PSD cone")
+    _run_flags(p, "tomo")
     _shared_flags(p, "config", "seed", "out")
 
     p = sub.add_parser("compile-optics", help="compile an operator into wave-plate elements")
@@ -167,22 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p, "out", "format")
 
     p = sub.add_parser("optimize-schedule", help="optimize loop phase increments at small N")
-    p.add_argument("--n-steps", type=int, default=8)
-    p.add_argument("--multistarts", type=int, default=6)
-    p.add_argument("--maxiter", type=int, default=2000)
+    for flag in ("--n-steps", "--multistarts", "--maxiter"):  # defaults: optimize_schedule's
+        p.add_argument(flag, type=int)
     _shared_flags(p, "seed", "out", "format")
 
     return parser
 
 
-def _load_config(args: argparse.Namespace, reads: tuple[str, ...], overrides: dict,
-                 defaults: dict | None = None) -> RunConfig:
+def _load_config(args: argparse.Namespace, reads: tuple[str, ...]) -> RunConfig:
     """Merge precedence: explicit flags > config file > subcommand defaults.
 
     A config key or --seed outside `reads` is a ConfigError.
     """
     command = " ".join(filter(None, (args.command, getattr(args, "figure", None))))
-    data = dict(defaults or {})
+    data = dict(_DEFAULTS.get(args.command, {}))
     if args.config:
         if not reads:
             raise ConfigError(f"{command} reads no --config")
@@ -197,13 +220,12 @@ def _load_config(args: argparse.Namespace, reads: tuple[str, ...], overrides: di
         if unread:
             raise ConfigError(f"{command} does not read config keys {unread}")
         data.update(loaded)
-    for key, value in overrides.items():
+    for name in _FIELD_DEFAULTS:
+        value = getattr(args, name, None)
         if value is not None:
-            data[key] = value
-    if getattr(args, "seed", None) is not None:
-        if "seed" not in reads:
-            raise ConfigError(f"{command} does not read --seed")
-        data["seed"] = args.seed
+            if name not in reads:  # only --seed is ever on a command that does not read it
+                raise ConfigError(f"{command} does not read --{name}")
+            data[name] = list(dict.fromkeys(value)) if isinstance(value, list) else value
     return RunConfig.from_dict(data)
 
 
@@ -212,20 +234,6 @@ def _emit(args: argparse.Namespace, name: str, text: str, written: list[str]) ->
         written.append(write_text(os.path.join(args.out, name), text))
     else:
         sys.stdout.write(text)
-
-
-def _directions(arg: str) -> tuple[str, ...]:
-    return DIRECTIONS if arg == "both" else (arg,)
-
-
-def _input_labels(raw) -> tuple[str, ...]:
-    if not raw or "all" in raw:
-        return BELL_LABELS
-    seen = []
-    for label in raw:
-        if label not in seen:
-            seen.append(label)
-    return tuple(seen)
 
 
 def _cmd_surface(args, written) -> int:
@@ -239,7 +247,7 @@ def _cmd_surface(args, written) -> int:
         axis(args.phi_range), axis(args.theta1_range),
         theta2=args.theta2, gamma=args.gamma, k=args.k,
     )
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         body = dump_json({"samples": [
             [s.phi, s.theta1, s.lambda_plus.real, s.lambda_plus.imag,
              s.lambda_minus.real, s.lambda_minus.imag]
@@ -256,7 +264,7 @@ def _cmd_find_ep(args, written) -> int:
         theta1_box=tuple(args.theta1_box), theta2=args.theta2, gamma=args.gamma, k=args.k,
         scan_points=args.scan_points,
     )
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         _emit(args, "ep.json", ep_json(ep), written)
     else:
         _emit(args, "ep.csv",
@@ -266,17 +274,8 @@ def _cmd_find_ep(args, written) -> int:
 
 
 def _cmd_evolve(args, written) -> int:
-    cfg = _load_config(args, READS["evolve"], {
-        "loop": args.loop,
-        "n_steps": args.n_steps,
-        "directions": list(_directions(args.direction)) if args.direction else None,
-        "engine": args.engine,
-        "inputs": list(_input_labels(args.inputs)) if args.inputs else None,
-        "input_kind": args.input_kind,
-        "record_steps": True if args.record_steps else None,
-    })
-    reports = evolve_cases(cfg)
-    if (args.format or "csv") == "json":
+    reports = evolve_cases(_load_config(args, READS["evolve"]))
+    if args.format == "json":
         if args.out:
             for rep in reports:
                 _emit(args, f"evolve_{rep.direction}_{rep.input_label}.json",
@@ -289,39 +288,23 @@ def _cmd_evolve(args, written) -> int:
 
 
 def _cmd_reproduce(args, written) -> int:
-    cfg = _load_config(args, FIGURES[args.figure], {})
+    cfg = _load_config(args, FIGURES[args.figure])
     out_dir = args.out or "reports"
     written.extend(reproduce_figure(args.figure, out_dir, cfg, optimized=args.optimized))
     return 0
 
 
 def _cmd_disorder(args, written) -> int:
-    cfg = _load_config(args, READS["disorder"], {
-        "loop": args.loop,
-        "n_steps": args.n_steps,
-        "directions": list(_directions(args.direction)) if args.direction else None,
-        "engine": args.engine,
-        "strength": args.strength,
-        "groups": args.groups,
-        "granularity": args.granularity,
-        "input_kind": args.input_kind,
-    }, defaults={"engine": "simplified"})
-    summary = disorder_run(cfg)
-    if (args.format or "csv") == "json":
-        _emit(args, "disorder.json", disorder_json(summary), written)
-    else:
-        _emit(args, "disorder.csv", disorder_csv(summary), written)
+    summary = disorder_run(_load_config(args, READS["disorder"]))
+    to_text = disorder_json if args.format == "json" else disorder_csv
+    _emit(args, f"disorder.{args.format}", to_text(summary), written)
     return 0
 
 
 def _cmd_tomo(args, written) -> int:
     if bool(args.state) == bool(args.counts):
         raise ConfigError("tomo needs exactly one of --state or --counts")
-    cfg = _load_config(args, READS["tomo"], {
-        "counts_per_basis": args.counts_per_basis,
-        "resamples": args.resamples,
-        "psd_projection": True if args.psd else None,
-    }, defaults={"seed": 0})
+    cfg = _load_config(args, READS["tomo"])
     if args.state:
         rho_true = density_matrix(bell_state(args.state))
         counts = simulate_counts(rho_true, cfg.tomo_config())
@@ -345,7 +328,7 @@ def _walk_params(args) -> WalkParams:
 
 def _cmd_compile_optics(args, written) -> int:
     seq = _OPTICS[args.target](args)
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         body = dump_json({
             "label": seq.label,
             "elements": [
@@ -363,10 +346,9 @@ def _cmd_compile_optics(args, written) -> int:
 
 
 def _cmd_optimize(args, written) -> int:
-    seed = args.seed if args.seed is not None else 20260815
-    result = optimize_schedule(args.n_steps, seed=seed,
-                               multistarts=args.multistarts, maxiter=args.maxiter)
-    if (args.format or "csv") == "csv":
+    names = ("n_steps", "seed", "multistarts", "maxiter")  # flags not given keep optimize_schedule's defaults
+    result = optimize_schedule(**{k: v for k in names if (v := getattr(args, k)) is not None})
+    if args.format == "csv":
         lines = ["step,increment"]
         for i, inc in enumerate(result.increments):
             lines.append(f"{i},{inc:.12g}")
@@ -410,6 +392,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # math.cosh / math.exp of a huge gain-loss gamma
         print(f"numerical guard: overflow ({exc}); a coin parameter is too large", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy cannot allocate the arrays a size flag asks for
+        print(f"config error: out of memory ({exc}); a size is too large", file=sys.stderr)
+        return 2
     except EploopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

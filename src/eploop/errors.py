@@ -21,14 +21,6 @@ class SingularMatrix(NumericalGuardError):
     """Matrix determinant below the singularity threshold."""
 
 
-class NotHermitian(NumericalGuardError):
-    """Anti-Hermitian part exceeds the allowed tolerance."""
-
-
-class NegativeEigenvalue(NumericalGuardError):
-    """Eigenvalue below the tolerated negative floor."""
-
-
 class TooCloseToEP(NumericalGuardError):
     """Parameters too close to the exceptional point for eigenvector math."""
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .loops import (
     DIRECTIONS,
+    ENGINES,
     EvolutionReport,
     LoopSchedule,
     bell_eigenstate,
@@ -73,8 +74,8 @@ class RunConfig:
         for d in self.directions:
             if d not in DIRECTIONS:
                 raise ConfigError(f"unknown direction {d!r}")
-        if self.engine not in ("full", "simplified"):
-            raise ConfigError(f"engine must be full or simplified, got {self.engine!r}")
+        if self.engine not in ENGINES:
+            raise ConfigError(f"engine must be {' or '.join(ENGINES)}, got {self.engine!r}")
         for label in self.inputs:
             if label not in BELL_LABELS:
                 raise ConfigError(f"unknown input label {label!r}")
@@ -240,18 +241,16 @@ def report_dict(report: EvolutionReport) -> dict:
         "engine": report.engine,
         "output_state": interleave(report.output_state),
         "density": interleave(report.output_density),
-        "fidelities": {
-            label: float(f) for label, f in zip(BELL_LABELS, report.fidelities)
-        },
+        "fidelities": dict(zip(BELL_LABELS, report.fidelities)),
         "classified": report.classified_output,
     }
     if report.per_step is not None:
         out["steps"] = [
             {
                 "n": rec.index,
-                "weights": [float(w) for w in rec.weights],
-                "weights_raw": [float(w) for w in rec.weights_raw],
-                "log_magnitude": float(rec.log_magnitude),
+                "weights": list(rec.weights),
+                "weights_raw": list(rec.weights_raw),
+                "log_magnitude": rec.log_magnitude,
             }
             for rec in report.per_step
         ]

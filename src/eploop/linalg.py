@@ -1,4 +1,4 @@
-"""Small complex matrix kernel: 2x2/4x4 products, inversion, Hermitian spectra.
+"""Small complex matrix kernel: 2x2/4x4 products and inversion.
 
 All functions are pure and return fresh arrays; inputs are never mutated.
 """
@@ -6,11 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeEigenvalue, NotHermitian, SingularMatrix
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+from .errors import SingularMatrix
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,35 +34,3 @@ def inverse4(m: np.ndarray) -> np.ndarray:
     if abs(det) <= 1e-12 * scale:
         raise SingularMatrix(f"|det| = {abs(det):.3e} below threshold {1e-12 * scale:.3e}")
     return np.linalg.inv(m)
-
-
-def _hermitize(m: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    anti = max_abs(m - m.conj().T)
-    if anti > tol:
-        raise NotHermitian(f"anti-Hermitian part {anti:.3e} exceeds {tol:.1e}")
-    return 0.5 * (m + m.conj().T)
-
-
-def hermitian_eig4(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian 4x4 matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). The input is
-    symmetrized internally; anti-Hermitian parts above 1e-6 raise NotHermitian.
-    """
-    h = _hermitize(m)
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root.
-
-    Eigenvalues in [-1e-6, 0) are clipped to zero; anything more negative
-    raises NegativeEigenvalue.
-    """
-    w, v = hermitian_eig4(m)
-    if w.min() < -1e-6:
-        raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below -1e-6")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T

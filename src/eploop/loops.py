@@ -462,7 +462,7 @@ def _increments_from_x(x: np.ndarray) -> np.ndarray:
 
 
 def optimize_schedule(
-    n_steps: int,
+    n_steps: int = 8,
     seed: int = 20260815,
     multistarts: int = 6,
     maxiter: int = 2000,

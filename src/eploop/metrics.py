@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import psd_sqrt
 
 BELL_LABELS = ("zeta1", "zeta2", "zeta3", "zeta4")
 CLASSIFY_TIE_TOL = 1e-9
@@ -41,28 +40,6 @@ def density_matrix(state: np.ndarray) -> np.ndarray:
     """Rank-1 density matrix |psi><psi| of a normalized pure state."""
     v = np.asarray(state, dtype=complex).reshape(-1)
     return np.outer(v, v.conj())
-
-
-def _check_density(rho: np.ndarray, name: str) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError(f"{name} must be 4x4, got {rho.shape}")
-    if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-8:
-        raise DomainError(f"{name} trace {np.trace(rho):.6g} is not 1")
-    return rho
-
-
-def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Root fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
-
-    This (not its square) is the convention behind every reported threshold;
-    Hermiticity/positivity guards are inherited from psd_sqrt.
-    """
-    rho1 = _check_density(rho1, "rho1")
-    rho2 = _check_density(rho2, "rho2")
-    r = psd_sqrt(rho1)
-    inner = r @ rho2 @ r
-    return float(np.trace(psd_sqrt(inner)).real)
 
 
 def fidelity_pure(psi: np.ndarray, other: np.ndarray) -> float:

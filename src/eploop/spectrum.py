@@ -112,7 +112,10 @@ def eigensystem(p: WalkParams) -> EigenSystem:
 def _axis(lo: float, hi: float, count: int) -> np.ndarray:
     if count < 2:
         raise ConfigError(f"grid needs at least 2 points per axis, got {count}")
-    return np.linspace(lo, hi, count)
+    try:
+        return np.linspace(lo, hi, count)
+    except ValueError as exc:  # more points than any array can index
+        raise ConfigError(f"grid of {count} points per axis is too large") from exc
 
 
 def riemann_surface(

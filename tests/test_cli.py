@@ -1,10 +1,12 @@
+import argparse
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eploop.cli import READS, main
+from eploop.cli import READS, build_parser, main
 from eploop.harness import FIGURES, RunConfig
 
 
@@ -90,6 +92,14 @@ def test_main_keeps_no_state_between_calls(capsys):
     assert [r["input"] for r in json.loads(capsys.readouterr().out)] == ["zeta1", "zeta2", "zeta3", "zeta4"]
 
 
+def test_direction_and_input_repeat_and_drop_repeats(capsys):
+    argv = ["evolve", "--n-steps", "2", "--format", "json"]
+    assert main(argv + ["--direction", "ccw", "--direction", "cw", "--direction", "ccw",
+                        "--input", "zeta3", "--input", "zeta3"]) == 0
+    cases = [(r["direction"], r["input"]) for r in json.loads(capsys.readouterr().out)]
+    assert cases == [("ccw", "zeta3"), ("cw", "zeta3")]
+
+
 def test_evolve_rejects_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     for body, argv in (
@@ -135,6 +145,12 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         (None, ["compile-optics", "--target", "control", "--phi", "nan"]),
         (None, ["compile-optics", "--target", "rotation", "--theta", "inf"]),
         ('{"n_steps": 8}', ["disorder", "--strength", "nan"]),
+        (None, ["evolve", "--direction", "both"]),
+        (None, ["evolve", "--input", "all"]),
+        # sizes numpy cannot allocate
+        (None, ["disorder", "--groups", "1000000000", "--n-steps", "100"]),
+        (None, ["evolve", "--n-steps", "100000000000"]),
+        (None, ["surface", "--phi-range", "0", "1", "1e30"]),
     ):
         if body is not None:
             cfg.write_text(body)
@@ -322,3 +338,93 @@ def test_reproduce_rejects_config_keys_the_figure_does_not_read(tmp_path, capsys
     assert _exit_code(["reproduce", fig, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1, err
+
+
+# Flag-value fuzzing: any value of any flag of any subcommand ends in exit 0, 2 or 3 with one
+# stderr line on failure. The flags come from the parser, so a flag without values below fails
+# the test. Size flags are always given and drawn small, so that each run is short.
+_JUNK = st.sampled_from(["", "x", "nan", "-inf", "1e400", "2.5", "0", "-1", "both", "all"])
+
+
+def _mostly(values):
+    """`values`, or one time in eight a junk string."""
+    return st.integers(0, 7).flatmap(lambda r: values if r else _JUNK)
+
+
+def _ints(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str))
+
+
+def _choice(*values):
+    return _mostly(st.sampled_from(values))
+
+
+# positional notation: argparse takes "-1e-07" for a flag, not for a number of --phi-range
+_FLOAT = _mostly(st.one_of(st.floats(-1, 1), st.floats(-1e3, 1e3),
+                           st.floats(allow_nan=False, allow_infinity=False))
+                 .map(lambda x: np.format_float_positional(x, trim="-")))
+_NO_VALUE = st.just(())
+_SIZES = {
+    "--n-steps": _ints(1, 6), "--groups": _ints(1, 3), "--resamples": _ints(2, 4),
+    "--multistarts": _ints(1, 2), "--maxiter": _ints(1, 3), "--scan-points": _ints(2, 9),
+    "--counts-per-basis": _ints(1, 50),
+    "--phi-range": st.tuples(_FLOAT, _FLOAT, _ints(2, 4)),
+    "--theta1-range": st.tuples(_FLOAT, _FLOAT, _ints(2, 4)),
+}
+_VALUES = {  # a value is a string or, for a flag of several values, a tuple of them
+    **{flag: _FLOAT for flag in ("--theta", "--theta1", "--theta2", "--phi", "--gamma", "--k")},
+    "--theta1-box": st.tuples(_FLOAT, _FLOAT),
+    "--strength": _mostly(st.floats(-0.1, 3.5).map(str)),
+    "--loop": _choice("1", "2", "3"),
+    "--direction": _choice("cw", "ccw"),
+    "--engine": _choice("full", "simplified"),
+    "--input": _choice("zeta1", "zeta4"),
+    "--state": _choice("zeta1", "zeta2"),
+    "--input-kind": _choice("eigenstate", "bell"),
+    "--granularity": _choice("per_step", "per_loop"),
+    "--format": _choice("csv", "json"),
+    "--target": _choice("rotation", "phase-shift", "symmetry-break", "gain", "gain-inverse",
+                        "walk-step", "control"),
+    "--seed": _mostly(st.integers(-1, 2**70).map(str)),
+    "--config": st.sampled_from(["CONFIG", "MISSING"]),
+    "--counts": st.sampled_from(["COUNTS", "MISSING"]),
+    "--out": st.just("out"),
+    "--record-steps": _NO_VALUE, "--psd": _NO_VALUE, "--optimized": _NO_VALUE,
+}
+
+
+_SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    argv, always, others = [command], [], []
+    for action in _SUBPARSERS[command]._actions[1:]:  # [0] is --help
+        if not action.option_strings:  # reproduce's figure
+            argv.append(draw(st.sampled_from([*action.choices, "fig3"])))
+        else:
+            flag = action.option_strings[0]
+            (always if flag in _SIZES or action.required else others).append(flag)
+    if argv[-1] == "fig4":  # fig4 --optimized runs the full default optimizer, about 13 s
+        others.remove("--optimized")
+    for flag in always + draw(st.lists(st.sampled_from(others), unique=True, max_size=4)):
+        value = draw({**_VALUES, **_SIZES}[flag])
+        # one value goes as --flag=VALUE, so that argparse reads a value such as -x as one
+        argv += [flag, *value] if isinstance(value, tuple) else [f"{flag}={value}"]
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_flag_values_exit_0_2_or_3_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # --out and reproduce's default directory land here
+    (tmp_path / "CONFIG").write_text("{}")
+    pairs = [f"{a},{b},{7 + 3 * i}" for i, (a, b) in enumerate((a, b) for a in "HVDR" for b in "HVDR")]
+    (tmp_path / "COUNTS").write_text("\n".join(["basis_a,basis_b,count", *pairs]) + "\n")
+    code = _exit_code(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (argv, code, err)
+    if code:
+        assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)

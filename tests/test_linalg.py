@@ -1,25 +1,10 @@
 import numpy as np
 import pytest
 
-from eploop.errors import NegativeEigenvalue, NotHermitian, SingularMatrix
-from eploop.linalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    _hermitize,
-    hermitian_eig4,
-    inverse4,
-    kron,
-    max_abs,
-    psd_sqrt,
-)
+from eploop.errors import SingularMatrix
+from eploop.linalg import inverse4, kron, max_abs
 
-
-def test_pauli_algebra():
-    assert np.allclose(SIGMA_X @ SIGMA_X, np.eye(2))
-    assert np.allclose(SIGMA_Y @ SIGMA_Y, np.eye(2))
-    assert np.allclose(SIGMA_Z @ SIGMA_Z, np.eye(2))
-    assert np.allclose(SIGMA_X @ SIGMA_Y - SIGMA_Y @ SIGMA_X, 2j * SIGMA_Z)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def test_kron_shape_and_values():
@@ -45,37 +30,3 @@ def test_inverse4_rejects_singular():
     m[0, 0] = 1.0
     with pytest.raises(SingularMatrix):
         inverse4(m)
-
-
-def test_hermitize_symmetrizes_and_guards():
-    rng = np.random.default_rng(1)
-    h = rng.normal(size=(4, 4))
-    h = h + h.T
-    out = _hermitize(h.astype(complex))
-    assert np.allclose(out, out.conj().T)
-    with pytest.raises(NotHermitian):
-        _hermitize(h + 1j * np.eye(4))
-
-
-def test_hermitian_eig4_reconstructs():
-    rng = np.random.default_rng(2)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = g + g.conj().T
-    w, v = hermitian_eig4(h)
-    assert np.allclose((v * w) @ v.conj().T, h, atol=1e-12)
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    r = psd_sqrt(rho)
-    assert np.allclose(r @ r, rho, atol=1e-10)
-
-
-def test_psd_sqrt_clips_tiny_negative_but_rejects_large():
-    h = np.diag([1.0, 0.5, 0.25, -1e-9]).astype(complex)
-    r = psd_sqrt(h)
-    assert np.all(np.isfinite(r))
-    with pytest.raises(NegativeEigenvalue):
-        psd_sqrt(np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex))

@@ -8,7 +8,6 @@ from eploop.metrics import (
     bell_state,
     classify,
     density_matrix,
-    fidelity,
     fidelity_pure,
 )
 
@@ -43,23 +42,6 @@ def test_density_matrix_properties():
     assert np.trace(rho) == pytest.approx(1.0)
     assert np.allclose(rho, rho.conj().T)
     assert np.allclose(rho @ rho, rho, atol=1e-15)
-
-
-def test_fidelity_identity_and_pure_overlap():
-    rho1 = density_matrix(bell_state(1))
-    rho2 = density_matrix(bell_state(2))
-    assert fidelity(rho1, rho1) == pytest.approx(1.0, abs=1e-9)
-    assert fidelity(rho1, rho2) == pytest.approx(0.0, abs=1e-7)
-    # for pure states the root fidelity is the overlap magnitude
-    psi = (bell_state(1) + bell_state(2)) / np.sqrt(2)
-    assert fidelity(rho1, density_matrix(psi)) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
-
-
-def test_fidelity_rejects_bad_density():
-    with pytest.raises(DomainError):
-        fidelity(np.eye(4, dtype=complex), density_matrix(bell_state(1)))
-    with pytest.raises(DomainError):
-        fidelity(np.eye(3, dtype=complex) / 3, density_matrix(bell_state(1)))
 
 
 def test_fidelity_pure_vector_and_matrix():
