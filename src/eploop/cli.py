@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -87,6 +88,11 @@ _SHARED_FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponent notation and would read `-1e-7` as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # one stderr line and exit code 2, like a ConfigError
         self.exit(2, f"config error: {message}\n")
 

@@ -31,7 +31,7 @@ from .loops import (
 )
 from .metrics import BELL_LABELS, bell_index, bell_state, classify, density_matrix, fidelity_pure
 from .spectrum import find_ep, riemann_surface, surface_csv
-from .tomo import TomoConfig, bootstrap_error, counts_csv, reconstruct, simulate_counts
+from .tomo import TomoConfig, bootstrap_error, check_resamples, counts_csv, reconstruct, simulate_counts
 from .walk import WalkParams
 
 GRANULARITIES = ("per_step", "per_loop")
@@ -85,8 +85,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must not repeat an entry, got {list(entries)}")
         if self.input_kind not in INPUT_KINDS:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {self.input_kind!r}")
-        if self.resamples < 2:
-            raise ConfigError(f"resamples must be >= 2, got {self.resamples}")
+        check_resamples(self.resamples)
         self.tomo_config()  # counts_per_basis and seed bounds live in TomoConfig
         # a +-pi offset already spans every distinct theta1 and phi
         if not 0 <= self.strength <= math.pi:

@@ -55,6 +55,16 @@ def fidelity_pure(psi: np.ndarray, other: np.ndarray) -> float:
     return float(math.sqrt(max(0.0, np.real(np.vdot(psi, other @ psi)))))
 
 
+_BELL_ROWS = np.array([_BELL_VECTORS[j] for j in (1, 2, 3, 4)])
+
+
+def bell_fidelities(rho: np.ndarray) -> np.ndarray:
+    """Root fidelities of an (R, 4, 4) stack of density matrices against the four
+    Bell states, as (R, 4); bitwise fidelity_pure(bell_state(j), rho[r])."""
+    overlaps = np.vecdot(_BELL_ROWS, (rho[:, None] @ _BELL_ROWS[:, :, None])[..., 0]).real
+    return np.sqrt(np.maximum(0.0, overlaps))
+
+
 @dataclass(frozen=True)
 class Classification:
     label: str

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IllConditioned
-from .metrics import bell_state, fidelity_pure
+from .metrics import bell_fidelities
 
 BASIS_LABELS = ("H", "V", "D", "R")
 
@@ -29,6 +29,8 @@ BASIS_PAIRS = tuple((a, b) for a in BASIS_LABELS for b in BASIS_LABELS)
 
 # numpy's Poisson sampler rejects a mean above about 9.2e18
 MAX_COUNTS_PER_BASIS = 10**12
+# a bootstrap holds about 2 KB of temporaries per resample, all at once
+MAX_RESAMPLES = 10**5
 
 
 @dataclass(frozen=True)
@@ -85,26 +87,38 @@ def simulate_counts(rho: np.ndarray, cfg: TomoConfig) -> CountsTable:
     return CountsTable(records=records)
 
 
+def _reconstruct_rows(freqs: np.ndarray, psd_projection: bool) -> np.ndarray:
+    """Estimates of an (R, 16) stack of basis frequencies, as an (R, 4, 4) stack.
+
+    Every step runs over the whole stack, and row r is bitwise what the row
+    gives alone. The solve is one LAPACK call per row: a single (16, R)
+    right-hand side would change the last bits. A row that trips a guard
+    raises for the first such row, with that row's message.
+    """
+    sol = np.linalg.solve(np.broadcast_to(_MEAS, (len(freqs), 16, 16)), freqs.astype(complex)[..., None])[..., 0]
+    residual = np.abs((_MEAS @ sol[..., None])[..., 0] - freqs).max(axis=1)
+    rho = sol.reshape(-1, 4, 4)
+    rho = 0.5 * (rho + rho.conj().mT)
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    bad = (residual > 1e-8) | (np.abs(trace) < 1e-12)
+    if bad.any():
+        r = int(bad.argmax())
+        if residual[r] > 1e-8:
+            raise IllConditioned(f"inversion residual {residual[r]:.3e} exceeds 1e-8")
+        raise IllConditioned(f"reconstructed trace {trace[r]:.3e} too small to normalize")
+    rho = rho / trace[:, None, None]
+    if psd_projection:
+        w, v = np.linalg.eigh(rho)
+        rho = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().mT
+        rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return rho
+
+
 def reconstruct_from_frequencies(freqs: np.ndarray, psd_projection: bool = False) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float)
     if freqs.shape != (16,):
         raise ConfigError(f"need 16 basis frequencies, got shape {freqs.shape}")
-    sol = np.linalg.solve(_MEAS, freqs.astype(complex))
-    residual = np.abs(_MEAS @ sol - freqs).max()
-    if residual > 1e-8:
-        raise IllConditioned(f"inversion residual {residual:.3e} exceeds 1e-8")
-    rho = sol.reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    trace = np.trace(rho).real
-    if abs(trace) < 1e-12:
-        raise IllConditioned(f"reconstructed trace {trace:.3e} too small to normalize")
-    rho = rho / trace
-    if psd_projection:
-        w, v = np.linalg.eigh(rho)
-        w = np.clip(w, 0.0, None)
-        rho = (v * w) @ v.conj().T
-        rho = rho / np.trace(rho).real
-    return rho
+    return _reconstruct_rows(freqs[None], psd_projection)[0]
 
 
 def reconstruct(counts: CountsTable, cfg: TomoConfig) -> np.ndarray:
@@ -120,24 +134,28 @@ def reconstruct(counts: CountsTable, cfg: TomoConfig) -> np.ndarray:
     )
 
 
+def check_resamples(resamples: int) -> None:
+    if not 2 <= resamples <= MAX_RESAMPLES:
+        raise ConfigError(f"resamples must lie in [2, {MAX_RESAMPLES}], got {resamples}")
+
+
 def bootstrap_error(counts: CountsTable, cfg: TomoConfig, resamples: int) -> tuple[float, float, float, float]:
     """Parametric-bootstrap standard deviation of each Bell-state fidelity.
 
-    Resampled tables draw counts from Poisson(observed count); each resample
-    reconstructs and evaluates fidelity against the four Bell states. Stream
-    r uses the substream (seed, spawn_key=(r,)).
+    Resampled tables draw counts from Poisson(observed count); stream r uses
+    the substream (seed, spawn_key=(r,)). The resamples then reconstruct and
+    take their fidelities against the four Bell states as one stack, bitwise
+    equal to doing so one resample at a time.
     """
-    if resamples < 2:
-        raise ConfigError(f"need at least 2 resamples, got {resamples}")
+    check_resamples(resamples)
     observed = counts.counts()
-    fids = np.empty((resamples, 4))
-    for r in range(resamples):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))))
-        rho = reconstruct_from_frequencies(
-            rng.poisson(observed) / cfg.counts_per_basis, psd_projection=cfg.psd_projection
-        )
-        fids[r] = [fidelity_pure(bell_state(j), rho) for j in (1, 2, 3, 4)]
-    sds = fids.std(axis=0, ddof=1)
+    draws = np.array([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))))
+        .poisson(observed)
+        for r in range(resamples)
+    ])
+    rho = _reconstruct_rows(draws / cfg.counts_per_basis, cfg.psd_projection)
+    sds = bell_fidelities(rho).std(axis=0, ddof=1)
     return tuple(float(s) for s in sds)
 
 

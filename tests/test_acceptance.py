@@ -8,6 +8,7 @@ C_0^-1 C_n that the endpoint control drops is O(1) at every step count), so
 the 0.01 bound fails and is left failing on purpose rather than weakened.
 """
 import filecmp
+import hashlib
 import os
 import time
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import eploop as ep
+from eploop.cli import main
 from eploop.harness import RunConfig, disorder_run, reproduce_figure
 from eploop.tomo import probabilities
 
@@ -227,6 +229,34 @@ def test_criterion_12_byte_identical_reports(tmp_path):
         assert [os.path.basename(p) for p in paths_a] == [os.path.basename(p) for p in paths_b]
         for pa, pb in zip(paths_a, paths_b):
             assert filecmp.cmp(pa, pb, shallow=False), os.path.basename(pa)
+
+
+# sha256 of `eploop reproduce fig4` at the default seed, taken before the bootstrap was stacked
+FIG4_DIGESTS = {
+    "fig4_ccw_zeta1.json": "845b7afbb7615159128ed9ffe33724feb555e183b681f9072c1cdce747726f6d",
+    "fig4_ccw_zeta1_counts.csv": "bb075293cf5bd4aaef5fe7d6d0d854d7e588e7e82183ab541ad5570b3d54f9be",
+    "fig4_ccw_zeta2.json": "7cfdd0f2f5ee2604dae32b166346be7693f26c8730f2ea02a17586695cabd604",
+    "fig4_ccw_zeta2_counts.csv": "544a9783e60e2c1faa719bc9b221d8624eea0bc0de3af414f8007cf4015a43a4",
+    "fig4_ccw_zeta3.json": "37f5778ab49dccc31cc27fef12f50a5e00c8791123715d83a4299d7f7e89dd76",
+    "fig4_ccw_zeta3_counts.csv": "f3fbbdc0d9803503f777384eebfb43068fa69de974d25fbd6e3461e0d9f27eb6",
+    "fig4_ccw_zeta4.json": "de960b6e741fd21e0d9653c172df6e2e07df481db4248993401ca136164be6e6",
+    "fig4_ccw_zeta4_counts.csv": "90360991de3071b64f5c69f184f4cedfa4b8e5a89bfa24f7df0b00a2ff9eabab",
+    "fig4_cw_zeta1.json": "9c42784b4b058691f01897381c773dc9cf8e61394820c410e7551bfdda8783fe",
+    "fig4_cw_zeta1_counts.csv": "fbbf28849f582cf001dcf7b680003ca3b9e2e6fbe46227c9af518fb632d868a8",
+    "fig4_cw_zeta2.json": "01807039e117f182958821f40982db4943b2af9a3431945c20f83b5a3f8e5f8a",
+    "fig4_cw_zeta2_counts.csv": "f1afe40e10703dd8d83602233daaad0e15688dc2763d9413799e261f303e1de3",
+    "fig4_cw_zeta3.json": "df52a13d897d877f5a03e80197531e0f4e0cdf209e28bc9230f94eb9746a654a",
+    "fig4_cw_zeta3_counts.csv": "fb45f6450d93e6efcb0d5cebe9629b71952b838a144498d3267d19730c740dae",
+    "fig4_cw_zeta4.json": "78e14d6c8f3597b74d25f6fa2100ea99be68929e42e013b3421aa6780c4b999d",
+    "fig4_cw_zeta4_counts.csv": "555650634552d092d7003c0a950a32eb6697965b238f99e188bd6d3faf89a08d",
+}
+
+
+def test_fig4_reports_keep_their_pinned_bytes(tmp_path, capsys):
+    assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == FIG4_DIGESTS
 
 
 def test_acceptance_summary_values_documented():

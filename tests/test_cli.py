@@ -147,6 +147,10 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         ('{"n_steps": 8}', ["disorder", "--strength", "nan"]),
         (None, ["evolve", "--direction", "both"]),
         (None, ["evolve", "--input", "all"]),
+        # bootstraps past tomo.MAX_RESAMPLES are refused before any draw
+        (None, ["tomo", "--state", "zeta1", "--resamples", "100001"]),
+        ('{"resamples": 100000000}', ["tomo", "--state", "zeta1"]),
+        ('{"resamples": 100001}', ["reproduce", "fig4", "--out", str(tmp_path / "r")]),
         # sizes numpy cannot allocate
         (None, ["disorder", "--groups", "1000000000", "--n-steps", "100"]),
         (None, ["evolve", "--n-steps", "100000000000"]),
@@ -167,6 +171,21 @@ def test_evolve_merges_config_file(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("zeta3,cw,6,loop1,simplified,")
+
+
+def test_negative_floats_in_exponent_notation_are_values(capsys):
+    # argparse's own pattern took "-1e-7" for an option: "expected one argument"
+    assert main(["find-ep", "--gamma", "-1e-7"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard") and "gamma=-1e-07" in err, err
+    assert main(["find-ep", "--theta1-box", "-5E-1", "-1e-1", "--gamma", "-2e-1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("0,-0.291776053115,")
+    grid = ["--phi-range", "-1e-3", "0.1", "2", "--theta1-range", "-0.5", "-0.4", "2"]
+    assert main(["surface", *grid]) == 0
+    out = capsys.readouterr().out
+    assert main(["surface", "--phi-range", "-0.001", "0.1", "2", "--theta1-range", "-0.5", "-0.4", "2"]) == 0
+    assert out == capsys.readouterr().out
+    assert len(out.splitlines()) == 5
 
 
 def test_tomo_requires_exactly_one_source(capsys):
@@ -359,10 +378,9 @@ def _choice(*values):
     return _mostly(st.sampled_from(values))
 
 
-# positional notation: argparse takes "-1e-07" for a flag, not for a number of --phi-range
-_FLOAT = _mostly(st.one_of(st.floats(-1, 1), st.floats(-1e3, 1e3),
-                           st.floats(allow_nan=False, allow_infinity=False))
-                 .map(lambda x: np.format_float_positional(x, trim="-")))
+# repr or positional notation: both must read as a number, "-1e-07" as much as "-0.0000001"
+_NUMBERS = st.one_of(st.floats(-1, 1), st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+_FLOAT = _mostly(st.one_of(_NUMBERS.map(repr), _NUMBERS.map(lambda x: np.format_float_positional(x, trim="-"))))
 _NO_VALUE = st.just(())
 _SIZES = {
     "--n-steps": _ints(1, 6), "--groups": _ints(1, 3), "--resamples": _ints(2, 4),

@@ -21,6 +21,7 @@ from eploop.harness import (
 )
 from eploop.loops import LoopSchedule, bell_eigenstate, evolve, evolve_full, loop1_schedule
 from eploop.metrics import bell_index
+from eploop.tomo import MAX_RESAMPLES
 
 
 def test_disorder_config_validation():
@@ -160,6 +161,9 @@ def test_run_config_validation_and_helpers():
         RunConfig(directions=("cw", "up"))
     with pytest.raises(ConfigError):
         RunConfig(resamples=1)
+    assert RunConfig(resamples=MAX_RESAMPLES).resamples == MAX_RESAMPLES  # constructing runs nothing
+    with pytest.raises(ConfigError, match=r"resamples must lie in \[2, 100000\]"):
+        RunConfig.from_dict({"resamples": MAX_RESAMPLES + 1})
 
 
 _JSON_VALUES = st.recursive(

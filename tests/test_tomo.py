@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eploop.errors import ConfigError
+from eploop.errors import ConfigError, IllConditioned
 from eploop.metrics import bell_state, density_matrix, fidelity_pure
 from eploop.tomo import (
     BASIS_PAIRS,
+    MAX_RESAMPLES,
     CountsTable,
     TomoConfig,
     basis_projectors,
@@ -14,6 +16,7 @@ from eploop.tomo import (
     measurement_matrix,
     probabilities,
     reconstruct,
+    _reconstruct_rows,
     reconstruct_from_frequencies,
     simulate_counts,
 )
@@ -127,6 +130,9 @@ def test_bootstrap_error_deterministic():
     assert a[0] < 0.02  # the dominant-fidelity spread stays tight
     with pytest.raises(ConfigError):
         bootstrap_error(counts, cfg, resamples=1)
+    # refused before any draw: the stack would hold about 2 KB per resample
+    with pytest.raises(ConfigError, match=r"resamples must lie in \[2, 100000\], got 100001"):
+        bootstrap_error(counts, cfg, resamples=MAX_RESAMPLES + 1)
 
 
 def test_tomo_config_validation():
@@ -135,3 +141,79 @@ def test_tomo_config_validation():
     with pytest.raises(ConfigError):
         TomoConfig(seed=-1)
     assert CountsTable(tuple((a, b, 1) for a, b in BASIS_PAIRS)).counts().sum() == 16
+
+
+def _reference_reconstruction(freqs, psd_projection):
+    """One frequency vector at a time: the scalar arithmetic the stacked core replaced."""
+    meas = measurement_matrix()
+    sol = np.linalg.solve(meas, freqs.astype(complex))
+    residual = np.abs(meas @ sol - freqs).max()
+    if residual > 1e-8:
+        raise IllConditioned(f"inversion residual {residual:.3e} exceeds 1e-8")
+    rho = sol.reshape(4, 4)
+    rho = 0.5 * (rho + rho.conj().T)
+    trace = np.trace(rho).real
+    if abs(trace) < 1e-12:
+        raise IllConditioned(f"reconstructed trace {trace:.3e} too small to normalize")
+    rho = rho / trace
+    if psd_projection:
+        w, v = np.linalg.eigh(rho)
+        rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        rho = rho / np.trace(rho).real
+    return rho
+
+
+def _reference_bootstrap(counts, cfg, resamples):
+    """The per-resample loop: one stream, reconstruction and four fidelities at a time."""
+    fids = np.empty((resamples, 4))
+    for r in range(resamples):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))))
+        freqs = rng.poisson(counts.counts()) / cfg.counts_per_basis
+        rho = _reference_reconstruction(freqs, cfg.psd_projection)
+        assert np.array_equal(reconstruct_from_frequencies(freqs, cfg.psd_projection), rho)
+        fids[r] = [fidelity_pure(bell_state(j), rho) for j in (1, 2, 3, 4)]
+    return tuple(float(s) for s in fids.std(axis=0, ddof=1))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IllConditioned as exc:
+        return f"IllConditioned: {exc}"
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    amplitudes=st.lists(st.floats(-1, 1), min_size=8, max_size=8).filter(lambda a: np.hypot.reduce(a) > 1e-3),
+    counts_per_basis=st.one_of(st.integers(1, 4), st.integers(5, 10**6)),
+    resamples=st.integers(2, 64),
+    psd_projection=st.booleans(),
+)
+def test_stacked_bootstrap_is_bitwise_the_per_resample_loop(seed, amplitudes, counts_per_basis, resamples,
+                                                             psd_projection):
+    psi = np.array(amplitudes[:4]) + 1j * np.array(amplitudes[4:])
+    cfg = TomoConfig(counts_per_basis=counts_per_basis, seed=seed, psd_projection=psd_projection)
+    counts = simulate_counts(density_matrix(psi / np.linalg.norm(psi)), cfg)
+    # a guard that fires must fire with the same message, for the same first resample
+    assert _outcome(bootstrap_error, counts, cfg, resamples) == _outcome(_reference_bootstrap, counts, cfg, resamples)
+
+
+def test_stacked_guards_fire_for_the_first_failing_resample():
+    zero = CountsTable(tuple((a, b, 0) for a, b in BASIS_PAIRS))
+    for psd in (False, True):
+        with pytest.raises(IllConditioned, match="reconstructed trace 0.000e"):
+            bootstrap_error(zero, TomoConfig(seed=3, psd_projection=psd), resamples=5)
+    huge = CountsTable(tuple((a, b, i * 10**9) for i, (a, b) in enumerate(BASIS_PAIRS)))
+    with pytest.raises(IllConditioned, match="inversion residual"):
+        bootstrap_error(huge, TomoConfig(counts_per_basis=1), resamples=3)
+    good = probabilities(density_matrix(bell_state(2)))
+    big = np.arange(16) * 1e9
+    for rows, message in (([good, np.zeros(16), big], "reconstructed trace"),
+                          ([good, big, np.zeros(16)], "inversion residual")):
+        with pytest.raises(IllConditioned, match=message):
+            _reconstruct_rows(np.array(rows), psd_projection=False)
+        with pytest.raises(IllConditioned, match=message):
+            for freqs in rows:
+                _reference_reconstruction(freqs, psd_projection=False)
+
