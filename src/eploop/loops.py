@@ -12,10 +12,12 @@ at the loop endpoint. evolve_full and evolve_simplified run one row,
 evolve_many runs many schedules and inputs with step records, and
 evolve_batch runs many (theta1, phi) rows to their final states. Diagnostics
 cover sheet tracking, the step-to-step drift of the control operator, and a
-small-N schedule optimizer.
+small-N schedule optimizer, whose objective (_case_fidelities) runs the
+simplified engine in collapsed form: one stacked 2x2 chain per direction.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, TooCloseToEP
 from .linalg import max_abs
-from .metrics import BELL_LABELS, bell_index, bell_state, classify, density_matrix, fidelity_pure
+from .metrics import BELL_LABELS, bell_index, bell_state, classify, density_matrix
 from .spectrum import EIGENVECTOR_GUARD, eigensystem
 from .walk import (
     WalkParams,
@@ -35,6 +37,8 @@ from .walk import (
 )
 
 DIRECTIONS = ("cw", "ccw")
+# Loop 1, the EP-enclosing circle, and the default of every circular schedule
+LOOP1_RADIUS, LOOP1_CENTER = 0.2, -0.4
 
 # classification targets around Loop 1: the direction, not the input, picks
 # the output within each invariant block {zeta1, zeta2} / {zeta3, zeta4}
@@ -74,19 +78,23 @@ def equal_phases(n_steps: int, direction: str) -> np.ndarray:
     return direction_sign(direction) * 2 * math.pi * n / n_steps - math.pi / 2
 
 
+def _loop_points(phases, radius: float, theta1_center: float) -> list[tuple[float, float]]:
+    """(theta1, phi) = (radius*sin(t) + center, radius*cos(t)) per phase t, on libm's sin and cos."""
+    return [(radius * math.sin(t) + theta1_center, radius * math.cos(t))
+            for t in np.asarray(phases, dtype=float).tolist()]
+
+
 def schedule_from_phases(
     phases,
     direction: str,
-    radius: float = 0.2,
-    theta1_center: float = -0.4,
+    radius: float = LOOP1_RADIUS,
+    theta1_center: float = LOOP1_CENTER,
     label: str = "custom",
 ) -> LoopSchedule:
     """Schedule tracing phi = radius*cos(t), theta1 = radius*sin(t) + center (other knobs default)."""
     _check_direction(direction)
-    steps = tuple(
-        WalkParams(theta1=radius * math.sin(t) + theta1_center, phi=radius * math.cos(t))
-        for t in np.asarray(phases, dtype=float)
-    )
+    points = _loop_points(phases, radius, theta1_center)
+    steps = tuple(WalkParams(theta1=theta1, phi=phi) for theta1, phi in points)
     if not steps:
         raise ConfigError("schedule needs at least 1 step")
     return LoopSchedule(steps=steps, direction=direction, label=label)
@@ -94,9 +102,7 @@ def schedule_from_phases(
 
 def loop1_schedule(n_steps: int, direction: str) -> LoopSchedule:
     """EP-enclosing circle: radius 0.2 around theta1 = -0.4, start (0, -0.6)."""
-    return schedule_from_phases(
-        equal_phases(n_steps, direction), direction, radius=0.2, theta1_center=-0.4, label="loop1"
-    )
+    return schedule_from_phases(equal_phases(n_steps, direction), direction, label="loop1")
 
 
 def loop2_schedule(n_steps: int, direction: str) -> LoopSchedule:
@@ -410,29 +416,64 @@ def sheet_trace(report: EvolutionReport) -> SheetTrace:
     return SheetTrace(switches=len(switch_steps), switch_steps=switch_steps)
 
 
+@functools.lru_cache(maxsize=16)
+def _start_frames(starts: tuple[WalkParams, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of collapsed chains from the given starts, stacked row by row:
+    C_0^T (rows, 4, 4) and the four start eigenstates in the control frame,
+    psi_j C_0^-1^T as (rows, 4, 2, 2)."""
+    pairs = [control_operator(p) for p in starts]
+    c_t = np.array([C.T for C, _ in pairs])
+    a = np.array([(bell_eigenstates(p) @ C_inv.T).reshape(4, 2, 2) for p, (_, C_inv) in zip(starts, pairs)])
+    c_t.flags.writeable = a.flags.writeable = False
+    return c_t, a
+
+
+_TARGET_ROWS = {d: np.array([bell_state(CHIRAL_TARGETS[d, j]) for j in (1, 2, 3, 4)]) for d in DIRECTIONS}
+
+
+def _case_fidelities(knobs, starts: tuple[WalkParams, ...], directions) -> list[float]:
+    """Fidelity to its target Bell state of every chirality case, four per row, row by row.
+
+    knobs are the five step knobs (theta1, theta2, phi, gamma, k), each
+    broadcastable to (rows, N); row r runs in direction directions[r], and
+    starts[r] is its first step, whose eigenstates are the inputs. The outputs
+    are the simplified engine's, in collapsed form:
+    normalize(C_0 (I (x) P) C_0^-1 psi_j) with one 2x2 chain
+    P = M_{N-1}...M_0 per row, applied to the four inputs as one 4x4 block.
+    This equals evolve_simplified exactly; P is rescaled at every step in
+    place of the engine's renormalization. All rows step together, and every
+    value takes the same floating-point operations as the one-row scalar form,
+    so it is bitwise that form's.
+    """
+    m = walk_operator_closed_array(*knobs)
+    P = np.eye(2, dtype=complex)
+    for n in range(m.shape[1]):
+        P = m[:, n] @ P
+        P /= np.abs(P).max(axis=(1, 2))[:, None, None]  # unscaled, |P| reaches 1e115 at N = 5000 on loop 1
+    c_t, a = _start_frames(starts)
+    out = (a @ P.mT[:, None]).reshape(-1, 4, 4) @ c_t
+    out = out / np.sqrt(np.vecdot(out.real, out.real) + np.vecdot(out.imag, out.imag))[..., None]
+    overlaps = np.vecdot(np.array([_TARGET_ROWS[d] for d in directions]), out)
+    return [abs(z) for z in overlaps.ravel().tolist()]  # Python abs: numpy's array abs differs
+
+
 def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
     """Minimum over the 8 chirality cases of fidelity to the target Bell state.
 
     Inputs are the start-point eigenstates labeled by nearest Bell state; the
-    schedules dict supplies one schedule per direction. The outputs are the
-    simplified engine's, in collapsed form: normalize(C_0 (I (x) P) C_0^-1 psi_j)
-    with one 2x2 chain P = M_{N-1}...M_0 per direction, applied to the four
-    inputs as one 4x4 block. This equals evolve_simplified exactly; P is
-    rescaled at every step in place of the engine's renormalization.
+    schedules dict supplies one schedule per direction. Schedules of one
+    length run through _case_fidelities together, so the two directions may
+    differ in length.
     """
-    worst = math.inf
-    for direction in DIRECTIONS:
-        steps = schedules[direction].steps
-        C, C_inv = control_operator(steps[0])
-        psi0 = bell_eigenstates(steps[0])
-        P = np.eye(2, dtype=complex)
-        for p in steps:
-            P = walk_operator_closed(p) @ P
-            P /= max_abs(P)  # unscaled, |P| reaches 1e115 at N = 5000 on loop 1
-        out = ((psi0 @ C_inv.T).reshape(4, 2, 2) @ P.T).reshape(4, 4) @ C.T
-        for j, psi in enumerate(out, start=1):
-            worst = min(worst, fidelity_pure(bell_state(CHIRAL_TARGETS[direction, j]), _normalized(psi)))
-    return worst
+    by_length: dict[int, list[str]] = {}
+    for d in DIRECTIONS:
+        by_length.setdefault(schedules[d].n_steps, []).append(d)
+    fidelities = []
+    for group in by_length.values():
+        steps = [schedules[d].steps for d in group]
+        knobs = np.array([[(p.theta1, p.theta2, p.phi, p.gamma, p.k) for p in s] for s in steps])
+        fidelities += _case_fidelities(np.moveaxis(knobs, -1, 0), tuple(s[0] for s in steps), group)
+    return min(math.inf, *fidelities)
 
 
 @dataclass(frozen=True)
@@ -448,17 +489,31 @@ class OptimizeResult:
         return {d: self.schedule(d) for d in DIRECTIONS}
 
 
+def _increment_phases(incr: np.ndarray, direction: str) -> np.ndarray:
+    """Loop phases from the start point whose phase steps are `incr`."""
+    return -math.pi / 2 + direction_sign(direction) * np.concatenate([[0.0], np.cumsum(incr[:-1])])
+
+
 def _schedule_from_increments(incr: np.ndarray, direction: str) -> LoopSchedule:
     """Loop-1 schedule from the start point whose phase steps are `incr`."""
-    phases = -math.pi / 2 + direction_sign(direction) * np.concatenate(
-        [[0.0], np.cumsum(incr[:-1])]
-    )
-    return schedule_from_phases(phases, direction, label="loop1-optimized")
+    return schedule_from_phases(_increment_phases(incr, direction), direction, label="loop1-optimized")
 
 
 def _increments_from_x(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - np.max(x))
     return 2 * math.pi * e / e.sum()
+
+
+def _objective(x: np.ndarray) -> float:
+    """The optimizer's objective: min_case_fidelity of the loop-1 schedules whose
+    increments come from x, bitwise, built as (theta1, phi) arrays with no
+    LoopSchedule or WalkParams per step."""
+    incr = _increments_from_x(x)
+    points = [_loop_points(_increment_phases(incr, d), LOOP1_RADIUS, LOOP1_CENTER) for d in DIRECTIONS]
+    starts = tuple(WalkParams(theta1=theta1, phi=phi) for theta1, phi in (row[0] for row in points))
+    theta1, phi = np.moveaxis(np.array(points), -1, 0)
+    knobs = (theta1, starts[0].theta2, phi, starts[0].gamma, starts[0].k)  # other knobs at their defaults
+    return min(math.inf, *_case_fidelities(knobs, starts, DIRECTIONS))
 
 
 def optimize_schedule(
@@ -486,23 +541,19 @@ def optimize_schedule(
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    def neg_objective(x: np.ndarray) -> float:
-        incr = _increments_from_x(x)
-        return -min_case_fidelity({d: _schedule_from_increments(incr, d) for d in DIRECTIONS})
-
     rng = np.random.default_rng(seed)
     best_x, best_val = None, -math.inf
     baseline = None
     for trial in range(multistarts):
         x0 = np.zeros(n_steps) if trial == 0 else rng.normal(0.0, 0.8, n_steps)
         res = minimize(
-            neg_objective,
+            lambda x: -_objective(x),
             x0,
             method="Nelder-Mead",
             options={"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-6},
         )
         if trial == 0:
-            baseline = -neg_objective(np.zeros(n_steps))
+            baseline = _objective(np.zeros(n_steps))
             if baseline > best_val:
                 best_x, best_val = np.zeros(n_steps), baseline
         if -res.fun > best_val:

@@ -27,7 +27,8 @@ _KETS = {
 
 BASIS_PAIRS = tuple((a, b) for a in BASIS_LABELS for b in BASIS_LABELS)
 
-# numpy's Poisson sampler rejects a mean above about 9.2e18
+# numpy's Poisson sampler rejects a mean above about 9.2e18; the counts per
+# basis and every count of a counts file stay below this bound
 MAX_COUNTS_PER_BASIS = 10**12
 # a bootstrap holds about 2 KB of temporaries per resample, all at once
 MAX_RESAMPLES = 10**5
@@ -92,19 +93,23 @@ def _reconstruct_rows(freqs: np.ndarray, psd_projection: bool) -> np.ndarray:
 
     Every step runs over the whole stack, and row r is bitwise what the row
     gives alone. The solve is one LAPACK call per row: a single (16, R)
-    right-hand side would change the last bits. A row that trips a guard
-    raises for the first such row, with that row's message.
+    right-hand side would change the last bits. The inversion residual is
+    bounded relative to the row's scale, 1e-8 max(1, max|freqs|), so a table
+    and its rescaled copy pass or fail together; a non-finite residual fails.
+    A row that trips a guard raises for the first such row, with that row's
+    message.
     """
     sol = np.linalg.solve(np.broadcast_to(_MEAS, (len(freqs), 16, 16)), freqs.astype(complex)[..., None])[..., 0]
     residual = np.abs((_MEAS @ sol[..., None])[..., 0] - freqs).max(axis=1)
+    bound = 1e-8 * np.fmax(1.0, np.abs(freqs).max(axis=1))
     rho = sol.reshape(-1, 4, 4)
     rho = 0.5 * (rho + rho.conj().mT)
     trace = np.trace(rho, axis1=1, axis2=2).real
-    bad = (residual > 1e-8) | (np.abs(trace) < 1e-12)
+    bad = ~(residual <= bound) | (np.abs(trace) < 1e-12)
     if bad.any():
         r = int(bad.argmax())
-        if residual[r] > 1e-8:
-            raise IllConditioned(f"inversion residual {residual[r]:.3e} exceeds 1e-8")
+        if not residual[r] <= bound[r]:
+            raise IllConditioned(f"inversion residual {residual[r]:.3e} exceeds {bound[r]:.3e}")
         raise IllConditioned(f"reconstructed trace {trace[r]:.3e} too small to normalize")
     rho = rho / trace[:, None, None]
     if psd_projection:
@@ -182,8 +187,8 @@ def counts_from_csv(text: str) -> CountsTable:
             raise ConfigError(f"malformed counts row {ln!r}") from exc
         if a not in BASIS_LABELS or b not in BASIS_LABELS:
             raise ConfigError(f"unknown basis pair {a},{b}")
-        if n < 0:
-            raise ConfigError(f"negative count in row {ln!r}")
+        if not 0 <= n <= MAX_COUNTS_PER_BASIS:
+            raise ConfigError(f"count in row {ln!r} must lie in [0, {MAX_COUNTS_PER_BASIS}]")
         if (a, b) in by_pair:
             raise ConfigError(f"duplicate basis pair {a},{b}")
         by_pair[(a, b)] = n

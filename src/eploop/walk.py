@@ -104,8 +104,13 @@ def d_coefficients(p: WalkParams) -> DCoefficients:
     )
 
 
-def _libm(fn, x) -> np.ndarray:
-    """math.fn elementwise, once per distinct value (numpy's cosh and sinh differ from libm's)."""
+def _libm(fn, x):
+    """math.fn elementwise, once per distinct value (numpy's cosh and sinh differ from libm's).
+
+    A scalar or 0-d x gives the float fn(x).
+    """
+    if np.ndim(x) == 0:
+        return fn(float(x))
     values, inverse = np.unique(x, return_inverse=True)
     return np.array([fn(v) for v in values.tolist()])[inverse].reshape(np.shape(x))
 

@@ -217,6 +217,34 @@ def test_tomo_missing_counts_file(tmp_path, capsys):
     assert main(["tomo", "--counts", str(empty)]) == 2
 
 
+def _write_counts(path, counts):
+    pairs = [(a, b) for a in "HVDR" for b in "HVDR"]
+    path.write_text("basis_a,basis_b,count\n" + "".join(f"{a},{b},{c}\n" for (a, b), c in zip(pairs, counts)))
+    return str(path)
+
+
+def test_tomo_counts_above_the_bound_exit_2_with_one_line(tmp_path, capsys):
+    # 10^19 lies beyond numpy's Poisson sampler (about 9.2e18); 10^12 is the bound itself
+    for count, code in ((10**19, 2), (10**12 + 1, 2), (10**12, 0)):
+        path = _write_counts(tmp_path / f"counts_{count}.csv", [count] * 16)
+        assert _exit_code(["tomo", "--counts", path, "--resamples", "2"]) == code, count
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: count in row") and err.count("\n") == 1, err
+
+
+def test_tomo_counts_pass_or_fail_alike_at_any_counts_per_basis(tmp_path, capsys):
+    # the inversion residual is bounded relative to the frequencies, so rescaling the table changes nothing
+    path = _write_counts(tmp_path / "counts.csv", [(i + 1) * 10**9 for i in range(16)])
+    bodies = []
+    for cpb in ("1", "1000000000"):
+        assert main(["tomo", "--counts", path, "--counts-per-basis", cpb, "--resamples", "8"]) == 0, cpb
+        bodies.append(json.loads(capsys.readouterr().out))
+    assert bodies[0]["density"] == pytest.approx(bodies[1]["density"], rel=0, abs=1e-12)
+    assert bodies[0]["fidelities"] == pytest.approx(bodies[1]["fidelities"], rel=0, abs=1e-12)
+    assert bodies[0]["bootstrap_sd"] == pytest.approx(bodies[1]["bootstrap_sd"], rel=0, abs=1e-12)
+
+
 def test_compile_optics_text(capsys):
     assert main(["compile-optics", "--target", "control"]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,7 @@ from eploop.errors import SingularMatrix, TooCloseToEP
 from eploop.spectrum import eigensystem, find_ep
 from eploop.walk import (
     WalkParams,
+    _libm,
     control_operator,
     d_arrays,
     d_coefficients,
@@ -120,6 +121,21 @@ def test_array_forms_match_the_scalar_operators(points):
         assert d[:, j].tolist() == [c.D0, c.DX, c.DY, c.DZ]
         assert (m[j] == walk_operator_closed(p)).all()
         assert (u[j] == u_step(p)).all()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(st.floats(-3.0, 3.0), st.floats(-350.0, 350.0), st.floats(-1e-300, 1e-300)),
+       st.tuples(_ANGLE, _ANGLE, _ANGLE))
+def test_libm_scalar_path_is_its_array_path(gamma, angles):
+    for fn in (math.cosh, math.sinh):
+        value = _libm(fn, 2 * gamma)
+        assert type(value) is float
+        assert value == _libm(fn, np.array([2 * gamma]))[0] == _libm(fn, np.float64(2 * gamma))
+    theta1, theta2, phi = angles
+    scalar = walk_operator_closed_array(np.array([theta1]), theta2, np.array([phi]), gamma, 0.0)
+    array = walk_operator_closed_array(np.array([theta1]), np.array([theta2]), np.array([phi]),
+                                       np.array([gamma]), np.array([0.0]))
+    assert scalar.tobytes() == array.tobytes()
 
 
 def test_trace_is_twice_d0():
