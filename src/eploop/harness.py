@@ -23,13 +23,14 @@ from .loops import (
     EvolutionReport,
     LoopSchedule,
     bell_eigenstate,
+    bell_eigenstates,
     evolve_batch,
     evolve_many,
     loop1_schedule,
     loop2_schedule,
     optimize_schedule,
 )
-from .metrics import BELL_LABELS, bell_index, bell_state, classify, density_matrix, fidelity_pure
+from .metrics import BELL_LABELS, bell_index, bell_state, classify, classify_rows, density_matrix, fidelity_pure
 from .spectrum import find_ep, riemann_surface, surface_csv
 from .tomo import TomoConfig, bootstrap_error, check_resamples, counts_csv, reconstruct, simulate_counts
 from .walk import WalkParams
@@ -158,6 +159,14 @@ def case_input(label, kind: str, p: WalkParams) -> np.ndarray:
     return bell_state(label)
 
 
+def case_inputs(labels, kind: str, p: WalkParams) -> list[np.ndarray]:
+    """case_input of every label at one start point, bitwise, with the eigenstates computed once."""
+    if kind == "eigenstate":
+        states = bell_eigenstates(p)
+        return [states[bell_index(label) - 1] for label in labels]
+    return [bell_state(label) for label in labels]
+
+
 def disorder_run(cfg: RunConfig) -> DisorderSummary:
     """Monte-Carlo perturbation study of every input on every direction of `cfg`.
 
@@ -172,10 +181,10 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
     """
     schedules = [cfg.schedule(d) for d in cfg.directions]
     cases = [(sched, label) for sched in schedules for label in cfg.inputs]
+    inputs = [psi for sched in schedules for psi in case_inputs(cfg.inputs, cfg.input_kind, sched.steps[0])]
     per_case = cfg.groups + 1  # the unperturbed run, then one row per group
     runs = np.empty((len(cases) * per_case, cfg.n_steps, 2))  # (theta1, phi) of every step
-    psi0 = []
-    for case_idx, (sched, label) in enumerate(cases):
+    for case_idx, (sched, _) in enumerate(cases):
         base = runs[case_idx * per_case]
         base[:] = [(p.theta1, p.phi) for p in sched.steps]
         draws = 1 if cfg.granularity == "per_loop" else sched.n_steps
@@ -185,8 +194,8 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
             )
             offsets = rng.uniform(-cfg.strength, cfg.strength, size=(draws, 2))
             runs[case_idx * per_case + 1 + g] = base + offsets
-        psi0 += [case_input(label, cfg.input_kind, sched.steps[0])] * per_case
-    outputs = [classify(psi) for psi in evolve_batch(runs[..., 0], runs[..., 1], psi0, cfg.engine)]
+    psi0 = np.repeat(inputs, per_case, axis=0)
+    outputs = classify_rows(evolve_batch(runs[..., 0], runs[..., 1], psi0, cfg.engine))
     stats = []
     for case_idx, (sched, label) in enumerate(cases):
         base_cls, *group_cls = outputs[case_idx * per_case:(case_idx + 1) * per_case]
@@ -208,10 +217,10 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
 
 def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
     """Evolve every input on every direction of `cfg`, direction-major, in one evolve_many call."""
-    cases = [(sched, label) for sched in map(cfg.schedule, cfg.directions) for label in cfg.inputs]
-    schedules, labels = zip(*cases)
-    inputs = [case_input(label, cfg.input_kind, sched.steps[0]) for sched, label in cases]
-    return evolve_many(schedules, inputs, labels, cfg.engine, cfg.record_steps)
+    per_direction = [cfg.schedule(d) for d in cfg.directions]
+    schedules = [sched for sched in per_direction for _ in cfg.inputs]
+    inputs = [psi for sched in per_direction for psi in case_inputs(cfg.inputs, cfg.input_kind, sched.steps[0])]
+    return evolve_many(schedules, inputs, cfg.inputs * len(per_direction), cfg.engine, cfg.record_steps)
 
 
 def tomography_summary(counts, cfg: TomoConfig, resamples: int) -> dict:
@@ -364,10 +373,9 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
         paths.append(write_text(os.path.join(out_dir, "fig4_schedule.json"), schedule_json(result)))
     else:
         schedules = {d: loop1_schedule(8, d) for d in DIRECTIONS}
-    cases = [(schedules[d], label) for d in DIRECTIONS for label in BELL_LABELS]
-    inputs = [case_input(label, cfg.input_kind, sched.steps[0]) for sched, label in cases]
-    reports = evolve_many([sched for sched, _ in cases], inputs, [label for _, label in cases],
-                          "simplified", cfg.record_steps)
+    inputs = [psi for d in DIRECTIONS for psi in case_inputs(BELL_LABELS, cfg.input_kind, schedules[d].steps[0])]
+    reports = evolve_many([schedules[d] for d in DIRECTIONS for _ in BELL_LABELS], inputs,
+                          BELL_LABELS * len(DIRECTIONS), "simplified", cfg.record_steps)
     for case_idx, rep in enumerate(reports):
         tomo_cfg = cfg.tomo_config(seed=_derived_seed(cfg.seed, case_idx))
         counts = simulate_counts(rep.output_density, tomo_cfg)

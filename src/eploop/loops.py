@@ -10,7 +10,8 @@ u_step(p_n) = C_n (I (x) M_n) C_n^-1, rebuilding the control pair at every
 step; simplified applies C_0 (I (x) M_n) C_0^-1, with the control pair frozen
 at the loop endpoint. evolve_full and evolve_simplified run one row,
 evolve_many runs many schedules and inputs with step records, and
-evolve_batch runs many (theta1, phi) rows to their final states. Diagnostics
+evolve_batch runs many (theta1, phi) rows to their final states, the
+simplified engine as one collapsed 2x2 chain per row. Diagnostics
 cover sheet tracking, the step-to-step drift of the control operator, and a
 small-N schedule optimizer, whose objective (_case_fidelities) runs the
 simplified engine in collapsed form: one stacked 2x2 chain per direction.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, TooCloseToEP
 from .linalg import max_abs
-from .metrics import BELL_LABELS, bell_index, bell_state, classify, density_matrix
+from .metrics import BELL_LABELS, bell_index, bell_state, classify_rows, density_matrix
 from .spectrum import EIGENVECTOR_GUARD, eigensystem
 from .walk import (
     WalkParams,
@@ -93,6 +94,9 @@ def schedule_from_phases(
 ) -> LoopSchedule:
     """Schedule tracing phi = radius*cos(t), theta1 = radius*sin(t) + center (other knobs default)."""
     _check_direction(direction)
+    if not (np.isfinite(np.asarray(phases, dtype=float)).all() and math.isfinite(radius)
+            and math.isfinite(theta1_center)):
+        raise ConfigError("schedule phases, radius and center must be finite")
     points = _loop_points(phases, radius, theta1_center)
     steps = tuple(WalkParams(theta1=theta1, phi=phi) for theta1, phi in points)
     if not steps:
@@ -240,27 +244,34 @@ def _propagate(ops, psi0, knobs: np.ndarray | None = None):
     return psi, logmag[:, -1].tolist(), records
 
 
-def _step_operators(engine: str, knobs, schedules=None):
-    """One engine's (rows, 4, 4) step operators, step by step, for knobs broadcastable to (rows, steps).
+def _first_step_controls(knobs) -> tuple[np.ndarray, np.ndarray]:
+    """The control pairs (C, C^-1) at every row's first step, as two (rows, 4, 4) stacks.
+
+    One control_operator call per row, so TooCloseToEP and SingularMatrix
+    come with its messages, before any step runs.
+    """
+    first = zip(*(k[:, 0].tolist() for k in np.broadcast_arrays(*knobs)))
+    pairs = [control_operator(WalkParams(*p)) for p in first]
+    return np.array([c for c, _ in pairs]), np.array([c_inv for _, c_inv in pairs])
+
+
+def _step_operators(engine: str, knobs, schedules):
+    """One engine's (rows, 4, 4) step operators, step by step, for the (5, rows, steps) knobs of the schedules.
 
     The simplified engine applies C_r (I (x) M_rn) C_r^-1 with the control pair
     at row r's first step. (I (x) M) is the block diagonal of two M, so that is
     sum_ij M_ij E_ij with per-row constants E_ij = sum_b C[:, 2b+i] C^-1[2b+j, :].
-    Given the schedules, its M come from one walk_operator_closed call per step
-    (bitwise walk_operator_closed_array), which keeps that layer visible to
-    perfbench's per-function tracer.
+    Its M come from one walk_operator_closed call per step (bitwise
+    walk_operator_closed_array), which keeps that layer visible to perfbench's
+    per-function tracer.
     """
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
     if engine == "full":
         return np.moveaxis(u_step_array(*knobs), 1, 0)
-    first = zip(*(k[:, 0].tolist() for k in np.broadcast_arrays(*knobs)))
-    pairs = [control_operator(WalkParams(*p)) for p in first]  # guarded here, before any step
-    c = np.array([c for c, _ in pairs]).reshape(-1, 4, 2, 2)
-    c_inv = np.array([c_inv for _, c_inv in pairs]).reshape(-1, 2, 2, 4)
-    e = np.einsum("raqi,rqjb->rijab", c, c_inv).reshape(-1, 4, 16)
-    m = (walk_operator_closed_array(*knobs) if schedules is None
-         else np.array([[walk_operator_closed(p) for p in s.steps] for s in schedules]))
+    c, c_inv = _first_step_controls(knobs)
+    e = np.einsum("raqi,rqjb->rijab", c.reshape(-1, 4, 2, 2), c_inv.reshape(-1, 2, 2, 4)).reshape(-1, 4, 16)
+    m = np.array([[walk_operator_closed(p) for p in s.steps] for s in schedules])
     return (np.matmul(m[:, n].reshape(-1, 1, 4), e).reshape(-1, 4, 4) for n in range(m.shape[1]))
 
 
@@ -278,8 +289,7 @@ def evolve_many(schedules, inputs, labels, engine: str = "full",
     psi, logmag, records = _propagate(_step_operators(engine, knobs, schedules), inputs,
                                       knobs if record_steps else None)
     reports = []
-    for r, (sched, label) in enumerate(zip(schedules, labels)):
-        cls = classify(psi[r])
+    for r, (sched, label, cls) in enumerate(zip(schedules, labels, classify_rows(psi))):
         reports.append(EvolutionReport(
             input_label=_canonical_label(label), direction=sched.direction, n_steps=sched.n_steps,
             loop_label=sched.label, engine=engine, output_state=psi[r], output_density=density_matrix(psi[r]),
@@ -327,17 +337,52 @@ def evolve(
     return ENGINES[engine](schedule, input_state, input_label=input_label, record_steps=record_steps)
 
 
+def _chain_products(m: np.ndarray) -> np.ndarray:
+    """P_r = M_{r,N-1}...M_{r,0} for every row of an (rows, N, 2, 2) stack, up to a positive scale.
+
+    Pairwise levels: each multiplies the odd steps onto the even ones and
+    carries an odd tail, so ceil(log2 N) levels in place of N steps. The 2x2
+    products are written out entry by entry (batched @ on 2x2 blocks is about
+    4x slower), and each is divided by its largest |entry|, which leaves every
+    normalized output as it is and keeps long loops finite.
+    """
+    x = np.moveaxis(m.reshape(*m.shape[:2], 4), -1, 0)  # (4, rows, N): entries 00, 01, 10, 11
+    while x.shape[2] > 1:
+        hi, lo = x[:, :, 1::2], x[:, :, 0:x.shape[2] - 1:2]
+        prod = np.stack([hi[0] * lo[0] + hi[1] * lo[2], hi[0] * lo[1] + hi[1] * lo[3],
+                         hi[2] * lo[0] + hi[3] * lo[2], hi[2] * lo[1] + hi[3] * lo[3]])
+        prod /= np.abs(prod).max(axis=0)
+        x = np.concatenate([prod, x[:, :, -1:]], axis=2) if x.shape[2] % 2 else prod
+    return np.moveaxis(x[:, :, 0], 0, -1).reshape(-1, 2, 2)
+
+
 def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
     """Final normalized states of many runs of one engine, propagated together.
 
     Row r steps through (theta1[r, n], phi[r, n]), n = 0..N-1, with the other
-    knobs at their WalkParams defaults, from the state psi0[r]. This is the
-    propagation core without step records.
+    knobs at their WalkParams defaults, from the state psi0[r]. The full
+    engine runs the propagation core without step records. The simplified
+    engine runs in collapsed form, normalize(C_0 (I (x) P) C_0^-1 psi0) with
+    one 2x2 chain P per row from _chain_products: equal to evolve_simplified
+    up to rounding, not bitwise.
     """
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
     default = WalkParams(theta1=0.0)
     knobs = (np.asarray(theta1, dtype=float), default.theta2, np.asarray(phi, dtype=float),
              default.gamma, default.k)
-    return _propagate(_step_operators(engine, knobs), psi0)[0]
+    if engine == "full":
+        return _propagate(np.moveaxis(u_step_array(*knobs), 1, 0), psi0)[0]
+    c, c_inv = _first_step_controls(knobs)
+    psi = np.asarray(psi0, dtype=complex)
+    if psi.ndim != 2 or psi.shape[1] != 4:
+        raise DomainError(f"states must have 4 amplitudes each, got shape {psi.shape}")
+    nrm = np.linalg.norm(psi, axis=1)
+    if not nrm.all():
+        raise DomainError("cannot normalize the zero state")
+    framed = (c_inv @ (psi / nrm[:, None])[:, :, None]).reshape(-1, 2, 2)  # C_0^-1 psi0 as (block, coin)
+    out = (c @ (framed @ _chain_products(walk_operator_closed_array(*knobs)).mT).reshape(-1, 4, 1))[:, :, 0]
+    return out / np.linalg.norm(out, axis=1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -473,6 +518,8 @@ def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
         steps = [schedules[d].steps for d in group]
         knobs = np.array([[(p.theta1, p.theta2, p.phi, p.gamma, p.k) for p in s] for s in steps])
         fidelities += _case_fidelities(np.moveaxis(knobs, -1, 0), tuple(s[0] for s in steps), group)
+    if not all(map(math.isfinite, fidelities)):  # min skips NaN
+        raise DomainError(f"case fidelities must be finite, got {fidelities}")
     return min(math.inf, *fidelities)
 
 

@@ -72,17 +72,23 @@ class Classification:
     tie: bool
 
 
-def classify(state: np.ndarray) -> Classification:
-    """Nearest Bell state of a normalized pure state.
+def classify_rows(states) -> list[Classification]:
+    """Nearest Bell state of each row of an (R, 4) stack of normalized pure states.
 
-    Ties (top two fidelities within 1e-9) resolve to the lowest label index
-    and set the tie flag.
+    Fidelities are |<zeta_j|psi>|, bitwise fidelity_pure's. Ties (top two
+    fidelities within 1e-9) resolve to the lowest label index and set the
+    tie flag.
     """
-    fids = tuple(fidelity_pure(bell_state(j), state) for j in (1, 2, 3, 4))
-    top = max(fids)
-    candidates = [j for j, f in enumerate(fids) if top - f < CLASSIFY_TIE_TOL]
-    return Classification(
-        label=BELL_LABELS[candidates[0]],
-        fidelities=fids,
-        tie=len(candidates) > 1,
-    )
+    overlaps = np.vecdot(_BELL_ROWS, np.asarray(states, dtype=complex)[:, None, :])
+    out = []
+    for row in overlaps.tolist():
+        fids = tuple([abs(z) for z in row])  # Python abs: numpy's array abs differs
+        top = max(fids)
+        candidates = [j for j, f in enumerate(fids) if top - f < CLASSIFY_TIE_TOL]
+        out.append(Classification(label=BELL_LABELS[candidates[0]], fidelities=fids, tie=len(candidates) > 1))
+    return out
+
+
+def classify(state: np.ndarray) -> Classification:
+    """Nearest Bell state of one normalized pure state: classify_rows of one row."""
+    return classify_rows(np.asarray(state, dtype=complex).reshape(1, 4))[0]

@@ -11,6 +11,7 @@ from eploop.errors import ConfigError, EploopError
 from eploop.harness import (
     RunConfig,
     case_input,
+    case_inputs,
     disorder_csv,
     disorder_run,
     dump_json,
@@ -19,7 +20,7 @@ from eploop.harness import (
     report_dict,
     reproduce_figure,
 )
-from eploop.loops import LoopSchedule, bell_eigenstate, evolve, evolve_full, loop1_schedule
+from eploop.loops import LoopSchedule, bell_eigenstate, evolve, evolve_full, loop1_schedule, loop2_schedule
 from eploop.metrics import bell_index
 from eploop.tomo import MAX_RESAMPLES
 
@@ -35,6 +36,15 @@ def test_disorder_config_validation():
         RunConfig(seed=-1)
     assert RunConfig().granularity == "per_step"
     assert RunConfig().seed == 1234
+
+
+@pytest.mark.parametrize("kind", ["eigenstate", "bell"])
+def test_case_inputs_are_bitwise_case_input(kind):
+    labels = ("zeta3", "zeta1", "zeta4", "zeta2")
+    for sched in (loop1_schedule(100, "cw"), loop2_schedule(8, "ccw")):
+        p = sched.steps[0]
+        got = case_inputs(labels, kind, p)
+        assert [psi.tolist() for psi in got] == [case_input(label, kind, p).tolist() for label in labels]
 
 
 def test_zero_strength_reproduces_baseline_exactly():

@@ -9,6 +9,7 @@ from eploop.errors import ConfigError, DomainError, TooCloseToEP
 from eploop.loops import (
     CHIRAL_TARGETS,
     DIRECTIONS,
+    ENGINES,
     LoopSchedule,
     OptimizeResult,
     bell_eigenstate,
@@ -30,7 +31,7 @@ from eploop.loops import (
 )
 from eploop.loops import _increments_from_x, _objective, _schedule_from_increments
 from eploop.linalg import max_abs
-from eploop.metrics import bell_index, bell_state, fidelity_pure
+from eploop.metrics import bell_index, bell_state, classify, fidelity_pure
 from eploop.spectrum import eigensystem, find_ep
 from eploop.walk import WalkParams, control_operator, u_step, walk_operator_closed, walk_operator_product
 
@@ -89,6 +90,18 @@ def test_schedule_from_phases_custom():
     assert sched.steps[0].phi == pytest.approx(0.3)
     assert sched.steps[0].theta1 == pytest.approx(-0.5)
     assert sched.steps[1].phi == pytest.approx(-0.3)
+
+
+@pytest.mark.parametrize("phases, radius, center", [
+    ([math.nan, 0.5, 1.0], 0.2, -0.4),
+    ([0.0, math.inf], 0.2, -0.4),
+    ([0.0, 1.0], math.nan, -0.4),
+    ([0.0, 1.0], 0.2, -math.inf),
+])
+def test_schedule_from_phases_rejects_non_finite_values(phases, radius, center):
+    for direction in DIRECTIONS:
+        with pytest.raises(ConfigError, match="finite"):
+            schedule_from_phases(phases, direction, radius=radius, theta1_center=center)
 
 
 def test_bell_eigenstate_labels_cover_all_four():
@@ -192,6 +205,15 @@ def test_evolve_batch_guards_the_ep_like_evolve_simplified():
         evolve_batch(theta1, phi, psi0, "exact")
 
 
+def test_evolve_batch_rejects_zero_and_misshapen_inputs():
+    theta1, phi = np.full((2, 3), -0.6), np.zeros((2, 3))
+    for engine in ENGINES:
+        with pytest.raises(DomainError, match="zero state"):
+            evolve_batch(theta1, phi, [bell_state(1), np.zeros(4)], engine)
+        with pytest.raises(DomainError, match="4 amplitudes"):
+            evolve_batch(theta1, phi, [np.ones(3), np.ones(3)], engine)
+
+
 _STATES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
     lambda v: np.array(v[::2]) + 1j * np.array(v[1::2])
 ).filter(lambda psi: np.linalg.norm(psi) > 0.1)
@@ -273,6 +295,37 @@ def test_core_is_bitwise_the_scalar_step_loop(rows):
         assert rep.output_state.tolist() == psi.tolist()
         assert rep.log_magnitude == logmag
         assert [(r.weights_raw, r.weights, r.log_magnitude, r.eta) for r in rep.per_step] == records
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.sampled_from([loop1_schedule, loop2_schedule]), st.sampled_from(DIRECTIONS),
+       st.lists(st.tuples(st.floats(0.0, 0.1), st.integers(0, 2**32 - 1), _STATES), min_size=1, max_size=5))
+def test_collapsed_simplified_batch_matches_the_stepwise_engine(n_steps, loop, direction, rows):
+    # each row: the loop perturbed by uniform (theta1, phi) offsets of its own strength (0 keeps it exact)
+    base = loop(n_steps, direction)
+    points = np.array([(p.theta1, p.phi) for p in base.steps])
+    runs = np.array([points + np.random.default_rng(seed).uniform(-strength, strength, points.shape)
+                     for strength, seed, _ in rows])
+    psi0 = [psi for _, _, psi in rows]
+    schedules = [LoopSchedule(tuple(WalkParams(theta1=t, phi=f) for t, f in run), direction, "custom")
+                 for run in runs]
+    got = evolve_batch(runs[..., 0], runs[..., 1], psi0, "simplified")
+    for out, sched, psi in zip(got, schedules, psi0):
+        expected = evolve_simplified(sched, psi, record_steps=False).output_state
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+
+def test_collapsed_simplified_batch_stays_finite_on_a_long_loop():
+    # stepwise, M_{N-1}...M_0 on loop 1 reaches |P| ~ 1e115 at N = 5000; each level is rescaled
+    sched = loop1_schedule(5000, "cw")
+    theta1, phi = np.array([(p.theta1, p.phi) for p in sched.steps]).T
+    psi0 = bell_eigenstates(sched.steps[0])
+    out = evolve_batch(np.tile(theta1, (4, 1)), np.tile(phi, (4, 1)), psi0, "simplified")
+    assert np.isfinite(out).all()
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-14)
+    for got, rep in zip(out, evolve_many([sched] * 4, psi0, [1, 2, 3, 4], "simplified", record_steps=False)):
+        assert classify(got).label == rep.classified_output
+        assert np.allclose(got, rep.output_state, rtol=0, atol=1e-10)
 
 
 def test_step_records_guard_the_ep_like_eigensystem():
@@ -422,6 +475,14 @@ def test_min_case_fidelity_is_the_simplified_engine(schedules):
     expected = _engine_min_case_fidelity(schedules)
     assert min_case_fidelity(schedules) == pytest.approx(expected, rel=0, abs=1e-12)
     assert min_case_fidelity(schedules) == _scalar_min_case_fidelity(schedules)
+
+
+def test_min_case_fidelity_rejects_non_finite_case_fidelities():
+    steps = list(loop1_schedule(4, "cw").steps)
+    steps[2] = WalkParams(theta1=math.nan)
+    schedules = {"cw": LoopSchedule(tuple(steps), "cw", "custom"), "ccw": loop1_schedule(4, "ccw")}
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="finite"):
+        min_case_fidelity(schedules)
 
 
 def test_min_case_fidelity_long_loop_stays_finite():

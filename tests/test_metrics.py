@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eploop.errors import DomainError
 from eploop.metrics import (
     BELL_LABELS,
     bell_index,
     bell_state,
+    CLASSIFY_TIE_TOL,
     classify,
+    classify_rows,
     density_matrix,
     fidelity_pure,
 )
@@ -69,3 +72,37 @@ def test_classify_flags_ties():
 
 def test_labels_tuple():
     assert BELL_LABELS == ("zeta1", "zeta2", "zeta3", "zeta4")
+
+
+def _classify_by_fidelity_pure(state):
+    """The four scalar fidelity_pure calls and the tie rule, one state at a time."""
+    fids = tuple(fidelity_pure(bell_state(j), state) for j in (1, 2, 3, 4))
+    candidates = [j for j, f in enumerate(fids) if max(fids) - f < CLASSIFY_TIE_TOL]
+    return BELL_LABELS[candidates[0]], fids, len(candidates) > 1
+
+
+_B = [bell_state(j) for j in (1, 2, 3, 4)]
+# exact and near ties: equal superpositions, and a split within or just outside the tie tolerance
+_TIES = [(_B[0] + _B[1]) / np.sqrt(2), (_B[2] - 1j * _B[3]) / np.sqrt(2), sum(_B) / 2,
+         np.array([1, 0, 0, 0], dtype=complex), np.array([0, 0, 1j, 0], dtype=complex),
+         np.cos(np.pi / 4 + 2e-10) * _B[1] + np.sin(np.pi / 4 + 2e-10) * _B[3],
+         np.cos(np.pi / 4 + 1e-8) * _B[1] + np.sin(np.pi / 4 + 1e-8) * _B[3]]
+_STATE = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
+    lambda v: np.array(v[::2]) + 1j * np.array(v[1::2])
+).filter(lambda psi: np.linalg.norm(psi) > 0.1).map(lambda psi: psi / np.linalg.norm(psi))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_STATE, st.sampled_from(_TIES)), min_size=1, max_size=12))
+def test_classify_rows_is_bitwise_the_fidelity_pure_form(states):
+    rows = classify_rows(np.array(states))
+    assert len(rows) == len(states)
+    for state, cls in zip(states, rows):
+        assert (cls.label, cls.fidelities, cls.tie) == _classify_by_fidelity_pure(state)
+        assert classify(state) == cls
+
+
+def test_classify_rows_tie_rule():
+    labels = [(c.label, c.tie) for c in classify_rows(np.array(_TIES))]
+    assert labels == [("zeta1", True), ("zeta3", True), ("zeta1", True), ("zeta1", True), ("zeta3", True),
+                      ("zeta2", True), ("zeta4", False)]
