@@ -3,12 +3,12 @@
 Subcommands: surface, find-ep, evolve, reproduce, disorder, tomo,
 compile-optics, optimize-schedule. Shared flags (given after the subcommand,
 each only on the subcommands that read it): --config <path> JSON run
-configuration, --seed <u64>, --out <dir>, --format csv|json (default csv).
-Every other run setting of evolve, disorder and tomo is one RunConfig field
-with one flag (_RUN_FLAGS), and each command takes the flags of the fields it
-reads (READS); --direction and --input repeat, with repeats dropped. A config
-key or --seed outside the RunConfig fields a command reads (READS,
-harness.FIGURES) is a configuration error. Exit codes: 0 success,
+configuration, --seed <any non-negative integer>, --out <dir>, --format
+csv|json (default csv). Every other run setting of evolve, disorder and tomo
+is one RunConfig field with one flag (_RUN_FLAGS), and each command takes the
+flags of the fields it reads (READS); --direction and --input repeat, with
+repeats dropped. A config key or --seed outside the RunConfig fields a command
+reads (READS, harness.FIGURES) is a configuration error. Exit codes: 0 success,
 2 configuration error (a size too large to allocate included), 3
 numerical-guard error.
 """
@@ -81,7 +81,7 @@ READS = {
 
 _SHARED_FLAGS = {
     "config": dict(metavar="PATH", help="JSON run configuration; explicit flags override it"),
-    "seed": dict(type=int, metavar="U64", help="random seed"),
+    "seed": dict(type=int, metavar="SEED", help="random seed, any non-negative integer"),
     "out": dict(metavar="DIR", help="output directory (default: print to stdout)"),
     "format": dict(choices=("csv", "json"), default="csv", help="output format (default csv)"),
 }

@@ -5,7 +5,11 @@ Determinism contract: identical seed and configuration produce byte-identical
 output files within this implementation. All randomness flows through PCG64
 generators keyed by SeedSequence(entropy=seed, spawn_key=(tags...)) so cases,
 groups, and resamples own independent substreams regardless of execution
-order; JSON floats print with repr (shortest round-trip form).
+order. streams.spawn_words computes the seed words of a whole family of such
+substreams in one array pass and streams.substreams hands them to PCG64, so
+each generator starts in bitwise the state SeedSequence gives it; a counts
+table's key-less stream is SeedSequence(seed) itself. JSON floats print with
+repr (shortest round-trip form).
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from .loops import (
 )
 from .metrics import BELL_LABELS, bell_index, bell_state, classify, classify_rows, density_matrix, fidelity_pure
 from .spectrum import find_ep, riemann_surface, surface_csv
+from .streams import spawn_words, substreams
 from .tomo import TomoConfig, bootstrap_error, check_resamples, counts_csv, reconstruct, simulate_counts
 from .walk import WalkParams
 
@@ -175,7 +180,8 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
     (-strength, strength), once per loop or once per step as `granularity`
     says, and scores fidelity to the unperturbed run's classified output.
     Case i, group g draws from substream (seed, spawn_key=(i, g)), so results
-    do not depend on the order in which cases run. Every run, perturbed or
+    do not depend on the order in which cases run; one streams.substreams
+    call seeds them all, in (case, group) order. Every run, perturbed or
     not, goes through one evolve_batch call, each case's unperturbed run
     first among its rows.
     """
@@ -184,15 +190,13 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
     inputs = [psi for sched in schedules for psi in case_inputs(cfg.inputs, cfg.input_kind, sched.steps[0])]
     per_case = cfg.groups + 1  # the unperturbed run, then one row per group
     runs = np.empty((len(cases) * per_case, cfg.n_steps, 2))  # (theta1, phi) of every step
+    streams = substreams(cfg.seed, [(case_idx, g) for case_idx in range(len(cases)) for g in range(cfg.groups)])
     for case_idx, (sched, _) in enumerate(cases):
         base = runs[case_idx * per_case]
         base[:] = [(p.theta1, p.phi) for p in sched.steps]
         draws = 1 if cfg.granularity == "per_loop" else sched.n_steps
         for g in range(cfg.groups):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(case_idx, g)))
-            )
-            offsets = rng.uniform(-cfg.strength, cfg.strength, size=(draws, 2))
+            offsets = next(streams).uniform(-cfg.strength, cfg.strength, size=(draws, 2))
             runs[case_idx * per_case + 1 + g] = base + offsets
     psi0 = np.repeat(inputs, per_case, axis=0)
     outputs = classify_rows(evolve_batch(runs[..., 0], runs[..., 1], psi0, cfg.engine))
@@ -286,10 +290,6 @@ def report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _derived_seed(seed: int, *tags: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=tags).generate_state(1, np.uint64)[0])
-
-
 def ep_json(ep) -> str:
     return dump_json({"phi": ep.phi, "theta1": ep.theta1, "residual": ep.residual})
 
@@ -376,8 +376,10 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
     inputs = [psi for d in DIRECTIONS for psi in case_inputs(BELL_LABELS, cfg.input_kind, schedules[d].steps[0])]
     reports = evolve_many([schedules[d] for d in DIRECTIONS for _ in BELL_LABELS], inputs,
                           BELL_LABELS * len(DIRECTIONS), "simplified", cfg.record_steps)
-    for case_idx, rep in enumerate(reports):
-        tomo_cfg = cfg.tomo_config(seed=_derived_seed(cfg.seed, case_idx))
+    # case i's tomography seed is the first word of SeedSequence(entropy=seed, spawn_key=(i,))
+    case_seeds = spawn_words(cfg.seed, np.arange(len(reports))[:, None], 1)[:, 0]
+    for rep, case_seed in zip(reports, case_seeds):
+        tomo_cfg = cfg.tomo_config(seed=int(case_seed))
         counts = simulate_counts(rep.output_density, tomo_cfg)
         tomo = tomography_summary(counts, tomo_cfg, cfg.resamples)
         body = report_dict(rep) | {"reconstructed_density": tomo["density"],

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, IllConditioned
 from .metrics import bell_fidelities
+from .streams import substreams
 
 BASIS_LABELS = ("H", "V", "D", "R")
 
@@ -148,17 +149,14 @@ def bootstrap_error(counts: CountsTable, cfg: TomoConfig, resamples: int) -> tup
     """Parametric-bootstrap standard deviation of each Bell-state fidelity.
 
     Resampled tables draw counts from Poisson(observed count); stream r uses
-    the substream (seed, spawn_key=(r,)). The resamples then reconstruct and
-    take their fidelities against the four Bell states as one stack, bitwise
-    equal to doing so one resample at a time.
+    the substream (seed, spawn_key=(r,)), all seeded in one streams.substreams
+    pass. The resamples then reconstruct and take their fidelities against the
+    four Bell states as one stack, bitwise equal to doing so one resample at a
+    time.
     """
     check_resamples(resamples)
     observed = counts.counts()
-    draws = np.array([
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))))
-        .poisson(observed)
-        for r in range(resamples)
-    ])
+    draws = np.array([g.poisson(observed) for g in substreams(cfg.seed, np.arange(resamples)[:, None])])
     rho = _reconstruct_rows(draws / cfg.counts_per_basis, cfg.psd_projection)
     sds = bell_fidelities(rho).std(axis=0, ddof=1)
     return tuple(float(s) for s in sds)

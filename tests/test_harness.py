@@ -97,7 +97,8 @@ def _reference_disorder_run(cfg):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.sampled_from(["full", "simplified"]), st.sampled_from([1, 2]),
        st.sampled_from(["per_step", "per_loop"]), st.sampled_from(["eigenstate", "bell"]),
-       st.integers(1, 16), st.integers(1, 4), st.floats(0.0, math.pi), st.integers(0, 2**32))
+       st.integers(1, 16), st.integers(1, 4), st.floats(0.0, math.pi),
+       st.one_of(st.integers(0, 2**200), st.integers(2**128, 2**200)))  # seeds past 4 entropy words too
 def test_disorder_run_matches_the_per_run_loop(engine, loop, granularity, input_kind, n_steps,
                                                groups, strength, seed):
     cfg = RunConfig(loop=loop, n_steps=n_steps, engine=engine, input_kind=input_kind,
