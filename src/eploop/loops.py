@@ -11,10 +11,13 @@ step; simplified applies C_0 (I (x) M_n) C_0^-1, with the control pair frozen
 at the loop endpoint. evolve_full and evolve_simplified run one row,
 evolve_many runs many schedules and inputs with step records, and
 evolve_batch runs many (theta1, phi) rows to their final states, the
-simplified engine as one collapsed 2x2 chain per row. Diagnostics
-cover sheet tracking, the step-to-step drift of the control operator, and a
-small-N schedule optimizer, whose objective (_case_fidelities) runs the
-simplified engine in collapsed form: one stacked 2x2 chain per direction.
+simplified engine as one collapsed 2x2 chain per row. Step operators,
+control pairs and step-record eigenbases come from one call of their array
+forms per batch, never from the one-row u_step, control_operator or
+eigensystem. Diagnostics cover sheet tracking, the step-to-step drift of the
+control operator, and a small-N schedule optimizer, whose objective
+(_case_fidelities) runs the simplified engine in collapsed form: one stacked
+2x2 chain per direction.
 """
 from __future__ import annotations
 
@@ -24,14 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, TooCloseToEP
-from .linalg import max_abs
+from .errors import ConfigError, DomainError
 from .metrics import BELL_LABELS, bell_index, bell_state, classify_rows, density_matrix
-from .spectrum import EIGENVECTOR_GUARD, eigensystem
+from .spectrum import eigensystem, eigensystem_array
 from .walk import (
     WalkParams,
-    control_operator,
-    d_arrays,
+    control_operator_array,
     u_step_array,
     walk_operator_closed,
     walk_operator_closed_array,
@@ -64,6 +65,12 @@ def _check_direction(direction: str) -> str:
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     return direction
+
+
+def _check_engine(engine: str) -> str:
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
+    return engine
 
 
 def direction_sign(direction: str) -> float:
@@ -182,30 +189,6 @@ def _canonical_label(label) -> str:
         return str(label)
 
 
-def _eigenbases(knobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigensystem over (5, rows, steps) knobs: the betas (rows, steps, 4, 4) and eta pairs (rows, steps, 2).
-
-    Every value repeats eigensystem's arithmetic, so it is bitwise the scalar
-    one. The first step of the first row within EIGENVECTOR_GUARD of the EP
-    raises TooCloseToEP with eigensystem's message for that step.
-    """
-    D0, DX, DY, DZ = d_arrays(*knobs)
-    r, i = D0.real, D0.imag
-    s2 = np.empty_like(D0)  # D0 * D0 - 1.0 as Python's complex product forms it
-    s2.real, s2.imag = r * r - i * i - 1.0, r * i + i * r
-    s = np.sqrt(s2)
-    close = np.argwhere(np.abs(s) <= EIGENVECTOR_GUARD)
-    if len(close):
-        row, n = close[0]
-        raise TooCloseToEP(f"|eta - D0| = {abs(s[row, n]):.3e} at {WalkParams(*knobs[:, row, n].tolist())}")
-    c = np.stack([s, -s, -s, s], axis=-1)
-    b = np.zeros(c.shape + (4,), dtype=complex)  # row j: beta_j conjugated and scaled by sqrt(2) c_j
-    b[..., :2, 0], b[..., :2, 1] = (-1j * (DX - DY))[..., None], DZ[..., None]
-    b[..., 2:, 0], b[..., 2:, 1] = -DZ[..., None], (-1j * (DX + DY))[..., None]
-    b[..., :2, 3], b[..., 2:, 2] = c[..., :2], c[..., 2:]
-    return (b / (math.sqrt(2) * c)[..., None]).conj(), np.stack([D0 + s, D0 - s], axis=-1)
-
-
 def _propagate(ops, psi0, knobs: np.ndarray | None = None):
     """The propagation core of both engines: every row r from psi0[r] through ops[n][r].
 
@@ -221,7 +204,7 @@ def _propagate(ops, psi0, knobs: np.ndarray | None = None):
     Returns the final states, the log magnitudes and the records (or None).
     """
     psi = np.array([_normalized(s) for s in psi0])
-    bases = None if knobs is None else _eigenbases(knobs)
+    eigen = None if knobs is None else eigensystem_array(*knobs)
     states, norms = [], []
     for u in ops:
         psi = np.matmul(u, psi[:, :, None])[:, :, 0]
@@ -229,30 +212,20 @@ def _propagate(ops, psi0, knobs: np.ndarray | None = None):
         nrm = np.sqrt(np.matmul(re, re.mT) + np.matmul(im, im.mT))[:, :, 0]
         psi = psi / nrm
         norms.append(nrm[:, 0])
-        if bases is not None:
+        if eigen is not None:
             states.append(psi)
     logmag = np.cumsum([[math.log(x) for x in row] for row in np.array(norms).T.tolist()], axis=1)
-    if bases is None:
+    if eigen is None:
         return psi, logmag[:, -1].tolist(), None
-    z = np.vecdot(bases[0], np.stack(states, axis=1)[:, :, None, :])
+    eta, _, beta = eigen
+    z = np.vecdot(beta, np.stack(states, axis=1)[:, :, None, :])
     quads = zip(*[iter([abs(c) ** 2 for c in z.ravel().tolist()])] * 4)  # Python abs: numpy's differs
     records = [
         tuple(StepRecord(n, raw, tuple([w / sum(raw) for w in raw]), lm, tuple(eta))
               for n, (eta, lm, raw) in enumerate(zip(row_eta, row_log, quads)))  # quads last: no overdraw
-        for row_eta, row_log in zip(bases[1].tolist(), logmag.tolist())
+        for row_eta, row_log in zip(eta.tolist(), logmag.tolist())
     ]
     return psi, logmag[:, -1].tolist(), records
-
-
-def _first_step_controls(knobs) -> tuple[np.ndarray, np.ndarray]:
-    """The control pairs (C, C^-1) at every row's first step, as two (rows, 4, 4) stacks.
-
-    One control_operator call per row, so TooCloseToEP and SingularMatrix
-    come with its messages, before any step runs.
-    """
-    first = zip(*(k[:, 0].tolist() for k in np.broadcast_arrays(*knobs)))
-    pairs = [control_operator(WalkParams(*p)) for p in first]
-    return np.array([c for c, _ in pairs]), np.array([c_inv for _, c_inv in pairs])
 
 
 def _step_operators(engine: str, knobs, schedules):
@@ -265,11 +238,9 @@ def _step_operators(engine: str, knobs, schedules):
     walk_operator_closed_array), which keeps that layer visible to perfbench's
     per-function tracer.
     """
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
-    if engine == "full":
+    if _check_engine(engine) == "full":
         return np.moveaxis(u_step_array(*knobs), 1, 0)
-    c, c_inv = _first_step_controls(knobs)
+    c, c_inv = control_operator_array(*(k[:, 0] for k in np.broadcast_arrays(*knobs)))  # at each row's start
     e = np.einsum("raqi,rqjb->rijab", c.reshape(-1, 4, 2, 2), c_inv.reshape(-1, 2, 2, 4)).reshape(-1, 4, 16)
     m = np.array([[walk_operator_closed(p) for p in s.steps] for s in schedules])
     return (np.matmul(m[:, n].reshape(-1, 1, 4), e).reshape(-1, 4, 4) for n in range(m.shape[1]))
@@ -284,8 +255,7 @@ def evolve_many(schedules, inputs, labels, engine: str = "full",
     """
     if len({s.n_steps for s in schedules}) != 1:
         raise ConfigError("evolve_many needs schedules of one length")
-    steps = [[(p.theta1, p.theta2, p.phi, p.gamma, p.k) for p in s.steps] for s in schedules]
-    knobs = np.moveaxis(np.array(steps), -1, 0)  # (5, rows, steps)
+    knobs = np.moveaxis(np.array([[p.knobs for p in s.steps] for s in schedules]), -1, 0)  # (5, rows, steps)
     psi, logmag, records = _propagate(_step_operators(engine, knobs, schedules), inputs,
                                       knobs if record_steps else None)
     reports = []
@@ -325,16 +295,9 @@ def evolve_simplified(
 ENGINES = {"full": evolve_full, "simplified": evolve_simplified}
 
 
-def evolve(
-    schedule: LoopSchedule,
-    input_state,
-    engine: str = "full",
-    input_label: str = "custom",
-    record_steps: bool = True,
-) -> EvolutionReport:
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
-    return ENGINES[engine](schedule, input_state, input_label=input_label, record_steps=record_steps)
+def evolve(schedule: LoopSchedule, input_state, engine: str = "full", input_label: str = "custom",
+           record_steps: bool = True) -> EvolutionReport:
+    return ENGINES[_check_engine(engine)](schedule, input_state, input_label=input_label, record_steps=record_steps)
 
 
 def _chain_products(m: np.ndarray) -> np.ndarray:
@@ -366,14 +329,13 @@ def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
     one 2x2 chain P per row from _chain_products: equal to evolve_simplified
     up to rounding, not bitwise.
     """
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {engine!r}")
+    _check_engine(engine)
     default = WalkParams(theta1=0.0)
     knobs = (np.asarray(theta1, dtype=float), default.theta2, np.asarray(phi, dtype=float),
              default.gamma, default.k)
     if engine == "full":
         return _propagate(np.moveaxis(u_step_array(*knobs), 1, 0), psi0)[0]
-    c, c_inv = _first_step_controls(knobs)
+    c, c_inv = control_operator_array(*(k[:, 0] for k in np.broadcast_arrays(*knobs)))  # at each row's start
     psi = np.asarray(psi0, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 4:
         raise DomainError(f"states must have 4 amplitudes each, got shape {psi.shape}")
@@ -405,21 +367,12 @@ def control_drift(schedule: LoopSchedule) -> ControlDriftReport:
     therefore compared against the nearer of I and sigma_z (x) I, and the
     number of sign jumps is reported as flips.
     """
-    pairs = [control_operator(p) for p in schedule.steps]
-    pairs.append(pairs[0])
-    deviations = []
-    flips = 0
-    eye = np.eye(4, dtype=complex)
-    for n in range(schedule.n_steps):
-        d = pairs[n + 1][1] @ pairs[n][0]
-        dev_id, dev_flip = max_abs(d - eye), max_abs(d - _K_FLIP)
-        flips += dev_flip < dev_id
-        deviations.append(min(dev_id, dev_flip))
-    return ControlDriftReport(
-        deviations=tuple(deviations),
-        global_max=max(deviations),
-        flips=flips,
-    )
+    C, C_inv = control_operator_array(*np.array([p.knobs for p in schedule.steps]).T)
+    d = np.roll(C_inv, -1, axis=0) @ C
+    dev_id, dev_flip = (np.abs(d - e).max(axis=(1, 2)) for e in (np.eye(4), _K_FLIP))
+    deviations = np.minimum(dev_id, dev_flip).tolist()
+    return ControlDriftReport(deviations=tuple(deviations), global_max=max(deviations),
+                              flips=int((dev_flip < dev_id).sum()))
 
 
 @dataclass(frozen=True)
@@ -466,9 +419,9 @@ def _start_frames(starts: tuple[WalkParams, ...]) -> tuple[np.ndarray, np.ndarra
     """The constants of collapsed chains from the given starts, stacked row by row:
     C_0^T (rows, 4, 4) and the four start eigenstates in the control frame,
     psi_j C_0^-1^T as (rows, 4, 2, 2)."""
-    pairs = [control_operator(p) for p in starts]
-    c_t = np.array([C.T for C, _ in pairs])
-    a = np.array([(bell_eigenstates(p) @ C_inv.T).reshape(4, 2, 2) for p, (_, C_inv) in zip(starts, pairs)])
+    C, C_inv = control_operator_array(*np.array([p.knobs for p in starts]).T)
+    c_t = C.mT.copy()
+    a = np.array([(bell_eigenstates(p) @ c_inv.T).reshape(4, 2, 2) for p, c_inv in zip(starts, C_inv)])
     c_t.flags.writeable = a.flags.writeable = False
     return c_t, a
 
@@ -516,7 +469,7 @@ def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
     fidelities = []
     for group in by_length.values():
         steps = [schedules[d].steps for d in group]
-        knobs = np.array([[(p.theta1, p.theta2, p.phi, p.gamma, p.k) for p in s] for s in steps])
+        knobs = np.array([[p.knobs for p in s] for s in steps])
         fidelities += _case_fidelities(np.moveaxis(knobs, -1, 0), tuple(s[0] for s in steps), group)
     if not all(map(math.isfinite, fidelities)):  # min skips NaN
         raise DomainError(f"case fidelities must be finite, got {fidelities}")

@@ -7,6 +7,10 @@ beta_i^dag alpha_j = delta_ij exactly. The quasienergy lambda is defined
 through eta = e^{-i lambda}; its two sheets over the (phi, theta1) plane form
 the Riemann surface whose branch point is the exceptional point (EP), located
 where D0^2 = 1.
+
+Both are computed over broadcastable arrays of the five knobs, a whole loop
+or surface grid in one pass; eigensystem and quasienergy are only the
+one-row cases of eigensystem_array and quasienergy_array.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoBracket, TooCloseToEP
-from .walk import WalkParams, d_coefficients
+from .walk import WalkParams, cpython_mul, d_arrays, d_coefficients, params_at
 
 EIGENVECTOR_GUARD = 1e-8
 
@@ -57,56 +61,57 @@ class EpLocation:
     residual: float
 
 
-def _principal_lambda(eta: complex) -> complex:
-    lam = 1j * np.log(eta)
-    if lam.real <= -math.pi:
-        lam += 2 * math.pi
-    return complex(lam)
-
-
 def quasienergy(p: WalkParams) -> tuple[complex, complex]:
-    """Quasienergy pair (lambda_plus, lambda_minus), Re lambda in (-pi, pi].
+    """Quasienergy pair (lambda_plus, lambda_minus): the one-row case of quasienergy_array."""
+    return tuple(quasienergy_array(*p.knobs).tolist())
 
-    lambda = i Log(eta) with the principal logarithm, so Im(lambda) = ln|eta|:
-    a positive imaginary part marks a gain mode, a negative one a loss mode.
+
+def quasienergy_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
+    """Quasienergy pairs over broadcastable arrays of the five knobs: shape (2, ...), lambda_plus first.
+
+    lambda = i Log(eta) with the principal logarithm and Re lambda in
+    (-pi, pi], so Im(lambda) = ln|eta|: a positive imaginary part marks a gain
+    mode, a negative one a loss mode.
     """
-    D0 = d_coefficients(p).D0
-    s = np.sqrt(complex(D0 * D0 - 1.0))
-    return _principal_lambda(D0 + s), _principal_lambda(D0 - s)
+    D0 = d_arrays(theta1, theta2, phi, gamma, k)[0]
+    s = np.sqrt(cpython_mul(D0, D0) - 1.0)
+    lam = 1j * np.log(np.stack([D0 + s, D0 - s]))
+    return np.where(lam.real <= -math.pi, lam + 2 * math.pi, lam)
 
 
 def eigensystem(p: WalkParams) -> EigenSystem:
-    """Closed-form eigensystem of u_step(p).
+    """Closed-form eigensystem of u_step(p): the one-row case of eigensystem_array."""
+    eta, alpha, beta = eigensystem_array(*p.knobs)
+    return EigenSystem(eta_plus=complex(eta[0]), eta_minus=complex(eta[1]), alpha=tuple(alpha), beta=tuple(beta))
 
-    Raises TooCloseToEP when |eta - D0| <= 1e-8: the eigenvector prefactor
-    1/(eta - D0) diverges at the coalescence and the basis loses meaning.
+
+def eigensystem_array(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form eigensystem of u_step over broadcastable arrays of the five knobs.
+
+    Returns the (eta_plus, eta_minus) pairs (..., 2) and the states alpha and
+    beta (..., 4, 4), row j in EigenSystem's index order. With s = eta_plus - D0
+    and c = (s, -s, -s, s), row j times sqrt(2) c_j is (i(DX+DY), -DZ, 0, c_j)
+    in alpha and (-i(DX-DY), DZ, 0, c_j) in conj(beta) for j < 2, and
+    (DZ, i(DX-DY), c_j, 0) and (-DZ, -i(DX+DY), c_j, 0) for j >= 2.
+    Raises TooCloseToEP for the first element where |eta - D0| <= 1e-8: the
+    eigenvector prefactor 1/(eta - D0) diverges at the coalescence.
     """
-    d = d_coefficients(p)
-    s = np.sqrt(complex(d.D0 * d.D0 - 1.0))
-    if abs(s) <= EIGENVECTOR_GUARD:
-        raise TooCloseToEP(f"|eta - D0| = {abs(s):.3e} at {p}")
-    rt2 = math.sqrt(2)
-
-    def a12(c: complex) -> np.ndarray:
-        return np.array([1j * (d.DX + d.DY), -d.DZ, 0.0, c], dtype=complex) / (rt2 * c)
-
-    def a34(c: complex) -> np.ndarray:
-        return np.array([d.DZ, 1j * (d.DX - d.DY), c, 0.0], dtype=complex) / (rt2 * c)
-
-    def b12(c: complex) -> np.ndarray:
-        row = np.array([-1j * (d.DX - d.DY), d.DZ, 0.0, c], dtype=complex) / (rt2 * c)
-        return row.conj()
-
-    def b34(c: complex) -> np.ndarray:
-        row = np.array([-d.DZ, -1j * (d.DX + d.DY), c, 0.0], dtype=complex) / (rt2 * c)
-        return row.conj()
-
-    return EigenSystem(
-        eta_plus=complex(d.D0 + s),
-        eta_minus=complex(d.D0 - s),
-        alpha=(a12(s), a12(-s), a34(-s), a34(s)),
-        beta=(b12(s), b12(-s), b34(-s), b34(s)),
-    )
+    knobs = (theta1, theta2, phi, gamma, k)
+    D0, DX, DY, DZ = d_arrays(*knobs)
+    s = np.sqrt(cpython_mul(D0, D0) - 1.0)
+    abs_s = np.hypot(s.real, s.imag)  # Python's abs: numpy's differs
+    close = np.flatnonzero(abs_s <= EIGENVECTOR_GUARD)
+    if len(close):
+        raise TooCloseToEP(f"|eta - D0| = {np.ravel(abs_s)[close[0]]:.3e} at {params_at(knobs, close[0])}")
+    c = np.stack([s, -s, -s, s], axis=-1)
+    alpha, beta = m = np.zeros((2,) + c.shape + (4,), dtype=complex)  # beta conjugated until the end
+    alpha[..., :2, 0], alpha[..., :2, 1] = (1j * (DX + DY))[..., None], -DZ[..., None]
+    alpha[..., 2:, 0], alpha[..., 2:, 1] = DZ[..., None], (1j * (DX - DY))[..., None]
+    beta[..., :2, 0], beta[..., :2, 1] = (-1j * (DX - DY))[..., None], DZ[..., None]
+    beta[..., 2:, 0], beta[..., 2:, 1] = -DZ[..., None], (-1j * (DX + DY))[..., None]
+    m[..., :2, 3], m[..., 2:, 2] = c[..., :2], c[..., 2:]
+    m /= (math.sqrt(2) * c)[..., None]
+    return np.stack([D0 + s, D0 - s], axis=-1), alpha, np.conjugate(beta, out=beta)
 
 
 def _axis(lo: float, hi: float, count: int) -> np.ndarray:
@@ -129,14 +134,10 @@ def riemann_surface(
 
     Output order is phi-major, theta1-ascending.
     """
-    phis = _axis(*phi_range)
-    th1s = _axis(*theta1_range)
-    out = []
-    for phi in phis:
-        for th1 in th1s:
-            lp, lm = quasienergy(WalkParams(theta1=float(th1), theta2=theta2, phi=float(phi), gamma=gamma, k=k))
-            out.append(SurfaceSample(phi=float(phi), theta1=float(th1), lambda_plus=lp, lambda_minus=lm))
-    return out
+    phi, theta1 = np.meshgrid(_axis(*phi_range), _axis(*theta1_range), indexing="ij")
+    lambda_plus, lambda_minus = quasienergy_array(theta1, theta2, phi, gamma, k)
+    return [SurfaceSample(*values) for values in zip(phi.ravel().tolist(), theta1.ravel().tolist(),
+                                                     lambda_plus.ravel().tolist(), lambda_minus.ravel().tolist())]
 
 
 def surface_csv(samples: list[SurfaceSample]) -> str:

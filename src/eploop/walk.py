@@ -7,12 +7,16 @@ A single step on one particle's two-dimensional coin space is
 built from rotations R, the momentum phase S, the gain/loss pair G/G^-1 and
 the symmetry-breaking operator psi. The same step has a closed form through
 eight scalar coefficients (d0, dx, dy, dz) and their phi-mixed complex
-counterparts (D0, DX, DY, DZ); both constructions are kept and cross-checked.
-The closed forms also come elementwise over arrays of the five knobs,
-bitwise equal to the scalar forms, for propagating many runs at once.
+counterparts (D0, DX, DY, DZ), which tests check against the product.
 The two-particle step I (x) M is similar to a closed-form 4x4 operator
 u_step whose eigenstates are near-Bell, with the similarity transform given
 by the control operator C.
+
+The closed forms work elementwise over broadcastable arrays of the five
+knobs, and u_step and control_operator are only the one-row cases of
+u_step_array and control_operator_array. d_coefficients and
+walk_operator_closed keep bodies of their own, bitwise d_arrays and
+walk_operator_closed_array, for the EP search's real d0 and perfbench's tracer.
 """
 from __future__ import annotations
 
@@ -35,6 +39,11 @@ class WalkParams:
     phi: float = 0.0
     gamma: float = 0.2
     k: float = 0.0
+
+    @property
+    def knobs(self) -> tuple[float, float, float, float, float]:
+        """(theta1, theta2, phi, gamma, k), the argument order of the array forms."""
+        return (self.theta1, self.theta2, self.phi, self.gamma, self.k)
 
 
 @dataclass(frozen=True)
@@ -168,27 +177,18 @@ def walk_operator_closed_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
 
 
 def u_step(p: WalkParams) -> np.ndarray:
-    """Closed-form two-particle step operator, similar to I (x) M.
+    """Closed-form two-particle step operator, similar to I (x) M: the one-row case of u_step_array."""
+    return u_step_array(*p.knobs)
+
+
+def u_step_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
+    """u_step over broadcastable arrays of the five knobs: shape (..., 4, 4).
 
     Layout: D0 on the diagonal and the antisymmetric off-diagonal blocks
     +W / -W with W = ((DZ, i(DX+DY)), (i(DX-DY), -DZ)). The lower-left
     block's sign is forced by the requirement that the spectrum equals that
     of I (x) M for every parameter value.
     """
-    d = d_coefficients(p)
-    w = np.array(
-        [[d.DZ, 1j * (d.DX + d.DY)], [1j * (d.DX - d.DY), -d.DZ]],
-        dtype=complex,
-    )
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = u[1, 1] = u[2, 2] = u[3, 3] = d.D0
-    u[:2, 2:] = w
-    u[2:, :2] = -w
-    return u
-
-
-def u_step_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
-    """u_step over broadcastable arrays of the five knobs: shape (..., 4, 4)."""
     D0, DX, DY, DZ = d_arrays(theta1, theta2, phi, gamma, k)
     u = np.zeros(np.shape(D0) + (4, 4), dtype=complex)
     u[..., range(4), range(4)] = np.expand_dims(D0, -1)
@@ -198,8 +198,39 @@ def u_step_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
     return u
 
 
+def params_at(knobs, index: int) -> WalkParams:
+    """The WalkParams at flat index `index` of the broadcastable five knobs."""
+    return WalkParams(*(float(v.flat[index]) for v in np.broadcast_arrays(*knobs)))
+
+
+def cpython_mul(a, b) -> np.ndarray:
+    """a * b elementwise as CPython forms a complex product, a real operand as imaginary part +0.0
+    (numpy's product can differ in the last bit)."""
+    re, im = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _cpython_div(a, b) -> np.ndarray:
+    """a / b elementwise, formed as CPython forms a complex quotient: Smith's method, dividing
+    by the denominator (Smith, CACM 5(8), 1962; numpy's multiplies by its reciprocal)."""
+    by_real = np.abs(b.real) >= np.abs(b.imag)  # else by_imag, with the roles of (real, imag) swapped
+    p, q, u, v = np.where(by_real, [b.real, b.imag, a.real, a.imag], [b.imag, b.real, a.imag, a.real])
+    ratio = q / p
+    denom = p + q * ratio
+    z = np.empty(np.shape(ratio), dtype=complex)
+    z.real, z.imag = (u + v * ratio) / denom, np.where(by_real, v - u * ratio, u * ratio - v) / denom
+    return z
+
+
 def control_operator(p: WalkParams) -> tuple[np.ndarray, np.ndarray]:
-    """Control pair (C, C_inv) with C (I (x) M) C_inv = u_step, in closed form.
+    """Control pair (C, C_inv) with C (I (x) M) C_inv = u_step: the one-row case of control_operator_array."""
+    return control_operator_array(*p.knobs)
+
+
+def control_operator_array(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.ndarray]:
+    """Control pair (C, C_inv) over broadcastable arrays of the five knobs, each of shape (..., 4, 4).
 
     C = A B^-1, where A's columns are the right eigenstates of u_step in the
     eigenvalue order (eta-, eta-, eta+, eta+) and B's columns are |0>, |1>
@@ -216,28 +247,42 @@ def control_operator(p: WalkParams) -> tuple[np.ndarray, np.ndarray]:
                  (Z/sigma,        i(X+Y)/sigma, -i Z/sigma,  0),
                  (0,              0,            (Y-X)/sigma, 0))
 
-    Raises TooCloseToEP when |eta - D0| = |s| <= 1e-6, and SingularMatrix
-    when |det B| = |X^2 - Y^2| / |s|^2 is at most 1e-12 max|B|^4, where
+    Each entry is bitwise this form evaluated point by point with Python
+    complex X+Y, X-Y and s^2 and a numpy complex sigma: products, and
+    quotients by s^2 and X+Y, are CPython's complex arithmetic, and quotients
+    by sigma and X-Y are numpy's. The first row that fails a guard raises:
+    TooCloseToEP when |eta - D0| = |s| <= 1e-6, else SingularMatrix when
+    |det B| = |X^2 - Y^2| / |s|^2 is at most 1e-12 max|B|^4, where
     max|B| = max(|X+Y|, |X-Y|, |s+iZ|, |s-iZ|) / (sqrt(2) |s|).
     """
-    d = d_coefficients(p)
-    X, Y, Z = d.DX, d.DY, d.DZ
-    s2 = d.D0 * d.D0 - 1.0
-    s = np.sqrt(complex(s2))
-    if abs(s) <= EP_PREFACTOR_GUARD:
-        raise TooCloseToEP(f"|eta - D0| = {abs(s):.3e} at {p}")
-    plus, minus = X + Y, X - Y
-    det_b = abs(plus * minus) / abs(s2)
-    scale = (max(abs(plus), abs(minus), abs(s + 1j * Z), abs(s - 1j * Z)) / (math.sqrt(2) * abs(s))) ** 4
-    if det_b <= 1e-12 * scale:
-        raise SingularMatrix(f"|det| = {det_b:.3e} below threshold {1e-12 * scale:.3e}")
-    sigma = np.sqrt(complex(1.0 - d.D0 * d.D0))
-    C = np.array([[1j, 0, Z / sigma, -1j * Z * Z / (sigma * minus)],
-                  [-Z / plus, 0, 1j * minus / sigma, Z / sigma],
-                  [0, 0, 0, -sigma / minus],
-                  [1j * Z / plus, 1, 0, 0]], dtype=complex)
-    C_inv = np.array([[-1j * plus * minus / s2, Z * plus / s2, 0, 0],
-                      [-Z * minus / s2, -1j * Z * Z / s2, 0, 1],
-                      [Z / sigma, 1j * plus / sigma, -1j * Z / sigma, 0],
-                      [0, 0, -minus / sigma, 0]], dtype=complex)
-    return C, C_inv
+    knobs = (theta1, theta2, phi, gamma, k)
+    D0, X, Y, Z = d_arrays(*knobs)
+    shape = np.shape(D0)
+    D0, X, Y, Z = (np.ravel(v) for v in (D0, X, Y, Z))
+    plus, minus, i, zero, one = X + Y, X - Y, np.full(len(D0), 1j), np.zeros(len(D0)), np.ones(len(D0))
+    sq, det, iz, jz, i_minus, i_plus, j_plus, z_plus, mz_minus = cpython_mul(
+        np.array([D0, plus, i, -i, i, i, -i, Z, -Z]), np.array([D0, minus, Z, Z, minus, plus, plus, plus, minus]))
+    s2 = sq - 1.0
+    s = np.sqrt(s2)
+    with np.errstate(all="ignore"):  # rows that fail a guard may divide by 0 or overflow here
+        z = np.array([s, s2, det, plus, minus, s + iz, s - iz])
+        abs_s, abs_s2, abs_det, *sides = np.hypot(z.real, z.imag)  # Python's abs: numpy's differs
+        det_b = abs_det / abs_s2
+        threshold = 1e-12 * (np.max(sides, axis=0) / (math.sqrt(2) * abs_s)) ** 4
+    close = abs_s <= EP_PREFACTOR_GUARD
+    failing = np.flatnonzero(close | (det_b <= threshold))
+    if len(failing):
+        r = failing[0]
+        if close[r]:
+            raise TooCloseToEP(f"|eta - D0| = {abs_s[r]:.3e} at {params_at(knobs, r)}")
+        raise SingularMatrix(f"|det| = {det_b[r]:.3e} below threshold {threshold[r]:.3e}")
+    sigma = np.sqrt(1.0 - sq)
+    jzz, j_plus_minus, sigma_minus = cpython_mul(np.array([jz, j_plus, sigma]), np.array([Z, minus, minus]))
+    z_s, i_minus_s, i_plus_s, jz_s, minus_s, c03, c23 = (np.array([Z, i_minus, i_plus, jz, -minus, jzz, -sigma])
+                                                         / np.array([sigma] * 5 + [sigma_minus, minus]))
+    ci00, ci01, ci10, ci11, c10, c30 = _cpython_div(np.array([j_plus_minus, z_plus, mz_minus, jzz, -Z, iz]),
+                                                    np.array([s2, s2, s2, s2, plus, plus]))
+    C = [[i, zero, z_s, c03], [c10, zero, i_minus_s, z_s], [zero, zero, zero, c23], [c30, one, zero, zero]]
+    C_inv = [[ci00, ci01, zero, zero], [ci10, ci11, zero, one],
+             [z_s, i_plus_s, jz_s, zero], [zero, zero, minus_s, zero]]
+    return tuple(np.array(m).transpose(2, 0, 1).copy().reshape(shape + (4, 4)) for m in (C, C_inv))

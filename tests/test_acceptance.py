@@ -259,6 +259,20 @@ def test_fig4_reports_keep_their_pinned_bytes(tmp_path, capsys):
     assert digests == FIG4_DIGESTS
 
 
+# sha256 of `eploop reproduce fig1b`, taken while riemann_surface made one quasienergy call per grid point
+FIG1B_DIGESTS = {
+    "fig1b_ep.json": "d796c0470be49f60a424e6f80b1f6df654d3f10b73a50de37819f48bca925ffa",
+    "fig1b_surface.csv": "92fd85afca6967920dd256897001ee0450bbe103b050f578d45b9b98133564da",
+}
+
+
+def test_fig1b_reports_keep_their_pinned_bytes(tmp_path, capsys):
+    assert main(["reproduce", "fig1b", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == FIG1B_DIGESTS
+
+
 def test_acceptance_summary_values_documented():
     # Quantities quoted in the README stay in sync with the code.
     loc = ep.find_ep()

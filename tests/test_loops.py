@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eploop.errors import ConfigError, DomainError, TooCloseToEP
+from eploop.errors import ConfigError, DomainError, SingularMatrix, TooCloseToEP
 from eploop.loops import (
     CHIRAL_TARGETS,
     DIRECTIONS,
@@ -34,6 +34,8 @@ from eploop.linalg import max_abs
 from eploop.metrics import bell_index, bell_state, classify, fidelity_pure
 from eploop.spectrum import eigensystem, find_ep
 from eploop.walk import WalkParams, control_operator, u_step, walk_operator_closed, walk_operator_product
+
+from test_walk import SINGULAR_COIN
 
 FULL_SWITCH_F = 0.9825345599899842
 FULL_STAY_F = 0.9640449347163164
@@ -350,6 +352,32 @@ def test_step_records_guard_the_ep_like_eigensystem():
     assert batched[1].output_state.tolist() == alone.output_state.tolist()
     with pytest.raises(ConfigError):
         evolve_many([healthy], [psi0], ["zeta1"], "exact")
+
+
+# with theta2, gamma and k at their defaults, the coin basis is singular where d0 = 0 and phi = pi/2
+_DEFAULT_SINGULAR_COIN = WalkParams(theta1=1.3589832105906143, phi=math.pi / 2)
+
+
+def test_control_pairs_guard_the_first_failing_row_like_control_operator():
+    # rows: healthy, singular coin basis, inside EP_PREFACTOR_GUARD; the singular row fails first
+    healthy = loop1_schedule(6, "cw")
+    near_ep = WalkParams(theta1=_EP_THETA1)
+    with pytest.raises(TooCloseToEP):
+        control_operator(near_ep)
+    for singular in (SINGULAR_COIN, _DEFAULT_SINGULAR_COIN):
+        with pytest.raises(SingularMatrix) as ref:
+            control_operator(singular)
+        guard = f"^{re.escape(str(ref.value))}$"
+        starts = (healthy.steps[0], singular, near_ep)
+        schedules = [LoopSchedule((p,) + healthy.steps[1:], "cw", "custom") for p in starts]
+        with pytest.raises(SingularMatrix, match=guard):
+            evolve_many(schedules, [bell_state(1)] * 3, ["zeta1"] * 3, "simplified", record_steps=False)
+        with pytest.raises(SingularMatrix, match=guard):
+            control_drift(LoopSchedule(starts, "cw", "custom"))
+        if singular == _DEFAULT_SINGULAR_COIN:  # evolve_batch holds theta2, gamma and k at their defaults
+            runs = np.array([[(p.theta1, p.phi) for p in sched.steps] for sched in schedules])
+            with pytest.raises(SingularMatrix, match=guard):
+                evolve_batch(runs[..., 0], runs[..., 1], [bell_state(1)] * 3, "simplified")
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

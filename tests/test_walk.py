@@ -1,15 +1,26 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eploop.errors import SingularMatrix, TooCloseToEP
-from eploop.spectrum import eigensystem, find_ep
+from eploop.spectrum import (
+    EIGENVECTOR_GUARD,
+    EigenSystem,
+    eigensystem,
+    eigensystem_array,
+    find_ep,
+    quasienergy,
+    quasienergy_array,
+)
 from eploop.walk import (
+    EP_PREFACTOR_GUARD,
     WalkParams,
     _libm,
     control_operator,
+    control_operator_array,
     d_arrays,
     d_coefficients,
     gain_loss,
@@ -109,18 +120,133 @@ _KNOBS = st.one_of(
 )
 
 
+# The scalar bodies the array forms replaced, kept as bitwise references.
+def _reference_u_step(p: WalkParams) -> np.ndarray:
+    d = d_coefficients(p)
+    w = np.array(
+        [[d.DZ, 1j * (d.DX + d.DY)], [1j * (d.DX - d.DY), -d.DZ]],
+        dtype=complex,
+    )
+    u = np.zeros((4, 4), dtype=complex)
+    u[0, 0] = u[1, 1] = u[2, 2] = u[3, 3] = d.D0
+    u[:2, 2:] = w
+    u[2:, :2] = -w
+    return u
+
+
+def _reference_quasienergy(p: WalkParams) -> tuple[complex, complex]:
+    def principal(eta):
+        lam = 1j * np.log(eta)
+        if lam.real <= -math.pi:
+            lam += 2 * math.pi
+        return complex(lam)
+
+    D0 = d_coefficients(p).D0
+    s = np.sqrt(complex(D0 * D0 - 1.0))
+    return principal(D0 + s), principal(D0 - s)
+
+
+def _reference_eigensystem(p: WalkParams) -> EigenSystem:
+    d = d_coefficients(p)
+    s = np.sqrt(complex(d.D0 * d.D0 - 1.0))
+    if abs(s) <= EIGENVECTOR_GUARD:
+        raise TooCloseToEP(f"|eta - D0| = {abs(s):.3e} at {p}")
+    rt2 = math.sqrt(2)
+
+    def a12(c):
+        return np.array([1j * (d.DX + d.DY), -d.DZ, 0.0, c], dtype=complex) / (rt2 * c)
+
+    def a34(c):
+        return np.array([d.DZ, 1j * (d.DX - d.DY), c, 0.0], dtype=complex) / (rt2 * c)
+
+    def b12(c):
+        return (np.array([-1j * (d.DX - d.DY), d.DZ, 0.0, c], dtype=complex) / (rt2 * c)).conj()
+
+    def b34(c):
+        return (np.array([-d.DZ, -1j * (d.DX + d.DY), c, 0.0], dtype=complex) / (rt2 * c)).conj()
+
+    return EigenSystem(
+        eta_plus=complex(d.D0 + s),
+        eta_minus=complex(d.D0 - s),
+        alpha=(a12(s), a12(-s), a34(-s), a34(s)),
+        beta=(b12(s), b12(-s), b34(-s), b34(s)),
+    )
+
+
+def _reference_control_operator(p: WalkParams) -> tuple[np.ndarray, np.ndarray]:
+    d = d_coefficients(p)
+    X, Y, Z = d.DX, d.DY, d.DZ
+    s2 = d.D0 * d.D0 - 1.0
+    s = np.sqrt(complex(s2))
+    if abs(s) <= EP_PREFACTOR_GUARD:
+        raise TooCloseToEP(f"|eta - D0| = {abs(s):.3e} at {p}")
+    plus, minus = X + Y, X - Y
+    det_b = abs(plus * minus) / abs(s2)
+    scale = (max(abs(plus), abs(minus), abs(s + 1j * Z), abs(s - 1j * Z)) / (math.sqrt(2) * abs(s))) ** 4
+    if det_b <= 1e-12 * scale:
+        raise SingularMatrix(f"|det| = {det_b:.3e} below threshold {1e-12 * scale:.3e}")
+    sigma = np.sqrt(complex(1.0 - d.D0 * d.D0))
+    C = np.array([[1j, 0, Z / sigma, -1j * Z * Z / (sigma * minus)],
+                  [-Z / plus, 0, 1j * minus / sigma, Z / sigma],
+                  [0, 0, 0, -sigma / minus],
+                  [1j * Z / plus, 1, 0, 0]], dtype=complex)
+    C_inv = np.array([[-1j * plus * minus / s2, Z * plus / s2, 0, 0],
+                      [-Z * minus / s2, -1j * Z * Z / s2, 0, 1],
+                      [Z / sigma, 1j * plus / sigma, -1j * Z / sigma, 0],
+                      [0, 0, -minus / sigma, 0]], dtype=complex)
+    return C, C_inv
+
+
+def _bits(*values) -> list[bytes]:
+    """The bytes of each value as a complex array: bitwise equality, signed zeros included."""
+    return [np.asarray(v, dtype=complex).tobytes() for v in values]
+
+
+def _outcome(fn, p, bits):
+    """bits of fn(p) (a list), or the (type, message) tuple of the guard error it raises."""
+    try:
+        return bits(fn(p))
+    except (TooCloseToEP, SingularMatrix) as exc:
+        return type(exc), str(exc)
+
+
+# (array form, its one-row case, the scalar reference, bits of one result, bits of row j of the array result)
+_GUARDED_FORMS = (
+    (eigensystem_array, eigensystem, _reference_eigensystem,
+     lambda es: _bits(es.eta_plus, es.eta_minus, es.alpha, es.beta),
+     lambda out, j: _bits(out[0][j, 0], out[0][j, 1], out[1][j], out[2][j])),
+    (control_operator_array, control_operator, _reference_control_operator,
+     lambda pair: _bits(*pair),
+     lambda out, j: _bits(out[0][j], out[1][j])),
+)
+SINGULAR_COIN = WalkParams(theta1=-0.3508237905748691, k=0.3)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(_KNOBS, min_size=1, max_size=6))
+@example([START.knobs, SINGULAR_COIN.knobs])
 def test_array_forms_match_the_scalar_operators(points):
     knobs = np.array(points).T
     d = np.array(d_arrays(*knobs))
-    m, u = walk_operator_closed_array(*knobs), u_step_array(*knobs)
-    for j, values in enumerate(points):
-        p = WalkParams(*values)
+    m, u, lam = walk_operator_closed_array(*knobs), u_step_array(*knobs), quasienergy_array(*knobs)
+    params = [WalkParams(*values) for values in points]
+    for j, p in enumerate(params):
         c = d_coefficients(p)
         assert d[:, j].tolist() == [c.D0, c.DX, c.DY, c.DZ]
         assert (m[j] == walk_operator_closed(p)).all()
-        assert (u[j] == u_step(p)).all()
+        assert _bits(u[j]) == _bits(u_step(p)) == _bits(_reference_u_step(p))
+        assert _bits(lam[:, j]) == _bits(quasienergy(p)) == _bits(_reference_quasienergy(p))
+    # eigensystem and the control pair: equal row by row, or the first failing row's guard error
+    for array_form, one_row, reference, bits, row_bits in _GUARDED_FORMS:
+        expected = [_outcome(reference, p, bits) for p in params]
+        assert [_outcome(one_row, p, bits) for p in params] == expected
+        errors = [e for e in expected if isinstance(e, tuple)]
+        if errors:
+            with pytest.raises(errors[0][0], match=f"^{re.escape(errors[0][1])}$"):
+                array_form(*knobs)
+        else:
+            out = array_form(*knobs)
+            assert [row_bits(out, j) for j in range(len(params))] == expected
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -197,7 +323,7 @@ def test_control_operator_guards_near_coalescence():
 def test_control_operator_guards_singular_coin_basis():
     # far from the EP (|eta - D0| ~ 0.55) but DX + DY ~ 1e-17, so the coin
     # eigenvector basis B is singular and C = A B^-1 has no finite value
-    p = WalkParams(theta1=-0.3508237905748691, k=0.3)
+    p = SINGULAR_COIN
     d = d_coefficients(p)
     assert abs(d.DX + d.DY) < 1e-15
     assert abs(np.sqrt(complex(d.D0 * d.D0 - 1.0))) > 0.5
