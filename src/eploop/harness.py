@@ -34,7 +34,7 @@ from .loops import (
     loop2_schedule,
     optimize_schedule,
 )
-from .metrics import BELL_LABELS, bell_index, bell_state, classify, classify_rows, density_matrix, fidelity_pure
+from .metrics import BELL_LABELS, bell_fidelities, bell_index, bell_state, classify, classify_rows, density_matrix
 from .spectrum import find_ep, riemann_surface, surface_csv
 from .streams import spawn_words, substreams
 from .tomo import TomoConfig, bootstrap_error, check_resamples, counts_csv, reconstruct, simulate_counts
@@ -159,17 +159,13 @@ class DisorderSummary:
 
 
 def case_input(label, kind: str, p: WalkParams) -> np.ndarray:
-    if kind == "eigenstate":
-        return bell_eigenstate(label, p)
-    return bell_state(label)
+    return bell_eigenstate(label, p) if kind == "eigenstate" else bell_state(label)
 
 
 def case_inputs(labels, kind: str, p: WalkParams) -> list[np.ndarray]:
     """case_input of every label at one start point, bitwise, with the eigenstates computed once."""
-    if kind == "eigenstate":
-        states = bell_eigenstates(p)
-        return [states[bell_index(label) - 1] for label in labels]
-    return [bell_state(label) for label in labels]
+    states = bell_eigenstates(p) if kind == "eigenstate" else [bell_state(j) for j in (1, 2, 3, 4)]
+    return [states[bell_index(label) - 1] for label in labels]
 
 
 def disorder_run(cfg: RunConfig) -> DisorderSummary:
@@ -187,13 +183,13 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
     """
     schedules = [cfg.schedule(d) for d in cfg.directions]
     cases = [(sched, label) for sched in schedules for label in cfg.inputs]
-    inputs = [psi for sched in schedules for psi in case_inputs(cfg.inputs, cfg.input_kind, sched.steps[0])]
+    inputs = [psi for sched in schedules for psi in case_inputs(cfg.inputs, cfg.input_kind, sched.start)]
     per_case = cfg.groups + 1  # the unperturbed run, then one row per group
     runs = np.empty((len(cases) * per_case, cfg.n_steps, 2))  # (theta1, phi) of every step
     streams = substreams(cfg.seed, [(case_idx, g) for case_idx in range(len(cases)) for g in range(cfg.groups)])
     for case_idx, (sched, _) in enumerate(cases):
         base = runs[case_idx * per_case]
-        base[:] = [(p.theta1, p.phi) for p in sched.steps]
+        base[:, 0], _, base[:, 1], _, _ = sched.knobs
         draws = 1 if cfg.granularity == "per_loop" else sched.n_steps
         for g in range(cfg.groups):
             offsets = next(streams).uniform(-cfg.strength, cfg.strength, size=(draws, 2))
@@ -223,7 +219,7 @@ def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
     """Evolve every input on every direction of `cfg`, direction-major, in one evolve_many call."""
     per_direction = [cfg.schedule(d) for d in cfg.directions]
     schedules = [sched for sched in per_direction for _ in cfg.inputs]
-    inputs = [psi for sched in per_direction for psi in case_inputs(cfg.inputs, cfg.input_kind, sched.steps[0])]
+    inputs = [psi for sched in per_direction for psi in case_inputs(cfg.inputs, cfg.input_kind, sched.start)]
     return evolve_many(schedules, inputs, cfg.inputs * len(per_direction), cfg.engine, cfg.record_steps)
 
 
@@ -233,7 +229,7 @@ def tomography_summary(counts, cfg: TomoConfig, resamples: int) -> dict:
     sds = bootstrap_error(counts, cfg, resamples)
     return {
         "density": interleave(rho),
-        "fidelities": classify_density_fidelities(rho),
+        "fidelities": dict(zip(BELL_LABELS, bell_fidelities(rho[None])[0].tolist())),
         "bootstrap_sd": {label: float(s) for label, s in zip(BELL_LABELS, sds)},
     }
 
@@ -257,14 +253,11 @@ def report_dict(report: EvolutionReport) -> dict:
         "classified": report.classified_output,
     }
     if report.per_step is not None:
+        rec = report.per_step
         out["steps"] = [
-            {
-                "n": rec.index,
-                "weights": list(rec.weights),
-                "weights_raw": list(rec.weights_raw),
-                "log_magnitude": rec.log_magnitude,
-            }
-            for rec in report.per_step
+            {"n": n, "weights": weights, "weights_raw": raw, "log_magnitude": logmag}
+            for n, (weights, raw, logmag) in enumerate(zip(rec.weights.tolist(), rec.weights_raw.tolist(),
+                                                           rec.log_magnitude.tolist()))
         ]
     return out
 
@@ -346,7 +339,7 @@ def _fig1b(out_dir: str) -> list[str]:
 
 
 def _input_report(label, schedule: LoopSchedule, input_kind: str) -> dict:
-    psi = case_input(label, input_kind, schedule.steps[0])
+    psi = case_input(label, input_kind, schedule.start)
     cls = classify(psi)
     return report_dict(EvolutionReport(
         input_label=BELL_LABELS[bell_index(label) - 1], direction="none", n_steps=0,
@@ -373,7 +366,7 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
         paths.append(write_text(os.path.join(out_dir, "fig4_schedule.json"), schedule_json(result)))
     else:
         schedules = {d: loop1_schedule(8, d) for d in DIRECTIONS}
-    inputs = [psi for d in DIRECTIONS for psi in case_inputs(BELL_LABELS, cfg.input_kind, schedules[d].steps[0])]
+    inputs = [psi for d in DIRECTIONS for psi in case_inputs(BELL_LABELS, cfg.input_kind, schedules[d].start)]
     reports = evolve_many([schedules[d] for d in DIRECTIONS for _ in BELL_LABELS], inputs,
                           BELL_LABELS * len(DIRECTIONS), "simplified", cfg.record_steps)
     # case i's tomography seed is the first word of SeedSequence(entropy=seed, spawn_key=(i,))
@@ -389,13 +382,6 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
         paths += [write_text(stem + ".json", dump_json(body)),
                   write_text(stem + "_counts.csv", counts_csv(counts))]
     return paths
-
-
-def classify_density_fidelities(rho: np.ndarray) -> dict:
-    return {
-        label: float(fidelity_pure(bell_state(j), rho))
-        for j, label in enumerate(BELL_LABELS, start=1)
-    }
 
 
 def _fig5(out_dir: str, cfg: RunConfig) -> list[str]:

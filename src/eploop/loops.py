@@ -1,10 +1,11 @@
 """Closed parameter loops, multi-step evolution, and loop diagnostics.
 
-A schedule is a list of walk parameters tracing a closed circle in the
-(phi, theta1) plane around (or away from) the EP. One propagation core,
-_propagate, steps any number of runs (rows) together as arrays, looping in
-Python over steps only: apply the step operator, renormalize, and optionally
-record the eigenbasis weights of every step. The two engines differ only in
+A schedule holds the five step knobs of a closed loop in the (phi, theta1)
+plane around (or away from) the EP as floats or (N,) arrays. One propagation
+core, _propagate, steps any number of runs (rows) together as arrays, looping
+in Python over steps only: apply the step operator, renormalize, and
+optionally record the eigenbasis weights of every step as arrays, with no
+Python object per step. The two engines differ only in
 the per-row step operator they hand it: full applies the closed-form
 u_step(p_n) = C_n (I (x) M_n) C_n^-1, rebuilding the control pair at every
 step; simplified applies C_0 (I (x) M_n) C_0^-1, with the control pair frozen
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,15 +51,47 @@ CHIRAL_TARGETS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopSchedule:
-    steps: tuple[WalkParams, ...]
+    """N walk steps around a loop as their five knobs (theta1, theta2, phi, gamma, k), the
+    argument order of the array forms: each a float that every step shares or a read-only
+    (N,) array. Circular schedules vary theta1 and phi only."""
+
+    knobs: tuple
     direction: str
     label: str
+    n_steps: int = field(init=False)
+
+    def __post_init__(self):
+        knobs = tuple(float(v) if np.ndim(v) == 0 else np.array(v, dtype=float) for v in self.knobs)
+        arrays = [v for v in knobs if isinstance(v, np.ndarray)]
+        if len(knobs) != 5 or len({v.shape for v in arrays}) != 1 or arrays[0].ndim != 1 or not arrays[0].size:
+            raise ConfigError("schedule needs at least 1 step: five knobs, floats or (N,) arrays of one length")
+        _check_direction(self.direction)
+        for v in arrays:
+            v.flags.writeable = False
+        object.__setattr__(self, "knobs", knobs)
+        object.__setattr__(self, "n_steps", len(arrays[0]))
+
+    @classmethod
+    def from_steps(cls, steps, direction: str, label: str = "custom") -> LoopSchedule:
+        """The schedule whose five knobs all vary step by step, one WalkParams per step."""
+        return cls(tuple(np.array([p.knobs for p in steps], dtype=float).reshape(-1, 5).T), direction, label)
 
     @property
-    def n_steps(self) -> int:
-        return len(self.steps)
+    def start(self) -> WalkParams:
+        """The first step, where the loop starts and closes."""
+        return WalkParams(*(v if isinstance(v, float) else float(v[0]) for v in self.knobs))
+
+    @property
+    def steps(self) -> tuple[WalkParams, ...]:
+        """One WalkParams per step, built anew on each call."""
+        return tuple(WalkParams(*p) for p in zip(*(_per_step(v, self.n_steps).tolist() for v in self.knobs)))
+
+
+def _per_step(knob, n_steps: int) -> np.ndarray:
+    """A schedule knob as one value per step: its (N,) array, or its float N times."""
+    return knob if isinstance(knob, np.ndarray) else np.full(n_steps, knob)
 
 
 def _check_direction(direction: str) -> str:
@@ -86,29 +119,26 @@ def equal_phases(n_steps: int, direction: str) -> np.ndarray:
     return direction_sign(direction) * 2 * math.pi * n / n_steps - math.pi / 2
 
 
-def _loop_points(phases, radius: float, theta1_center: float) -> list[tuple[float, float]]:
-    """(theta1, phi) = (radius*sin(t) + center, radius*cos(t)) per phase t, on libm's sin and cos."""
-    return [(radius * math.sin(t) + theta1_center, radius * math.cos(t))
-            for t in np.asarray(phases, dtype=float).tolist()]
+# theta2, gamma and k of every circular schedule and of evolve_batch
+_DEFAULT = WalkParams(theta1=0.0)
 
 
-def schedule_from_phases(
-    phases,
-    direction: str,
-    radius: float = LOOP1_RADIUS,
-    theta1_center: float = LOOP1_CENTER,
-    label: str = "custom",
-) -> LoopSchedule:
+def _circle(phases, radius: float, theta1_center: float) -> tuple[np.ndarray, np.ndarray]:
+    """(theta1, phi) = (radius*sin(t) + center, radius*cos(t)) at every phase t, on libm's sin and cos."""
+    t = np.asarray(phases, dtype=float)
+    sin, cos = (np.array([f(v) for v in t.ravel().tolist()]).reshape(t.shape) for f in (math.sin, math.cos))
+    return radius * sin + theta1_center, radius * cos
+
+
+def schedule_from_phases(phases, direction: str, radius: float = LOOP1_RADIUS, theta1_center: float = LOOP1_CENTER,
+                         label: str = "custom") -> LoopSchedule:
     """Schedule tracing phi = radius*cos(t), theta1 = radius*sin(t) + center (other knobs default)."""
     _check_direction(direction)
     if not (np.isfinite(np.asarray(phases, dtype=float)).all() and math.isfinite(radius)
             and math.isfinite(theta1_center)):
         raise ConfigError("schedule phases, radius and center must be finite")
-    points = _loop_points(phases, radius, theta1_center)
-    steps = tuple(WalkParams(theta1=theta1, phi=phi) for theta1, phi in points)
-    if not steps:
-        raise ConfigError("schedule needs at least 1 step")
-    return LoopSchedule(steps=steps, direction=direction, label=label)
+    theta1, phi = _circle(phases, radius, theta1_center)
+    return LoopSchedule((theta1, _DEFAULT.theta2, phi, _DEFAULT.gamma, _DEFAULT.k), direction, label)
 
 
 def loop1_schedule(n_steps: int, direction: str) -> LoopSchedule:
@@ -118,9 +148,8 @@ def loop1_schedule(n_steps: int, direction: str) -> LoopSchedule:
 
 def loop2_schedule(n_steps: int, direction: str) -> LoopSchedule:
     """EP-avoiding circle: radius 0.1 around theta1 = -0.5, same start point."""
-    return schedule_from_phases(
-        equal_phases(n_steps, direction), direction, radius=0.1, theta1_center=-0.5, label="loop2"
-    )
+    return schedule_from_phases(equal_phases(n_steps, direction), direction, radius=0.1, theta1_center=-0.5,
+                                label="loop2")
 
 
 _BELLS = np.array([bell_state(j) for j in (1, 2, 3, 4)])
@@ -147,13 +176,16 @@ def expected_output(direction: str, label) -> str:
     return BELL_LABELS[CHIRAL_TARGETS[(_check_direction(direction), bell_index(label))] - 1]
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    index: int
-    weights_raw: tuple[float, float, float, float]
-    weights: tuple[float, float, float, float]
-    log_magnitude: float
-    eta: tuple[complex, complex]  # (eta_plus, eta_minus) of the step's u_step
+@dataclass(frozen=True, eq=False)
+class StepRecords:
+    """Every step of one evolution as read-only arrays, row n for step n: the state's weights in the
+    biorthogonal eigenbasis of u_step, raw and normalized to sum 1 (N, 4), the accumulated log of the
+    discarded norms (N,) and the (eta_plus, eta_minus) pair of the step's u_step (N, 2)."""
+
+    weights_raw: np.ndarray
+    weights: np.ndarray
+    log_magnitude: np.ndarray
+    eta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -169,7 +201,7 @@ class EvolutionReport:
     classified_output: str
     tie: bool
     log_magnitude: float
-    per_step: tuple[StepRecord, ...] | None
+    per_step: StepRecords | None
 
 
 def _normalized(state) -> np.ndarray:
@@ -189,19 +221,20 @@ def _canonical_label(label) -> str:
         return str(label)
 
 
-def _propagate(ops, psi0, knobs: np.ndarray | None = None):
+def _propagate(ops, psi0, knobs: tuple | None = None):
     """The propagation core of both engines: every row r from psi0[r] through ops[n][r].
 
     ops yields one (rows, 4, 4) array of step operators per step, the only
     thing an engine chooses. The state is renormalized after every step; the
     discarded magnitudes accumulate in log_magnitude (scale-free for every
-    reported quantity but diagnostic for gain/loss balance). Given the
-    (5, rows, steps) knobs, every step is recorded: the state's weights in the
-    biorthogonal eigenbasis of u_step (sheet tracking) and the eta pair.
-    Every value takes the same floating-point operations as a per-row loop of
-    u_step(p) @ psi, np.linalg.norm, math.log and vdot with eigensystem(p).beta,
-    so it is bitwise that loop's and independent of the rows beside it.
-    Returns the final states, the log magnitudes and the records (or None).
+    reported quantity but diagnostic for gain/loss balance). Given the five
+    knobs, each a float or (rows, steps), every step is recorded: the state's
+    weights in the biorthogonal eigenbasis of u_step (sheet tracking) and the
+    eta pair. Every value takes the same floating-point operations as a
+    per-row loop of u_step(p) @ psi, np.linalg.norm, math.log and vdot with
+    eigensystem(p).beta, so it is bitwise that loop's and independent of the
+    rows beside it. Returns the final states, the log magnitudes and one
+    StepRecords per row (or None), slices of one stacked computation.
     """
     psi = np.array([_normalized(s) for s in psi0])
     eigen = None if knobs is None else eigensystem_array(*knobs)
@@ -219,31 +252,40 @@ def _propagate(ops, psi0, knobs: np.ndarray | None = None):
         return psi, logmag[:, -1].tolist(), None
     eta, _, beta = eigen
     z = np.vecdot(beta, np.stack(states, axis=1)[:, :, None, :])
-    quads = zip(*[iter([abs(c) ** 2 for c in z.ravel().tolist()])] * 4)  # Python abs: numpy's differs
-    records = [
-        tuple(StepRecord(n, raw, tuple([w / sum(raw) for w in raw]), lm, tuple(eta))
-              for n, (eta, lm, raw) in enumerate(zip(row_eta, row_log, quads)))  # quads last: no overdraw
-        for row_eta, row_log in zip(eta.tolist(), logmag.tolist())
-    ]
-    return psi, logmag[:, -1].tolist(), records
+    raw = np.array([abs(c) ** 2 for c in z.ravel().tolist()]).reshape(z.shape)  # Python's abs and **: numpy's differ
+    weights = raw / (((raw[..., 0] + raw[..., 1]) + raw[..., 2]) + raw[..., 3])[..., None]  # sum() as before 3.12
+    for a in (raw, weights, logmag, eta):
+        a.flags.writeable = False
+    return psi, logmag[:, -1].tolist(), [StepRecords(*row) for row in zip(raw, weights, logmag, eta)]
 
 
 def _step_operators(engine: str, knobs, schedules):
-    """One engine's (rows, 4, 4) step operators, step by step, for the (5, rows, steps) knobs of the schedules.
+    """One engine's (rows, 4, 4) step operators, step by step, for the stacked knobs of the schedules.
 
     The simplified engine applies C_r (I (x) M_rn) C_r^-1 with the control pair
     at row r's first step. (I (x) M) is the block diagonal of two M, so that is
     sum_ij M_ij E_ij with per-row constants E_ij = sum_b C[:, 2b+i] C^-1[2b+j, :].
-    Its M come from one walk_operator_closed call per step (bitwise
-    walk_operator_closed_array), which keeps that layer visible to perfbench's
-    per-function tracer.
+    Its M come from one walk_operator_closed call per step of each distinct
+    schedule object (bitwise walk_operator_closed_array), which keeps that
+    layer visible to perfbench's per-function tracer.
     """
     if _check_engine(engine) == "full":
         return np.moveaxis(u_step_array(*knobs), 1, 0)
-    c, c_inv = control_operator_array(*(k[:, 0] for k in np.broadcast_arrays(*knobs)))  # at each row's start
+    c, c_inv = control_operator_array(*(k if np.ndim(k) == 0 else k[:, 0] for k in knobs))  # at each row's start
     e = np.einsum("raqi,rqjb->rijab", c.reshape(-1, 4, 2, 2), c_inv.reshape(-1, 2, 2, 4)).reshape(-1, 4, 16)
-    m = np.array([[walk_operator_closed(p) for p in s.steps] for s in schedules])
+    chains = {key: [walk_operator_closed(p) for p in s.steps] for key, s in {id(s): s for s in schedules}.items()}
+    m = np.array([chains[id(s)] for s in schedules])
     return (np.matmul(m[:, n].reshape(-1, 1, 4), e).reshape(-1, 4, 4) for n in range(m.shape[1]))
+
+
+def _stacked_knobs(schedules) -> tuple:
+    """The five knobs of schedules of one length N, row by row: the float itself where every
+    schedule holds the same float (bit for bit), else a (rows, N) array."""
+    n = schedules[0].n_steps
+    return tuple(
+        column[0] if all(isinstance(v, float) for v in column) and len({v.hex() for v in column}) == 1
+        else np.array([_per_step(v, n) for v in column])
+        for column in zip(*(s.knobs for s in schedules)))
 
 
 def evolve_many(schedules, inputs, labels, engine: str = "full",
@@ -255,7 +297,7 @@ def evolve_many(schedules, inputs, labels, engine: str = "full",
     """
     if len({s.n_steps for s in schedules}) != 1:
         raise ConfigError("evolve_many needs schedules of one length")
-    knobs = np.moveaxis(np.array([[p.knobs for p in s.steps] for s in schedules]), -1, 0)  # (5, rows, steps)
+    knobs = _stacked_knobs(schedules)
     psi, logmag, records = _propagate(_step_operators(engine, knobs, schedules), inputs,
                                       knobs if record_steps else None)
     reports = []
@@ -268,22 +310,14 @@ def evolve_many(schedules, inputs, labels, engine: str = "full",
     return reports
 
 
-def evolve_full(
-    schedule: LoopSchedule,
-    input_state,
-    input_label: str = "custom",
-    record_steps: bool = True,
-) -> EvolutionReport:
+def evolve_full(schedule: LoopSchedule, input_state, input_label: str = "custom",
+                record_steps: bool = True) -> EvolutionReport:
     """Run the schedule with the per-step closed-form operator u_step."""
     return evolve_many([schedule], [input_state], [input_label], "full", record_steps)[0]
 
 
-def evolve_simplified(
-    schedule: LoopSchedule,
-    input_state,
-    input_label: str = "custom",
-    record_steps: bool = True,
-) -> EvolutionReport:
+def evolve_simplified(schedule: LoopSchedule, input_state, input_label: str = "custom",
+                      record_steps: bool = True) -> EvolutionReport:
     """Run the schedule with the control pair frozen at the loop endpoint.
 
     Each step applies C (I (x) M_n) C^-1 with (C, C^-1) evaluated at the
@@ -330,12 +364,10 @@ def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
     up to rounding, not bitwise.
     """
     _check_engine(engine)
-    default = WalkParams(theta1=0.0)
-    knobs = (np.asarray(theta1, dtype=float), default.theta2, np.asarray(phi, dtype=float),
-             default.gamma, default.k)
+    knobs = (np.asarray(theta1, dtype=float), _DEFAULT.theta2, np.asarray(phi, dtype=float), _DEFAULT.gamma, _DEFAULT.k)
     if engine == "full":
         return _propagate(np.moveaxis(u_step_array(*knobs), 1, 0), psi0)[0]
-    c, c_inv = control_operator_array(*(k[:, 0] for k in np.broadcast_arrays(*knobs)))  # at each row's start
+    c, c_inv = control_operator_array(*(k if np.ndim(k) == 0 else k[:, 0] for k in knobs))  # at each row's start
     psi = np.asarray(psi0, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 4:
         raise DomainError(f"states must have 4 amplitudes each, got shape {psi.shape}")
@@ -367,7 +399,7 @@ def control_drift(schedule: LoopSchedule) -> ControlDriftReport:
     therefore compared against the nearer of I and sigma_z (x) I, and the
     number of sign jumps is reported as flips.
     """
-    C, C_inv = control_operator_array(*np.array([p.knobs for p in schedule.steps]).T)
+    C, C_inv = control_operator_array(*schedule.knobs)
     d = np.roll(C_inv, -1, axis=0) @ C
     dev_id, dev_flip = (np.abs(d - e).max(axis=(1, 2)) for e in (np.eye(4), _K_FLIP))
     deviations = np.minimum(dev_id, dev_flip).tolist()
@@ -391,26 +423,16 @@ def sheet_trace(report: EvolutionReport) -> SheetTrace:
     """
     if report.per_step is None:
         raise DomainError("sheet_trace needs a report recorded with record_steps=True")
-    dominant = []
-    eta_track = None
-    for rec in report.per_step:
-        eta_plus, eta_minus = rec.eta
-        w = rec.weights
-        group_plus, group_minus = w[0] + w[3], w[1] + w[2]
-        if eta_track is None:
-            eta_track = eta_plus
-            dominant.append(0 if group_plus > group_minus else 1)
-            continue
+    w, eta = report.per_step.weights, report.per_step.eta.tolist()
+    groups = np.stack([w[:, 0] + w[:, 3], w[:, 1] + w[:, 2]], axis=1).tolist()  # (plus, minus) per step
+    eta_track, dominant = eta[0][0], [0 if groups[0][0] > groups[0][1] else 1]
+    for (eta_plus, eta_minus), (group_plus, group_minus) in zip(eta[1:], groups[1:]):
         if abs(eta_plus - eta_track) <= abs(eta_minus - eta_track):
             tracked, eta_track = group_plus, eta_plus
         else:
             tracked, eta_track = group_minus, eta_minus
         dominant.append(0 if tracked >= 0.5 else 1)
-    switch_steps = tuple(
-        rec.index
-        for prev, cur, rec in zip(dominant, dominant[1:], report.per_step[1:])
-        if prev != cur
-    )
+    switch_steps = tuple(n for n in range(1, len(dominant)) if dominant[n] != dominant[n - 1])
     return SheetTrace(switches=len(switch_steps), switch_steps=switch_steps)
 
 
@@ -459,18 +481,17 @@ def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
     """Minimum over the 8 chirality cases of fidelity to the target Bell state.
 
     Inputs are the start-point eigenstates labeled by nearest Bell state; the
-    schedules dict supplies one schedule per direction. Schedules of one
-    length run through _case_fidelities together, so the two directions may
-    differ in length.
+    schedules dict supplies one schedule per direction, under its own
+    direction's key (else ConfigError). Schedules of one length run through
+    _case_fidelities together, so the two directions may differ in length.
     """
-    by_length: dict[int, list[str]] = {}
+    by_length: dict[int, list[LoopSchedule]] = {}
     for d in DIRECTIONS:
-        by_length.setdefault(schedules[d].n_steps, []).append(d)
-    fidelities = []
-    for group in by_length.values():
-        steps = [schedules[d].steps for d in group]
-        knobs = np.array([[p.knobs for p in s] for s in steps])
-        fidelities += _case_fidelities(np.moveaxis(knobs, -1, 0), tuple(s[0] for s in steps), group)
+        if schedules[d].direction != d:
+            raise ConfigError(f"schedules[{d!r}] runs {schedules[d].direction!r}, not the direction of its key")
+        by_length.setdefault(schedules[d].n_steps, []).append(schedules[d])
+    fidelities = [f for group in by_length.values() for f in _case_fidelities(
+        _stacked_knobs(group), tuple(s.start for s in group), [s.direction for s in group])]
     if not all(map(math.isfinite, fidelities)):  # min skips NaN
         raise DomainError(f"case fidelities must be finite, got {fidelities}")
     return min(math.inf, *fidelities)
@@ -483,7 +504,9 @@ class OptimizeResult:
     baseline_objective: float
 
     def schedule(self, direction: str) -> LoopSchedule:
-        return _schedule_from_increments(np.asarray(self.increments), direction)
+        """The loop-1 schedule from the start point whose phase steps are the increments."""
+        phases = _increment_phases(np.asarray(self.increments), direction)
+        return schedule_from_phases(phases, direction, label="loop1-optimized")
 
     def schedules(self) -> dict[str, LoopSchedule]:
         return {d: self.schedule(d) for d in DIRECTIONS}
@@ -494,11 +517,6 @@ def _increment_phases(incr: np.ndarray, direction: str) -> np.ndarray:
     return -math.pi / 2 + direction_sign(direction) * np.concatenate([[0.0], np.cumsum(incr[:-1])])
 
 
-def _schedule_from_increments(incr: np.ndarray, direction: str) -> LoopSchedule:
-    """Loop-1 schedule from the start point whose phase steps are `incr`."""
-    return schedule_from_phases(_increment_phases(incr, direction), direction, label="loop1-optimized")
-
-
 def _increments_from_x(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - np.max(x))
     return 2 * math.pi * e / e.sum()
@@ -506,22 +524,17 @@ def _increments_from_x(x: np.ndarray) -> np.ndarray:
 
 def _objective(x: np.ndarray) -> float:
     """The optimizer's objective: min_case_fidelity of the loop-1 schedules whose
-    increments come from x, bitwise, built as (theta1, phi) arrays with no
-    LoopSchedule or WalkParams per step."""
+    increments come from x, bitwise, on the schedules' own knobs with no
+    LoopSchedule in between."""
     incr = _increments_from_x(x)
-    points = [_loop_points(_increment_phases(incr, d), LOOP1_RADIUS, LOOP1_CENTER) for d in DIRECTIONS]
-    starts = tuple(WalkParams(theta1=theta1, phi=phi) for theta1, phi in (row[0] for row in points))
-    theta1, phi = np.moveaxis(np.array(points), -1, 0)
-    knobs = (theta1, starts[0].theta2, phi, starts[0].gamma, starts[0].k)  # other knobs at their defaults
+    theta1, phi = _circle([_increment_phases(incr, d) for d in DIRECTIONS], LOOP1_RADIUS, LOOP1_CENTER)
+    starts = tuple(WalkParams(theta1=t, phi=f) for t, f in zip(theta1[:, 0].tolist(), phi[:, 0].tolist()))
+    knobs = (theta1, _DEFAULT.theta2, phi, _DEFAULT.gamma, _DEFAULT.k)
     return min(math.inf, *_case_fidelities(knobs, starts, DIRECTIONS))
 
 
-def optimize_schedule(
-    n_steps: int = 8,
-    seed: int = 20260815,
-    multistarts: int = 6,
-    maxiter: int = 2000,
-) -> OptimizeResult:
+def optimize_schedule(n_steps: int = 8, seed: int = 20260815, multistarts: int = 6,
+                      maxiter: int = 2000) -> OptimizeResult:
     """Tune unequal loop-phase spacing to maximize the worst chirality case.
 
     The N positive phase increments live on a softmax simplex scaled to a full

@@ -9,6 +9,7 @@ the 0.01 bound fails and is left failing on purpose rather than weakened.
 """
 import filecmp
 import hashlib
+import json
 import os
 import time
 
@@ -271,6 +272,69 @@ def test_fig1b_reports_keep_their_pinned_bytes(tmp_path, capsys):
     capsys.readouterr()
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == FIG1B_DIGESTS
+
+
+# sha256 of `eploop reproduce fig2`, default config and {"record_steps": true}, taken while each step
+# record was one dataclass
+FIG2_DIGESTS = {
+    False: {
+        "fig2_ccw_zeta1.json": "168ed7fa451eaa59bc5adb7725030954ab3db57cea75fdab9e9d060b235ff70c",
+        "fig2_ccw_zeta2.json": "ae2df53df18b6854ccb67044dded0d09fc6ea1d8f6c3363990c73c5ef6d721dd",
+        "fig2_ccw_zeta3.json": "058d7fbc6166dad2d21e2871386b4f9e903774e1d890808af03f587a6b44865b",
+        "fig2_ccw_zeta4.json": "d90b406d8a2e4c7a4f4e58ab750f321bf3ee97e68ef9fe288e75ee95070e2837",
+        "fig2_cw_zeta1.json": "e609f8f7a310e29b946e465507df66e6bc4a43cdbf78148ee3ee163f0c74189c",
+        "fig2_cw_zeta2.json": "e8ff727e9f9c320afe16c813bfedd70825f1825187f09aa6dfbfaeb1cdc56c4f",
+        "fig2_cw_zeta3.json": "96e6f848251445775ba0c33651c5f3a8240f79ec324a7ea8c21903623143fe26",
+        "fig2_cw_zeta4.json": "c259bd711b2fcbcce608a9a9b725ae6fab239e8f6b25322a617dd294d548c8e1",
+        "fig2_input_zeta1.json": "f731ba71abd9b32032c764c598bc642b1f105bd2a2db69eb6a2a33eeb53e0728",
+        "fig2_input_zeta2.json": "2a52f26505fe65cbfd559b05ad4726534061d96e8c315d851fd17b7849fff7b6",
+        "fig2_input_zeta3.json": "9cd0c1bbf486a02a47a18c48fde69f0ad39a9f807f178f2e2452edbada2d7738",
+        "fig2_input_zeta4.json": "163190c4efc8d66635633a9536ab564e71ba875916e802d3ff8bb90912551713",
+    },
+    True: {
+        "fig2_ccw_zeta1.json": "8cca1fabfad050dc5b0ce2f72ebf4c9c290442ac9dc18608acada3774c3f095c",
+        "fig2_ccw_zeta2.json": "8a154b7a9e67d4bde18f19b0169eb23c1c9ab4f1664b2e64be73318649688164",
+        "fig2_ccw_zeta3.json": "3934a87db0a00393a2dd0dfb1551d49f7036286dceeae7176cc2175d30a5fc07",
+        "fig2_ccw_zeta4.json": "a6a32a55b2d38c3ccb68e241f324259d9cc86d5cab5a178e64d61cf45e469fea",
+        "fig2_cw_zeta1.json": "4d32811951c63a950c8af19761cc6e4a6d91b5cde70edbdc9747f8a9b7db7f77",
+        "fig2_cw_zeta2.json": "2790ba4594063443a525651da1e66099cc83578655a999ec019250dbdd6f96c1",
+        "fig2_cw_zeta3.json": "9acd1f2ecaf23066d52dead4cdfc04255b548a594f150fb12f07c1de61db908c",
+        "fig2_cw_zeta4.json": "d4d6801b16006776024f4d654c396203be705521ce582dff8a6bdafb10bda094",
+        "fig2_input_zeta1.json": "f731ba71abd9b32032c764c598bc642b1f105bd2a2db69eb6a2a33eeb53e0728",
+        "fig2_input_zeta2.json": "2a52f26505fe65cbfd559b05ad4726534061d96e8c315d851fd17b7849fff7b6",
+        "fig2_input_zeta3.json": "9cd0c1bbf486a02a47a18c48fde69f0ad39a9f807f178f2e2452edbada2d7738",
+        "fig2_input_zeta4.json": "163190c4efc8d66635633a9536ab564e71ba875916e802d3ff8bb90912551713",
+    },
+}
+
+
+@pytest.mark.parametrize("record_steps", [False, True])
+def test_fig2_reports_keep_their_pinned_bytes(tmp_path, capsys, record_steps):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"record_steps": record_steps}))
+    assert main(["reproduce", "fig2", "--out", str(tmp_path / "out"), "--config", str(config)]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").iterdir()}
+    assert digests == FIG2_DIGESTS[record_steps]
+
+
+# sha256 of the stdout of `eploop evolve --loop L --engine full --n-steps 100 --record-steps
+# --input-kind K --format json`, the same before and after the propagation core was stacked
+EVOLVE_DIGESTS = {
+    (1, "eigenstate"): "8c9bb2a8a2c6e657588bd9d63982b2b947aec4109a3048da8fe7b4cc2e1f8854",
+    (1, "bell"): "dc15ff41994a6f790034bcd5cd5419d69fb06df5d889e8c2c6bc0bbfc497fb56",
+    (2, "eigenstate"): "8c425492104f460023d3e1bfe9fa9a927de05bebb796a29949a601e97a35f4d8",
+    (2, "bell"): "f8ef5ac92b8254b491250ddd67b7d9ddb7fc6958a6e6009b448bb4ed26806409",
+}
+
+
+@pytest.mark.parametrize("loop, input_kind", sorted(EVOLVE_DIGESTS))
+def test_recorded_evolve_stdout_keeps_its_pinned_bytes(capsys, loop, input_kind):
+    argv = ["evolve", "--loop", str(loop), "--engine", "full", "--n-steps", "100", "--record-steps",
+            "--input-kind", input_kind, "--format", "json"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == EVOLVE_DIGESTS[loop, input_kind]
 
 
 def test_acceptance_summary_values_documented():

@@ -20,7 +20,15 @@ from eploop.harness import (
     report_dict,
     reproduce_figure,
 )
-from eploop.loops import LoopSchedule, bell_eigenstate, evolve, evolve_full, loop1_schedule, loop2_schedule
+from eploop.loops import (
+    LoopSchedule,
+    StepRecords,
+    bell_eigenstate,
+    evolve,
+    evolve_full,
+    loop1_schedule,
+    loop2_schedule,
+)
 from eploop.metrics import bell_index
 from eploop.tomo import MAX_RESAMPLES
 
@@ -85,7 +93,7 @@ def _reference_disorder_run(cfg):
             offsets = np.broadcast_to(offsets, (sched.n_steps, 2)).tolist()
             steps = tuple(replace(p, theta1=p.theta1 + dth, phi=p.phi + dph)
                           for p, (dth, dph) in zip(sched.steps, offsets))
-            rep = evolve(LoopSchedule(steps=steps, direction=sched.direction, label=sched.label),
+            rep = evolve(LoopSchedule.from_steps(steps, sched.direction, sched.label),
                          psi0, engine=cfg.engine, record_steps=False)
             fids.append(rep.fidelities[ref])
             unchanged += rep.classified_output == base.classified_output
@@ -138,9 +146,14 @@ def test_evolve_cases_rows_do_not_depend_on_their_neighbours(engine, loop, input
     assert len(batched) == len(alone)
     for got, want in zip(batched, alone):
         for f in fields(got):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert (a.tolist() if isinstance(a, np.ndarray) else a) == \
-                (b.tolist() if isinstance(b, np.ndarray) else b), f.name
+            assert _plain(getattr(got, f.name)) == _plain(getattr(want, f.name)), f.name
+
+
+def _plain(value):
+    """A report field with its arrays, step records' included, as lists, for == comparison."""
+    if isinstance(value, StepRecords):
+        return [_plain(getattr(value, f.name)) for f in fields(value)]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def test_disorder_rejects_bad_inputs():

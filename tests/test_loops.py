@@ -29,7 +29,7 @@ from eploop.loops import (
     schedule_from_phases,
     sheet_trace,
 )
-from eploop.loops import _increments_from_x, _objective, _schedule_from_increments
+from eploop.loops import _increments_from_x, _objective
 from eploop.linalg import max_abs
 from eploop.metrics import bell_index, bell_state, classify, fidelity_pure
 from eploop.spectrum import eigensystem, find_ep
@@ -71,6 +71,7 @@ def test_loop_schedules_share_start_point():
         assert p.theta1 == pytest.approx(-0.6)
         assert sched.n_steps == 16
         assert sched.direction == "cw"
+        assert sched.start == p
     assert loop1_schedule(8, "cw").label == "loop1"
     assert loop2_schedule(8, "ccw").label == "loop2"
 
@@ -84,6 +85,39 @@ def test_loop_geometry():
     s2 = loop2_schedule(100, "ccw")
     radii2 = np.hypot([p.phi for p in s2.steps], [p.theta1 + 0.5 for p in s2.steps])
     assert np.allclose(radii2, 0.1, atol=1e-12)
+
+
+def test_circular_schedules_vary_theta1_and_phi_only():
+    sched = loop1_schedule(8, "ccw")
+    theta1, theta2, phi, gamma, k = sched.knobs
+    assert (theta2, gamma, k) == (math.pi / 16, 0.2, 0.0)
+    assert theta1.tolist() == [p.theta1 for p in sched.steps]
+    assert phi.tolist() == [p.phi for p in sched.steps]
+    for values in (theta1, phi):
+        assert values.shape == (8,)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
+def test_schedule_knobs_are_floats_or_read_only_arrays_of_one_length():
+    steps = [WalkParams(theta1=-0.6, gamma=0.1), WalkParams(theta1=-0.5, k=0.3)]
+    sched = LoopSchedule.from_steps(steps, "cw")
+    assert sched.steps == tuple(steps)
+    assert sched.n_steps == 2 and sched.label == "custom"
+    theta1 = np.array([-0.6, -0.5])
+    mixed = LoopSchedule((theta1, 0.1, 0.0, 0.2, np.zeros(2)), "cw", "mixed")
+    theta1[0] = 9.0  # the schedule holds a copy
+    assert mixed.knobs[0].tolist() == [-0.6, -0.5]
+    assert mixed.knobs[1:4] == (0.1, 0.0, 0.2)
+    assert mixed.start == WalkParams(theta1=-0.6, theta2=0.1, phi=0.0, gamma=0.2, k=0.0)
+    for knobs in [(0.1,) * 5, (np.zeros(2), 0.1, np.zeros(3), 0.2, 0.0), (np.zeros(0),) + (0.1,) * 4,
+                  (np.zeros((2, 2)),) + (0.1,) * 4, (np.zeros(2),) + (0.1,) * 3]:
+        with pytest.raises(ConfigError, match="at least 1 step"):
+            LoopSchedule(knobs, "cw", "custom")
+    with pytest.raises(ConfigError, match="at least 1 step"):
+        LoopSchedule.from_steps([], "cw")
+    with pytest.raises(ConfigError, match="direction"):
+        LoopSchedule.from_steps(steps, "up")
 
 
 def test_schedule_from_phases_custom():
@@ -195,8 +229,7 @@ def test_evolve_batch_guards_the_ep_like_evolve_simplified():
     theta1 = np.array([[-0.6, -0.5], [ep.theta1, -0.5]])
     phi = np.zeros_like(theta1)
     psi0 = [bell_state(1), bell_state(3)]
-    at_ep = LoopSchedule(steps=(WalkParams(theta1=ep.theta1), WalkParams(theta1=-0.5)),
-                         direction="cw", label="custom")
+    at_ep = LoopSchedule.from_steps((WalkParams(theta1=ep.theta1), WalkParams(theta1=-0.5)), "cw")
     with pytest.raises(TooCloseToEP):
         evolve_simplified(at_ep, psi0[1])
     with pytest.raises(TooCloseToEP):
@@ -248,10 +281,11 @@ def test_engines_match_their_definitions(phases, direction, psi0):
         final = states[-1] / np.linalg.norm(states[-1])
         assert np.allclose(rep.output_state, final, rtol=0, atol=1e-10)
         assert rep.log_magnitude == pytest.approx(math.log(np.linalg.norm(states[-1])), abs=1e-10)
-        for rec, p, psi in zip(rep.per_step, sched.steps, states):
+        assert rep.per_step.weights_raw.shape == rep.per_step.weights.shape == (len(states), 4)
+        for got_raw, got_weights, p, psi in zip(rep.per_step.weights_raw, rep.per_step.weights, sched.steps, states):
             raw, weights = _eigenbasis_weights(p, psi)
-            assert np.allclose(rec.weights_raw, raw, rtol=0, atol=1e-10)
-            assert np.allclose(rec.weights, weights, rtol=0, atol=1e-10)
+            assert np.allclose(got_raw, raw, rtol=0, atol=1e-10)
+            assert np.allclose(got_weights, weights, rtol=0, atol=1e-10)
 
 
 def _scalar_steps(steps, psi0):
@@ -265,7 +299,8 @@ def _scalar_steps(steps, psi0):
         psi = psi / nrm
         es = eigensystem(p)
         raw = tuple(float(abs(np.vdot(b, psi)) ** 2) for b in es.beta)
-        records.append((raw, tuple(w / sum(raw) for w in raw), logmag, (es.eta_plus, es.eta_minus)))
+        total = ((raw[0] + raw[1]) + raw[2]) + raw[3]  # sum() compensates from Python 3.12 on
+        records.append((raw, tuple(w / total for w in raw), logmag, (es.eta_plus, es.eta_minus)))
     return psi, logmag, records
 
 
@@ -284,10 +319,10 @@ _STEP = st.one_of(
 @given(st.integers(1, 16).flatmap(
     lambda n: st.lists(st.tuples(st.lists(_STEP, min_size=n, max_size=n), _STATES), min_size=1, max_size=4)))
 def test_core_is_bitwise_the_scalar_step_loop(rows):
-    schedules = [LoopSchedule(tuple(steps), "cw", "custom") for steps, _ in rows]
+    schedules = [LoopSchedule.from_steps(steps, "cw") for steps, _ in rows]
     inputs = [psi0 for _, psi0 in rows]
     try:
-        expected = [_scalar_steps(sched.steps, psi0) for sched, psi0 in zip(schedules, inputs)]
+        expected = [_scalar_steps(steps, psi0) for steps, psi0 in rows]
     except TooCloseToEP as exc:  # e.g. gamma = 0 puts some steps on an EP
         with pytest.raises(TooCloseToEP, match=re.escape(str(exc))):
             evolve_many(schedules, inputs, ["custom"] * len(rows))
@@ -296,7 +331,11 @@ def test_core_is_bitwise_the_scalar_step_loop(rows):
     for rep, (psi, logmag, records) in zip(reports, expected):
         assert rep.output_state.tolist() == psi.tolist()
         assert rep.log_magnitude == logmag
-        assert [(r.weights_raw, r.weights, r.log_magnitude, r.eta) for r in rep.per_step] == records
+        rec = rep.per_step
+        columns = (rec.weights_raw, rec.weights, rec.log_magnitude, rec.eta)
+        assert not any(a.flags.writeable for a in columns)
+        assert [(tuple(raw), tuple(w), lm, tuple(eta))
+                for raw, w, lm, eta in zip(*(a.tolist() for a in columns))] == records
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -309,8 +348,7 @@ def test_collapsed_simplified_batch_matches_the_stepwise_engine(n_steps, loop, d
     runs = np.array([points + np.random.default_rng(seed).uniform(-strength, strength, points.shape)
                      for strength, seed, _ in rows])
     psi0 = [psi for _, _, psi in rows]
-    schedules = [LoopSchedule(tuple(WalkParams(theta1=t, phi=f) for t, f in run), direction, "custom")
-                 for run in runs]
+    schedules = [LoopSchedule.from_steps([WalkParams(theta1=t, phi=f) for t, f in run], direction) for run in runs]
     got = evolve_batch(runs[..., 0], runs[..., 1], psi0, "simplified")
     for out, sched, psi in zip(got, schedules, psi0):
         expected = evolve_simplified(sched, psi, record_steps=False).output_state
@@ -334,7 +372,7 @@ def test_step_records_guard_the_ep_like_eigensystem():
     healthy = loop1_schedule(6, "cw")
     steps = list(healthy.steps)
     steps[3] = WalkParams(theta1=_EP_THETA1)
-    near = LoopSchedule(tuple(steps), "cw", "custom")
+    near = LoopSchedule.from_steps(steps, "cw")
     with pytest.raises(TooCloseToEP) as ref:
         eigensystem(steps[3])
     assert str(steps[3]) in str(ref.value)
@@ -369,11 +407,11 @@ def test_control_pairs_guard_the_first_failing_row_like_control_operator():
             control_operator(singular)
         guard = f"^{re.escape(str(ref.value))}$"
         starts = (healthy.steps[0], singular, near_ep)
-        schedules = [LoopSchedule((p,) + healthy.steps[1:], "cw", "custom") for p in starts]
+        schedules = [LoopSchedule.from_steps((p,) + healthy.steps[1:], "cw") for p in starts]
         with pytest.raises(SingularMatrix, match=guard):
             evolve_many(schedules, [bell_state(1)] * 3, ["zeta1"] * 3, "simplified", record_steps=False)
         with pytest.raises(SingularMatrix, match=guard):
-            control_drift(LoopSchedule(starts, "cw", "custom"))
+            control_drift(LoopSchedule.from_steps(starts, "cw"))
         if singular == _DEFAULT_SINGULAR_COIN:  # evolve_batch holds theta2, gamma and k at their defaults
             runs = np.array([[(p.theta1, p.phi) for p in sched.steps] for sched in schedules])
             with pytest.raises(SingularMatrix, match=guard):
@@ -405,32 +443,33 @@ def test_report_shape_and_step_records():
     assert rep.loop_label == "loop1"
     assert np.linalg.norm(rep.output_state) == pytest.approx(1.0)
     assert np.trace(rep.output_density) == pytest.approx(1.0)
-    assert len(rep.per_step) == 10
-    for rec in rep.per_step:
-        assert len(rec.weights) == 4
-        assert sum(rec.weights) == pytest.approx(1.0)
-        assert all(w >= 0 for w in rec.weights_raw)
+    rec = rep.per_step
+    assert rec.weights.shape == rec.weights_raw.shape == (10, 4)
+    assert rec.log_magnitude.shape == (10,) and rec.eta.shape == (10, 2)
+    for weights, raw in zip(rec.weights.tolist(), rec.weights_raw.tolist()):
+        assert sum(weights) == pytest.approx(1.0)
+        assert all(w >= 0 for w in raw)
     assert np.isfinite(rep.log_magnitude)
 
 
 def test_sheet_trace_switch_table():
-    expected_switches = {
-        ("cw", 1): 0,
-        ("cw", 2): 1,
-        ("cw", 3): 1,
-        ("cw", 4): 0,
-        ("ccw", 1): 1,
-        ("ccw", 2): 0,
-        ("ccw", 3): 0,
-        ("ccw", 4): 1,
+    # as read off one step record object per step
+    expected_switch_steps = {
+        ("cw", 1): (),
+        ("cw", 2): (40,),
+        ("cw", 3): (40,),
+        ("cw", 4): (),
+        ("ccw", 1): (40,),
+        ("ccw", 2): (),
+        ("ccw", 3): (),
+        ("ccw", 4): (40,),
     }
-    for (direction, j), n_switches in expected_switches.items():
+    for (direction, j), switch_steps in expected_switch_steps.items():
         sched = loop1_schedule(100, direction)
         rep = evolve_full(sched, bell_eigenstate(j, sched.steps[0]), record_steps=True)
         tr = sheet_trace(rep)
-        assert tr.switches == n_switches, (direction, j)
-        if n_switches:
-            assert len(tr.switch_steps) == n_switches
+        assert tr.switch_steps == switch_steps, (direction, j)
+        assert tr.switches == len(switch_steps)
 
 
 def test_sheet_trace_needs_step_records():
@@ -508,9 +547,17 @@ def test_min_case_fidelity_is_the_simplified_engine(schedules):
 def test_min_case_fidelity_rejects_non_finite_case_fidelities():
     steps = list(loop1_schedule(4, "cw").steps)
     steps[2] = WalkParams(theta1=math.nan)
-    schedules = {"cw": LoopSchedule(tuple(steps), "cw", "custom"), "ccw": loop1_schedule(4, "ccw")}
+    schedules = {"cw": LoopSchedule.from_steps(steps, "cw"), "ccw": loop1_schedule(4, "ccw")}
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="finite"):
         min_case_fidelity(schedules)
+
+
+def test_min_case_fidelity_scores_each_schedule_under_its_own_direction():
+    right = {d: loop1_schedule(8, d) for d in DIRECTIONS}
+    assert min_case_fidelity(right) == pytest.approx(0.5408925599324854, abs=1e-12)
+    for swapped in ({"cw": right["ccw"], "ccw": right["cw"]}, {"cw": right["cw"], "ccw": right["cw"]}):
+        with pytest.raises(ConfigError, match="direction of its key"):
+            min_case_fidelity(swapped)
 
 
 def test_min_case_fidelity_long_loop_stays_finite():
@@ -526,7 +573,7 @@ def test_min_case_fidelity_long_loop_stays_finite():
 def test_optimizer_objective_is_bitwise_min_case_fidelity(n_steps, seed):
     x = np.random.default_rng(seed).normal(0.0, 1.5, n_steps)
     incr = _increments_from_x(x)
-    schedules = {d: _schedule_from_increments(incr, d) for d in DIRECTIONS}
+    schedules = OptimizeResult(tuple(incr.tolist()), 0.0, 0.0).schedules()
     assert _objective(x) == min_case_fidelity(schedules) == _scalar_min_case_fidelity(schedules)
 
 

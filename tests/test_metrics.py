@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from eploop.errors import DomainError
 from eploop.metrics import (
     BELL_LABELS,
+    bell_fidelities,
     bell_index,
     bell_state,
     CLASSIFY_TIE_TOL,
@@ -106,3 +107,15 @@ def test_classify_rows_tie_rule():
     labels = [(c.label, c.tie) for c in classify_rows(np.array(_TIES))]
     assert labels == [("zeta1", True), ("zeta3", True), ("zeta1", True), ("zeta1", True), ("zeta3", True),
                       ("zeta2", True), ("zeta4", False)]
+
+
+# Hermitian 4x4 matrices of trace about 1, positive or slightly indefinite, like noisy reconstructions
+_RHO = st.tuples(st.lists(_STATE, min_size=1, max_size=4), st.floats(-0.05, 0.05)).map(
+    lambda v: sum(density_matrix(psi) for psi in v[0]) / len(v[0]) + v[1] * np.diag([1.0, -1.0, 1.0, -1.0]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_RHO, min_size=1, max_size=6))
+def test_bell_fidelities_are_bitwise_fidelity_pure(rhos):
+    got = bell_fidelities(np.array(rhos)).tolist()
+    assert got == [[fidelity_pure(bell_state(j), rho) for j in (1, 2, 3, 4)] for rho in rhos]
