@@ -16,9 +16,12 @@ simplified engine as one collapsed 2x2 chain per row. Step operators,
 control pairs and step-record eigenbases come from one call of their array
 forms per batch, never from the one-row u_step, control_operator or
 eigensystem. Diagnostics cover sheet tracking, the step-to-step drift of the
-control operator, and a small-N schedule optimizer, whose objective
-(_case_fidelities) runs the simplified engine in collapsed form: one stacked
-2x2 chain per direction.
+control operator, and a small-N schedule optimizer. Its objective
+(_objective_rows over _case_fidelities) scores many points per call, running
+the simplified engine in collapsed form: one stacked 2x2 chain per direction
+of each point. An in-house Nelder-Mead (_nelder_mead) moves all starts in
+lockstep, scoring the points of each simplex step in one such call; it takes
+scipy's steps bit for bit, and scipy is not imported.
 """
 from __future__ import annotations
 
@@ -188,8 +191,11 @@ class StepRecords:
     eta: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionReport:
+    """One evolution's outcome; reports compare and hash by identity, as their array fields
+    have no single truth value."""
+
     input_label: str
     direction: str
     n_steps: int
@@ -456,8 +462,9 @@ def _case_fidelities(knobs, starts: tuple[WalkParams, ...], directions) -> list[
 
     knobs are the five step knobs (theta1, theta2, phi, gamma, k), each
     broadcastable to (rows, N); row r runs in direction directions[r], and
-    starts[r] is its first step, whose eigenstates are the inputs. The outputs
-    are the simplified engine's, in collapsed form:
+    starts[r] is its first step, whose eigenstates are the inputs (a single
+    start serves all rows). The outputs are the simplified engine's, in
+    collapsed form:
     normalize(C_0 (I (x) P) C_0^-1 psi_j) with one 2x2 chain
     P = M_{N-1}...M_0 per row, applied to the four inputs as one 4x4 block.
     This equals evolve_simplified exactly; P is rescaled at every step in
@@ -505,32 +512,117 @@ class OptimizeResult:
 
     def schedule(self, direction: str) -> LoopSchedule:
         """The loop-1 schedule from the start point whose phase steps are the increments."""
-        phases = _increment_phases(np.asarray(self.increments), direction)
+        phases = _increment_phases(np.asarray(self.increments), direction_sign(direction))
         return schedule_from_phases(phases, direction, label="loop1-optimized")
 
     def schedules(self) -> dict[str, LoopSchedule]:
         return {d: self.schedule(d) for d in DIRECTIONS}
 
 
-def _increment_phases(incr: np.ndarray, direction: str) -> np.ndarray:
-    """Loop phases from the start point whose phase steps are `incr`."""
-    return -math.pi / 2 + direction_sign(direction) * np.concatenate([[0.0], np.cumsum(incr[:-1])])
+def _increment_phases(incr: np.ndarray, sign) -> np.ndarray:
+    """Loop phases from the start point whose phase steps are `incr` (along its last axis), turning
+    by sign: +1 counter-clockwise, -1 clockwise, or an array of signs that broadcasts."""
+    turns = np.concatenate([np.zeros_like(incr[..., :1]), np.cumsum(incr[..., :-1], axis=-1)], axis=-1)
+    return -math.pi / 2 + sign * turns
 
 
 def _increments_from_x(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
-    return 2 * math.pi * e / e.sum()
+    """Phase increments from the optimizer's variables, along the last axis: a softmax scaled to a full turn."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return 2 * math.pi * e / e.sum(axis=-1, keepdims=True)
+
+
+# scipy.optimize's Nelder-Mead coefficients (reflection, expansion, contraction, shrink), and
+# the optimizer's tolerances on the simplex's spread in x and in value
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_XATOL, _FATOL = 1e-4, 1e-6
+# simplex entries a lockstep group of starts holds (a group has at least one start), and the
+# row-steps one objective call scores at most: memory stays flat in the number of starts
+_LOCKSTEP_ENTRIES = 2**14
+_SIGNS = np.array([[direction_sign(d)] for d in DIRECTIONS])  # row d of _objective_rows' (B, 2, N) phases
+
+
+def _objective_rows(x: np.ndarray) -> np.ndarray:
+    """The optimizer's objective at every row of x (B, N): min_case_fidelity of the loop-1
+    schedules whose increments come from that row, bitwise, on the schedules' own knobs with
+    no LoopSchedule in between. Each value is independent of the rows beside it, so the rows
+    are scored in chunks of at most _LOCKSTEP_ENTRIES row-steps."""
+    rows = max(1, _LOCKSTEP_ENTRIES // x.shape[1])
+    if len(x) > rows:
+        return np.concatenate([_objective_rows(x[i:i + rows]) for i in range(0, len(x), rows)])
+    phases = _increment_phases(_increments_from_x(x)[:, None], _SIGNS)  # (B, 2, N)
+    theta1, phi = (v.reshape(-1, x.shape[1]) for v in _circle(phases, LOOP1_RADIUS, LOOP1_CENTER))
+    start = WalkParams(theta1=theta1[0, 0].item(), phi=phi[0, 0].item())  # every row starts at phase -pi/2
+    knobs = (theta1, _DEFAULT.theta2, phi, _DEFAULT.gamma, _DEFAULT.k)
+    fidelities = _case_fidelities(knobs, (start,), DIRECTIONS * len(x))
+    return np.array([min(math.inf, *fidelities[i:i + 8]) for i in range(0, len(fidelities), 8)])
 
 
 def _objective(x: np.ndarray) -> float:
-    """The optimizer's objective: min_case_fidelity of the loop-1 schedules whose
-    increments come from x, bitwise, on the schedules' own knobs with no
-    LoopSchedule in between."""
-    incr = _increments_from_x(x)
-    theta1, phi = _circle([_increment_phases(incr, d) for d in DIRECTIONS], LOOP1_RADIUS, LOOP1_CENTER)
-    starts = tuple(WalkParams(theta1=t, phi=f) for t, f in zip(theta1[:, 0].tolist(), phi[:, 0].tolist()))
-    knobs = (theta1, _DEFAULT.theta2, phi, _DEFAULT.gamma, _DEFAULT.k)
-    return min(math.inf, *_case_fidelities(knobs, starts, DIRECTIONS))
+    """The optimizer's objective at one point x (N,): the one-row call of _objective_rows."""
+    return float(_objective_rows(np.asarray(x, dtype=float)[None])[0])
+
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every simplex's vertices in ascending order of value, by np.argsort and a take per row."""
+    ind = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def _nelder_mead(f_rows, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize f from every start x0[s] (S, N) by Nelder-Mead, all starts in lockstep; returns
+    each start's (x, fun).
+
+    f_rows maps (B, N) points to B values, each independent of the rows
+    beside it. The steps are those of scipy.optimize's Nelder-Mead (Nelder &
+    Mead, Comput. J. 7, 308, 1965) with the same coefficients, expressions and
+    sorting, so each start visits scipy's points and returns its (x, fun) bit
+    for bit. One iteration scores every running start's reflection in one
+    call, then the expansions and contractions that the rules pick in at most
+    one more, then every shrink in one more. A start stops on scipy's
+    xatol/fatol test (_XATOL, _FATOL) or when the iterations, counted from 1,
+    reach maxiter.
+    """
+    n_starts, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)  # scipy's nonzdelt and zdelt
+    fsim = f_rows(sim.reshape(-1, n)).reshape(n_starts, n + 1)
+    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))  # sorted twice, as scipy does
+    x, fun, running = np.empty_like(x0), np.empty(n_starts), np.arange(n_starts)
+    for _ in range(1, maxiter):
+        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
+        if done.any():
+            x[running[done]], fun[running[done]] = sim[done, 0], np.min(fsim[done], axis=1)
+            running, sim, fsim = running[~done], sim[~done], fsim[~done]
+            if not len(running):
+                break
+        xbar, worst = np.add.reduce(sim[:, :-1], 1) / n, sim[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = f_rows(xr)
+        expand = fxr < fsim[:, 0]
+        keep_r = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~keep_r & (fxr < fsim[:, -1])
+        inside = ~expand & ~keep_r & ~outside
+        x2 = np.where(expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+                      np.where(outside[:, None], (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                               (1 - _PSI) * xbar + _PSI * worst))  # expansion, outside or inside contraction
+        fx2 = np.full(len(fxr), np.nan)
+        if not keep_r.all():
+            fx2[~keep_r] = f_rows(x2[~keep_r])
+        take2 = (expand & (fx2 < fxr)) | (outside & (fx2 <= fxr)) | (inside & (fx2 < fsim[:, -1]))
+        replace = keep_r | expand | take2  # the worst vertex; the other contractions shrink
+        sim[replace, -1] = np.where(take2[:, None], x2, xr)[replace]
+        fsim[replace, -1] = np.where(take2, fx2, fxr)[replace]
+        if not replace.all():
+            best, rest = sim[~replace, :1], sim[~replace, 1:]
+            sim[~replace, 1:] = shrunk = best + _SIGMA * (rest - best)
+            fsim[~replace, 1:] = f_rows(shrunk.reshape(-1, n)).reshape(-1, n)
+        sim, fsim = _sort_simplices(sim, fsim)
+    x[running], fun[running] = sim[:, 0], np.min(fsim, axis=1)
+    return x, fun
 
 
 def optimize_schedule(n_steps: int = 8, seed: int = 20260815, multistarts: int = 6,
@@ -538,13 +630,15 @@ def optimize_schedule(n_steps: int = 8, seed: int = 20260815, multistarts: int =
     """Tune unequal loop-phase spacing to maximize the worst chirality case.
 
     The N positive phase increments live on a softmax simplex scaled to a full
-    turn, with the first phase pinned to the shared start point; Nelder-Mead
-    runs from equal spacing plus seeded random restarts, and the best of all
-    starts (including the unoptimized one) is kept, so the result never falls
-    below the equal-spacing baseline.
+    turn, with the first phase pinned to the shared start point. Nelder-Mead
+    runs from equal spacing plus seeded random restarts, drawn in start order,
+    and the best of all starts (including the unoptimized one) is kept, so the
+    result never falls below the equal-spacing baseline. The starts run in
+    lockstep (_nelder_mead), in groups of at most _LOCKSTEP_ENTRIES simplex
+    entries, each step scoring all its points in one _objective_rows call; the
+    result is bitwise scipy's Nelder-Mead run start by start, whatever the
+    group size.
     """
-    from scipy.optimize import minimize
-
     if n_steps < 4:
         raise ConfigError(f"optimizer needs at least 4 steps, got {n_steps}")
     if multistarts < 1:
@@ -555,22 +649,15 @@ def optimize_schedule(n_steps: int = 8, seed: int = 20260815, multistarts: int =
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
-    best_x, best_val = None, -math.inf
-    baseline = None
-    for trial in range(multistarts):
-        x0 = np.zeros(n_steps) if trial == 0 else rng.normal(0.0, 0.8, n_steps)
-        res = minimize(
-            lambda x: -_objective(x),
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-6},
-        )
-        if trial == 0:
-            baseline = _objective(np.zeros(n_steps))
-            if baseline > best_val:
-                best_x, best_val = np.zeros(n_steps), baseline
-        if -res.fun > best_val:
-            best_x, best_val = res.x, -res.fun
+    baseline = _objective(np.zeros(n_steps))  # never NaN: min from math.inf skips NaN
+    best_x, best_val = np.zeros(n_steps), baseline
+    group = max(1, _LOCKSTEP_ENTRIES // (n_steps * (n_steps + 1)))
+    for first in range(0, multistarts, group):
+        x0 = np.array([np.zeros(n_steps) if trial == 0 else rng.normal(0.0, 0.8, n_steps)
+                       for trial in range(first, min(first + group, multistarts))])
+        for x, fun in zip(*_nelder_mead(lambda rows: -_objective_rows(rows), x0, maxiter)):
+            if -fun > best_val:
+                best_x, best_val = x, -fun
     return OptimizeResult(
         increments=tuple(float(v) for v in _increments_from_x(best_x)),
         objective=float(best_val),

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -282,6 +285,17 @@ def test_optimize_schedule_quick(capsys):
     assert len([ln for ln in lines if not ln.startswith("#")]) == 5
 
 
+def test_optimize_schedule_leaves_scipy_unimported():
+    # the optimizer is in-house; importing scipy.optimize costs about 0.4 s and 40 MB
+    code = ("import contextlib, io, sys; from eploop.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['optimize-schedule', '--n-steps', '4', '--multistarts', '2', '--maxiter', '20'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
     for argv in (
         ["surface", "--seed", "1"],
@@ -452,7 +466,7 @@ def _argv(draw):
         else:
             flag = action.option_strings[0]
             (always if flag in _SIZES or action.required else others).append(flag)
-    if argv[-1] == "fig4":  # fig4 --optimized runs the full default optimizer, about 13 s
+    if argv[-1] == "fig4":  # fig4 --optimized runs the full default optimizer, about 3 s
         others.remove("--optimized")
     for flag in always + draw(st.lists(st.sampled_from(others), unique=True, max_size=4)):
         value = draw({**_VALUES, **_SIZES}[flag])

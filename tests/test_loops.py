@@ -1,10 +1,14 @@
+import collections
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
+from eploop import loops
 from eploop.errors import ConfigError, DomainError, SingularMatrix, TooCloseToEP
 from eploop.loops import (
     CHIRAL_TARGETS,
@@ -29,7 +33,7 @@ from eploop.loops import (
     schedule_from_phases,
     sheet_trace,
 )
-from eploop.loops import _increments_from_x, _objective
+from eploop.loops import _increments_from_x, _nelder_mead, _objective, _objective_rows
 from eploop.linalg import max_abs
 from eploop.metrics import bell_index, bell_state, classify, fidelity_pure
 from eploop.spectrum import eigensystem, find_ep
@@ -620,3 +624,110 @@ def test_optimizer_reaches_target_at_experimental_scale():
     assert result.baseline_objective == pytest.approx(0.5408925599324854, abs=1e-9)
     assert result.objective >= 0.85
     assert result.objective == pytest.approx(0.899317, abs=5e-4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(4, 32), st.integers(0, 2**32 - 1))
+def test_objective_rows_are_the_one_row_objective(rows, n_steps, seed):
+    x = np.random.default_rng(seed).normal(0.0, 1.5, (rows, n_steps))
+    assert _objective_rows(x).tolist() == [_objective(row) for row in x]
+
+
+# Cheap row functions for the lockstep Nelder-Mead: elementwise over columns, so each row's
+# value is independent of the rows beside it. Over the cases below their runs take every kind
+# of step, and they end on the tolerance test as well as on maxiter.
+_ROW_FUNCTIONS = {
+    "bowl": lambda x: sum((i + 1) * (c - 0.3) * (c - 0.3) for i, c in enumerate(x.T)),
+    "rosenbrock": lambda x: sum(100 * (b - a * a) * (b - a * a) + (1 - a) * (1 - a)
+                                for a, b in zip(x.T[:-1], x.T[1:])) + 0 * x[:, 0],  # zeros at N = 1
+    "kink": lambda x: np.max(np.abs(x - 0.5), axis=1) + 0.1 * x[:, 0],
+    "steps": lambda x: sum(np.floor(3 * c) for c in x.T),  # plateaus: ties in every sort
+}
+
+
+def _scipy_run(f_rows, x0, maxiter):
+    """scipy's Nelder-Mead from x0: its result, the points it asked for in order, and the kinds of
+    step it took, read off their values: a reflection, then an expansion or a contraction, then a
+    shrink."""
+    points = []
+    res = minimize(lambda x: points.append(x.copy()) or float(f_rows(x[None])[0]), x0, method="Nelder-Mead",
+                   options={"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-6})
+    n, values = len(x0), f_rows(np.array(points)).tolist()
+    fsim, later, kinds = sorted(values[:n + 1]), iter(values[n + 1:]), collections.Counter()
+    for fxr in later:
+        if fxr < fsim[0]:
+            kind, fsim[-1] = "expansion", min(next(later), fxr)
+        elif fxr < fsim[-2]:
+            kind, fsim[-1] = "reflection", fxr
+        else:
+            kind, f2 = "outside" if fxr < fsim[-1] else "inside", next(later)
+            if (f2 <= fxr) if kind == "outside" else (f2 < fsim[-1]):
+                fsim[-1] = f2
+            else:
+                kind, fsim[1:] = "shrink", [next(later) for _ in range(n)]
+        kinds[kind] += 1
+        fsim.sort()
+    return res, np.array(points), kinds
+
+
+def _lockstep_matches_scipy(f_rows, x0, maxiter) -> collections.Counter:
+    """Check every start of a lockstep run against scipy: its (x, fun) within the group and, run
+    alone, every point it asks for. Returns the kinds of step scipy took and how its runs ended."""
+    kinds = collections.Counter()
+    for start, x, fun in zip(x0, *_nelder_mead(f_rows, x0, maxiter)):
+        res, points, steps = _scipy_run(f_rows, start, maxiter)
+        asked = []
+        alone = _nelder_mead(lambda rows: asked.append(rows.copy()) or f_rows(rows), start[None], maxiter)
+        assert np.concatenate(asked).tobytes() == points.tobytes()
+        for x_, fun_ in ((x, fun), (alone[0][0], alone[1][0])):
+            assert res.x.tobytes() == x_.tobytes() and res.fun == fun_
+        kinds.update(steps)
+        kinds[f"status {res.status}"] += 1
+    return kinds
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_ROW_FUNCTIONS)), st.integers(1, 6), st.integers(1, 4),
+       st.one_of(st.just(1), st.integers(1, 300)), st.integers(0, 2**32 - 1))
+def test_lockstep_nelder_mead_is_scipy_start_by_start(name, n, starts, maxiter, seed):
+    x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, (starts, n))
+    x0[0, ::2] = 0.0  # zero coordinates take scipy's other initial step
+    _lockstep_matches_scipy(_ROW_FUNCTIONS[name], x0, maxiter)
+
+
+def test_lockstep_cases_take_every_kind_of_step():
+    kinds, rng = collections.Counter(), np.random.default_rng(5)
+    for f_rows in _ROW_FUNCTIONS.values():
+        for n in (1, 2, 3, 5):
+            kinds += _lockstep_matches_scipy(f_rows, rng.uniform(-2.0, 2.0, (3, n)), 200)
+    # status 0: stopped on xatol/fatol; status 2: stopped at maxiter
+    assert {"expansion", "reflection", "outside", "inside", "shrink", "status 0", "status 2"} <= set(kinds), kinds
+
+
+def test_optimizer_results_do_not_depend_on_the_group_size(monkeypatch):
+    expected = optimize_schedule(4, seed=3, multistarts=7, maxiter=40)
+    # 1 start per group and 1 row per objective call; 1 start per group; groups of 5
+    for entries in (1, 20, 100):
+        monkeypatch.setattr(loops, "_LOCKSTEP_ENTRIES", entries)
+        assert optimize_schedule(4, seed=3, multistarts=7, maxiter=40) == expected
+
+
+def test_optimizer_memory_stays_flat_in_the_number_of_starts(monkeypatch):
+    monkeypatch.setattr(loops, "_LOCKSTEP_ENTRIES", 200)  # groups of 10 starts at N = 4
+
+    def peak(multistarts):
+        tracemalloc.start()
+        try:
+            optimize_schedule(4, multistarts=multistarts, maxiter=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # caches filled
+    assert peak(500) < 1.5 * peak(20)  # one group of 500 starts: about 20 times
+
+
+def test_evolution_reports_compare_and_hash_by_identity():
+    a, b = (evolve_full(loop1_schedule(4, "cw"), bell_state(1)) for _ in range(2))
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
