@@ -34,10 +34,10 @@ from .loops import (
     loop2_schedule,
     optimize_schedule,
 )
-from .metrics import BELL_LABELS, bell_fidelities, bell_index, bell_state, classify, classify_rows, density_matrix
+from .metrics import BELL_LABELS, bell_index, bell_state, classify, classify_rows, density_matrix
 from .spectrum import find_ep, riemann_surface, surface_csv
 from .streams import spawn_words, substreams
-from .tomo import TomoConfig, bootstrap_error, check_resamples, counts_csv, reconstruct, simulate_counts
+from .tomo import TomoConfig, check_resamples, counts_csv, simulate_counts, tomography
 from .walk import WalkParams
 
 GRANULARITIES = ("per_step", "per_loop")
@@ -223,15 +223,21 @@ def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
     return evolve_many(schedules, inputs, cfg.inputs * len(per_direction), cfg.engine, cfg.record_steps)
 
 
+def tomography_summaries(tables, cfgs, resamples: int) -> list[dict]:
+    """Reconstructed density, its Bell fidelities and their bootstrap spread, for every table in one tomo.tomography pass."""
+    return [
+        {
+            "density": interleave(rho),
+            "fidelities": dict(zip(BELL_LABELS, fids.tolist())),
+            "bootstrap_sd": dict(zip(BELL_LABELS, sds.tolist())),
+        }
+        for rho, fids, sds in zip(*tomography(tables, cfgs, resamples))
+    ]
+
+
 def tomography_summary(counts, cfg: TomoConfig, resamples: int) -> dict:
-    """Reconstructed density, its Bell fidelities and their bootstrap spread."""
-    rho = reconstruct(counts, cfg)
-    sds = bootstrap_error(counts, cfg, resamples)
-    return {
-        "density": interleave(rho),
-        "fidelities": dict(zip(BELL_LABELS, bell_fidelities(rho[None])[0].tolist())),
-        "bootstrap_sd": {label: float(s) for label, s in zip(BELL_LABELS, sds)},
-    }
+    """tomography_summaries of one table."""
+    return tomography_summaries([counts], [cfg], resamples)[0]
 
 
 def interleave(values: np.ndarray) -> list[float]:
@@ -359,11 +365,12 @@ def _fig2(out_dir: str, cfg: RunConfig) -> list[str]:
 
 
 def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
-    paths = []
+    """The fig4 files, written only once every case's tomography has passed its guards."""
+    texts = []
     if optimized:
         result = optimize_schedule(8)
         schedules = result.schedules()
-        paths.append(write_text(os.path.join(out_dir, "fig4_schedule.json"), schedule_json(result)))
+        texts.append(("fig4_schedule.json", schedule_json(result)))
     else:
         schedules = {d: loop1_schedule(8, d) for d in DIRECTIONS}
     inputs = [psi for d in DIRECTIONS for psi in case_inputs(BELL_LABELS, cfg.input_kind, schedules[d].start)]
@@ -371,17 +378,15 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
                           BELL_LABELS * len(DIRECTIONS), "simplified", cfg.record_steps)
     # case i's tomography seed is the first word of SeedSequence(entropy=seed, spawn_key=(i,))
     case_seeds = spawn_words(cfg.seed, np.arange(len(reports))[:, None], 1)[:, 0]
-    for rep, case_seed in zip(reports, case_seeds):
-        tomo_cfg = cfg.tomo_config(seed=int(case_seed))
-        counts = simulate_counts(rep.output_density, tomo_cfg)
-        tomo = tomography_summary(counts, tomo_cfg, cfg.resamples)
+    tomo_cfgs = [cfg.tomo_config(seed=int(case_seed)) for case_seed in case_seeds]
+    tables = [simulate_counts(rep.output_density, tomo_cfg) for rep, tomo_cfg in zip(reports, tomo_cfgs)]
+    for rep, counts, tomo in zip(reports, tables, tomography_summaries(tables, tomo_cfgs, cfg.resamples)):
         body = report_dict(rep) | {"reconstructed_density": tomo["density"],
                                    "reconstructed_fidelities": tomo["fidelities"],
                                    "bootstrap_sd": tomo["bootstrap_sd"]}
-        stem = os.path.join(out_dir, f"fig4_{rep.direction}_{rep.input_label}")
-        paths += [write_text(stem + ".json", dump_json(body)),
-                  write_text(stem + "_counts.csv", counts_csv(counts))]
-    return paths
+        stem = f"fig4_{rep.direction}_{rep.input_label}"
+        texts += [(stem + ".json", dump_json(body)), (stem + "_counts.csv", counts_csv(counts))]
+    return [write_text(os.path.join(out_dir, name), text) for name, text in texts]
 
 
 def _fig5(out_dir: str, cfg: RunConfig) -> list[str]:

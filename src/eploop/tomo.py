@@ -31,8 +31,12 @@ BASIS_PAIRS = tuple((a, b) for a in BASIS_LABELS for b in BASIS_LABELS)
 # numpy's Poisson sampler rejects a mean above about 9.2e18; the counts per
 # basis and every count of a counts file stay below this bound
 MAX_COUNTS_PER_BASIS = 10**12
-# a bootstrap holds about 2 KB of temporaries per resample, all at once
+# a stacked tomography pass holds about 2 KB of temporaries per row (a table's
+# estimate, then each of its resamples); tables go through it whole, in chunks
+# of at most MAX_STACK_ROWS rows and at least one table, so a table and its
+# resamples fill at most one chunk
 MAX_RESAMPLES = 10**5
+MAX_STACK_ROWS = MAX_RESAMPLES + 1
 
 
 @dataclass(frozen=True)
@@ -145,21 +149,54 @@ def check_resamples(resamples: int) -> None:
         raise ConfigError(f"resamples must lie in [2, {MAX_RESAMPLES}], got {resamples}")
 
 
-def bootstrap_error(counts: CountsTable, cfg: TomoConfig, resamples: int) -> tuple[float, float, float, float]:
-    """Parametric-bootstrap standard deviation of each Bell-state fidelity.
+def tomography(tables, cfgs, resamples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimate, Bell fidelities and parametric-bootstrap spread of many counts tables.
 
-    Resampled tables draw counts from Poisson(observed count); stream r uses
-    the substream (seed, spawn_key=(r,)), all seeded in one streams.substreams
-    pass. The resamples then reconstruct and take their fidelities against the
-    four Bell states as one stack, bitwise equal to doing so one resample at a
-    time.
+    Table t's configuration is cfgs[t]; the tables may have different seeds
+    but share counts_per_basis and psd_projection. Returns the (T, 4, 4)
+    linear-inversion estimates, their (T, 4) root fidelities against the four
+    Bell states, and the (T, 4) standard deviations of those fidelities over
+    `resamples` resampled tables. Resampled tables draw counts from
+    Poisson(observed count); table t's stream r is the substream
+    (cfgs[t].seed, spawn_key=(r,)), all of a table seeded in one
+    streams.substreams pass.
+
+    Every table's estimate, then its resamples, table after table, go through
+    the reconstruction and the fidelities as one stack of rows, in chunks of
+    whole tables (MAX_STACK_ROWS). Each row is bitwise what it gives alone, so
+    the results do not depend on which tables share a call, and a guard that
+    fires is the one for the first failing row in that order.
     """
     check_resamples(resamples)
-    observed = counts.counts()
-    draws = np.array([g.poisson(observed) for g in substreams(cfg.seed, np.arange(resamples)[:, None])])
-    rho = _reconstruct_rows(draws / cfg.counts_per_basis, cfg.psd_projection)
-    sds = bell_fidelities(rho).std(axis=0, ddof=1)
-    return tuple(float(s) for s in sds)
+    if len(tables) != len(cfgs):
+        raise ConfigError(f"need one configuration per table, got {len(cfgs)} for {len(tables)}")
+    if len({(cfg.counts_per_basis, cfg.psd_projection) for cfg in cfgs}) > 1:
+        raise ConfigError("stacked tables must share counts_per_basis and psd_projection")
+    densities = np.empty((len(tables), 4, 4), dtype=complex)
+    fidelities = np.empty((len(tables), 4))
+    sds = np.empty((len(tables), 4))
+    per_table = resamples + 1
+    step = max(1, MAX_STACK_ROWS // per_table)
+    for start in range(0, len(tables), step):
+        chunk = slice(start, min(start + step, len(tables)))
+        counts = np.empty((chunk.stop - start, per_table, 16))
+        for rows, table, cfg in zip(counts, tables[chunk], cfgs[chunk]):
+            rows[0] = table.counts()
+            for row, g in zip(rows[1:], substreams(cfg.seed, np.arange(resamples)[:, None])):
+                row[:] = g.poisson(rows[0])
+        shared = cfgs[start]
+        rho = _reconstruct_rows(counts.reshape(-1, 16) / shared.counts_per_basis, shared.psd_projection)
+        fids = bell_fidelities(rho).reshape(len(counts), per_table, 4)
+        densities[chunk] = rho.reshape(len(counts), per_table, 4, 4)[:, 0]
+        fidelities[chunk] = fids[:, 0]
+        # each table's spread over its own contiguous (resamples, 4) block
+        sds[chunk] = [table_fids[1:].std(axis=0, ddof=1) for table_fids in fids]
+    return densities, fidelities, sds
+
+
+def bootstrap_error(counts: CountsTable, cfg: TomoConfig, resamples: int) -> tuple[float, float, float, float]:
+    """Parametric-bootstrap standard deviation of each Bell-state fidelity: tomography of one table."""
+    return tuple(tomography([counts], [cfg], resamples)[2][0].tolist())
 
 
 def counts_csv(counts: CountsTable) -> str:

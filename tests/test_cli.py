@@ -276,6 +276,20 @@ def test_reproduce_fig1b_cli(tmp_path, capsys):
     assert (tmp_path / "fig1b_surface.csv").exists()
 
 
+def test_a_failed_fig4_writes_no_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"counts_per_basis": 8}')
+    # at 8 counts per basis seed 0's last case trips the trace guard, after seven cases passed
+    out = tmp_path / "failed"
+    assert main(["reproduce", "fig4", "--seed", "0", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical guard: reconstructed trace 0.000e+00 too small to normalize\n"
+    assert captured.out == "" and list(out.iterdir()) == []
+    out = tmp_path / "passed"
+    assert main(["reproduce", "fig4", "--seed", "9", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(list(out.iterdir())) == 16
+
+
 def test_optimize_schedule_quick(capsys):
     code = main(["optimize-schedule", "--n-steps", "4", "--multistarts", "1",
                  "--maxiter", "60"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eploop import tomo
 from eploop.errors import ConfigError, EploopError
 from eploop.harness import (
     RunConfig,
@@ -267,6 +268,16 @@ def test_reproduce_fig1b(tmp_path):
     ep = json.loads((tmp_path / "fig1b_ep.json").read_text())
     assert ep["theta1"] == pytest.approx(-0.2917760531146608, abs=1e-9)
     assert ep["residual"] < 1e-10
+
+
+def test_fig4_bytes_do_not_depend_on_the_stack_chunks(tmp_path, monkeypatch):
+    cfg = RunConfig(seed=77, resamples=12)
+    texts = {}
+    for rows in (1, 8 * 13):  # one case per chunk; all eight cases in one
+        monkeypatch.setattr(tomo, "MAX_STACK_ROWS", rows)
+        paths = reproduce_figure("fig4", str(tmp_path / str(rows)), cfg)
+        texts[rows] = [(os.path.basename(p), open(p, "rb").read()) for p in paths]
+    assert len(texts[1]) == 16 and texts[1] == texts[8 * 13]
 
 
 def test_reproduce_rejects_unknown_figure(tmp_path):

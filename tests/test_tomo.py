@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eploop import tomo
 from eploop.errors import ConfigError, IllConditioned
 from eploop.metrics import bell_state, density_matrix, fidelity_pure
 from eploop.tomo import (
@@ -19,6 +20,7 @@ from eploop.tomo import (
     _reconstruct_rows,
     reconstruct_from_frequencies,
     simulate_counts,
+    tomography,
 )
 
 
@@ -218,3 +220,61 @@ def test_stacked_guards_fire_for_the_first_failing_resample():
         with pytest.raises(IllConditioned, match=message):
             for freqs in rows:
                 _reference_reconstruction(freqs, psd_projection=False)
+
+
+def _one_table(counts, cfg, resamples):
+    """The one-table functions: the estimate, its fidelities and the bootstrap, each on its own."""
+    rho = reconstruct(counts, cfg)
+    fids = [fidelity_pure(bell_state(j), rho) for j in (1, 2, 3, 4)]
+    return rho.tobytes(), fids, list(bootstrap_error(counts, cfg, resamples))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    cases=st.lists(st.tuples(st.integers(0, 2**64), st.lists(st.floats(-1, 1), min_size=8, max_size=8)),
+                   min_size=1, max_size=8, unique_by=lambda case: case[0]),
+    counts_per_basis=st.one_of(st.integers(1, 4), st.integers(5, 10**6)),
+    resamples=st.integers(2, 24),
+    psd_projection=st.booleans(),
+)
+def test_stacked_tables_are_bitwise_the_one_table_functions(cases, counts_per_basis, resamples, psd_projection):
+    tables, cfgs = [], []
+    for seed, amplitudes in cases:
+        psi = np.array(amplitudes[:4]) + 1j * np.array(amplitudes[4:])
+        psi = psi / np.linalg.norm(psi) if np.hypot.reduce(amplitudes) > 1e-3 else bell_state(1)
+        cfgs.append(TomoConfig(counts_per_basis=counts_per_basis, seed=seed, psd_projection=psd_projection))
+        tables.append(simulate_counts(density_matrix(psi), cfgs[-1]))
+    # the first table whose estimate, then whose resamples, trip a guard raises its own message
+    expected = []
+    for counts, cfg in zip(tables, cfgs):
+        outcome = _outcome(_one_table, counts, cfg, resamples)
+        if isinstance(outcome, str):
+            expected = outcome
+            break
+        expected.append(outcome)
+    stacked = _outcome(tomography, tables, cfgs, resamples)
+    if isinstance(expected, str):
+        assert stacked == expected
+        return
+    densities, fidelities, sds = stacked
+    assert [(rho.tobytes(), fids.tolist(), sd.tolist()) for rho, fids, sd in zip(densities, fidelities, sds)] == expected
+
+
+def test_stacked_chunks_hold_whole_tables(monkeypatch):
+    cfgs = [TomoConfig(counts_per_basis=500, seed=seed) for seed in (4, 5, 6)]
+    tables = [simulate_counts(density_matrix(bell_state(j)), cfg) for j, cfg in zip((1, 3, 4), cfgs)]
+    whole = tomography(tables, cfgs, resamples=9)
+    for rows in (1, 10, 19, 20, 10**6):  # below one table, one table, just under two, two, all
+        monkeypatch.setattr(tomo, "MAX_STACK_ROWS", rows)
+        chunked = tomography(tables, cfgs, resamples=9)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(chunked, whole)), rows
+
+
+def test_stacked_tables_share_counts_per_basis_and_projection():
+    table = CountsTable(tuple((a, b, 1) for a, b in BASIS_PAIRS))
+    for other in (TomoConfig(counts_per_basis=2), TomoConfig(psd_projection=True)):
+        with pytest.raises(ConfigError, match="share counts_per_basis and psd_projection"):
+            tomography([table, table], [TomoConfig(), other], resamples=2)
+    with pytest.raises(ConfigError, match="one configuration per table"):
+        tomography([table, table], [TomoConfig()], resamples=2)
+    assert [a.shape for a in tomography([], [], resamples=2)] == [(0, 4, 4), (0, 4), (0, 4)]
