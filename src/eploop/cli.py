@@ -39,7 +39,7 @@ from .harness import (
     report_dict,
     reproduce_figure,
     schedule_json,
-    tomography_summary,
+    tomography_summaries,
     write_text,
 )
 from .loops import DIRECTIONS, ENGINES, optimize_schedule
@@ -321,7 +321,7 @@ def _cmd_tomo(args, written) -> int:
                 counts = counts_from_csv(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read counts {args.counts}: {exc}") from exc
-    body = tomography_summary(counts, cfg.tomo_config(), cfg.resamples)
+    body = tomography_summaries([counts], [cfg.tomo_config()], cfg.resamples)[0]
     if args.state:
         body = {"state": args.state, **body}
     _emit(args, "tomo.json", dump_json(body), written)

@@ -30,7 +30,7 @@ class NoBracket(NumericalGuardError):
 
 
 class IllConditioned(NumericalGuardError):
-    """Linear-inversion residual exceeds tolerance."""
+    """Linear inversion outside its residual or trace bound; stacked calls set `row`, the failing row or table."""
 
 
 class ConventionMismatch(NumericalGuardError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IllConditioned
 from .loops import (
     DIRECTIONS,
     ENGINES,
@@ -158,12 +158,9 @@ class DisorderSummary:
         return max(c.drop for c in self.cases)
 
 
-def case_input(label, kind: str, p: WalkParams) -> np.ndarray:
-    return bell_eigenstate(label, p) if kind == "eigenstate" else bell_state(label)
-
-
 def case_inputs(labels, kind: str, p: WalkParams) -> list[np.ndarray]:
-    """case_input of every label at one start point, bitwise, with the eigenstates computed once."""
+    """Each label's input state at start point p: bell_state(label), or bell_eigenstate(label, p) for kind
+    "eigenstate", bitwise, with the eigenstates computed once."""
     states = bell_eigenstates(p) if kind == "eigenstate" else [bell_state(j) for j in (1, 2, 3, 4)]
     return [states[bell_index(label) - 1] for label in labels]
 
@@ -224,7 +221,7 @@ def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
 
 
 def tomography_summaries(tables, cfgs, resamples: int) -> list[dict]:
-    """Reconstructed density, its Bell fidelities and their bootstrap spread, for every table in one tomo.tomography pass."""
+    """Reconstructed density, Bell fidelities and their bootstrap spread of every table, in one tomography pass."""
     return [
         {
             "density": interleave(rho),
@@ -233,11 +230,6 @@ def tomography_summaries(tables, cfgs, resamples: int) -> list[dict]:
         }
         for rho, fids, sds in zip(*tomography(tables, cfgs, resamples))
     ]
-
-
-def tomography_summary(counts, cfg: TomoConfig, resamples: int) -> dict:
-    """tomography_summaries of one table."""
-    return tomography_summaries([counts], [cfg], resamples)[0]
 
 
 def interleave(values: np.ndarray) -> list[float]:
@@ -345,7 +337,7 @@ def _fig1b(out_dir: str) -> list[str]:
 
 
 def _input_report(label, schedule: LoopSchedule, input_kind: str) -> dict:
-    psi = case_input(label, input_kind, schedule.start)
+    psi = bell_eigenstate(label, schedule.start) if input_kind == "eigenstate" else bell_state(label)
     cls = classify(psi)
     return report_dict(EvolutionReport(
         input_label=BELL_LABELS[bell_index(label) - 1], direction="none", n_steps=0,
@@ -380,7 +372,12 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
     case_seeds = spawn_words(cfg.seed, np.arange(len(reports))[:, None], 1)[:, 0]
     tomo_cfgs = [cfg.tomo_config(seed=int(case_seed)) for case_seed in case_seeds]
     tables = [simulate_counts(rep.output_density, tomo_cfg) for rep, tomo_cfg in zip(reports, tomo_cfgs)]
-    for rep, counts, tomo in zip(reports, tables, tomography_summaries(tables, tomo_cfgs, cfg.resamples)):
+    try:
+        summaries = tomography_summaries(tables, tomo_cfgs, cfg.resamples)
+    except IllConditioned as exc:
+        failed = reports[exc.row]
+        raise IllConditioned(f"fig4 case {failed.direction} {failed.input_label}, {exc}") from exc
+    for rep, counts, tomo in zip(reports, tables, summaries):
         body = report_dict(rep) | {"reconstructed_density": tomo["density"],
                                    "reconstructed_fidelities": tomo["fidelities"],
                                    "bootstrap_sd": tomo["bootstrap_sd"]}

@@ -14,12 +14,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def max_abs(m: np.ndarray) -> float:
-    """Largest entry magnitude (0.0 for empty input)."""
-    m = np.asarray(m)
-    return float(np.abs(m).max()) if m.size else 0.0
-
-
 def inverse4(m: np.ndarray) -> np.ndarray:
     """Inverse of a 4x4 complex matrix.
 
@@ -29,7 +23,7 @@ def inverse4(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-    scale = max(max_abs(m), 1e-300) ** 4
+    scale = max(float(np.abs(m).max()), 1e-300) ** 4
     det = np.linalg.det(m)
     if abs(det) <= 1e-12 * scale:
         raise SingularMatrix(f"|det| = {abs(det):.3e} below threshold {1e-12 * scale:.3e}")

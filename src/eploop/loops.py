@@ -15,13 +15,14 @@ evolve_batch runs many (theta1, phi) rows to their final states, the
 simplified engine as one collapsed 2x2 chain per row. Step operators,
 control pairs and step-record eigenbases come from one call of their array
 forms per batch, never from the one-row u_step, control_operator or
-eigensystem. Diagnostics cover sheet tracking, the step-to-step drift of the
-control operator, and a small-N schedule optimizer. Its objective
-(_objective_rows over _case_fidelities) scores many points per call, running
-the simplified engine in collapsed form: one stacked 2x2 chain per direction
-of each point. An in-house Nelder-Mead (_nelder_mead) moves all starts in
-lockstep, scoring the points of each simplex step in one such call; it takes
-scipy's steps bit for bit, and scipy is not imported.
+eigensystem; only the simplified engine's M take one walk_operator_closed
+call per step, for perfbench's tracer. Diagnostics cover sheet tracking, the
+step-to-step drift of the control operator, and a small-N schedule optimizer.
+Its objective (_objective_rows over _case_fidelities) scores many points per
+call, running the simplified engine in collapsed form: one stacked 2x2 chain
+per direction of each point. An in-house Nelder-Mead (_nelder_mead) moves all
+starts in lockstep, scoring the points of each simplex step in one such call;
+it takes scipy's steps bit for bit, and scipy is not imported.
 """
 from __future__ import annotations
 
@@ -127,10 +128,9 @@ _DEFAULT = WalkParams(theta1=0.0)
 
 
 def _circle(phases, radius: float, theta1_center: float) -> tuple[np.ndarray, np.ndarray]:
-    """(theta1, phi) = (radius*sin(t) + center, radius*cos(t)) at every phase t, on libm's sin and cos."""
+    """(theta1, phi) = (radius*sin(t) + center, radius*cos(t)) at every phase t."""
     t = np.asarray(phases, dtype=float)
-    sin, cos = (np.array([f(v) for v in t.ravel().tolist()]).reshape(t.shape) for f in (math.sin, math.cos))
-    return radius * sin + theta1_center, radius * cos
+    return radius * np.sin(t) + theta1_center, radius * np.cos(t)
 
 
 def schedule_from_phases(phases, direction: str, radius: float = LOOP1_RADIUS, theta1_center: float = LOOP1_CENTER,
@@ -253,12 +253,12 @@ def _propagate(ops, psi0, knobs: tuple | None = None):
         norms.append(nrm[:, 0])
         if eigen is not None:
             states.append(psi)
-    logmag = np.cumsum([[math.log(x) for x in row] for row in np.array(norms).T.tolist()], axis=1)
+    logmag = np.cumsum([[math.log(x) for x in row] for row in np.array(norms).T.tolist()], axis=1)  # np.log differs
     if eigen is None:
         return psi, logmag[:, -1].tolist(), None
     eta, _, beta = eigen
     z = np.vecdot(beta, np.stack(states, axis=1)[:, :, None, :])
-    raw = np.array([abs(c) ** 2 for c in z.ravel().tolist()]).reshape(z.shape)  # Python's abs and **: numpy's differ
+    raw = np.array([a ** 2 for a in np.hypot(z.real, z.imag).ravel().tolist()]).reshape(z.shape)  # numpy's x*x differs
     weights = raw / (((raw[..., 0] + raw[..., 1]) + raw[..., 2]) + raw[..., 3])[..., None]  # sum() as before 3.12
     for a in (raw, weights, logmag, eta):
         a.flags.writeable = False
@@ -481,7 +481,7 @@ def _case_fidelities(knobs, starts: tuple[WalkParams, ...], directions) -> list[
     out = (a @ P.mT[:, None]).reshape(-1, 4, 4) @ c_t
     out = out / np.sqrt(np.vecdot(out.real, out.real) + np.vecdot(out.imag, out.imag))[..., None]
     overlaps = np.vecdot(np.array([_TARGET_ROWS[d] for d in directions]), out)
-    return [abs(z) for z in overlaps.ravel().tolist()]  # Python abs: numpy's array abs differs
+    return np.hypot(overlaps.real, overlaps.imag).ravel().tolist()  # bitwise Python's abs; np.abs differs
 
 
 def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
@@ -556,11 +556,6 @@ def _objective_rows(x: np.ndarray) -> np.ndarray:
     knobs = (theta1, _DEFAULT.theta2, phi, _DEFAULT.gamma, _DEFAULT.k)
     fidelities = _case_fidelities(knobs, (start,), DIRECTIONS * len(x))
     return np.array([min(math.inf, *fidelities[i:i + 8]) for i in range(0, len(fidelities), 8)])
-
-
-def _objective(x: np.ndarray) -> float:
-    """The optimizer's objective at one point x (N,): the one-row call of _objective_rows."""
-    return float(_objective_rows(np.asarray(x, dtype=float)[None])[0])
 
 
 def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -649,7 +644,7 @@ def optimize_schedule(n_steps: int = 8, seed: int = 20260815, multistarts: int =
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
-    baseline = _objective(np.zeros(n_steps))  # never NaN: min from math.inf skips NaN
+    baseline = _objective_rows(np.zeros((1, n_steps)))[0]  # never NaN: min from math.inf skips NaN
     best_x, best_val = np.zeros(n_steps), baseline
     group = max(1, _LOCKSTEP_ENTRIES // (n_steps * (n_steps + 1)))
     for first in range(0, multistarts, group):

@@ -81,8 +81,8 @@ def classify_rows(states) -> list[Classification]:
     """
     overlaps = np.vecdot(_BELL_ROWS, np.asarray(states, dtype=complex)[:, None, :])
     out = []
-    for row in overlaps.tolist():
-        fids = tuple([abs(z) for z in row])  # Python abs: numpy's array abs differs
+    for row in np.hypot(overlaps.real, overlaps.imag).tolist():  # bitwise Python's abs; np.abs differs
+        fids = tuple(row)
         top = max(fids)
         candidates = [j for j, f in enumerate(fids) if top - f < CLASSIFY_TIE_TOL]
         out.append(Classification(label=BELL_LABELS[candidates[0]], fidelities=fids, tie=len(candidates) > 1))

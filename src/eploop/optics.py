@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConventionMismatch, DomainError
-from .linalg import kron, max_abs
+from .linalg import kron
 from .metrics import bell_state
 from .walk import (
     WalkParams,
@@ -139,7 +139,7 @@ class ElementSequence:
         return self.global_phase * self.scale * self.product()
 
     def residual(self) -> float:
-        return max_abs(self.realized() - self.target)
+        return float(np.abs(self.realized() - self.target).max())
 
 
 def _checked(seq: ElementSequence, tol: float = 1e-9) -> ElementSequence:

@@ -99,7 +99,7 @@ def eigensystem_array(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.nda
     knobs = (theta1, theta2, phi, gamma, k)
     D0, DX, DY, DZ = d_arrays(*knobs)
     s = np.sqrt(cpython_mul(D0, D0) - 1.0)
-    abs_s = np.hypot(s.real, s.imag)  # Python's abs: numpy's differs
+    abs_s = np.hypot(s.real, s.imag)  # bitwise Python's abs; np.abs differs
     close = np.flatnonzero(abs_s <= EIGENVECTOR_GUARD)
     if len(close):
         raise TooCloseToEP(f"|eta - D0| = {np.ravel(abs_s)[close[0]]:.3e} at {params_at(knobs, close[0])}")
@@ -162,22 +162,25 @@ def find_ep(
     D0 = cos(phi) d0 + i sin(phi) dx can reach +-1 only where sin(phi) dx = 0,
     and dx = -sinh(2 gamma) sin(theta2) is nonzero whenever there is gain or
     loss. So for every k the EP lies on phi = 0, where D0 = d0 is real, and the
-    search is a 1-dim root of d0 -/+ 1. The box may contain two such roots
-    (the edges of the broken-symmetry window); the scan takes the first sign
-    change from the lower theta1 end and bisects it.
+    search is a 1-dim root of d0 -/+ 1. The box (lo < hi) may contain two such
+    roots (the edges of the broken-symmetry window); one d_arrays call scans
+    for the first sign change from lo, and d_coefficients bisects it.
     """
     if scan_points < 2:
         raise ConfigError(f"EP scan needs at least 2 points, got {scan_points}")
+    lo, hi = theta1_box
+    if not lo < hi:
+        raise ConfigError(f"theta1 box needs LO < HI, got [{lo}, {hi}]")
 
     def coefficients(theta1: float):
         return d_coefficients(WalkParams(theta1=theta1, theta2=theta2, phi=0.0, gamma=gamma, k=k))
 
-    lo, hi = theta1_box
     grid = np.linspace(lo, hi, scan_points)
-    d0s = [coefficients(float(t)).d0 for t in grid]
+    with np.errstate(invalid="ignore"):  # an infinite 2k makes d0 NaN, which brackets no root
+        d0 = d_arrays(grid, theta2, 0.0, gamma, k)[0].real  # D0 = d0 at phi = 0
     for target in (1.0, -1.0):
-        hits = [i for i in range(scan_points - 1) if (d0s[i] - target) * (d0s[i + 1] - target) <= 0]
-        if hits:
+        hits = np.flatnonzero((d0[:-1] - target) * (d0[1:] - target) <= 0)
+        if len(hits):
             break
     else:
         raise NoBracket(

@@ -102,7 +102,7 @@ def _reconstruct_rows(freqs: np.ndarray, psd_projection: bool) -> np.ndarray:
     bounded relative to the row's scale, 1e-8 max(1, max|freqs|), so a table
     and its rescaled copy pass or fail together; a non-finite residual fails.
     A row that trips a guard raises for the first such row, with that row's
-    message.
+    message and its index as the error's `row`.
     """
     sol = np.linalg.solve(np.broadcast_to(_MEAS, (len(freqs), 16, 16)), freqs.astype(complex)[..., None])[..., 0]
     residual = np.abs((_MEAS @ sol[..., None])[..., 0] - freqs).max(axis=1)
@@ -113,9 +113,11 @@ def _reconstruct_rows(freqs: np.ndarray, psd_projection: bool) -> np.ndarray:
     bad = ~(residual <= bound) | (np.abs(trace) < 1e-12)
     if bad.any():
         r = int(bad.argmax())
-        if not residual[r] <= bound[r]:
-            raise IllConditioned(f"inversion residual {residual[r]:.3e} exceeds {bound[r]:.3e}")
-        raise IllConditioned(f"reconstructed trace {trace[r]:.3e} too small to normalize")
+        guard = IllConditioned(f"inversion residual {residual[r]:.3e} exceeds {bound[r]:.3e}"
+                               if not residual[r] <= bound[r] else
+                               f"reconstructed trace {trace[r]:.3e} too small to normalize")
+        guard.row = r
+        raise guard
     rho = rho / trace[:, None, None]
     if psd_projection:
         w, v = np.linalg.eigh(rho)
@@ -165,7 +167,8 @@ def tomography(tables, cfgs, resamples: int) -> tuple[np.ndarray, np.ndarray, np
     the reconstruction and the fidelities as one stack of rows, in chunks of
     whole tables (MAX_STACK_ROWS). Each row is bitwise what it gives alone, so
     the results do not depend on which tables share a call, and a guard that
-    fires is the one for the first failing row in that order.
+    fires is the one for the first failing row in that order, named in its
+    message (observed counts or resample r) and by its table's index `row`.
     """
     check_resamples(resamples)
     if len(tables) != len(cfgs):
@@ -185,7 +188,13 @@ def tomography(tables, cfgs, resamples: int) -> tuple[np.ndarray, np.ndarray, np
             for row, g in zip(rows[1:], substreams(cfg.seed, np.arange(resamples)[:, None])):
                 row[:] = g.poisson(rows[0])
         shared = cfgs[start]
-        rho = _reconstruct_rows(counts.reshape(-1, 16) / shared.counts_per_basis, shared.psd_projection)
+        try:
+            rho = _reconstruct_rows(counts.reshape(-1, 16) / shared.counts_per_basis, shared.psd_projection)
+        except IllConditioned as exc:
+            table, r = divmod(exc.row, per_table)
+            guard = IllConditioned(f"{'observed counts' if r == 0 else f'resample {r - 1}'}: {exc}")
+            guard.row = start + table
+            raise guard from exc
         fids = bell_fidelities(rho).reshape(len(counts), per_table, 4)
         densities[chunk] = rho.reshape(len(counts), per_table, 4, 4)[:, 0]
         fidelities[chunk] = fids[:, 0]

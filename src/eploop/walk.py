@@ -15,8 +15,8 @@ by the control operator C.
 The closed forms work elementwise over broadcastable arrays of the five
 knobs, and u_step and control_operator are only the one-row cases of
 u_step_array and control_operator_array. d_coefficients and
-walk_operator_closed keep bodies of their own, bitwise d_arrays and
-walk_operator_closed_array, for the EP search's real d0 and perfbench's tracer.
+walk_operator_closed keep bodies of their own, bitwise their array forms,
+for the EP search's bisection and perfbench's tracer.
 """
 from __future__ import annotations
 
@@ -266,7 +266,7 @@ def control_operator_array(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, n
     s = np.sqrt(s2)
     with np.errstate(all="ignore"):  # rows that fail a guard may divide by 0 or overflow here
         z = np.array([s, s2, det, plus, minus, s + iz, s - iz])
-        abs_s, abs_s2, abs_det, *sides = np.hypot(z.real, z.imag)  # Python's abs: numpy's differs
+        abs_s, abs_s2, abs_det, *sides = np.hypot(z.real, z.imag)  # bitwise Python's abs; np.abs differs
         det_b = abs_det / abs_s2
         threshold = 1e-12 * (np.max(sides, axis=0) / (math.sqrt(2) * abs_s)) ** 4
     close = abs_s <= EP_PREFACTOR_GUARD

@@ -28,10 +28,12 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_find_ep_guard_exit_code(capsys):
     for argv in (
         ["find-ep", "--gamma", "0"],
         ["find-ep", "--k", "0.1"],
+        ["find-ep", "--k", "1e308"],  # 2k overflows: d0 is NaN everywhere and brackets nothing
         ["find-ep", "--gamma", "1e3"],
         ["surface", "--gamma", "1e3", "--phi-range", "-0.1", "0.1", "2"],
         ["compile-optics", "--target", "walk-step", "--gamma", "1e3"],
@@ -167,6 +169,13 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         assert err.startswith("config error") and err.count("\n") == 1, err
 
 
+def test_find_ep_box_needs_lo_below_hi(capsys):
+    # a reversed box once bisected the window's other edge and exited 0; an empty one exited 3
+    for lo, hi in (("-0.1", "-0.5"), ("-0.3", "-0.3")):
+        assert main(["find-ep", "--theta1-box", lo, hi]) == 2
+        assert capsys.readouterr().err == f"config error: theta1 box needs LO < HI, got [{lo}, {hi}]\n"
+
+
 def test_evolve_merges_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text('{"n_steps": 6, "engine": "simplified", "directions": ["cw"], "inputs": ["zeta3"]}')
@@ -236,6 +245,19 @@ def test_tomo_counts_above_the_bound_exit_2_with_one_line(tmp_path, capsys):
             assert err.startswith("config error: count in row") and err.count("\n") == 1, err
 
 
+def test_tomo_counts_guard_names_the_failing_table(tmp_path, capsys):
+    # one count in one basis: the table itself inverts, but a resample that draws 0 there does not
+    for counts, seed, where in (([1] + [0] * 15, "0", "resample 3"), ([1] + [0] * 15, "1", "resample 2"),
+                                ([0] * 16, "0", "observed counts")):
+        path = _write_counts(tmp_path / "counts.csv", counts)
+        out = tmp_path / "out"
+        argv = ["tomo", "--counts", path, "--counts-per-basis", "1", "--resamples", "5", "--seed", seed]
+        assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical guard: {where}: reconstructed trace 0.000e+00 too small to normalize\n"
+        assert captured.out == "" and not out.exists()
+
+
 def test_tomo_counts_pass_or_fail_alike_at_any_counts_per_basis(tmp_path, capsys):
     # the inversion residual is bounded relative to the frequencies, so rescaling the table changes nothing
     path = _write_counts(tmp_path / "counts.csv", [(i + 1) * 10**9 for i in range(16)])
@@ -279,12 +301,15 @@ def test_reproduce_fig1b_cli(tmp_path, capsys):
 def test_a_failed_fig4_writes_no_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"counts_per_basis": 8}')
-    # at 8 counts per basis seed 0's last case trips the trace guard, after seven cases passed
-    out = tmp_path / "failed"
-    assert main(["reproduce", "fig4", "--seed", "0", "--config", str(cfg), "--out", str(out)]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == "numerical guard: reconstructed trace 0.000e+00 too small to normalize\n"
-    assert captured.out == "" and list(out.iterdir()) == []
+    # at 8 counts per basis the last case trips the trace guard, after seven cases passed; the
+    # message names the case and the resample, which differs from seed to seed
+    for seed, resample in (("0", 6), ("1", 69)):
+        out = tmp_path / f"failed{seed}"
+        assert main(["reproduce", "fig4", "--seed", seed, "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"numerical guard: fig4 case ccw zeta4, resample {resample}: "
+                                "reconstructed trace 0.000e+00 too small to normalize\n")
+        assert captured.out == "" and list(out.iterdir()) == []
     out = tmp_path / "passed"
     assert main(["reproduce", "fig4", "--seed", "9", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(list(out.iterdir())) == 16

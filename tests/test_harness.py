@@ -11,7 +11,6 @@ from eploop import tomo
 from eploop.errors import ConfigError, EploopError
 from eploop.harness import (
     RunConfig,
-    case_input,
     case_inputs,
     disorder_csv,
     disorder_run,
@@ -30,7 +29,7 @@ from eploop.loops import (
     loop1_schedule,
     loop2_schedule,
 )
-from eploop.metrics import bell_index
+from eploop.metrics import bell_index, bell_state
 from eploop.tomo import MAX_RESAMPLES
 
 
@@ -53,7 +52,8 @@ def test_case_inputs_are_bitwise_case_input(kind):
     for sched in (loop1_schedule(100, "cw"), loop2_schedule(8, "ccw")):
         p = sched.steps[0]
         got = case_inputs(labels, kind, p)
-        assert [psi.tolist() for psi in got] == [case_input(label, kind, p).tolist() for label in labels]
+        expected = [bell_eigenstate(label, p) if kind == "eigenstate" else bell_state(label) for label in labels]
+        assert [psi.tolist() for psi in got] == [psi.tolist() for psi in expected]
 
 
 def test_zero_strength_reproduces_baseline_exactly():
@@ -81,7 +81,7 @@ def _reference_disorder_run(cfg):
     rows = []
     cases = [(cfg.schedule(d), label) for d in cfg.directions for label in cfg.inputs]
     for case_idx, (sched, label) in enumerate(cases):
-        psi0 = case_input(label, cfg.input_kind, sched.steps[0])
+        psi0 = bell_eigenstate(label, sched.steps[0]) if cfg.input_kind == "eigenstate" else bell_state(label)
         base = evolve(sched, psi0, engine=cfg.engine, record_steps=False)
         ref = bell_index(base.classified_output) - 1
         fids, unchanged = [], 0
@@ -141,8 +141,8 @@ def test_evolve_cases_rows_do_not_depend_on_their_neighbours(engine, loop, input
     for direction in directions:
         sched = cfg.schedule(direction)
         for label in inputs:
-            alone.append(evolve(sched, case_input(label, input_kind, sched.steps[0]), engine=engine,
-                                input_label=label, record_steps=record_steps))
+            psi0 = bell_eigenstate(label, sched.steps[0]) if input_kind == "eigenstate" else bell_state(label)
+            alone.append(evolve(sched, psi0, engine=engine, input_label=label, record_steps=record_steps))
     batched = evolve_cases(cfg)
     assert len(batched) == len(alone)
     for got, want in zip(batched, alone):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eploop.errors import SingularMatrix
-from eploop.linalg import inverse4, kron, max_abs
+from eploop.linalg import inverse4, kron
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -12,10 +12,6 @@ def test_kron_shape_and_values():
     assert out.shape == (4, 4)
     assert np.allclose(out[:2, :2], SIGMA_X)
     assert np.allclose(out[2:, 2:], SIGMA_X)
-
-
-def test_max_abs():
-    assert max_abs(np.array([[1, -3j], [2, 0]])) == 3.0
 
 
 def test_inverse4_matches_numpy():

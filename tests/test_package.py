@@ -1,4 +1,5 @@
 import ast
+import collections
 from pathlib import Path
 
 import eploop
@@ -32,3 +33,31 @@ def test_no_module_imports_a_name_it_never_uses():
     paths = sorted((ROOT / "src" / "eploop").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(paths) > 20
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def _layer_names() -> set[tuple[str, str]]:
+    """(module, function) of every name in perfbench's LAYERS: its tracer reads them by name."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    layers = next(node.value for node in tree.body
+                  if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    return {(module, fn) for module, fns in ast.literal_eval(layers).items() for fn in fns}
+
+
+def _read_names(node: ast.AST) -> list[str]:
+    """Every name read under node, as a bare name or as an attribute."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)]
+
+
+def test_every_top_level_definition_is_read_outside_itself():
+    sources = sorted((ROOT / "src" / "eploop").glob("*.py"))
+    paths = sources + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    reads = collections.Counter(name for tree in trees.values() for name in _read_names(tree))
+    layers = _layer_names()
+    unread = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+              for path in sources for node in trees[path].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and reads[node.name] == _read_names(node).count(node.name)  # recursion is no read
+              and (path.stem, node.name) not in layers]
+    assert unread == []

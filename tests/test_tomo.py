@@ -166,13 +166,23 @@ def _reference_reconstruction(freqs, psd_projection):
     return rho
 
 
+def _named(where, fn, *args):
+    """fn(*args), a guard it trips naming `where` as tomography names its failing row."""
+    try:
+        return fn(*args)
+    except IllConditioned as exc:
+        raise IllConditioned(f"{where}: {exc}") from exc
+
+
 def _reference_bootstrap(counts, cfg, resamples):
-    """The per-resample loop: one stream, reconstruction and four fidelities at a time."""
+    """The per-resample loop, after the observed counts' own estimate: one stream, reconstruction
+    and four fidelities at a time."""
+    _named("observed counts", _reference_reconstruction, counts.counts() / cfg.counts_per_basis, cfg.psd_projection)
     fids = np.empty((resamples, 4))
     for r in range(resamples):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))))
         freqs = rng.poisson(counts.counts()) / cfg.counts_per_basis
-        rho = _reference_reconstruction(freqs, cfg.psd_projection)
+        rho = _named(f"resample {r}", _reference_reconstruction, freqs, cfg.psd_projection)
         assert np.array_equal(reconstruct_from_frequencies(freqs, cfg.psd_projection), rho)
         fids[r] = [fidelity_pure(bell_state(j), rho) for j in (1, 2, 3, 4)]
     return tuple(float(s) for s in fids.std(axis=0, ddof=1))
@@ -224,7 +234,7 @@ def test_stacked_guards_fire_for_the_first_failing_resample():
 
 def _one_table(counts, cfg, resamples):
     """The one-table functions: the estimate, its fidelities and the bootstrap, each on its own."""
-    rho = reconstruct(counts, cfg)
+    rho = _named("observed counts", reconstruct, counts, cfg)
     fids = [fidelity_pure(bell_state(j), rho) for j in (1, 2, 3, 4)]
     return rho.tobytes(), fids, list(bootstrap_error(counts, cfg, resamples))
 
@@ -246,7 +256,7 @@ def test_stacked_tables_are_bitwise_the_one_table_functions(cases, counts_per_ba
         tables.append(simulate_counts(density_matrix(psi), cfgs[-1]))
     # the first table whose estimate, then whose resamples, trip a guard raises its own message
     expected = []
-    for counts, cfg in zip(tables, cfgs):
+    for failed, (counts, cfg) in enumerate(zip(tables, cfgs)):
         outcome = _outcome(_one_table, counts, cfg, resamples)
         if isinstance(outcome, str):
             expected = outcome
@@ -255,6 +265,9 @@ def test_stacked_tables_are_bitwise_the_one_table_functions(cases, counts_per_ba
     stacked = _outcome(tomography, tables, cfgs, resamples)
     if isinstance(expected, str):
         assert stacked == expected
+        with pytest.raises(IllConditioned) as guard:
+            tomography(tables, cfgs, resamples)
+        assert guard.value.row == failed  # the failing table's index, for the caller to name it
         return
     densities, fidelities, sds = stacked
     assert [(rho.tobytes(), fids.tolist(), sd.tolist()) for rho, fids, sd in zip(densities, fidelities, sds)] == expected

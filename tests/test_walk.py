@@ -264,6 +264,28 @@ def test_libm_scalar_path_is_its_array_path(gamma, angles):
     assert scalar.tobytes() == array.tobytes()
 
 
+_DOUBLES = st.floats(-1e300, 1e300)  # subnormals and both zeros included
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308, 1e-300, 1e300, -1e300]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_DOUBLES, _DOUBLES), min_size=1, max_size=40))
+@example(list(zip(_EDGES, reversed(_EDGES))))
+def test_numpy_sin_cos_and_hypot_are_cpythons_bit_for_bit(pairs):
+    """np.sin and np.cos of arrays and of scalars are math.sin and math.cos, and np.hypot(re, im)
+    is abs(complex(re, im)), bit for bit: d_arrays, loops._circle and every magnitude of a complex
+    array rely on it. Where numpy's bits differ, a per-element detour stays: walk._libm for cosh
+    and sinh, math.log and float ** 2 in the propagation core's step records, and walk.cpython_mul
+    and walk._cpython_div for complex products and quotients."""
+    xs, ys = (list(v) for v in zip(*pairs))
+    for np_fn, libm_fn in ((np.sin, math.sin), (np.cos, math.cos)):
+        expected = [libm_fn(x).hex() for x in xs]
+        assert [v.hex() for v in np_fn(np.array(xs)).tolist()] == expected
+        assert [float(np_fn(x)).hex() for x in xs] == expected
+    assert [v.hex() for v in np.hypot(np.array(xs), np.array(ys)).tolist()] == [abs(complex(x, y)).hex()
+                                                                                for x, y in pairs]
+
+
 def test_trace_is_twice_d0():
     d = d_coefficients(START)
     assert np.trace(walk_operator_closed(START)) == pytest.approx(2 * d.D0)
