@@ -249,19 +249,14 @@ def _cmd_surface(args, written) -> int:
             raise ConfigError(f"grid POINTS must be a whole number, got {n}")
         return (float(lo), float(hi), int(n))
 
-    samples = riemann_surface(
+    grid = riemann_surface(
         axis(args.phi_range), axis(args.theta1_range),
         theta2=args.theta2, gamma=args.gamma, k=args.k,
     )
     if args.format == "json":
-        body = dump_json({"samples": [
-            [s.phi, s.theta1, s.lambda_plus.real, s.lambda_plus.imag,
-             s.lambda_minus.real, s.lambda_minus.imag]
-            for s in samples
-        ]})
-        _emit(args, "surface.json", body, written)
+        _emit(args, "surface.json", dump_json({"samples": grid.tolist()}), written)
     else:
-        _emit(args, "surface.csv", surface_csv(samples), written)
+        _emit(args, "surface.csv", surface_csv(grid), written)
     return 0
 
 

@@ -328,10 +328,10 @@ def disorder_csv(summary: DisorderSummary) -> str:
 
 
 def _fig1b(out_dir: str) -> list[str]:
-    samples = riemann_surface((-0.3, 0.3, 61), (-0.8, 0.0, 61))
+    grid = riemann_surface((-0.3, 0.3, 61), (-0.8, 0.0, 61))
     ep = find_ep()
     return [
-        write_text(os.path.join(out_dir, "fig1b_surface.csv"), surface_csv(samples)),
+        write_text(os.path.join(out_dir, "fig1b_surface.csv"), surface_csv(grid)),
         write_text(os.path.join(out_dir, "fig1b_ep.json"), ep_json(ep)),
     ]
 

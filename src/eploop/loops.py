@@ -271,9 +271,9 @@ def _step_operators(engine: str, knobs, schedules):
     The simplified engine applies C_r (I (x) M_rn) C_r^-1 with the control pair
     at row r's first step. (I (x) M) is the block diagonal of two M, so that is
     sum_ij M_ij E_ij with per-row constants E_ij = sum_b C[:, 2b+i] C^-1[2b+j, :].
-    Its M come from one walk_operator_closed call per step of each distinct
-    schedule object (bitwise walk_operator_closed_array), which keeps that
-    layer visible to perfbench's per-function tracer.
+    Its M come from one walk_operator_closed call, the one-row case of
+    walk_operator_closed_array, per step of each distinct schedule object,
+    which keeps that layer visible to perfbench's per-function tracer.
     """
     if _check_engine(engine) == "full":
         return np.moveaxis(u_step_array(*knobs), 1, 0)

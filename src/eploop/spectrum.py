@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoBracket, TooCloseToEP
+from .errors import ConfigError, DomainError, NoBracket, TooCloseToEP
 from .walk import WalkParams, cpython_mul, d_arrays, d_coefficients, params_at
 
 EIGENVECTOR_GUARD = 1e-8
@@ -44,14 +44,6 @@ class EigenSystem:
     def eta(self) -> tuple[complex, complex, complex, complex]:
         """Eigenvalue of each indexed eigenstate: (eta+, eta-, eta-, eta+)."""
         return (self.eta_plus, self.eta_minus, self.eta_minus, self.eta_plus)
-
-
-@dataclass(frozen=True)
-class SurfaceSample:
-    phi: float
-    theta1: float
-    lambda_plus: complex
-    lambda_minus: complex
 
 
 @dataclass(frozen=True)
@@ -118,9 +110,13 @@ def _axis(lo: float, hi: float, count: int) -> np.ndarray:
     if count < 2:
         raise ConfigError(f"grid needs at least 2 points per axis, got {count}")
     try:
-        return np.linspace(lo, hi, count)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite span is rejected below
+            axis = np.linspace(lo, hi, count)
     except ValueError as exc:  # more points than any array can index
         raise ConfigError(f"grid of {count} points per axis is too large") from exc
+    if not np.isfinite(axis).all():
+        raise ConfigError(f"grid axis from {lo} to {hi} in {count} points is not finite")
+    return axis
 
 
 def riemann_surface(
@@ -129,24 +125,28 @@ def riemann_surface(
     theta2: float = math.pi / 16,
     gamma: float = 0.2,
     k: float = 0.0,
-) -> list[SurfaceSample]:
-    """Quasienergy sheets sampled on a (phi, theta1) grid.
+) -> np.ndarray:
+    """Quasienergy sheets sampled on a (phi, theta1) grid: a (P, 6) float array.
 
-    Output order is phi-major, theta1-ascending.
+    Columns are phi, theta1, Re/Im lambda_plus and Re/Im lambda_minus, the
+    columns of surface_csv; rows are phi-major, theta1-ascending. Raises
+    DomainError at the first grid point where a sheet is not finite.
     """
     phi, theta1 = np.meshgrid(_axis(*phi_range), _axis(*theta1_range), indexing="ij")
-    lambda_plus, lambda_minus = quasienergy_array(theta1, theta2, phi, gamma, k)
-    return [SurfaceSample(*values) for values in zip(phi.ravel().tolist(), theta1.ravel().tolist(),
-                                                     lambda_plus.ravel().tolist(), lambda_minus.ravel().tolist())]
+    with np.errstate(all="ignore"):  # knobs too large for the coefficients are rejected below
+        lam = quasienergy_array(theta1, theta2, phi, gamma, k).reshape(2, -1)
+    grid = np.column_stack([phi.ravel(), theta1.ravel(), lam[0].real, lam[0].imag, lam[1].real, lam[1].imag])
+    bad = np.flatnonzero(~np.isfinite(grid).all(axis=1))
+    if len(bad):
+        phi_bad, theta1_bad = grid[bad[0], :2].tolist()
+        raise DomainError(f"quasienergy is not finite at phi={phi_bad}, theta1={theta1_bad} "
+                          f"(theta2={theta2}, gamma={gamma}, k={k})")
+    return grid
 
 
-def surface_csv(samples: list[SurfaceSample]) -> str:
+def surface_csv(grid: np.ndarray) -> str:
     lines = ["phi,theta1,re_lp,im_lp,re_lm,im_lm"]
-    for s in samples:
-        lines.append(
-            f"{s.phi:.12g},{s.theta1:.12g},{s.lambda_plus.real:.12g},{s.lambda_plus.imag:.12g},"
-            f"{s.lambda_minus.real:.12g},{s.lambda_minus.imag:.12g}"
-        )
+    lines.extend(",".join(f"{v:.12g}" for v in row) for row in grid.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -164,7 +164,10 @@ def find_ep(
     loss. So for every k the EP lies on phi = 0, where D0 = d0 is real, and the
     search is a 1-dim root of d0 -/+ 1. The box (lo < hi) may contain two such
     roots (the edges of the broken-symmetry window); one d_arrays call scans
-    for the first sign change from lo, and d_coefficients bisects it.
+    for the first sign change from lo, and d_coefficients bisects it for at
+    most 200 steps. The bisection stops early once the midpoint equals an end:
+    the ends are then adjacent doubles, and every further step would leave the
+    midpoint where it is.
     """
     if scan_points < 2:
         raise ConfigError(f"EP scan needs at least 2 points, got {scan_points}")
@@ -192,6 +195,8 @@ def find_ep(
     fa = coefficients(a).d0 - target
     for _ in range(200):
         m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
         fm = coefficients(m).d0 - target
         if fa * fm <= 0:
             b = m

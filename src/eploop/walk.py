@@ -13,10 +13,10 @@ u_step whose eigenstates are near-Bell, with the similarity transform given
 by the control operator C.
 
 The closed forms work elementwise over broadcastable arrays of the five
-knobs, and u_step and control_operator are only the one-row cases of
-u_step_array and control_operator_array. d_coefficients and
-walk_operator_closed keep bodies of their own, bitwise their array forms,
-for the EP search's bisection and perfbench's tracer.
+knobs, and the coefficient formula lives in _d_terms alone: d_coefficients,
+walk_operator_closed, u_step and control_operator are only the one-row cases
+of _d_terms, walk_operator_closed_array, u_step_array and
+control_operator_array.
 """
 from __future__ import annotations
 
@@ -96,21 +96,12 @@ def symmetry_break(phi: float) -> np.ndarray:
 
 
 def d_coefficients(p: WalkParams) -> DCoefficients:
-    """Compute all eight step coefficients for parameters p."""
-    c2k = math.cos(2 * p.k)
-    ch = math.cosh(2 * p.gamma)
-    d0 = c2k * math.cos(p.theta1) * math.cos(p.theta2) - ch * math.sin(p.theta1) * math.sin(p.theta2)
-    dx = -math.sinh(2 * p.gamma) * math.sin(p.theta2)
-    dy = -math.cos(p.theta2) * math.sin(p.theta1) * c2k - ch * math.cos(p.theta1) * math.sin(p.theta2)
-    dz = math.cos(p.theta2) * math.sin(2 * p.k)
-    cp, sp = math.cos(p.phi), math.sin(p.phi)
-    return DCoefficients(
-        d0=d0, dx=dx, dy=dy, dz=dz,
-        D0=cp * d0 + 1j * sp * dx,
-        DX=cp * dx + 1j * sp * d0,
-        DY=cp * dy + sp * dz,
-        DZ=cp * dz - sp * dy,
-    )
+    """Compute all eight step coefficients for parameters p: the one-row case of _d_terms.
+
+    The fields are Python floats and complex numbers, so that arithmetic on
+    them is CPython's.
+    """
+    return DCoefficients(*(v.item() for v in _d_terms(*p.knobs)))
 
 
 def _libm(fn, x):
@@ -124,11 +115,12 @@ def _libm(fn, x):
     return np.array([fn(v) for v in values.tolist()])[inverse].reshape(np.shape(x))
 
 
-def d_arrays(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(D0, DX, DY, DZ) of d_coefficients, elementwise over broadcastable arrays of the five knobs.
+def _d_terms(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, ...]:
+    """(d0, dx, dy, dz, D0, DX, DY, DZ) elementwise over broadcastable arrays of the five knobs.
 
-    Every operation repeats d_coefficients' own, so each element is bitwise
-    the scalar value.
+    np.sin and np.cos give libm's bits; cosh and sinh go through _libm. So
+    each element is bitwise the formula evaluated with the math module and
+    Python's own float and complex arithmetic.
     """
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
@@ -139,7 +131,12 @@ def d_arrays(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.ndarray, np.
     dy = -c2 * s1 * c2k - ch * c1 * s2
     dz = c2 * np.sin(2 * k)
     cp, sp = np.cos(phi), np.sin(phi)
-    return cp * d0 + 1j * sp * dx, cp * dx + 1j * sp * d0, cp * dy + sp * dz, cp * dz - sp * dy
+    return d0, dx, dy, dz, cp * d0 + 1j * sp * dx, cp * dx + 1j * sp * d0, cp * dy + sp * dz, cp * dz - sp * dy
+
+
+def d_arrays(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(D0, DX, DY, DZ) elementwise over broadcastable arrays of the five knobs: the last four of _d_terms."""
+    return _d_terms(theta1, theta2, phi, gamma, k)[4:]
 
 
 def walk_operator_product(p: WalkParams) -> np.ndarray:
@@ -159,12 +156,8 @@ def walk_operator_product(p: WalkParams) -> np.ndarray:
 
 
 def walk_operator_closed(p: WalkParams) -> np.ndarray:
-    """One-step coin operator M from the D-coefficients only."""
-    d = d_coefficients(p)
-    return np.array(
-        [[d.D0 + 1j * d.DZ, d.DX + d.DY], [d.DX - d.DY, d.D0 - 1j * d.DZ]],
-        dtype=complex,
-    )
+    """One-step coin operator M from the D-coefficients only: the one-row case of walk_operator_closed_array."""
+    return walk_operator_closed_array(*p.knobs)
 
 
 def walk_operator_closed_array(theta1, theta2, phi, gamma, k) -> np.ndarray:

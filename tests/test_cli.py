@@ -36,6 +36,8 @@ def test_find_ep_guard_exit_code(capsys):
         ["find-ep", "--k", "1e308"],  # 2k overflows: d0 is NaN everywhere and brackets nothing
         ["find-ep", "--gamma", "1e3"],
         ["surface", "--gamma", "1e3", "--phi-range", "-0.1", "0.1", "2"],
+        ["surface", "--k", "1e308"],  # 2k overflows: the sheets are NaN
+        ["surface", "--gamma", "1e308"],  # 2 gamma overflows and math.cosh(inf) is inf, not an OverflowError
         ["compile-optics", "--target", "walk-step", "--gamma", "1e3"],
     ):
         assert main(argv) == 3, argv
@@ -160,6 +162,8 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         (None, ["disorder", "--groups", "1000000000", "--n-steps", "100"]),
         (None, ["evolve", "--n-steps", "100000000000"]),
         (None, ["surface", "--phi-range", "0", "1", "1e30"]),
+        # finite ends whose span overflows
+        (None, ["surface", "--phi-range", "-1e308", "1e308", "3"]),
     ):
         if body is not None:
             cfg.write_text(body)

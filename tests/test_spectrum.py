@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from eploop.errors import ConfigError, NoBracket, TooCloseToEP
+from eploop import spectrum
+from eploop.errors import ConfigError, DomainError, NoBracket, TooCloseToEP
 from eploop.spectrum import (
     eigensystem,
     find_ep,
@@ -14,7 +16,7 @@ from eploop.spectrum import (
 )
 from eploop.walk import WalkParams, u_step
 
-from test_walk import START, random_params
+from test_walk import START, _reference_d_coefficients, random_params
 
 
 def test_quasienergy_at_start():
@@ -73,14 +75,22 @@ def test_eigensystem_guards_at_coalescence():
 
 
 def test_riemann_surface_grid_order():
-    samples = riemann_surface((-0.1, 0.1, 3), (-0.5, -0.3, 3))
-    assert len(samples) == 9
-    phis = [s.phi for s in samples]
+    grid = riemann_surface((-0.1, 0.1, 3), (-0.5, -0.3, 3))
+    assert grid.shape == (9, 6) and grid.dtype == float
+    phis = grid[:, 0].tolist()
     assert phis == sorted(phis)  # phi-major
-    assert [s.theta1 for s in samples[:3]] == sorted(s.theta1 for s in samples[:3])
+    assert grid[:3, 1].tolist() == sorted(grid[:3, 1].tolist())
     # conjugate-pair structure: the two sheets mirror about zero
-    for s in samples:
-        assert s.lambda_minus == pytest.approx(-s.lambda_plus, abs=1e-12)
+    np.testing.assert_allclose(grid[:, 4:], -grid[:, 2:4], rtol=0, atol=1e-12)
+    # the columns are the quasienergy pair of each (phi, theta1) point
+    phi, theta1 = grid[4, :2].tolist()
+    lp, lm = quasienergy(WalkParams(theta1=theta1, phi=phi))
+    assert grid[4, 2:].tolist() == [lp.real, lp.imag, lm.real, lm.imag]
+
+
+def test_riemann_surface_names_the_first_point_it_cannot_evaluate():
+    with pytest.raises(DomainError, match=r"^quasienergy is not finite at phi=-0\.1, theta1=-0\.5 "):
+        riemann_surface((-0.1, 0.1, 2), (-0.5, -0.3, 2), k=1e308)
 
 
 def test_riemann_surface_rejects_degenerate_axis():
@@ -104,6 +114,69 @@ def test_find_ep_frozen_location():
         assert loc.phi == 0.0, k
         assert loc.theta1 == pytest.approx(theta1, abs=1e-9), k
         assert loc.residual <= 1e-15, (k, loc)
+
+
+def _bisect_200(theta1_box, theta2, gamma, k, scan_points):
+    """find_ep as it was: a math-module scan for the first bracket, then all 200 bisection steps."""
+    def d0(theta1):
+        return _reference_d_coefficients(WalkParams(theta1, theta2, 0.0, gamma, k)).d0
+
+    grid = np.linspace(*theta1_box, scan_points).tolist()
+    values = [d0(t) for t in grid]
+    for target in (1.0, -1.0):
+        hits = [i for i in range(scan_points - 1) if (values[i] - target) * (values[i + 1] - target) <= 0]
+        if hits:
+            break
+    else:
+        return None
+    a, b = grid[hits[0]], grid[hits[0] + 1]
+    fa = d0(a) - target
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = d0(m) - target
+        if fa * fm <= 0:
+            b = m
+        else:
+            a, fa = m, fm
+    theta1 = 0.5 * (a + b)
+    D0 = _reference_d_coefficients(WalkParams(theta1, theta2, 0.0, gamma, k)).D0
+    return target, theta1, abs(D0 * D0 - 1.0)
+
+
+# boxes anywhere, or around the +1 roots near theta1 = -0.29 and -0.13 or the -1 roots near 2.85 and 3.01
+_BOX = st.one_of(
+    st.tuples(st.floats(-3.5, 3.5), st.floats(1e-6, 3.0)).map(lambda lw: (lw[0], lw[0] + lw[1])),
+    st.tuples(st.floats(-0.6, -0.3), st.floats(-0.28, 0.2)),
+    st.tuples(st.floats(2.5, 2.84), st.floats(2.86, 3.3)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_BOX, st.floats(0.05, 0.4), st.floats(0.05, 0.5), st.floats(-0.04, 0.04), st.integers(2, 300))
+@example((-0.5, -0.1), math.pi / 16, 0.2, 0.03, 257)
+@example((2.5, 3.1), math.pi / 16, 0.2, 0.0, 257)  # no +1 root: the -1 root at 2.85
+@example((2.9, 3.3), math.pi / 16, 0.2, 0.01, 257)  # the -1 root at 3.01
+def test_find_ep_is_the_200_step_bisection(box, theta2, gamma, k, scan_points):
+    expected = _bisect_200(box, theta2, gamma, k, scan_points)
+    if expected is None:
+        with pytest.raises(NoBracket):
+            find_ep(box, theta2, gamma, k, scan_points)
+        return
+    target, theta1, residual = expected
+    loc = find_ep(box, theta2, gamma, k, scan_points)
+    assert (loc.theta1.hex(), loc.residual.hex()) == (theta1.hex(), residual.hex()), target
+
+
+def test_find_ep_stops_once_its_ends_are_adjacent(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return _reference_d_coefficients(p)
+
+    monkeypatch.setattr(spectrum, "d_coefficients", counted)
+    assert find_ep().theta1 == -0.2917760531146608
+    assert len(calls) <= 50  # 200 bisection steps would make 202
 
 
 def test_find_ep_no_bracket_without_gain():

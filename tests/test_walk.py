@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from eploop.spectrum import (
 )
 from eploop.walk import (
     EP_PREFACTOR_GUARD,
+    DCoefficients,
     WalkParams,
     _libm,
     control_operator,
@@ -93,6 +95,8 @@ def test_d_coefficients_at_start_point():
     # phi = 0 collapses the dressed coefficients onto the bare ones
     assert d.D0 == pytest.approx(d.d0)
     assert d.DX == pytest.approx(d.dx)
+    # Python numbers, so that arithmetic on the fields is CPython's, not numpy's
+    assert [type(v) for v in astuple(d)] == [float, float, float, float, complex, complex, float, float]
 
 
 def test_coefficient_identities_random():
@@ -121,8 +125,33 @@ _KNOBS = st.one_of(
 
 
 # The scalar bodies the array forms replaced, kept as bitwise references.
+def _reference_d_coefficients(p: WalkParams) -> DCoefficients:
+    c2k = math.cos(2 * p.k)
+    ch = math.cosh(2 * p.gamma)
+    d0 = c2k * math.cos(p.theta1) * math.cos(p.theta2) - ch * math.sin(p.theta1) * math.sin(p.theta2)
+    dx = -math.sinh(2 * p.gamma) * math.sin(p.theta2)
+    dy = -math.cos(p.theta2) * math.sin(p.theta1) * c2k - ch * math.cos(p.theta1) * math.sin(p.theta2)
+    dz = math.cos(p.theta2) * math.sin(2 * p.k)
+    cp, sp = math.cos(p.phi), math.sin(p.phi)
+    return DCoefficients(
+        d0=d0, dx=dx, dy=dy, dz=dz,
+        D0=cp * d0 + 1j * sp * dx,
+        DX=cp * dx + 1j * sp * d0,
+        DY=cp * dy + sp * dz,
+        DZ=cp * dz - sp * dy,
+    )
+
+
+def _reference_walk_operator_closed(p: WalkParams) -> np.ndarray:
+    d = _reference_d_coefficients(p)
+    return np.array(
+        [[d.D0 + 1j * d.DZ, d.DX + d.DY], [d.DX - d.DY, d.D0 - 1j * d.DZ]],
+        dtype=complex,
+    )
+
+
 def _reference_u_step(p: WalkParams) -> np.ndarray:
-    d = d_coefficients(p)
+    d = _reference_d_coefficients(p)
     w = np.array(
         [[d.DZ, 1j * (d.DX + d.DY)], [1j * (d.DX - d.DY), -d.DZ]],
         dtype=complex,
@@ -141,13 +170,13 @@ def _reference_quasienergy(p: WalkParams) -> tuple[complex, complex]:
             lam += 2 * math.pi
         return complex(lam)
 
-    D0 = d_coefficients(p).D0
+    D0 = _reference_d_coefficients(p).D0
     s = np.sqrt(complex(D0 * D0 - 1.0))
     return principal(D0 + s), principal(D0 - s)
 
 
 def _reference_eigensystem(p: WalkParams) -> EigenSystem:
-    d = d_coefficients(p)
+    d = _reference_d_coefficients(p)
     s = np.sqrt(complex(d.D0 * d.D0 - 1.0))
     if abs(s) <= EIGENVECTOR_GUARD:
         raise TooCloseToEP(f"|eta - D0| = {abs(s):.3e} at {p}")
@@ -174,7 +203,7 @@ def _reference_eigensystem(p: WalkParams) -> EigenSystem:
 
 
 def _reference_control_operator(p: WalkParams) -> tuple[np.ndarray, np.ndarray]:
-    d = d_coefficients(p)
+    d = _reference_d_coefficients(p)
     X, Y, Z = d.DX, d.DY, d.DZ
     s2 = d.D0 * d.D0 - 1.0
     s = np.sqrt(complex(s2))
@@ -231,9 +260,10 @@ def test_array_forms_match_the_scalar_operators(points):
     m, u, lam = walk_operator_closed_array(*knobs), u_step_array(*knobs), quasienergy_array(*knobs)
     params = [WalkParams(*values) for values in points]
     for j, p in enumerate(params):
-        c = d_coefficients(p)
-        assert d[:, j].tolist() == [c.D0, c.DX, c.DY, c.DZ]
-        assert (m[j] == walk_operator_closed(p)).all()
+        c = _reference_d_coefficients(p)
+        assert _bits(*astuple(d_coefficients(p))) == _bits(*astuple(c))
+        assert _bits(*d[:, j]) == _bits(c.D0, c.DX, c.DY, c.DZ)
+        assert _bits(m[j]) == _bits(walk_operator_closed(p)) == _bits(_reference_walk_operator_closed(p))
         assert _bits(u[j]) == _bits(u_step(p)) == _bits(_reference_u_step(p))
         assert _bits(lam[:, j]) == _bits(quasienergy(p)) == _bits(_reference_quasienergy(p))
     # eigensystem and the control pair: equal row by row, or the first failing row's guard error
