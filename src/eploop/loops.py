@@ -446,10 +446,10 @@ def sheet_trace(report: EvolutionReport) -> SheetTrace:
 def _start_frames(starts: tuple[WalkParams, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The constants of collapsed chains from the given starts, stacked row by row:
     C_0^T (rows, 4, 4) and the four start eigenstates in the control frame,
-    psi_j C_0^-1^T as (rows, 4, 2, 2)."""
+    psi_j C_0^-1^T as (rows, 8, 2), rows 2j and 2j+1 of eigenstate j holding its two blocks."""
     C, C_inv = control_operator_array(*np.array([p.knobs for p in starts]).T)
     c_t = C.mT.copy()
-    a = np.array([(bell_eigenstates(p) @ c_inv.T).reshape(4, 2, 2) for p, c_inv in zip(starts, C_inv)])
+    a = np.array([bell_eigenstates(p) @ c_inv.T for p, c_inv in zip(starts, C_inv)]).reshape(-1, 8, 2)
     c_t.flags.writeable = a.flags.writeable = False
     return c_t, a
 
@@ -457,31 +457,28 @@ def _start_frames(starts: tuple[WalkParams, ...]) -> tuple[np.ndarray, np.ndarra
 _TARGET_ROWS = {d: np.array([bell_state(CHIRAL_TARGETS[d, j]) for j in (1, 2, 3, 4)]) for d in DIRECTIONS}
 
 
-def _case_fidelities(knobs, starts: tuple[WalkParams, ...], directions) -> list[float]:
-    """Fidelity to its target Bell state of every chirality case, four per row, row by row.
+def _case_fidelities(knobs, frames: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> np.ndarray:
+    """Fidelity to its target Bell state of every chirality case, four per row, as targets.shape[:-1].
 
-    knobs are the five step knobs (theta1, theta2, phi, gamma, k), each
-    broadcastable to (rows, N); row r runs in direction directions[r], and
-    starts[r] is its first step, whose eigenstates are the inputs (a single
-    start serves all rows). The outputs are the simplified engine's, in
-    collapsed form:
-    normalize(C_0 (I (x) P) C_0^-1 psi_j) with one 2x2 chain
-    P = M_{N-1}...M_0 per row, applied to the four inputs as one 4x4 block.
-    This equals evolve_simplified exactly; P is rescaled at every step in
-    place of the engine's renormalization. All rows step together, and every
-    value takes the same floating-point operations as the one-row scalar form,
-    so it is bitwise that form's.
+    knobs are the five step knobs (theta1, theta2, phi, gamma, k), each broadcastable to (rows, N);
+    frames are _start_frames of each row's first step, whose eigenstates are the inputs, or of one
+    start for all rows; targets are each row's four target states (rows, 4, 4), or those of R rows
+    that repeat in turn (R, 4, 4). The outputs are the simplified engine's, in collapsed form:
+    normalize(C_0 (I (x) P) C_0^-1 psi_j) with one 2x2 chain P = M_{N-1}...M_0 per row, applied to
+    the inputs as an 8x2. This equals evolve_simplified exactly; P is rescaled at every step in
+    place of the engine's renormalization. All rows step together, and every value takes the same
+    floating-point operations as the one-row scalar form, so it is bitwise that form's.
     """
     m = walk_operator_closed_array(*knobs)
-    P = np.eye(2, dtype=complex)
-    for n in range(m.shape[1]):
+    P = m[:, 0] / np.abs(m[:, 0]).max(axis=(1, 2), keepdims=True)  # rescaled M_0 @ I: I changes no fidelity's bits
+    for n in range(1, m.shape[1]):
         P = m[:, n] @ P
-        P /= np.abs(P).max(axis=(1, 2))[:, None, None]  # unscaled, |P| reaches 1e115 at N = 5000 on loop 1
-    c_t, a = _start_frames(starts)
-    out = (a @ P.mT[:, None]).reshape(-1, 4, 4) @ c_t
+        P /= np.abs(P).max(axis=(1, 2), keepdims=True)  # unscaled, |P| reaches 1e115 at N = 5000 on loop 1
+    c_t, a = frames
+    out = (a @ P.mT).reshape(len(c_t), -1, 4) @ c_t  # one shared start: one (4 * rows, 4) @ (4, 4)
     out = out / np.sqrt(np.vecdot(out.real, out.real) + np.vecdot(out.imag, out.imag))[..., None]
-    overlaps = np.vecdot(np.array([_TARGET_ROWS[d] for d in directions]), out)
-    return np.hypot(overlaps.real, overlaps.imag).ravel().tolist()  # bitwise Python's abs; np.abs differs
+    overlaps = np.vecdot(targets, out.reshape(-1, *targets.shape))
+    return np.hypot(overlaps.real, overlaps.imag)  # bitwise Python's abs; np.abs differs
 
 
 def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
@@ -498,7 +495,8 @@ def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
             raise ConfigError(f"schedules[{d!r}] runs {schedules[d].direction!r}, not the direction of its key")
         by_length.setdefault(schedules[d].n_steps, []).append(schedules[d])
     fidelities = [f for group in by_length.values() for f in _case_fidelities(
-        _stacked_knobs(group), tuple(s.start for s in group), [s.direction for s in group])]
+        _stacked_knobs(group), _start_frames(tuple(s.start for s in group)),
+        np.array([_TARGET_ROWS[s.direction] for s in group])).ravel().tolist()]
     if not all(map(math.isfinite, fidelities)):  # min skips NaN
         raise DomainError(f"case fidelities must be finite, got {fidelities}")
     return min(math.inf, *fidelities)
@@ -522,19 +520,23 @@ class OptimizeResult:
 def _increment_phases(incr: np.ndarray, sign) -> np.ndarray:
     """Loop phases from the start point whose phase steps are `incr` (along its last axis), turning
     by sign: +1 counter-clockwise, -1 clockwise, or an array of signs that broadcasts."""
-    turns = np.concatenate([np.zeros_like(incr[..., :1]), np.cumsum(incr[..., :-1], axis=-1)], axis=-1)
+    turns = np.zeros_like(incr)
+    np.cumsum(incr[..., :-1], axis=-1, out=turns[..., 1:])
     return -math.pi / 2 + sign * turns
 
 
 def _increments_from_x(x: np.ndarray) -> np.ndarray:
     """Phase increments from the optimizer's variables, along the last axis: a softmax scaled to a full turn."""
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     return 2 * math.pi * e / e.sum(axis=-1, keepdims=True)
 
 
 # scipy.optimize's Nelder-Mead coefficients (reflection, expansion, contraction, shrink), and
 # the optimizer's tolerances on the simplex's spread in x and in value
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+# its trial points A*xbar + B*worst, by the index a step picks: reflection, expansion, outside and inside contraction
+_TRIAL_A = np.array([[1 + _RHO], [1 + _RHO * _CHI], [1 + _PSI * _RHO], [1 - _PSI]])
+_TRIAL_B = np.array([[-_RHO], [-_RHO * _CHI], [-_PSI * _RHO], [_PSI]])
 _XATOL, _FATOL = 1e-4, 1e-6
 # simplex entries a lockstep group of starts holds (a group has at least one start), and the
 # row-steps one objective call scores at most: memory stays flat in the number of starts
@@ -542,20 +544,29 @@ _LOCKSTEP_ENTRIES = 2**14
 _SIGNS = np.array([[direction_sign(d)] for d in DIRECTIONS])  # row d of _objective_rows' (B, 2, N) phases
 
 
+@functools.cache
+def _objective_frames() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """_case_fidelities' frames and targets for optimizer rows, built on first use: all start where loop 1 does."""
+    return _start_frames((loop1_schedule(1, "cw").start,)), np.array([_TARGET_ROWS[d] for d in DIRECTIONS])
+
+
 def _objective_rows(x: np.ndarray) -> np.ndarray:
-    """The optimizer's objective at every row of x (B, N): min_case_fidelity of the loop-1
-    schedules whose increments come from that row, bitwise, on the schedules' own knobs with
-    no LoopSchedule in between. Each value is independent of the rows beside it, so the rows
+    """The optimizer's objective at every row of x (B, N): min_case_fidelity of the loop-1 schedules whose
+    increments come from that row, bitwise, and its DomainError on a non-finite case fidelity, on the schedules'
+    own knobs with no LoopSchedule in between. Each value is independent of the rows beside it, so the rows
     are scored in chunks of at most _LOCKSTEP_ENTRIES row-steps."""
     rows = max(1, _LOCKSTEP_ENTRIES // x.shape[1])
     if len(x) > rows:
         return np.concatenate([_objective_rows(x[i:i + rows]) for i in range(0, len(x), rows)])
-    phases = _increment_phases(_increments_from_x(x)[:, None], _SIGNS)  # (B, 2, N)
-    theta1, phi = (v.reshape(-1, x.shape[1]) for v in _circle(phases, LOOP1_RADIUS, LOOP1_CENTER))
-    start = WalkParams(theta1=theta1[0, 0].item(), phi=phi[0, 0].item())  # every row starts at phase -pi/2
-    knobs = (theta1, _DEFAULT.theta2, phi, _DEFAULT.gamma, _DEFAULT.k)
-    fidelities = _case_fidelities(knobs, (start,), DIRECTIONS * len(x))
-    return np.array([min(math.inf, *fidelities[i:i + 8]) for i in range(0, len(fidelities), 8)])
+    with np.errstate(all="ignore"):  # non-finite rows are rejected below
+        phases = _increment_phases(_increments_from_x(x)[:, None], _SIGNS)  # (B, 2, N)
+        theta1, phi = (v.reshape(-1, x.shape[1]) for v in _circle(phases, LOOP1_RADIUS, LOOP1_CENTER))
+        fidelities = _case_fidelities((theta1, _DEFAULT.theta2, phi, _DEFAULT.gamma, _DEFAULT.k),
+                                      *_objective_frames()).reshape(len(x), 8)
+    if not np.isfinite(fidelities).all():
+        row = np.flatnonzero(~np.isfinite(fidelities).all(axis=1))[0]
+        raise DomainError(f"case fidelities must be finite, got {fidelities[row].tolist()} at row {row}")
+    return fidelities.min(axis=1)
 
 
 def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -587,29 +598,24 @@ def _nelder_mead(f_rows, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.n
     sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))  # sorted twice, as scipy does
     x, fun, running = np.empty_like(x0), np.empty(n_starts), np.arange(n_starts)
     for _ in range(1, maxiter):
-        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
-                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
-        if done.any():
+        # scipy's max|f_0 - f_i| exactly, as the simplices are sorted, NaN last; then its x test where that passes
+        close = fsim[:, -1] - fsim[:, 0] <= _FATOL
+        if close.any():
+            done = close & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
             x[running[done]], fun[running[done]] = sim[done, 0], np.min(fsim[done], axis=1)
             running, sim, fsim = running[~done], sim[~done], fsim[~done]
             if not len(running):
                 break
-        xbar, worst = np.add.reduce(sim[:, :-1], 1) / n, sim[:, -1]
-        xr = (1 + _RHO) * xbar - _RHO * worst
-        fxr = f_rows(xr)
-        expand = fxr < fsim[:, 0]
-        keep_r = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~keep_r & (fxr < fsim[:, -1])
-        inside = ~expand & ~keep_r & ~outside
-        x2 = np.where(expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
-                      np.where(outside[:, None], (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
-                               (1 - _PSI) * xbar + _PSI * worst))  # expansion, outside or inside contraction
-        fx2 = np.full(len(fxr), np.nan)
-        if not keep_r.all():
-            fx2[~keep_r] = f_rows(x2[~keep_r])
-        take2 = (expand & (fx2 < fxr)) | (outside & (fx2 <= fxr)) | (inside & (fx2 < fsim[:, -1]))
-        replace = keep_r | expand | take2  # the worst vertex; the other contractions shrink
-        sim[replace, -1] = np.where(take2[:, None], x2, xr)[replace]
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        trials = _TRIAL_A * xbar[:, None] + _TRIAL_B * sim[:, -1:]  # (S, 4, N), scipy's bits as x - y == x + (-y)
+        fxr = f_rows(trials[:, 0])
+        kind = np.where(fxr < fsim[:, 0], 1, np.where(fxr < fsim[:, -2], 0, 3 - (fxr < fsim[:, -1])))
+        fx2, second = fxr.copy(), kind.nonzero()[0]  # fx2 = fxr where kept, so take2 is False there
+        if len(second):
+            fx2[second] = f_rows(trials[second, kind[second]])
+        take2 = np.where(kind == 2, fx2 <= fxr, fx2 < np.where(kind == 3, fsim[:, -1], fxr))
+        replace = take2 | (kind < 2)  # the worst vertex; the other contractions shrink
+        sim[replace, -1] = trials[replace, (take2 * kind)[replace]]
         fsim[replace, -1] = np.where(take2, fx2, fxr)[replace]
         if not replace.all():
             best, rest = sim[~replace, :1], sim[~replace, 1:]
@@ -644,7 +650,7 @@ def optimize_schedule(n_steps: int = 8, seed: int = 20260815, multistarts: int =
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
-    baseline = _objective_rows(np.zeros((1, n_steps)))[0]  # never NaN: min from math.inf skips NaN
+    baseline = _objective_rows(np.zeros((1, n_steps)))[0]
     best_x, best_val = np.zeros(n_steps), baseline
     group = max(1, _LOCKSTEP_ENTRIES // (n_steps * (n_steps + 1)))
     for first in range(0, multistarts, group):

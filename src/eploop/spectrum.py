@@ -178,7 +178,7 @@ def find_ep(
     def coefficients(theta1: float):
         return d_coefficients(WalkParams(theta1=theta1, theta2=theta2, phi=0.0, gamma=gamma, k=k))
 
-    grid = np.linspace(lo, hi, scan_points)
+    grid = _axis(lo, hi, scan_points)
     with np.errstate(invalid="ignore"):  # an infinite 2k makes d0 NaN, which brackets no root
         d0 = d_arrays(grid, theta2, 0.0, gamma, k)[0].real  # D0 = d0 at phi = 0
     for target in (1.0, -1.0):

@@ -109,7 +109,7 @@ def test_criterion_05_chirality_table_full_engine():
     worst_wall = 0.0
     for (direction, j), (target, center) in bands.items():
         sched = ep.loop1_schedule(100, direction)
-        psi0 = ep.bell_eigenstate(j, sched.steps[0])
+        psi0 = ep.bell_eigenstate(j, sched.start)
         t0 = time.perf_counter()
         rep = ep.evolve_full(sched, psi0, record_steps=False)
         worst_wall = max(worst_wall, time.perf_counter() - t0)
@@ -119,7 +119,7 @@ def test_criterion_05_chirality_table_full_engine():
     ccw_targets = {1: "zeta1", 2: "zeta1", 3: "zeta4", 4: "zeta4"}
     for j, target in ccw_targets.items():
         sched = ep.loop1_schedule(100, "ccw")
-        psi0 = ep.bell_eigenstate(j, sched.steps[0])
+        psi0 = ep.bell_eigenstate(j, sched.start)
         t0 = time.perf_counter()
         rep = ep.evolve_full(sched, psi0, record_steps=False)
         worst_wall = max(worst_wall, time.perf_counter() - t0)
@@ -133,7 +133,7 @@ def test_criterion_06_loop2_direction_independent():
         outputs = {}
         for direction in ep.DIRECTIONS:
             sched = ep.loop2_schedule(100, direction)
-            rep = ep.evolve_full(sched, ep.bell_eigenstate(j, sched.steps[0]), record_steps=False)
+            rep = ep.evolve_full(sched, ep.bell_eigenstate(j, sched.start), record_steps=False)
             outputs[direction] = rep.classified_output
         assert outputs["cw"] == outputs["ccw"], (j, outputs)
 
@@ -145,7 +145,7 @@ def test_criterion_07_engines_agree_within_tolerance():
     for direction in ep.DIRECTIONS:
         sched = ep.loop1_schedule(100, direction)
         for j in range(1, 5):
-            psi0 = ep.bell_eigenstate(j, sched.steps[0])
+            psi0 = ep.bell_eigenstate(j, sched.start)
             full = ep.evolve_full(sched, psi0, record_steps=False)
             simpl = ep.evolve_simplified(sched, psi0, record_steps=False)
             assert simpl.classified_output == full.classified_output, (direction, j)
@@ -160,7 +160,7 @@ def test_criterion_08_sheet_switch_counts():
     for direction in ep.DIRECTIONS:
         sched = ep.loop1_schedule(100, direction)
         for j in range(1, 5):
-            rep = ep.evolve_full(sched, ep.bell_eigenstate(j, sched.steps[0]), record_steps=True)
+            rep = ep.evolve_full(sched, ep.bell_eigenstate(j, sched.start), record_steps=True)
             tr = ep.sheet_trace(rep)
             if j in zero_switch[direction]:
                 assert tr.switches == 0, (direction, j, tr.switches)
@@ -180,7 +180,7 @@ def test_criterion_09_tomography_round_trip_and_noise_floor():
     for direction in ep.DIRECTIONS:
         sched = ep.loop1_schedule(100, direction)
         for j in range(1, 5):
-            rep = ep.evolve_full(sched, ep.bell_eigenstate(j, sched.steps[0]), record_steps=False)
+            rep = ep.evolve_full(sched, ep.bell_eigenstate(j, sched.start), record_steps=False)
             outputs.append(rep.output_state)
     fids = []
     for seed in range(100):

@@ -107,6 +107,7 @@ def test_direction_and_input_repeat_and_drop_repeats(capsys):
     assert cases == [("ccw", "zeta3"), ("cw", "zeta3")]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_evolve_rejects_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     for body, argv in (
@@ -164,6 +165,7 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         (None, ["surface", "--phi-range", "0", "1", "1e30"]),
         # finite ends whose span overflows
         (None, ["surface", "--phi-range", "-1e308", "1e308", "3"]),
+        (None, ["find-ep", "--theta1-box", "-1e308", "1e308"]),
     ):
         if body is not None:
             cfg.write_text(body)

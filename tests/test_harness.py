@@ -50,7 +50,7 @@ def test_disorder_config_validation():
 def test_case_inputs_are_bitwise_case_input(kind):
     labels = ("zeta3", "zeta1", "zeta4", "zeta2")
     for sched in (loop1_schedule(100, "cw"), loop2_schedule(8, "ccw")):
-        p = sched.steps[0]
+        p = sched.start
         got = case_inputs(labels, kind, p)
         expected = [bell_eigenstate(label, p) if kind == "eigenstate" else bell_state(label) for label in labels]
         assert [psi.tolist() for psi in got] == [psi.tolist() for psi in expected]
@@ -81,7 +81,7 @@ def _reference_disorder_run(cfg):
     rows = []
     cases = [(cfg.schedule(d), label) for d in cfg.directions for label in cfg.inputs]
     for case_idx, (sched, label) in enumerate(cases):
-        psi0 = bell_eigenstate(label, sched.steps[0]) if cfg.input_kind == "eigenstate" else bell_state(label)
+        psi0 = bell_eigenstate(label, sched.start) if cfg.input_kind == "eigenstate" else bell_state(label)
         base = evolve(sched, psi0, engine=cfg.engine, record_steps=False)
         ref = bell_index(base.classified_output) - 1
         fids, unchanged = [], 0
@@ -141,7 +141,7 @@ def test_evolve_cases_rows_do_not_depend_on_their_neighbours(engine, loop, input
     for direction in directions:
         sched = cfg.schedule(direction)
         for label in inputs:
-            psi0 = bell_eigenstate(label, sched.steps[0]) if input_kind == "eigenstate" else bell_state(label)
+            psi0 = bell_eigenstate(label, sched.start) if input_kind == "eigenstate" else bell_state(label)
             alone.append(evolve(sched, psi0, engine=engine, input_label=label, record_steps=record_steps))
     batched = evolve_cases(cfg)
     assert len(batched) == len(alone)
@@ -212,7 +212,7 @@ def test_run_config_from_dict_returns_or_raises_config_error(data):
 
 def test_report_dict_key_order_and_shapes():
     sched = loop1_schedule(6, "cw")
-    rep = evolve_full(sched, bell_eigenstate(1, sched.steps[0]), input_label=1)
+    rep = evolve_full(sched, bell_eigenstate(1, sched.start), input_label=1)
     d = report_dict(rep)
     assert list(d) == [
         "input",
@@ -230,7 +230,7 @@ def test_report_dict_key_order_and_shapes():
     assert len(d["density"]) == 32
     assert list(d["fidelities"]) == ["zeta1", "zeta2", "zeta3", "zeta4"]
     assert len(d["steps"]) == 6
-    d2 = report_dict(evolve_full(sched, bell_eigenstate(1, sched.steps[0]), input_label=1,
+    d2 = report_dict(evolve_full(sched, bell_eigenstate(1, sched.start), input_label=1,
                                  record_steps=False))
     assert "steps" not in d2
 
@@ -242,7 +242,7 @@ def test_dump_json_repr_floats():
 
 def test_report_csv_header():
     sched = loop1_schedule(4, "ccw")
-    rep = evolve_full(sched, bell_eigenstate(2, sched.steps[0]), input_label=2, record_steps=False)
+    rep = evolve_full(sched, bell_eigenstate(2, sched.start), input_label=2, record_steps=False)
     text = report_csv([rep])
     lines = text.splitlines()
     assert lines[0].startswith("input,direction,N,loop,engine,classified")

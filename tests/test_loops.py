@@ -1,6 +1,9 @@
 import collections
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -69,7 +72,7 @@ def test_equal_phases_start_and_spacing():
 def test_loop_schedules_share_start_point():
     for maker in (loop1_schedule, loop2_schedule):
         sched = maker(16, "cw")
-        p = sched.steps[0]
+        p = sched.start
         assert p.phi == pytest.approx(0.0, abs=1e-15)
         assert p.theta1 == pytest.approx(-0.6)
         assert sched.n_steps == 16
@@ -126,8 +129,8 @@ def test_schedule_knobs_are_floats_or_read_only_arrays_of_one_length():
 def test_schedule_from_phases_custom():
     sched = schedule_from_phases([0.0, math.pi], "cw", radius=0.3, theta1_center=-0.5)
     assert sched.n_steps == 2
-    assert sched.steps[0].phi == pytest.approx(0.3)
-    assert sched.steps[0].theta1 == pytest.approx(-0.5)
+    assert sched.start.phi == pytest.approx(0.3)
+    assert sched.start.theta1 == pytest.approx(-0.5)
     assert sched.steps[1].phi == pytest.approx(-0.3)
 
 
@@ -144,7 +147,7 @@ def test_schedule_from_phases_rejects_non_finite_values(phases, radius, center):
 
 
 def test_bell_eigenstate_labels_cover_all_four():
-    p0 = loop1_schedule(100, "cw").steps[0]
+    p0 = loop1_schedule(100, "cw").start
     for j in range(1, 5):
         v = bell_eigenstate(j, p0)
         assert np.linalg.norm(v) == pytest.approx(1.0)
@@ -188,7 +191,7 @@ def test_full_engine_chirality_frozen_values():
     for direction in DIRECTIONS:
         sched = loop1_schedule(100, direction)
         for j in range(1, 5):
-            rep = evolve_full(sched, bell_eigenstate(j, sched.steps[0]), record_steps=False)
+            rep = evolve_full(sched, bell_eigenstate(j, sched.start), record_steps=False)
             tgt = expected_output(direction, j)
             assert rep.classified_output == tgt
             f = rep.fidelities[bell_index(tgt) - 1]
@@ -199,7 +202,7 @@ def test_full_engine_chirality_frozen_values():
 def test_simplified_engine_frozen_values():
     for (direction, j), expected in SIMPL_F.items():
         sched = loop1_schedule(100, direction)
-        rep = evolve_simplified(sched, bell_eigenstate(j, sched.steps[0]), record_steps=False)
+        rep = evolve_simplified(sched, bell_eigenstate(j, sched.start), record_steps=False)
         tgt = expected_output(direction, j)
         assert rep.classified_output == tgt
         assert rep.fidelities[bell_index(tgt) - 1] == pytest.approx(expected, abs=1e-9)
@@ -207,18 +210,18 @@ def test_simplified_engine_frozen_values():
 
 def test_loop2_fidelities_frozen():
     sched = loop2_schedule(100, "cw")
-    rep = evolve_full(sched, bell_eigenstate(1, sched.steps[0]), record_steps=False)
+    rep = evolve_full(sched, bell_eigenstate(1, sched.start), record_steps=False)
     assert rep.classified_output == "zeta1"
     assert max(rep.fidelities) == pytest.approx(0.9425622119713297, abs=1e-9)
     sched = loop2_schedule(100, "ccw")
-    rep = evolve_full(sched, bell_eigenstate(1, sched.steps[0]), record_steps=False)
+    rep = evolve_full(sched, bell_eigenstate(1, sched.start), record_steps=False)
     assert rep.classified_output == "zeta1"
     assert max(rep.fidelities) == pytest.approx(0.9942232751454556, abs=1e-9)
 
 
 def test_evolve_dispatcher():
     sched = loop1_schedule(8, "cw")
-    psi0 = bell_eigenstate(1, sched.steps[0])
+    psi0 = bell_eigenstate(1, sched.start)
     rep = evolve(sched, psi0, engine="simplified", record_steps=False)
     assert rep.engine == "simplified"
     with pytest.raises(ConfigError):
@@ -270,7 +273,7 @@ def test_engines_match_their_definitions(phases, direction, psi0):
     # full: prod_n u_step(p_n) psi0; simplified: C_0 (I (x) M_{N-1}...M_0) C_0^-1 psi0
     sched = schedule_from_phases(phases, direction)
     psi0 = psi0 / np.linalg.norm(psi0)
-    C, C_inv = control_operator(sched.steps[0])
+    C, C_inv = control_operator(sched.start)
     u, m = np.eye(4), np.eye(2)
     expected = {"full": [], "simplified": []}
     for p in sched.steps:
@@ -362,7 +365,7 @@ def test_collapsed_simplified_batch_stays_finite_on_a_long_loop():
     # stepwise, M_{N-1}...M_0 on loop 1 reaches |P| ~ 1e115 at N = 5000; each level is rescaled
     sched = loop1_schedule(5000, "cw")
     theta1, phi = np.array([(p.theta1, p.phi) for p in sched.steps]).T
-    psi0 = bell_eigenstates(sched.steps[0])
+    psi0 = bell_eigenstates(sched.start)
     out = evolve_batch(np.tile(theta1, (4, 1)), np.tile(phi, (4, 1)), psi0, "simplified")
     assert np.isfinite(out).all()
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-14)
@@ -409,7 +412,7 @@ def test_control_pairs_guard_the_first_failing_row_like_control_operator():
         with pytest.raises(SingularMatrix) as ref:
             control_operator(singular)
         guard = f"^{re.escape(str(ref.value))}$"
-        starts = (healthy.steps[0], singular, near_ep)
+        starts = (healthy.start, singular, near_ep)
         schedules = [LoopSchedule.from_steps((p,) + healthy.steps[1:], "cw") for p in starts]
         with pytest.raises(SingularMatrix, match=guard):
             evolve_many(schedules, [bell_state(1)] * 3, ["zeta1"] * 3, "simplified", record_steps=False)
@@ -428,7 +431,7 @@ def test_full_engine_is_the_simplified_product_in_a_rotated_frame(phases, direct
     # prod_n u_step(p_n) = C_0 [prod_n G_n (I (x) M_n) G_n^-1] C_0^-1 with
     # G_n = C_0^-1 C_n; the simplified engine sets every G_n to I (criterion 7)
     sched = schedule_from_phases(phases, direction)
-    C0, C0_inv = control_operator(sched.steps[0])
+    C0, C0_inv = control_operator(sched.start)
     lab, rotated = np.eye(4), np.eye(4)
     for p in sched.steps:
         C, C_inv = control_operator(p)
@@ -440,7 +443,7 @@ def test_full_engine_is_the_simplified_product_in_a_rotated_frame(phases, direct
 
 def test_report_shape_and_step_records():
     sched = loop1_schedule(10, "cw")
-    rep = evolve_full(sched, bell_eigenstate(2, sched.steps[0]), input_label=2)
+    rep = evolve_full(sched, bell_eigenstate(2, sched.start), input_label=2)
     assert rep.input_label == "zeta2"
     assert rep.n_steps == 10
     assert rep.loop_label == "loop1"
@@ -469,7 +472,7 @@ def test_sheet_trace_switch_table():
     }
     for (direction, j), switch_steps in expected_switch_steps.items():
         sched = loop1_schedule(100, direction)
-        rep = evolve_full(sched, bell_eigenstate(j, sched.steps[0]), record_steps=True)
+        rep = evolve_full(sched, bell_eigenstate(j, sched.start), record_steps=True)
         tr = sheet_trace(rep)
         assert tr.switch_steps == switch_steps, (direction, j)
         assert tr.switches == len(switch_steps)
@@ -477,7 +480,7 @@ def test_sheet_trace_switch_table():
 
 def test_sheet_trace_needs_step_records():
     sched = loop1_schedule(8, "cw")
-    rep = evolve_full(sched, bell_eigenstate(1, sched.steps[0]), record_steps=False)
+    rep = evolve_full(sched, bell_eigenstate(1, sched.start), record_steps=False)
     with pytest.raises(DomainError):
         sheet_trace(rep)
 
@@ -528,7 +531,7 @@ def _engine_min_case_fidelity(schedules):
     worst = math.inf
     for (direction, j), target in CHIRAL_TARGETS.items():
         sched = schedules[direction]
-        rep = evolve_simplified(sched, bell_eigenstate(j, sched.steps[0]), record_steps=False)
+        rep = evolve_simplified(sched, bell_eigenstate(j, sched.start), record_steps=False)
         worst = min(worst, rep.fidelities[target - 1])
     return worst
 
@@ -606,7 +609,7 @@ def test_optimizer_improves_small_loop():
     assert result.objective > result.baseline_objective + 0.3
     sched = result.schedule("cw")
     assert sched.n_steps == 4
-    assert sched.steps[0].theta1 == pytest.approx(-0.6)
+    assert sched.start.theta1 == pytest.approx(-0.6)
     assert sum(result.increments) == pytest.approx(2 * math.pi)
     with pytest.raises(ConfigError):
         optimize_schedule(3)
@@ -630,6 +633,34 @@ def test_optimizer_reaches_target_at_experimental_scale():
 def test_objective_rows_are_the_one_row_objective(rows, n_steps, seed):
     x = np.random.default_rng(seed).normal(0.0, 1.5, (rows, n_steps))
     assert _objective_rows(x).tolist() == [_objective_rows(row[None])[0] for row in x]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_objective_rows_reject_a_non_finite_row(bad):
+    # min(math.inf, *f) would skip NaN and score such a row +inf, which Nelder-Mead takes as its best vertex
+    x = np.zeros((2, 8))
+    x[1, 3] = bad
+    with pytest.raises(DomainError, match="finite.*at row 1"):
+        _objective_rows(x)
+    assert _objective_rows(x[:1]).tolist() == [0.5408925599324853]
+
+
+def test_objective_start_constants_are_the_schedules_start_frames():
+    (c_t, a), targets = loops._objective_frames()
+    x = np.random.default_rng(4).normal(0.0, 1.5, 8)
+    schedules = OptimizeResult(tuple(_increments_from_x(x).tolist()), 0.0, 0.0).schedules()
+    for row, d in enumerate(DIRECTIONS):
+        fresh_c_t, fresh_a = loops._start_frames((schedules[d].start,))
+        assert c_t.tobytes() == fresh_c_t.tobytes() and a.tobytes() == fresh_a.tobytes()
+        assert c_t.shape == (1, 4, 4) and a.shape == (1, 8, 2)
+        assert targets[row].tobytes() == np.array([bell_state(CHIRAL_TARGETS[d, j]) for j in (1, 2, 3, 4)]).tobytes()
+    # built on first use, never at import
+    code = ("import eploop; from eploop import loops\n"
+            "print(loops._objective_frames.cache_info().currsize, loops._start_frames.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
 
 
 # Cheap row functions for the lockstep Nelder-Mead: elementwise over columns, so each row's
