@@ -34,11 +34,10 @@ from .loops import (
     loop2_schedule,
     optimize_schedule,
 )
-from .metrics import BELL_LABELS, bell_index, bell_state, classify, classify_rows, density_matrix
+from .metrics import BELL_LABELS, bell_index, bell_state, classify, density_matrix, nearest_bell
 from .spectrum import find_ep, riemann_surface, surface_csv
 from .streams import spawn_words, substreams
 from .tomo import TomoConfig, check_resamples, counts_csv, simulate_counts, tomography
-from .walk import WalkParams
 
 GRANULARITIES = ("per_step", "per_loop")
 INPUT_KINDS = ("eigenstate", "bell")
@@ -158,65 +157,55 @@ class DisorderSummary:
         return max(c.drop for c in self.cases)
 
 
-def case_inputs(labels, kind: str, p: WalkParams) -> list[np.ndarray]:
-    """Each label's input state at start point p: bell_state(label), or bell_eigenstate(label, p) for kind
-    "eigenstate", bitwise, with the eigenstates computed once."""
-    states = bell_eigenstates(p) if kind == "eigenstate" else [bell_state(j) for j in (1, 2, 3, 4)]
-    return [states[bell_index(label) - 1] for label in labels]
+def case_inputs(labels, kind: str, starts) -> np.ndarray:
+    """Each label's input state at each start point p, start-major, as rows: bell_state(label), or for kind
+    "eigenstate" bell_eigenstate(label, p), bitwise, with one eigenbasis per distinct start."""
+    bases = {p: bell_eigenstates(p) if kind == "eigenstate" else np.array([bell_state(j) for j in (1, 2, 3, 4)])
+             for p in dict.fromkeys(starts)}
+    rows = [bell_index(label) - 1 for label in labels]
+    return np.concatenate([bases[p][rows] for p in starts])
 
 
 def disorder_run(cfg: RunConfig) -> DisorderSummary:
     """Monte-Carlo perturbation study of every input on every direction of `cfg`.
 
-    Cases enumerate (direction, input) pairs direction-major. Each group
-    perturbs theta1 and phi by independent uniform draws in
-    (-strength, strength), once per loop or once per step as `granularity`
-    says, and scores fidelity to the unperturbed run's classified output.
-    Case i, group g draws from substream (seed, spawn_key=(i, g)), so results
-    do not depend on the order in which cases run; one streams.substreams
-    call seeds them all, in (case, group) order. Every run, perturbed or
-    not, goes through one evolve_batch call, each case's unperturbed run
-    first among its rows.
+    Cases enumerate (direction, input) pairs direction-major. Each group perturbs theta1 and phi by
+    independent uniform draws in (-strength, strength), once per loop or once per step as `granularity`
+    says, and scores fidelity to the unperturbed run's classified output. Case i, group g draws from
+    substream (seed, spawn_key=(i, g)), so results do not depend on the order in which cases run; one
+    streams.substreams call seeds them all. All runs, each case's unperturbed one first, go through one
+    evolve_batch and one nearest_bell call, and each statistic is one reduction over the (cases, groups) rows.
     """
     schedules = [cfg.schedule(d) for d in cfg.directions]
     cases = [(sched, label) for sched in schedules for label in cfg.inputs]
-    inputs = [psi for sched in schedules for psi in case_inputs(cfg.inputs, cfg.input_kind, sched.start)]
     per_case = cfg.groups + 1  # the unperturbed run, then one row per group
-    runs = np.empty((len(cases) * per_case, cfg.n_steps, 2))  # (theta1, phi) of every step
-    streams = substreams(cfg.seed, [(case_idx, g) for case_idx in range(len(cases)) for g in range(cfg.groups)])
-    for case_idx, (sched, _) in enumerate(cases):
-        base = runs[case_idx * per_case]
-        base[:, 0], _, base[:, 1], _, _ = sched.knobs
-        draws = 1 if cfg.granularity == "per_loop" else sched.n_steps
-        for g in range(cfg.groups):
-            offsets = next(streams).uniform(-cfg.strength, cfg.strength, size=(draws, 2))
-            runs[case_idx * per_case + 1 + g] = base + offsets
-    psi0 = np.repeat(inputs, per_case, axis=0)
-    outputs = classify_rows(evolve_batch(runs[..., 0], runs[..., 1], psi0, cfg.engine))
-    stats = []
-    for case_idx, (sched, label) in enumerate(cases):
-        base_cls, *group_cls = outputs[case_idx * per_case:(case_idx + 1) * per_case]
-        ref_idx = bell_index(base_cls.label)
-        base_f = base_cls.fidelities[ref_idx - 1]
-        # deviations from base_f keep mean == base_f and sd == 0 exact for identical runs
-        dev = np.array([c.fidelities[ref_idx - 1] for c in group_cls]) - base_f
-        stats.append(CaseStats(
-            input_label=label,
-            direction=sched.direction,
-            reference_label=base_cls.label,
-            base_fidelity=float(base_f),
-            mean_fidelity=float(base_f + np.mean(dev)),
-            sd_fidelity=float(np.std(dev)),
-            unchanged_fraction=sum(c.label == base_cls.label for c in group_cls) / cfg.groups,
-        ))
-    return DisorderSummary(cases=tuple(stats))
+    draws = 1 if cfg.granularity == "per_loop" else cfg.n_steps
+    offsets = np.empty((len(cases) * cfg.groups, draws, 2))
+    for block, stream in zip(offsets, substreams(cfg.seed, list(np.ndindex(len(cases), cfg.groups)))):
+        stream.random(out=block)
+    offsets *= 2 * cfg.strength  # uniform(-s, s) is -s + (s - -s) * random(), bit for bit
+    offsets -= cfg.strength  # in place: a fresh array this size costs more than the arithmetic
+    runs = np.empty((len(schedules), len(cfg.inputs), per_case, cfg.n_steps, 2))  # (theta1, phi) of every step
+    runs[...] = np.array([[sched.knobs[0], sched.knobs[2]] for sched in schedules]).mT[:, None, None]
+    runs[:, :, 1:] += offsets.reshape(len(schedules), len(cfg.inputs), cfg.groups, draws, 2)
+    theta1, phi = np.moveaxis(runs.reshape(-1, cfg.n_steps, 2), -1, 0)
+    psi0 = np.repeat(case_inputs(cfg.inputs, cfg.input_kind, [s.start for s in schedules]), per_case, axis=0)
+    fids, index, _ = nearest_bell(evolve_batch(theta1, phi, psi0, cfg.engine))
+    index = index.reshape(len(cases), per_case)
+    ref = index[:, 0]
+    f_ref = fids.reshape(len(cases), per_case, 4)[np.arange(len(cases)), :, ref]  # (cases, runs)
+    dev = f_ref[:, 1:] - f_ref[:, :1]  # deviations keep mean == base and sd == 0 exact for identical runs
+    stats = zip(cases, ref.tolist(), f_ref[:, 0].tolist(), (f_ref[:, 0] + dev.mean(axis=1)).tolist(),
+                dev.std(axis=1).tolist(), ((index[:, 1:] == ref[:, None]).sum(axis=1) / cfg.groups).tolist())
+    return DisorderSummary(cases=tuple(CaseStats(label, sched.direction, BELL_LABELS[j], *values)
+                                       for (sched, label), j, *values in stats))
 
 
 def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
     """Evolve every input on every direction of `cfg`, direction-major, in one evolve_many call."""
     per_direction = [cfg.schedule(d) for d in cfg.directions]
     schedules = [sched for sched in per_direction for _ in cfg.inputs]
-    inputs = [psi for sched in per_direction for psi in case_inputs(cfg.inputs, cfg.input_kind, sched.start)]
+    inputs = case_inputs(cfg.inputs, cfg.input_kind, [sched.start for sched in per_direction])
     return evolve_many(schedules, inputs, cfg.inputs * len(per_direction), cfg.engine, cfg.record_steps)
 
 
@@ -365,7 +354,7 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
         texts.append(("fig4_schedule.json", schedule_json(result)))
     else:
         schedules = {d: loop1_schedule(8, d) for d in DIRECTIONS}
-    inputs = [psi for d in DIRECTIONS for psi in case_inputs(BELL_LABELS, cfg.input_kind, schedules[d].start)]
+    inputs = case_inputs(BELL_LABELS, cfg.input_kind, [schedules[d].start for d in DIRECTIONS])
     reports = evolve_many([schedules[d] for d in DIRECTIONS for _ in BELL_LABELS], inputs,
                           BELL_LABELS * len(DIRECTIONS), "simplified", cfg.record_steps)
     # case i's tomography seed is the first word of SeedSequence(entropy=seed, spawn_key=(i,))

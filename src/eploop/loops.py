@@ -217,6 +217,8 @@ def _normalized(state) -> np.ndarray:
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise DomainError("cannot normalize the zero state")
+    if not math.isfinite(nrm):  # as it is wherever an amplitude is not
+        raise DomainError(f"cannot normalize a state of norm {nrm}")
     return psi / nrm
 
 
@@ -377,9 +379,10 @@ def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
     psi = np.asarray(psi0, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 4:
         raise DomainError(f"states must have 4 amplitudes each, got shape {psi.shape}")
-    nrm = np.linalg.norm(psi, axis=1)
-    if not nrm.all():
-        raise DomainError("cannot normalize the zero state")
+    with np.errstate(all="ignore"):  # an inf amplitude, rejected below
+        nrm = np.linalg.norm(psi, axis=1)
+    if not (nrm.all() and np.isfinite(nrm).all()):  # a zero state, or one with a non-finite amplitude
+        _normalized(psi[(nrm == 0) | ~np.isfinite(nrm)][0])  # raises the first such state's DomainError
     framed = (c_inv @ (psi / nrm[:, None])[:, :, None]).reshape(-1, 2, 2)  # C_0^-1 psi0 as (block, coin)
     out = (c @ (framed @ _chain_products(walk_operator_closed_array(*knobs)).mT).reshape(-1, 4, 1))[:, :, 0]
     return out / np.linalg.norm(out, axis=1)[:, None]
@@ -494,9 +497,10 @@ def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
         if schedules[d].direction != d:
             raise ConfigError(f"schedules[{d!r}] runs {schedules[d].direction!r}, not the direction of its key")
         by_length.setdefault(schedules[d].n_steps, []).append(schedules[d])
-    fidelities = [f for group in by_length.values() for f in _case_fidelities(
-        _stacked_knobs(group), _start_frames(tuple(s.start for s in group)),
-        np.array([_TARGET_ROWS[s.direction] for s in group])).ravel().tolist()]
+    with np.errstate(all="ignore"):  # non-finite case fidelities are rejected below
+        fidelities = [f for group in by_length.values() for f in _case_fidelities(
+            _stacked_knobs(group), _start_frames(tuple(s.start for s in group)),
+            np.array([_TARGET_ROWS[s.direction] for s in group])).ravel().tolist()]
     if not all(map(math.isfinite, fidelities)):  # min skips NaN
         raise DomainError(f"case fidelities must be finite, got {fidelities}")
     return min(math.inf, *fidelities)

@@ -72,21 +72,26 @@ class Classification:
     tie: bool
 
 
-def classify_rows(states) -> list[Classification]:
-    """Nearest Bell state of each row of an (R, 4) stack of normalized pure states.
+def nearest_bell(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest Bell state of each row of an (R, 4) stack of normalized pure states, as arrays: the fidelities
+    |<zeta_j|psi>| (R, 4), bitwise fidelity_pure's, the 0-based index (R,) and the tie flag (R,). Fidelities
+    within CLASSIFY_TIE_TOL of the top one tie, and a tie goes to the lowest index. Raises DomainError at the
+    first row whose fidelities are not finite."""
+    with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite row, rejected below
+        overlaps = np.vecdot(_BELL_ROWS, np.asarray(states, dtype=complex)[:, None, :])
+    fids = np.hypot(overlaps.real, overlaps.imag)  # bitwise Python's abs; np.abs differs
+    top = fids.max(axis=1, keepdims=True)  # NaN or inf wherever a row's fidelities are not finite
+    if not np.isfinite(top).all():
+        raise DomainError(f"cannot classify row {np.flatnonzero(~np.isfinite(top))[0]}: its state is not finite")
+    close = top - fids < CLASSIFY_TIE_TOL
+    return fids, close.argmax(axis=1), close.sum(axis=1) > 1
 
-    Fidelities are |<zeta_j|psi>|, bitwise fidelity_pure's. Ties (top two
-    fidelities within 1e-9) resolve to the lowest label index and set the
-    tie flag.
-    """
-    overlaps = np.vecdot(_BELL_ROWS, np.asarray(states, dtype=complex)[:, None, :])
-    out = []
-    for row in np.hypot(overlaps.real, overlaps.imag).tolist():  # bitwise Python's abs; np.abs differs
-        fids = tuple(row)
-        top = max(fids)
-        candidates = [j for j, f in enumerate(fids) if top - f < CLASSIFY_TIE_TOL]
-        out.append(Classification(label=BELL_LABELS[candidates[0]], fidelities=fids, tie=len(candidates) > 1))
-    return out
+
+def classify_rows(states) -> list[Classification]:
+    """nearest_bell of an (R, 4) stack of normalized pure states, one Classification per row."""
+    fids, index, tie = nearest_bell(states)
+    return [Classification(label=BELL_LABELS[j], fidelities=tuple(f), tie=t)
+            for f, j, t in zip(fids.tolist(), index.tolist(), tie.tolist())]
 
 
 def classify(state: np.ndarray) -> Classification:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eploop import tomo
+from eploop import harness, tomo
 from eploop.errors import ConfigError, EploopError
 from eploop.harness import (
+    CaseStats,
     RunConfig,
     case_inputs,
     disorder_csv,
@@ -24,13 +25,17 @@ from eploop.loops import (
     LoopSchedule,
     StepRecords,
     bell_eigenstate,
+    bell_eigenstates,
     evolve,
+    evolve_batch,
     evolve_full,
     loop1_schedule,
     loop2_schedule,
 )
-from eploop.metrics import bell_index, bell_state
+from eploop.metrics import bell_index, bell_state, classify_rows
+from eploop.streams import substreams
 from eploop.tomo import MAX_RESAMPLES
+from eploop.walk import WalkParams
 
 
 def test_disorder_config_validation():
@@ -47,13 +52,19 @@ def test_disorder_config_validation():
 
 
 @pytest.mark.parametrize("kind", ["eigenstate", "bell"])
-def test_case_inputs_are_bitwise_case_input(kind):
+def test_case_inputs_are_bitwise_case_input(kind, monkeypatch):
     labels = ("zeta3", "zeta1", "zeta4", "zeta2")
-    for sched in (loop1_schedule(100, "cw"), loop2_schedule(8, "ccw")):
-        p = sched.start
-        got = case_inputs(labels, kind, p)
-        expected = [bell_eigenstate(label, p) if kind == "eigenstate" else bell_state(label) for label in labels]
-        assert [psi.tolist() for psi in got] == [psi.tolist() for psi in expected]
+    starts = [loop1_schedule(100, "cw").start, loop1_schedule(100, "ccw").start, loop2_schedule(8, "ccw").start,
+              loop2_schedule(8, "cw").start, WalkParams(theta1=-0.3, phi=0.1)]
+    assert starts[0] == starts[1] and starts[2] == starts[3]  # a loop's start does not depend on its direction
+    expected = [bell_eigenstate(label, p) if kind == "eigenstate" else bell_state(label)
+                for p in starts for label in labels]
+    solved = []
+    monkeypatch.setattr(harness, "bell_eigenstates", lambda p: solved.append(p) or bell_eigenstates(p))
+    got = case_inputs(labels, kind, starts)
+    assert got.tolist() == [psi.tolist() for psi in expected]
+    # one eigenbasis per distinct start, and none for Bell inputs
+    assert solved == ([starts[0], starts[2], starts[4]] if kind == "eigenstate" else [])
 
 
 def test_zero_strength_reproduces_baseline_exactly():
@@ -126,6 +137,58 @@ def test_disorder_run_matches_the_per_run_loop(engine, loop, granularity, input_
         assert case.unchanged_fraction == unchanged
         assert np.allclose([case.base_fidelity, case.mean_fidelity, case.sd_fidelity],
                            [base_f, mean_f, sd_f], rtol=0, atol=1e-12)
+
+
+def _reference_case_stats(cfg):
+    """The per-case loop over one evolve_batch call: runs filled group by group, classify_rows, then
+    np.mean and np.std of each case's 1-D deviations."""
+    cases = [(cfg.schedule(d), label) for d in cfg.directions for label in cfg.inputs]
+    per_case = cfg.groups + 1
+    runs = np.empty((len(cases) * per_case, cfg.n_steps, 2))
+    streams = substreams(cfg.seed, [(case_idx, g) for case_idx in range(len(cases)) for g in range(cfg.groups)])
+    for case_idx, (sched, _) in enumerate(cases):
+        base = runs[case_idx * per_case]
+        base[:, 0], base[:, 1] = sched.knobs[0], sched.knobs[2]
+        draws = 1 if cfg.granularity == "per_loop" else sched.n_steps
+        for g in range(cfg.groups):
+            runs[case_idx * per_case + 1 + g] = base + next(streams).uniform(-cfg.strength, cfg.strength,
+                                                                             size=(draws, 2))
+    psi0 = np.repeat([bell_eigenstate(label, sched.start) if cfg.input_kind == "eigenstate" else bell_state(label)
+                      for sched, label in cases], per_case, axis=0)
+    outputs = classify_rows(evolve_batch(runs[..., 0], runs[..., 1], psi0, cfg.engine))
+    stats = []
+    for case_idx, (sched, label) in enumerate(cases):
+        base_cls, *group_cls = outputs[case_idx * per_case:(case_idx + 1) * per_case]
+        ref = bell_index(base_cls.label) - 1
+        base_f = base_cls.fidelities[ref]
+        dev = np.array([c.fidelities[ref] for c in group_cls]) - base_f
+        stats.append(CaseStats(label, sched.direction, base_cls.label, float(base_f), float(base_f + np.mean(dev)),
+                               float(np.std(dev)), sum(c.label == base_cls.label for c in group_cls) / cfg.groups))
+    return stats
+
+
+def _bits(case):
+    """A CaseStats with every float as its exact bytes."""
+    return [v.hex() if isinstance(v, float) else v for v in (getattr(case, f.name) for f in fields(case))]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from(["full", "simplified"]), st.sampled_from([1, 2]),
+       st.sampled_from(["per_step", "per_loop"]), st.sampled_from(["eigenstate", "bell"]),
+       st.integers(1, 24), st.integers(1, 64), st.floats(0.0, math.pi), st.integers(0, 2**64),
+       st.sampled_from([("cw",), ("ccw",), ("cw", "ccw"), ("ccw", "cw")]),
+       st.lists(st.sampled_from(["zeta1", "zeta2", "zeta3", "zeta4"]), min_size=1, max_size=4, unique=True))
+def test_disorder_run_is_bitwise_the_per_case_loop(engine, loop, granularity, input_kind, n_steps, groups,
+                                                   strength, seed, directions, inputs):
+    cfg = RunConfig(loop=loop, n_steps=n_steps, engine=engine, input_kind=input_kind, strength=strength,
+                    groups=groups, granularity=granularity, seed=seed, directions=directions, inputs=tuple(inputs))
+    try:
+        expected = _reference_case_stats(cfg)
+    except EploopError as exc:
+        with pytest.raises(type(exc)):
+            disorder_run(cfg)
+        return
+    assert [_bits(case) for case in disorder_run(cfg).cases] == [_bits(case) for case in expected]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -255,6 +255,20 @@ def test_evolve_batch_rejects_zero_and_misshapen_inputs():
             evolve_batch(theta1, phi, [np.ones(3), np.ones(3)], engine)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_amplitudes_raise_domain_error_without_a_warning(amplitude):
+    psi = [amplitude, 0.0, 0.0, 1.0]
+    theta1, phi = np.full((2, 3), -0.6), np.zeros((2, 3))
+    for engine in ENGINES:
+        with pytest.raises(DomainError, match="norm (nan|inf)"):
+            evolve(loop1_schedule(4, "cw"), psi, engine=engine)
+        with pytest.raises(DomainError, match="norm (nan|inf)"):
+            evolve_batch(theta1, phi, [bell_state(1), psi], engine)
+    with pytest.raises(DomainError, match="row 0"):
+        classify(np.array(psi))
+
+
 _STATES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
     lambda v: np.array(v[::2]) + 1j * np.array(v[1::2])
 ).filter(lambda psi: np.linalg.norm(psi) > 0.1)
@@ -550,11 +564,12 @@ def test_min_case_fidelity_is_the_simplified_engine(schedules):
     assert min_case_fidelity(schedules) == _scalar_min_case_fidelity(schedules)
 
 
+@pytest.mark.filterwarnings("error")
 def test_min_case_fidelity_rejects_non_finite_case_fidelities():
     steps = list(loop1_schedule(4, "cw").steps)
     steps[2] = WalkParams(theta1=math.nan)
     schedules = {"cw": LoopSchedule.from_steps(steps, "cw"), "ccw": loop1_schedule(4, "ccw")}
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="finite"):
+    with pytest.raises(DomainError, match="finite"):
         min_case_fidelity(schedules)
 
 

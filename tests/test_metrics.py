@@ -13,6 +13,7 @@ from eploop.metrics import (
     classify_rows,
     density_matrix,
     fidelity_pure,
+    nearest_bell,
 )
 
 
@@ -107,6 +108,38 @@ def test_classify_rows_tie_rule():
     labels = [(c.label, c.tie) for c in classify_rows(np.array(_TIES))]
     assert labels == [("zeta1", True), ("zeta3", True), ("zeta1", True), ("zeta1", True), ("zeta3", True),
                       ("zeta2", True), ("zeta4", False)]
+
+
+def _split(gap):
+    """cos(a) zeta2 + sin(a) zeta4, whose two fidelities differ by about `gap`, as
+    sin(a) - cos(a) = sqrt(2) sin(a - pi/4)."""
+    a = np.pi / 4 + np.arcsin(gap / np.sqrt(2))
+    return np.cos(a) * _B[1] + np.sin(a) * _B[3]
+
+
+# exact ties, near-ties either side of the tie tolerance, and signed zeros in every place
+_EDGES = _TIES + [_split(CLASSIFY_TIE_TOL * (1 + e)) for e in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3)] + [
+    np.array([complex(a, b), complex(c, 0.0), complex(-0.0, d), 1.0])
+    for a, b, c, d in ((0.0, -0.0, -0.0, 0.0), (-0.0, -0.0, 0.0, -0.0), (1.0, -0.0, -0.0, -0.0))]
+
+
+def test_nearest_bell_is_classify_rows_on_ties_and_signed_zeros():
+    states = np.array([psi / np.linalg.norm(psi) for psi in _EDGES])
+    fids, index, tie = nearest_bell(states)
+    expected = [_classify_by_fidelity_pure(psi) for psi in states]
+    assert [(BELL_LABELS[j], tuple(f), t) for f, j, t in zip(fids.tolist(), index.tolist(), tie.tolist())] == expected
+    assert [(c.label, c.fidelities, c.tie) for c in classify_rows(states)] == expected
+    near = tie[len(_TIES):len(_TIES) + 5].tolist()
+    assert near[0] and not near[-1]  # the near-ties fall on both sides of the tolerance
+
+
+@pytest.mark.filterwarnings("error")
+def test_nearest_bell_names_the_first_non_finite_row():
+    states = np.array([_B[0], _B[1], [np.inf, 0, 0, 0], [np.nan, 0, 0, 0]])
+    with pytest.raises(DomainError, match="row 2"):
+        nearest_bell(states)
+    with pytest.raises(DomainError, match="row 0"):
+        classify_rows(states[3:])
 
 
 # Hermitian 4x4 matrices of trace about 1, positive or slightly indefinite, like noisy reconstructions
