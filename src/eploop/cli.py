@@ -8,9 +8,11 @@ csv|json (default csv). Every other run setting of evolve, disorder and tomo
 is one RunConfig field with one flag (_RUN_FLAGS), and each command takes the
 flags of the fields it reads (READS); --direction and --input repeat, with
 repeats dropped. A config key or --seed outside the RunConfig fields a command
-reads (READS, harness.FIGURES) is a configuration error. Exit codes: 0 success,
-2 configuration error (a size too large to allocate included), 3
-numerical-guard error.
+reads (READS, harness.FIGURES) is a configuration error. The other commands
+pass on only the flags given (_given), so each default lives in the library,
+and compile-optics rejects a knob its target does not read. No flag may be
+abbreviated. Exit codes: 0 success, 2 configuration error (a size too large
+to allocate included), 3 numerical-guard error.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .errors import ConfigError, EploopError, NumericalGuardError
 from .harness import (
@@ -53,20 +55,21 @@ from .optics import (
     compile_symmetry_break,
     compile_walk_step,
     sequence_text,
+    start_params,
 )
 from .spectrum import find_ep, riemann_surface, surface_csv
 from .tomo import counts_csv, counts_from_csv, simulate_counts
-from .walk import WalkParams
 
-# compile-optics targets: args -> element sequence
+_WALK_KNOBS = ("theta1", "theta2", "phi", "gamma", "k")
+# compile-optics targets: the knobs each reads, and its compiler of (WalkParams, --theta)
 _OPTICS = {
-    "rotation": lambda a: compile_rotation(a.theta),
-    "phase-shift": lambda a: compile_phase_shift(a.k),
-    "symmetry-break": lambda a: compile_symmetry_break(a.phi),
-    "gain": lambda a: compile_gain_loss(a.gamma),
-    "gain-inverse": lambda a: compile_gain_loss_inverse(a.gamma),
-    "walk-step": lambda a: compile_walk_step(_walk_params(a)),
-    "control": lambda a: compile_control_endpoint(_walk_params(a)),
+    "rotation": (("theta",), lambda p, theta: compile_rotation(theta)),
+    "phase-shift": (("k",), lambda p, theta: compile_phase_shift(p.k)),
+    "symmetry-break": (("phi",), lambda p, theta: compile_symmetry_break(p.phi)),
+    "gain": (("gamma",), lambda p, theta: compile_gain_loss(p.gamma)),
+    "gain-inverse": (("gamma",), lambda p, theta: compile_gain_loss_inverse(p.gamma)),
+    "walk-step": (_WALK_KNOBS, lambda p, theta: compile_walk_step(p)),
+    "control": (_WALK_KNOBS, lambda p, theta: compile_control_endpoint(p)),
 }
 
 
@@ -89,7 +92,8 @@ _SHARED_FLAGS = {
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no abbreviations: `surface --theta1` must not read as --theta1-range
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # argparse's own pattern misses exponent notation and would read `-1e-7` as an option
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -144,13 +148,15 @@ def _run_flags(p: argparse.ArgumentParser, command: str) -> None:
             p.add_argument(flag, dest=name, **kwargs | {"help": kwargs.get("help", "default {}").format(shown)})
 
 
-def _walk_flags(p: argparse.ArgumentParser, with_theta1: bool) -> None:
-    if with_theta1:
-        p.add_argument("--theta1", type=finite_float, default=-0.6)
-    p.add_argument("--theta2", type=finite_float, default=math.pi / 16)
-    p.add_argument("--phi", type=finite_float, default=0.0)
-    p.add_argument("--gamma", type=finite_float, default=0.2)
-    p.add_argument("--k", type=finite_float, default=0.0)
+def _walk_flags(p: argparse.ArgumentParser, *knobs: str) -> None:
+    """One float flag per WalkParams knob the command reads; a flag not given keeps the library's default."""
+    for knob in knobs:
+        p.add_argument(f"--{knob}", type=finite_float)
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The flags among `names` that the command line gave, by dest: every other one keeps its default."""
+    return {name: value for name in names if (value := getattr(args, name)) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,17 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("surface", help="quasienergy sheets on a parameter grid")
-    p.add_argument("--phi-range", nargs=3, type=finite_float, default=(-0.3, 0.3, 61),
-                   metavar=("MIN", "MAX", "POINTS"))
-    p.add_argument("--theta1-range", nargs=3, type=finite_float, default=(-0.8, 0.0, 61),
-                   metavar=("MIN", "MAX", "POINTS"))
-    _walk_flags(p, with_theta1=False)
+    for flag in ("--phi-range", "--theta1-range"):
+        p.add_argument(flag, nargs=3, type=finite_float, metavar=("MIN", "MAX", "POINTS"))
+    _walk_flags(p, "theta2", "gamma", "k")
     _shared_flags(p, "out", "format")
 
     p = sub.add_parser("find-ep", help="locate the spectral coalescence point")
-    p.add_argument("--theta1-box", nargs=2, type=finite_float, default=(-0.5, -0.1), metavar=("LO", "HI"))
-    p.add_argument("--scan-points", type=int, default=257)
-    _walk_flags(p, with_theta1=False)
+    p.add_argument("--theta1-box", nargs=2, type=finite_float, metavar=("LO", "HI"))
+    p.add_argument("--scan-points", type=int)
+    _walk_flags(p, "theta2", "gamma", "k")
     _shared_flags(p, "out", "format")
 
     p = sub.add_parser("evolve", help="run loop evolutions and classify outputs")
@@ -193,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile-optics", help="compile an operator into wave-plate elements")
     p.add_argument("--target", choices=tuple(_OPTICS), required=True)
-    p.add_argument("--theta", type=finite_float, default=-0.6, help="rotation angle (rotation target)")
-    _walk_flags(p, with_theta1=True)
+    p.add_argument("--theta", type=finite_float, help="rotation angle (rotation target only)")
+    _walk_flags(p, *_WALK_KNOBS)
     _shared_flags(p, "out", "format")
 
     p = sub.add_parser("optimize-schedule", help="optimize loop phase increments at small N")
@@ -242,39 +246,25 @@ def _emit(args: argparse.Namespace, name: str, text: str, written: list[str]) ->
         sys.stdout.write(text)
 
 
-def _cmd_surface(args, written) -> int:
-    def axis(vals):
-        lo, hi, n = vals
-        if not float(n).is_integer():
-            raise ConfigError(f"grid POINTS must be a whole number, got {n}")
-        return (float(lo), float(hi), int(n))
-
-    grid = riemann_surface(
-        axis(args.phi_range), axis(args.theta1_range),
-        theta2=args.theta2, gamma=args.gamma, k=args.k,
-    )
+def _cmd_surface(args, written) -> None:
+    grid = riemann_surface(**_given(args, "phi_range", "theta1_range", "theta2", "gamma", "k"))
     if args.format == "json":
         _emit(args, "surface.json", dump_json({"samples": grid.tolist()}), written)
     else:
         _emit(args, "surface.csv", surface_csv(grid), written)
-    return 0
 
 
-def _cmd_find_ep(args, written) -> int:
-    ep = find_ep(
-        theta1_box=tuple(args.theta1_box), theta2=args.theta2, gamma=args.gamma, k=args.k,
-        scan_points=args.scan_points,
-    )
+def _cmd_find_ep(args, written) -> None:
+    ep = find_ep(**_given(args, "theta1_box", "theta2", "gamma", "k", "scan_points"))
     if args.format == "json":
         _emit(args, "ep.json", ep_json(ep), written)
     else:
         _emit(args, "ep.csv",
               "phi,theta1,residual\n"
               f"{ep.phi:.12g},{ep.theta1:.12g},{ep.residual:.12g}\n", written)
-    return 0
 
 
-def _cmd_evolve(args, written) -> int:
+def _cmd_evolve(args, written) -> None:
     reports = evolve_cases(_load_config(args, READS["evolve"]))
     if args.format == "json":
         if args.out:
@@ -285,24 +275,21 @@ def _cmd_evolve(args, written) -> int:
             sys.stdout.write(dump_json([report_dict(rep) for rep in reports]))
     else:
         _emit(args, "evolve.csv", report_csv(reports), written)
-    return 0
 
 
-def _cmd_reproduce(args, written) -> int:
+def _cmd_reproduce(args, written) -> None:
     cfg = _load_config(args, FIGURES[args.figure])
     out_dir = args.out or "reports"
     written.extend(reproduce_figure(args.figure, out_dir, cfg, optimized=args.optimized))
-    return 0
 
 
-def _cmd_disorder(args, written) -> int:
+def _cmd_disorder(args, written) -> None:
     summary = disorder_run(_load_config(args, READS["disorder"]))
     to_text = disorder_json if args.format == "json" else disorder_csv
     _emit(args, f"disorder.{args.format}", to_text(summary), written)
-    return 0
 
 
-def _cmd_tomo(args, written) -> int:
+def _cmd_tomo(args, written) -> None:
     if bool(args.state) == bool(args.counts):
         raise ConfigError("tomo needs exactly one of --state or --counts")
     cfg = _load_config(args, READS["tomo"])
@@ -320,15 +307,16 @@ def _cmd_tomo(args, written) -> int:
     if args.state:
         body = {"state": args.state, **body}
     _emit(args, "tomo.json", dump_json(body), written)
-    return 0
 
 
-def _walk_params(args) -> WalkParams:
-    return WalkParams(theta1=args.theta1, theta2=args.theta2, phi=args.phi, gamma=args.gamma, k=args.k)
-
-
-def _cmd_compile_optics(args, written) -> int:
-    seq = _OPTICS[args.target](args)
+def _cmd_compile_optics(args, written) -> None:
+    knobs, compile_target = _OPTICS[args.target]
+    given = _given(args, "theta", *_WALK_KNOBS)
+    unread = [f"--{name}" for name in given if name not in knobs]
+    if unread:
+        raise ConfigError(f"compile-optics --target {args.target} does not read {' '.join(unread)}")
+    theta = given.pop("theta", -0.6)
+    seq = compile_target(replace(start_params(), **given), theta)
     if args.format == "json":
         body = dump_json({
             "label": seq.label,
@@ -343,12 +331,10 @@ def _cmd_compile_optics(args, written) -> int:
         _emit(args, f"optics_{args.target}.json", body, written)
     else:
         _emit(args, f"optics_{args.target}.txt", sequence_text(seq), written)
-    return 0
 
 
-def _cmd_optimize(args, written) -> int:
-    names = ("n_steps", "seed", "multistarts", "maxiter")  # flags not given keep optimize_schedule's defaults
-    result = optimize_schedule(**{k: v for k in names if (v := getattr(args, k)) is not None})
+def _cmd_optimize(args, written) -> None:
+    result = optimize_schedule(**_given(args, "n_steps", "seed", "multistarts", "maxiter"))
     if args.format == "csv":
         lines = ["step,increment"]
         for i, inc in enumerate(result.increments):
@@ -358,7 +344,6 @@ def _cmd_optimize(args, written) -> int:
         _emit(args, "schedule.csv", "\n".join(lines) + "\n", written)
     else:
         _emit(args, "schedule.json", schedule_json(result), written)
-    return 0
 
 
 _HANDLERS = {
@@ -383,7 +368,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     written: list[str] = []
     try:
-        code = _HANDLERS[args.command](args, written)
+        _HANDLERS[args.command](args, written)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -401,7 +386,7 @@ def main(argv=None) -> int:
         return 2
     for path in written:
         print(path)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .loops import (
     loop2_schedule,
     optimize_schedule,
 )
-from .metrics import BELL_LABELS, bell_index, bell_state, classify, density_matrix, nearest_bell
+from .metrics import BELL_LABELS, BELL_ROWS, bell_index, bell_state, classify, density_matrix, nearest_bell
 from .spectrum import find_ep, riemann_surface, surface_csv
 from .streams import spawn_words, substreams
 from .tomo import TomoConfig, check_resamples, counts_csv, simulate_counts, tomography
@@ -160,8 +160,7 @@ class DisorderSummary:
 def case_inputs(labels, kind: str, starts) -> np.ndarray:
     """Each label's input state at each start point p, start-major, as rows: bell_state(label), or for kind
     "eigenstate" bell_eigenstate(label, p), bitwise, with one eigenbasis per distinct start."""
-    bases = {p: bell_eigenstates(p) if kind == "eigenstate" else np.array([bell_state(j) for j in (1, 2, 3, 4)])
-             for p in dict.fromkeys(starts)}
+    bases = {p: bell_eigenstates(p) if kind == "eigenstate" else BELL_ROWS for p in dict.fromkeys(starts)}
     rows = [bell_index(label) - 1 for label in labels]
     return np.concatenate([bases[p][rows] for p in starts])
 
@@ -317,7 +316,7 @@ def disorder_csv(summary: DisorderSummary) -> str:
 
 
 def _fig1b(out_dir: str) -> list[str]:
-    grid = riemann_surface((-0.3, 0.3, 61), (-0.8, 0.0, 61))
+    grid = riemann_surface()
     ep = find_ep()
     return [
         write_text(os.path.join(out_dir, "fig1b_surface.csv"), surface_csv(grid)),

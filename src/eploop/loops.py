@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .metrics import BELL_LABELS, bell_index, bell_state, classify_rows, density_matrix
+from .metrics import BELL_LABELS, BELL_ROWS, bell_index, classify_rows, density_matrix
 from .spectrum import eigensystem, eigensystem_array
 from .walk import (
     WalkParams,
@@ -155,9 +155,6 @@ def loop2_schedule(n_steps: int, direction: str) -> LoopSchedule:
                                 label="loop2")
 
 
-_BELLS = np.array([bell_state(j) for j in (1, 2, 3, 4)])
-
-
 def bell_eigenstates(p: WalkParams) -> np.ndarray:
     """Normalized right eigenstates of u_step(p); row j-1 is the one nearest Bell state j.
 
@@ -166,7 +163,7 @@ def bell_eigenstates(p: WalkParams) -> np.ndarray:
     physical rays do not.
     """
     alpha = np.array([a / np.linalg.norm(a) for a in eigensystem(p).alpha])
-    return alpha[np.argmax(np.abs(_BELLS.conj() @ alpha.T), axis=1)]
+    return alpha[np.argmax(np.abs(BELL_ROWS.conj() @ alpha.T), axis=1)]
 
 
 def bell_eigenstate(label, p: WalkParams) -> np.ndarray:
@@ -211,6 +208,7 @@ class EvolutionReport:
 
 
 def _normalized(state) -> np.ndarray:
+    """state / its norm; an overflowing norm raises DomainError, and callers silence numpy's warning per batch."""
     psi = np.asarray(state, dtype=complex).reshape(-1)
     if psi.shape != (4,):
         raise DomainError(f"state must have 4 amplitudes, got shape {psi.shape}")
@@ -244,7 +242,8 @@ def _propagate(ops, psi0, knobs: tuple | None = None):
     rows beside it. Returns the final states, the log magnitudes and one
     StepRecords per row (or None), slices of one stacked computation.
     """
-    psi = np.array([_normalized(s) for s in psi0])
+    with np.errstate(over="ignore"):  # a norm that overflows is rejected in _normalized
+        psi = np.array([_normalized(s) for s in psi0])
     eigen = None if knobs is None else eigensystem_array(*knobs)
     states, norms = [], []
     for u in ops:
@@ -379,10 +378,10 @@ def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
     psi = np.asarray(psi0, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 4:
         raise DomainError(f"states must have 4 amplitudes each, got shape {psi.shape}")
-    with np.errstate(all="ignore"):  # an inf amplitude, rejected below
+    with np.errstate(all="ignore"):  # an inf amplitude, or a norm that overflows, rejected below
         nrm = np.linalg.norm(psi, axis=1)
-    if not (nrm.all() and np.isfinite(nrm).all()):  # a zero state, or one with a non-finite amplitude
-        _normalized(psi[(nrm == 0) | ~np.isfinite(nrm)][0])  # raises the first such state's DomainError
+        if not (nrm.all() and np.isfinite(nrm).all()):  # a zero state, or one whose norm is not finite
+            _normalized(psi[(nrm == 0) | ~np.isfinite(nrm)][0])  # raises the first such state's DomainError
     framed = (c_inv @ (psi / nrm[:, None])[:, :, None]).reshape(-1, 2, 2)  # C_0^-1 psi0 as (block, coin)
     out = (c @ (framed @ _chain_products(walk_operator_closed_array(*knobs)).mT).reshape(-1, 4, 1))[:, :, 0]
     return out / np.linalg.norm(out, axis=1)[:, None]
@@ -457,7 +456,7 @@ def _start_frames(starts: tuple[WalkParams, ...]) -> tuple[np.ndarray, np.ndarra
     return c_t, a
 
 
-_TARGET_ROWS = {d: np.array([bell_state(CHIRAL_TARGETS[d, j]) for j in (1, 2, 3, 4)]) for d in DIRECTIONS}
+_TARGET_ROWS = {d: BELL_ROWS[[CHIRAL_TARGETS[d, j] - 1 for j in (1, 2, 3, 4)]] for d in DIRECTIONS}
 
 
 def _case_fidelities(knobs, frames: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> np.ndarray:

@@ -55,13 +55,15 @@ def fidelity_pure(psi: np.ndarray, other: np.ndarray) -> float:
     return float(math.sqrt(max(0.0, np.real(np.vdot(psi, other @ psi)))))
 
 
-_BELL_ROWS = np.array([_BELL_VECTORS[j] for j in (1, 2, 3, 4)])
+# the four Bell states as rows, Bell state j in row j-1; read-only, as every caller shares it
+BELL_ROWS = np.array([_BELL_VECTORS[j] for j in (1, 2, 3, 4)])
+BELL_ROWS.setflags(write=False)
 
 
 def bell_fidelities(rho: np.ndarray) -> np.ndarray:
     """Root fidelities of an (R, 4, 4) stack of density matrices against the four
     Bell states, as (R, 4); bitwise fidelity_pure(bell_state(j), rho[r])."""
-    overlaps = np.vecdot(_BELL_ROWS, (rho[:, None] @ _BELL_ROWS[:, :, None])[..., 0]).real
+    overlaps = np.vecdot(BELL_ROWS, (rho[:, None] @ BELL_ROWS[:, :, None])[..., 0]).real
     return np.sqrt(np.maximum(0.0, overlaps))
 
 
@@ -78,7 +80,7 @@ def nearest_bell(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     within CLASSIFY_TIE_TOL of the top one tie, and a tie goes to the lowest index. Raises DomainError at the
     first row whose fidelities are not finite."""
     with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite row, rejected below
-        overlaps = np.vecdot(_BELL_ROWS, np.asarray(states, dtype=complex)[:, None, :])
+        overlaps = np.vecdot(BELL_ROWS, np.asarray(states, dtype=complex)[:, None, :])
     fids = np.hypot(overlaps.real, overlaps.imag)  # bitwise Python's abs; np.abs differs
     top = fids.max(axis=1, keepdims=True)  # NaN or inf wherever a row's fidelities are not finite
     if not np.isfinite(top).all():

@@ -262,18 +262,16 @@ def compile_control_endpoint(p: WalkParams | None = None) -> ElementSequence:
         ppbs(t1 * t1, 1.0, path="lower"),
         phase_plate(math.pi),
     )
-    seq = ElementSequence(
-        elements=elements,
-        target=target,
-        global_phase=np.exp(1j * math.pi / 4),
-        scale=1.0 / t1,
-        label="control_endpoint",
+    return _checked(
+        ElementSequence(
+            elements=elements,
+            target=target,
+            global_phase=np.exp(1j * math.pi / 4),
+            scale=1.0 / t1,
+            label="control_endpoint",
+        ),
+        tol=1e-6,
     )
-    if seq.residual() > 1e-6:
-        raise ConventionMismatch(
-            f"compiled endpoint control deviates {seq.residual():.3e} from the computed operator"
-        )
-    return seq
 
 
 def gamma_from_transmittance(t1: float, t2: float) -> float:

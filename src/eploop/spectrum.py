@@ -9,8 +9,8 @@ the Riemann surface whose branch point is the exceptional point (EP), located
 where D0^2 = 1.
 
 Both are computed over broadcastable arrays of the five knobs, a whole loop
-or surface grid in one pass; eigensystem and quasienergy are only the
-one-row cases of eigensystem_array and quasienergy_array.
+or surface grid in one pass; eigensystem is only the one-row case of
+eigensystem_array.
 """
 from __future__ import annotations
 
@@ -51,11 +51,6 @@ class EpLocation:
     phi: float
     theta1: float
     residual: float
-
-
-def quasienergy(p: WalkParams) -> tuple[complex, complex]:
-    """Quasienergy pair (lambda_plus, lambda_minus): the one-row case of quasienergy_array."""
-    return tuple(quasienergy_array(*p.knobs).tolist())
 
 
 def quasienergy_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
@@ -106,7 +101,10 @@ def eigensystem_array(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.nda
     return np.stack([D0 + s, D0 - s], axis=-1), alpha, np.conjugate(beta, out=beta)
 
 
-def _axis(lo: float, hi: float, count: int) -> np.ndarray:
+def _axis(lo: float, hi: float, count: float) -> np.ndarray:
+    if not float(count).is_integer():
+        raise ConfigError(f"grid POINTS must be a whole number, got {count}")
+    count = int(count)
     if count < 2:
         raise ConfigError(f"grid needs at least 2 points per axis, got {count}")
     try:
@@ -120,17 +118,18 @@ def _axis(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def riemann_surface(
-    phi_range: tuple[float, float, int],
-    theta1_range: tuple[float, float, int],
-    theta2: float = math.pi / 16,
-    gamma: float = 0.2,
-    k: float = 0.0,
+    phi_range: tuple[float, float, int] = (-0.3, 0.3, 61),
+    theta1_range: tuple[float, float, int] = (-0.8, 0.0, 61),
+    theta2: float = WalkParams.theta2,
+    gamma: float = WalkParams.gamma,
+    k: float = WalkParams.k,
 ) -> np.ndarray:
     """Quasienergy sheets sampled on a (phi, theta1) grid: a (P, 6) float array.
 
     Columns are phi, theta1, Re/Im lambda_plus and Re/Im lambda_minus, the
-    columns of surface_csv; rows are phi-major, theta1-ascending. Raises
-    DomainError at the first grid point where a sheet is not finite.
+    columns of surface_csv; rows are phi-major, theta1-ascending. The default
+    grid is fig1b's. Raises DomainError at the first grid point where a sheet
+    is not finite.
     """
     phi, theta1 = np.meshgrid(_axis(*phi_range), _axis(*theta1_range), indexing="ij")
     with np.errstate(all="ignore"):  # knobs too large for the coefficients are rejected below
@@ -152,9 +151,9 @@ def surface_csv(grid: np.ndarray) -> str:
 
 def find_ep(
     theta1_box: tuple[float, float] = (-0.5, -0.1),
-    theta2: float = math.pi / 16,
-    gamma: float = 0.2,
-    k: float = 0.0,
+    theta2: float = WalkParams.theta2,
+    gamma: float = WalkParams.gamma,
+    k: float = WalkParams.k,
     scan_points: int = 257,
 ) -> EpLocation:
     """Locate the eigenvalue coalescence D0^2 = 1 inside the search box.

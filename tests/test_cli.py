@@ -304,6 +304,27 @@ def test_reproduce_fig1b_cli(tmp_path, capsys):
     assert (tmp_path / "fig1b_surface.csv").exists()
 
 
+def test_surface_and_find_ep_defaults_are_fig1b(tmp_path, capsys):
+    assert main(["reproduce", "fig1b", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for argv, name in ((["surface"], "fig1b_surface.csv"), (["find-ep", "--format", "json"], "fig1b_ep.json")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (tmp_path / name).read_text(encoding="utf-8"), argv
+
+
+def test_unread_or_abbreviated_flags_exit_2_with_one_line(capsys):
+    for argv in (
+        ["surface", "--phi", "0", "0.1", "2"],
+        ["find-ep", "--phi", "0.3"],
+        ["surface", "--theta1", "-0.5", "-0.4", "2"],  # not an abbreviation of --theta1-range
+        ["evolve", "--n", "3"],  # not an abbreviation of --n-steps
+        ["compile-optics", "--target", "rotation", "--gamma", "0.3"],
+    ):
+        assert _exit_code(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1, (argv, err)
+
+
 def test_a_failed_fig4_writes_no_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"counts_per_basis": 8}')

@@ -269,6 +269,17 @@ def test_non_finite_amplitudes_raise_domain_error_without_a_warning(amplitude):
         classify(np.array(psi))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_norm_that_overflows_raises_domain_error_without_a_warning():
+    psi = [1e308, 1e308, 1e308, 0.0]  # every amplitude finite, the norm not
+    theta1, phi = np.full((2, 3), -0.6), np.zeros((2, 3))
+    for engine in ENGINES:
+        with pytest.raises(DomainError, match="norm inf"):
+            evolve(loop1_schedule(4, "cw"), psi, engine=engine)
+        with pytest.raises(DomainError, match="norm inf"):
+            evolve_batch(theta1, phi, [bell_state(1), psi], engine)
+
+
 _STATES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
     lambda v: np.array(v[::2]) + 1j * np.array(v[1::2])
 ).filter(lambda psi: np.linalg.norm(psi) > 0.1)

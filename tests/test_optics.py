@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eploop.errors import DomainError
+from eploop.errors import ConventionMismatch, DomainError
 from eploop.metrics import bell_state
 from eploop.optics import (
     ElementSequence,
@@ -27,7 +27,7 @@ from eploop.optics import (
     start_params,
     transmittance_from_gamma,
 )
-from eploop.walk import control_operator, walk_operator_product
+from eploop.walk import WalkParams, control_operator, walk_operator_product
 
 CONTROL_REFERENCE_4DIGIT = np.array(
     [
@@ -102,6 +102,12 @@ def test_control_endpoint_matches_computed_and_reference():
     assert np.max(np.abs(seq.realized() - CONTROL_REFERENCE_4DIGIT)) < 1e-3
     assert seq.scale == pytest.approx(1.2389333364484452, abs=1e-12)
     assert 1 / seq.scale == pytest.approx(0.8071459299550555, abs=1e-12)
+
+
+def test_control_endpoint_off_the_standard_coin_fails_the_residual_check():
+    # the fixed element layout does not realize C at this coin, and the shared residual check says so
+    with pytest.raises(ConventionMismatch, match=r"^control_endpoint residual 1\.555e\+00 exceeds 1e-06$"):
+        compile_control_endpoint(WalkParams(theta1=-0.5, theta2=0.3, phi=0.01, gamma=0.25, k=0.01))
 
 
 def test_gamma_transmittance_round_trip():

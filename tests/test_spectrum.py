@@ -10,7 +10,7 @@ from eploop.spectrum import (
     eigensystem,
     find_ep,
     point_in_polygon,
-    quasienergy,
+    quasienergy_array,
     riemann_surface,
     surface_csv,
 )
@@ -20,7 +20,7 @@ from test_walk import START, _reference_d_coefficients, random_params
 
 
 def test_quasienergy_at_start():
-    lp, lm = quasienergy(START)
+    lp, lm = quasienergy_array(*START.knobs)
     assert lp == pytest.approx(-0.38027139475904936, abs=1e-12)
     assert lm == pytest.approx(-lp, abs=1e-12)
 
@@ -28,7 +28,7 @@ def test_quasienergy_at_start():
 def test_quasienergy_principal_branch():
     rng = np.random.default_rng(20)
     for _ in range(200):
-        lp, lm = quasienergy(random_params(rng))
+        lp, lm = quasienergy_array(*random_params(rng).knobs)
         for lam in (lp, lm):
             assert -math.pi < lam.real <= math.pi
 
@@ -84,7 +84,7 @@ def test_riemann_surface_grid_order():
     np.testing.assert_allclose(grid[:, 4:], -grid[:, 2:4], rtol=0, atol=1e-12)
     # the columns are the quasienergy pair of each (phi, theta1) point
     phi, theta1 = grid[4, :2].tolist()
-    lp, lm = quasienergy(WalkParams(theta1=theta1, phi=phi))
+    lp, lm = quasienergy_array(*WalkParams(theta1=theta1, phi=phi).knobs)
     assert grid[4, 2:].tolist() == [lp.real, lp.imag, lm.real, lm.imag]
 
 

@@ -13,7 +13,6 @@ from eploop.spectrum import (
     eigensystem,
     eigensystem_array,
     find_ep,
-    quasienergy,
     quasienergy_array,
 )
 from eploop.walk import (
@@ -265,7 +264,7 @@ def test_array_forms_match_the_scalar_operators(points):
         assert _bits(*d[:, j]) == _bits(c.D0, c.DX, c.DY, c.DZ)
         assert _bits(m[j]) == _bits(walk_operator_closed(p)) == _bits(_reference_walk_operator_closed(p))
         assert _bits(u[j]) == _bits(u_step(p)) == _bits(_reference_u_step(p))
-        assert _bits(lam[:, j]) == _bits(quasienergy(p)) == _bits(_reference_quasienergy(p))
+        assert _bits(lam[:, j]) == _bits(quasienergy_array(*p.knobs)) == _bits(_reference_quasienergy(p))
     # eigensystem and the control pair: equal row by row, or the first failing row's guard error
     for array_form, one_row, reference, bits, row_bits in _GUARDED_FORMS:
         expected = [_outcome(reference, p, bits) for p in params]
