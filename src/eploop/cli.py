@@ -267,12 +267,15 @@ def _cmd_find_ep(args, written) -> None:
 def _cmd_evolve(args, written) -> None:
     reports = evolve_cases(_load_config(args, READS["evolve"]))
     if args.format == "json":
+        # Encode one report at a time: every report's step dicts alive at once
+        # are enough containers to set off the cyclic garbage collector.
+        texts = [dump_json(report_dict(rep)) for rep in reports]
         if args.out:
-            for rep in reports:
-                _emit(args, f"evolve_{rep.direction}_{rep.input_label}.json",
-                      dump_json(report_dict(rep)), written)
+            for rep, text in zip(reports, texts):
+                _emit(args, f"evolve_{rep.direction}_{rep.input_label}.json", text, written)
         else:
-            sys.stdout.write(dump_json([report_dict(rep) for rep in reports]))
+            # dump_json of the list: its items joined by "," without their newlines
+            sys.stdout.write("[" + ",".join(text[:-1] for text in texts) + "]\n")
     else:
         _emit(args, "evolve.csv", report_csv(reports), written)
 

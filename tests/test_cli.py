@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -88,6 +89,50 @@ def test_evolve_json_files(tmp_path, capsys):
     assert body["N"] == 8
     assert body["engine"] == "simplified"
     assert len(body["density"]) == 32
+
+
+@pytest.mark.parametrize("engine", ["full", "simplified"])
+@pytest.mark.parametrize("record_steps", [False, True])
+@pytest.mark.parametrize("loop", ["1", "2"])
+@pytest.mark.parametrize("input_kind", ["eigenstate", "bell"])
+def test_evolve_json_stdout_is_the_out_files_as_one_list(tmp_path, capsys, engine, record_steps,
+                                                         loop, input_kind):
+    argv = ["evolve", "--loop", loop, "--engine", engine, "--n-steps", "6",
+            "--input-kind", input_kind, "--format", "json"] + ["--record-steps"] * record_steps
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    texts = [(tmp_path / f"evolve_{d}_{i}.json").read_text(encoding="utf-8")
+             for d in ("cw", "ccw") for i in ("zeta1", "zeta2", "zeta3", "zeta4")]
+    assert len(list(tmp_path.iterdir())) == len(texts)
+    assert stdout == "[" + ",".join(text[:-1] for text in texts) + "]\n"
+
+
+def test_evolve_json_runs_no_garbage_collection(capsys):
+    # CPython's generational collector runs generation 0 once 700 more containers are
+    # allocated than freed; holding every report's step dicts at once crossed that.
+    argv = ["evolve", "--loop", "1", "--engine", "full", "--n-steps", "100", "--record-steps",
+            "--input-kind", "eigenstate", "--format", "json"]
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert main(argv) == 0  # the first call's lazy set-up is not what this test counts
+    capsys.readouterr()
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        code = main(argv)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+    capsys.readouterr()
+    assert code == 0
+    assert started == [], f"collections of generations {started} during one evolve call"
 
 
 def test_main_keeps_no_state_between_calls(capsys):
