@@ -44,7 +44,7 @@ from .harness import (
     tomography_summaries,
     write_text,
 )
-from .loops import DIRECTIONS, ENGINES, optimize_schedule
+from .loops import DIRECTIONS, ENGINES, LOOPS, optimize_schedule
 from .metrics import BELL_LABELS, bell_state, density_matrix
 from .optics import (
     compile_control_endpoint,
@@ -111,7 +111,7 @@ def finite_float(text: str) -> float:
 
 # the flag of each RunConfig field a command line sets (dest: the field name)
 _RUN_FLAGS = {
-    "loop": ("--loop", dict(type=int, choices=(1, 2))),
+    "loop": ("--loop", dict(type=int, choices=tuple(LOOPS))),
     "n_steps": ("--n-steps", dict(type=int)),
     "directions": ("--direction", dict(action="append", choices=DIRECTIONS, help="repeatable; default {}")),
     "engine": ("--engine", dict(choices=tuple(ENGINES))),

@@ -24,6 +24,7 @@ from .errors import ConfigError, IllConditioned
 from .loops import (
     DIRECTIONS,
     ENGINES,
+    LOOPS,
     EvolutionReport,
     LoopSchedule,
     bell_eigenstate,
@@ -31,7 +32,6 @@ from .loops import (
     evolve_batch,
     evolve_many,
     loop1_schedule,
-    loop2_schedule,
     optimize_schedule,
 )
 from .metrics import BELL_LABELS, BELL_ROWS, bell_index, bell_state, classify, density_matrix, nearest_bell
@@ -70,8 +70,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if isinstance(self.strength, bool) or not isinstance(self.strength, (int, float)):
             raise ConfigError(f"strength must be a number, got {self.strength!r}")
-        if self.loop not in (1, 2):
-            raise ConfigError(f"loop must be 1 or 2, got {self.loop!r}")
+        if self.loop not in LOOPS:
+            raise ConfigError(f"loop must be {' or '.join(map(str, LOOPS))}, got {self.loop!r}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.directions or not self.inputs:
@@ -118,8 +118,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def schedule(self, direction: str) -> LoopSchedule:
-        maker = loop1_schedule if self.loop == 1 else loop2_schedule
-        return maker(self.n_steps, direction)
+        return LOOPS[self.loop](self.n_steps, direction)
 
     def tomo_config(self, seed: int | None = None) -> TomoConfig:
         return TomoConfig(

@@ -1,28 +1,28 @@
 """Closed parameter loops, multi-step evolution, and loop diagnostics.
 
 A schedule holds the five step knobs of a closed loop in the (phi, theta1)
-plane around (or away from) the EP as floats or (N,) arrays. One propagation
-core, _propagate, steps any number of runs (rows) together as arrays, looping
-in Python over steps only: apply the step operator, renormalize, and
-optionally record the eigenbasis weights of every step as arrays, with no
-Python object per step. The two engines differ only in
-the per-row step operator they hand it: full applies the closed-form
-u_step(p_n) = C_n (I (x) M_n) C_n^-1, rebuilding the control pair at every
-step; simplified applies C_0 (I (x) M_n) C_0^-1, with the control pair frozen
-at the loop endpoint. evolve_full and evolve_simplified run one row,
-evolve_many runs many schedules and inputs with step records, and
-evolve_batch runs many (theta1, phi) rows to their final states, the
-simplified engine as one collapsed 2x2 chain per row. Step operators,
-control pairs and step-record eigenbases come from one call of their array
-forms per batch, never from the one-row u_step, control_operator or
-eigensystem; only the simplified engine's M take one walk_operator_closed
-call per step, for perfbench's tracer. Diagnostics cover sheet tracking, the
-step-to-step drift of the control operator, and a small-N schedule optimizer.
-Its objective (_objective_rows over _case_fidelities) scores many points per
-call, running the simplified engine in collapsed form: one stacked 2x2 chain
-per direction of each point. An in-house Nelder-Mead (_nelder_mead) moves all
-starts in lockstep, scoring the points of each simplex step in one such call;
-it takes scipy's steps bit for bit, and scipy is not imported.
+plane around (or away from) the EP as floats or (N,) arrays; LOOPS names the
+loops a run can pick. One propagation core, _propagate, steps any number of
+runs (rows) together as arrays, looping in Python over steps only: apply the
+step operator, renormalize, and optionally record every step's eigenbasis
+weights. The two engines differ only in the per-row step operator they hand
+it: full applies the closed-form u_step(p_n) = C_n (I (x) M_n) C_n^-1,
+rebuilding the control pair at every step; simplified applies
+C_0 (I (x) M_n) C_0^-1, with the control pair frozen at the loop endpoint.
+evolve_full and evolve_simplified run one row, evolve_many runs many
+schedules and inputs with step records, and evolve_batch runs many
+(theta1, phi) rows to their final states, the simplified engine as one
+collapsed 2x2 chain per row. Every path checks and normalizes its inputs once,
+in _unit_rows, and every norm but evolve_batch's output one is _row_norms.
+Step operators, control pairs and eigenbases come from one call of their
+array forms per batch; only the simplified engine's M take one
+walk_operator_closed call per step, for perfbench's tracer. Diagnostics cover
+sheet tracking, the step-to-step drift of the control operator, and a small-N
+schedule optimizer. Its objective (_objective_rows over _case_fidelities)
+scores many points per call in the collapsed form, one stacked 2x2 chain per
+direction of each point. An in-house Nelder-Mead (_nelder_mead) moves all
+starts in lockstep, scoring each simplex step's points in one such call; it
+takes scipy's steps bit for bit, and scipy is not imported.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .metrics import BELL_LABELS, BELL_ROWS, bell_index, classify_rows, density_matrix
-from .spectrum import eigensystem, eigensystem_array
+from .spectrum import eigensystem_array
 from .walk import (
     WalkParams,
     control_operator_array,
@@ -155,6 +155,9 @@ def loop2_schedule(n_steps: int, direction: str) -> LoopSchedule:
                                 label="loop2")
 
 
+LOOPS = {1: loop1_schedule, 2: loop2_schedule}  # every loop a run can name, by its number
+
+
 def bell_eigenstates(p: WalkParams) -> np.ndarray:
     """Normalized right eigenstates of u_step(p); row j-1 is the one nearest Bell state j.
 
@@ -162,7 +165,8 @@ def bell_eigenstates(p: WalkParams) -> np.ndarray:
     square-root branch cut at phi = 0, where index labels swap but the
     physical rays do not.
     """
-    alpha = np.array([a / np.linalg.norm(a) for a in eigensystem(p).alpha])
+    alpha = eigensystem_array(*p.knobs)[1]
+    alpha = alpha / _row_norms(alpha)[:, None]
     return alpha[np.argmax(np.abs(BELL_ROWS.conj() @ alpha.T), axis=1)]
 
 
@@ -207,17 +211,23 @@ class EvolutionReport:
     per_step: StepRecords | None
 
 
-def _normalized(state) -> np.ndarray:
-    """state / its norm; an overflowing norm raises DomainError, and callers silence numpy's warning per batch."""
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise DomainError(f"state must have 4 amplitudes, got shape {psi.shape}")
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        raise DomainError("cannot normalize the zero state")
-    if not math.isfinite(nrm):  # as it is wherever an amplitude is not
-        raise DomainError(f"cannot normalize a state of norm {nrm}")
-    return psi / nrm
+def _row_norms(s: np.ndarray) -> np.ndarray:
+    """Each state's norm (last axis), bitwise np.linalg.norm of that state alone; inf, with a warning, on overflow."""
+    return np.sqrt(np.vecdot(s.real, s.real) + np.vecdot(s.imag, s.imag))
+
+
+def _unit_rows(states) -> np.ndarray:
+    """A stack of states, each any shape of 4 amplitudes, as (rows, 4) unit rows: the one input check of both engines.
+    A misshapen stack, or a state whose norm is zero or not finite, raises DomainError with no numpy warning."""
+    psi = np.asarray(states, dtype=complex)
+    if psi.ndim == 0 or math.prod(psi.shape[1:]) != 4:
+        raise DomainError(f"states must have 4 amplitudes each, got shape {psi.shape}")
+    with np.errstate(over="ignore"):  # a norm that overflows is rejected below
+        nrm = _row_norms(psi := psi.reshape(len(psi), 4))
+    bad = nrm[(nrm == 0) | ~np.isfinite(nrm)]  # an amplitude that is not finite, or a norm that overflows
+    if len(bad):
+        raise DomainError(f"cannot normalize a state of norm {bad[0]}" if bad[0] else "cannot normalize the zero state")
+    return psi / nrm[:, None]
 
 
 def _canonical_label(label) -> str:
@@ -227,8 +237,8 @@ def _canonical_label(label) -> str:
         return str(label)
 
 
-def _propagate(ops, psi0, knobs: tuple | None = None):
-    """The propagation core of both engines: every row r from psi0[r] through ops[n][r].
+def _propagate(ops, psi, knobs: tuple | None = None):
+    """The propagation core of both engines: every row r from the unit state psi[r] through ops[n][r].
 
     ops yields one (rows, 4, 4) array of step operators per step, the only
     thing an engine chooses. The state is renormalized after every step; the
@@ -242,16 +252,13 @@ def _propagate(ops, psi0, knobs: tuple | None = None):
     rows beside it. Returns the final states, the log magnitudes and one
     StepRecords per row (or None), slices of one stacked computation.
     """
-    with np.errstate(over="ignore"):  # a norm that overflows is rejected in _normalized
-        psi = np.array([_normalized(s) for s in psi0])
     eigen = None if knobs is None else eigensystem_array(*knobs)
     states, norms = [], []
     for u in ops:
         psi = np.matmul(u, psi[:, :, None])[:, :, 0]
-        re, im = psi.real[:, None, :], psi.imag[:, None, :]
-        nrm = np.sqrt(np.matmul(re, re.mT) + np.matmul(im, im.mT))[:, :, 0]
-        psi = psi / nrm
-        norms.append(nrm[:, 0])
+        nrm = _row_norms(psi)
+        psi = psi / nrm[:, None]
+        norms.append(nrm)
         if eigen is not None:
             states.append(psi)
     logmag = np.cumsum([[math.log(x) for x in row] for row in np.array(norms).T.tolist()], axis=1)  # np.log differs
@@ -305,7 +312,7 @@ def evolve_many(schedules, inputs, labels, engine: str = "full",
     if len({s.n_steps for s in schedules}) != 1:
         raise ConfigError("evolve_many needs schedules of one length")
     knobs = _stacked_knobs(schedules)
-    psi, logmag, records = _propagate(_step_operators(engine, knobs, schedules), inputs,
+    psi, logmag, records = _propagate(_step_operators(engine, knobs, schedules), _unit_rows(inputs),
                                       knobs if record_steps else None)
     reports = []
     for r, (sched, label, cls) in enumerate(zip(schedules, labels, classify_rows(psi))):
@@ -372,19 +379,13 @@ def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
     """
     _check_engine(engine)
     knobs = (np.asarray(theta1, dtype=float), _DEFAULT.theta2, np.asarray(phi, dtype=float), _DEFAULT.gamma, _DEFAULT.k)
+    psi = _unit_rows(psi0)
     if engine == "full":
-        return _propagate(np.moveaxis(u_step_array(*knobs), 1, 0), psi0)[0]
+        return _propagate(np.moveaxis(u_step_array(*knobs), 1, 0), psi)[0]
     c, c_inv = control_operator_array(*(k if np.ndim(k) == 0 else k[:, 0] for k in knobs))  # at each row's start
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.ndim != 2 or psi.shape[1] != 4:
-        raise DomainError(f"states must have 4 amplitudes each, got shape {psi.shape}")
-    with np.errstate(all="ignore"):  # an inf amplitude, or a norm that overflows, rejected below
-        nrm = np.linalg.norm(psi, axis=1)
-        if not (nrm.all() and np.isfinite(nrm).all()):  # a zero state, or one whose norm is not finite
-            _normalized(psi[(nrm == 0) | ~np.isfinite(nrm)][0])  # raises the first such state's DomainError
-    framed = (c_inv @ (psi / nrm[:, None])[:, :, None]).reshape(-1, 2, 2)  # C_0^-1 psi0 as (block, coin)
+    framed = (c_inv @ psi[:, :, None]).reshape(-1, 2, 2)  # C_0^-1 psi0 as (block, coin)
     out = (c @ (framed @ _chain_products(walk_operator_closed_array(*knobs)).mT).reshape(-1, 4, 1))[:, :, 0]
-    return out / np.linalg.norm(out, axis=1)[:, None]
+    return out / np.linalg.norm(out, axis=1)[:, None]  # not _row_norms: fig5 and disorder bytes rest on these bits
 
 
 @dataclass(frozen=True)
@@ -478,7 +479,7 @@ def _case_fidelities(knobs, frames: tuple[np.ndarray, np.ndarray], targets: np.n
         P /= np.abs(P).max(axis=(1, 2), keepdims=True)  # unscaled, |P| reaches 1e115 at N = 5000 on loop 1
     c_t, a = frames
     out = (a @ P.mT).reshape(len(c_t), -1, 4) @ c_t  # one shared start: one (4 * rows, 4) @ (4, 4)
-    out = out / np.sqrt(np.vecdot(out.real, out.real) + np.vecdot(out.imag, out.imag))[..., None]
+    out = out / _row_norms(out)[..., None]
     overlaps = np.vecdot(targets, out.reshape(-1, *targets.shape))
     return np.hypot(overlaps.real, overlaps.imag)  # bitwise Python's abs; np.abs differs
 

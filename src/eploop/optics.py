@@ -65,8 +65,8 @@ def ppbs(t_h: float, t_v: float, path: str = "both") -> OpticalElement:
     return OpticalElement("PPBS", (t_h, t_v), path)
 
 
-def phase_plate(phase: float, path: str = "both") -> OpticalElement:
-    return OpticalElement("PHASE", (phase,), path)
+def phase_plate(phase: float) -> OpticalElement:
+    return OpticalElement("PHASE", (phase,))
 
 
 def jones(e: OpticalElement) -> np.ndarray:

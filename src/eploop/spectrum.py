@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NoBracket, TooCloseToEP
-from .walk import WalkParams, cpython_mul, d_arrays, d_coefficients, params_at
+from .walk import WalkParams, cpython_mul, d_arrays, params_at
 
 EIGENVECTOR_GUARD = 1e-8
 
@@ -163,7 +163,7 @@ def find_ep(
     loss. So for every k the EP lies on phi = 0, where D0 = d0 is real, and the
     search is a 1-dim root of d0 -/+ 1. The box (lo < hi) may contain two such
     roots (the edges of the broken-symmetry window); one d_arrays call scans
-    for the first sign change from lo, and d_coefficients bisects it for at
+    for the first sign change from lo, and its scalar calls bisect it for at
     most 200 steps. The bisection stops early once the midpoint equals an end:
     the ends are then adjacent doubles, and every further step would leave the
     midpoint where it is.
@@ -174,12 +174,12 @@ def find_ep(
     if not lo < hi:
         raise ConfigError(f"theta1 box needs LO < HI, got [{lo}, {hi}]")
 
-    def coefficients(theta1: float):
-        return d_coefficients(WalkParams(theta1=theta1, theta2=theta2, phi=0.0, gamma=gamma, k=k))
+    def D0(theta1):  # D0 = d0 exactly at phi = 0, so .real is d0
+        return d_arrays(theta1, theta2, 0.0, gamma, k)[0]
 
     grid = _axis(lo, hi, scan_points)
     with np.errstate(invalid="ignore"):  # an infinite 2k makes d0 NaN, which brackets no root
-        d0 = d_arrays(grid, theta2, 0.0, gamma, k)[0].real  # D0 = d0 at phi = 0
+        d0 = D0(grid).real
     for target in (1.0, -1.0):
         hits = np.flatnonzero((d0[:-1] - target) * (d0[1:] - target) <= 0)
         if len(hits):
@@ -191,19 +191,19 @@ def find_ep(
         )
 
     a, b = float(grid[hits[0]]), float(grid[hits[0] + 1])
-    fa = coefficients(a).d0 - target
+    fa = D0(a).real - target
     for _ in range(200):
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
-        fm = coefficients(m).d0 - target
+        fm = D0(m).real - target
         if fa * fm <= 0:
             b = m
         else:
             a, fa = m, fm
     theta1 = 0.5 * (a + b)
-    D0 = coefficients(theta1).D0
-    return EpLocation(phi=0.0, theta1=theta1, residual=abs(D0 * D0 - 1.0))
+    d = D0(theta1).item()  # Python's complex, so the residual is CPython's arithmetic
+    return EpLocation(phi=0.0, theta1=theta1, residual=abs(d * d - 1.0))
 
 
 def point_in_polygon(point: tuple[float, float], vertices: list[tuple[float, float]]) -> bool:

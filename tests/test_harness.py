@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eploop import harness, tomo
+from eploop.cli import _RUN_FLAGS
 from eploop.errors import ConfigError, EploopError
 from eploop.harness import (
     CaseStats,
@@ -22,6 +23,7 @@ from eploop.harness import (
     reproduce_figure,
 )
 from eploop.loops import (
+    LOOPS,
     LoopSchedule,
     StepRecords,
     bell_eigenstate,
@@ -225,6 +227,13 @@ def test_disorder_rejects_bad_inputs():
         disorder_run(RunConfig(n_steps=8, directions=("cw",), inputs=("zeta1",), input_kind="random"))
     with pytest.raises(ConfigError):
         disorder_run(RunConfig(n_steps=8, directions=(), inputs=("zeta1",)))
+
+
+def test_every_loop_a_run_can_name_comes_from_one_table():
+    assert {n: RunConfig(loop=n, n_steps=4).schedule("cw").label for n in LOOPS} == {1: "loop1", 2: "loop2"}
+    assert _RUN_FLAGS["loop"][1]["choices"] == tuple(LOOPS)
+    with pytest.raises(ConfigError, match=r"^loop must be 1 or 2, got 3$"):
+        RunConfig(loop=3)
 
 
 def test_run_config_validation_and_helpers():

@@ -36,7 +36,7 @@ from eploop.loops import (
     schedule_from_phases,
     sheet_trace,
 )
-from eploop.loops import _increments_from_x, _nelder_mead, _objective_rows
+from eploop.loops import _increments_from_x, _nelder_mead, _objective_rows, _row_norms
 from eploop.metrics import bell_index, bell_state, classify, fidelity_pure
 from eploop.spectrum import eigensystem, find_ep
 from eploop.walk import WalkParams, control_operator, u_step, walk_operator_closed, walk_operator_product
@@ -278,6 +278,52 @@ def test_a_norm_that_overflows_raises_domain_error_without_a_warning():
             evolve(loop1_schedule(4, "cw"), psi, engine=engine)
         with pytest.raises(DomainError, match="norm inf"):
             evolve_batch(theta1, phi, [bell_state(1), psi], engine)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.ones(3), np.zeros(4), [math.nan, 0.0, 0.0, 1.0], [1e308, 1e308, 1e308, 0.0]],
+                         ids=["misshapen", "zero", "nan", "overflow"])
+def test_every_evolution_path_rejects_a_bad_input_with_one_message(bad):
+    theta1, phi = np.full((1, 3), -0.6), np.zeros((1, 3))
+    messages = set()
+    for engine in ENGINES:
+        for run in (lambda: evolve_batch(theta1, phi, [bad], engine),
+                    lambda: evolve(loop1_schedule(3, "cw"), bad, engine=engine)):
+            with pytest.raises(DomainError) as info:
+                run()
+            messages.add(str(info.value))
+    assert len(messages) == 1, messages
+
+
+def test_both_engines_accept_any_shape_of_4_amplitudes():
+    theta1, phi = np.full((2, 3), -0.6), np.zeros((2, 3))
+    flat = np.array([bell_state(1), bell_state(3)])
+    for engine in ENGINES:
+        expected = evolve_batch(theta1, phi, flat, engine)
+        assert np.array_equal(evolve_batch(theta1, phi, flat.reshape(2, 2, 2), engine), expected)
+        assert np.array_equal(evolve_batch(theta1, phi, flat[:, :, None], engine), expected)
+        one = evolve(loop1_schedule(3, "cw"), flat[0], engine=engine).output_state
+        assert np.array_equal(evolve(loop1_schedule(3, "cw"), flat[0].reshape(2, 2), engine=engine).output_state, one)
+
+
+# real and imaginary parts from subnormal up to 1e150, and 0
+_PARTS = st.one_of(st.floats(-1e150, 1e150), st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 498)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.builds(complex, _PARTS, _PARTS), min_size=4, max_size=4), min_size=1, max_size=5))
+def test_row_norms_are_numpys_norm_of_each_state_alone(rows):
+    states = np.array(rows, dtype=complex)
+    expected = [np.linalg.norm(s).hex() for s in states]
+    assert [v.hex() for v in _row_norms(states).tolist()] == expected
+    assert [v.hex() for v in _row_norms(states.reshape(1, -1, 4))[0].tolist()] == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_row_norm_that_overflows_is_inf_as_numpys_is():
+    rows = np.array([[1.0, 0.0, 0.0, 0.0], [1e308, 1e308j, 1e308, 0.0]])
+    with np.errstate(over="ignore"):  # as _unit_rows silences it; numpy's norm warns here too
+        assert _row_norms(rows).tolist() == [1.0, math.inf] == [np.linalg.norm(r) for r in rows]
 
 
 _STATES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
