@@ -201,10 +201,9 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
 
 def evolve_cases(cfg: RunConfig) -> list[EvolutionReport]:
     """Evolve every input on every direction of `cfg`, direction-major, in one evolve_many call."""
-    per_direction = [cfg.schedule(d) for d in cfg.directions]
-    schedules = [sched for sched in per_direction for _ in cfg.inputs]
-    inputs = case_inputs(cfg.inputs, cfg.input_kind, [sched.start for sched in per_direction])
-    return evolve_many(schedules, inputs, cfg.inputs * len(per_direction), cfg.engine, cfg.record_steps)
+    schedules = [cfg.schedule(d) for d in cfg.directions]
+    inputs = case_inputs(cfg.inputs, cfg.input_kind, [sched.start for sched in schedules])
+    return evolve_many(schedules, inputs, cfg.inputs, cfg.engine, cfg.record_steps)
 
 
 def tomography_summaries(tables, cfgs, resamples: int) -> list[dict]:
@@ -329,7 +328,7 @@ def _input_report(label, schedule: LoopSchedule, input_kind: str) -> dict:
     return report_dict(EvolutionReport(
         input_label=BELL_LABELS[bell_index(label) - 1], direction="none", n_steps=0,
         loop_label=schedule.label, engine="input", output_state=psi, output_density=density_matrix(psi),
-        fidelities=cls.fidelities, classified_output=cls.label, tie=cls.tie, log_magnitude=0.0, per_step=None))
+        fidelities=cls.fidelities, classified_output=cls.label, log_magnitude=0.0, per_step=None))
 
 
 def _fig2(out_dir: str, cfg: RunConfig) -> list[str]:
@@ -345,16 +344,11 @@ def _fig2(out_dir: str, cfg: RunConfig) -> list[str]:
 
 def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
     """The fig4 files, written only once every case's tomography has passed its guards."""
-    texts = []
-    if optimized:
-        result = optimize_schedule(8)
-        schedules = result.schedules()
-        texts.append(("fig4_schedule.json", schedule_json(result)))
-    else:
-        schedules = {d: loop1_schedule(8, d) for d in DIRECTIONS}
-    inputs = case_inputs(BELL_LABELS, cfg.input_kind, [schedules[d].start for d in DIRECTIONS])
-    reports = evolve_many([schedules[d] for d in DIRECTIONS for _ in BELL_LABELS], inputs,
-                          BELL_LABELS * len(DIRECTIONS), "simplified", cfg.record_steps)
+    result = optimize_schedule(8) if optimized else None
+    schedules = [result.schedule(d) if optimized else loop1_schedule(8, d) for d in DIRECTIONS]
+    texts = [("fig4_schedule.json", schedule_json(result))] if optimized else []
+    inputs = case_inputs(BELL_LABELS, cfg.input_kind, [sched.start for sched in schedules])
+    reports = evolve_many(schedules, inputs, BELL_LABELS, "simplified", cfg.record_steps)
     # case i's tomography seed is the first word of SeedSequence(entropy=seed, spawn_key=(i,))
     case_seeds = spawn_words(cfg.seed, np.arange(len(reports))[:, None], 1)[:, 0]
     tomo_cfgs = [cfg.tomo_config(seed=int(case_seed)) for case_seed in case_seeds]

@@ -2,20 +2,20 @@
 
 A schedule holds the five step knobs of a closed loop in the (phi, theta1)
 plane around (or away from) the EP as floats or (N,) arrays; LOOPS names the
-loops a run can pick. One propagation core, _propagate, steps any number of
-runs (rows) together as arrays, looping in Python over steps only: apply the
-step operator, renormalize, and optionally record every step's eigenbasis
-weights. The two engines differ only in the per-row step operator they hand
-it: full applies the closed-form u_step(p_n) = C_n (I (x) M_n) C_n^-1,
-rebuilding the control pair at every step; simplified applies
-C_0 (I (x) M_n) C_0^-1, with the control pair frozen at the loop endpoint.
-evolve_full and evolve_simplified run one row, evolve_many runs many
-schedules and inputs with step records, and evolve_batch runs many
-(theta1, phi) rows to their final states, the simplified engine as one
+loops a run can pick. One propagation core, _propagate, steps a grid of
+schedules x inputs together as arrays, looping in Python over steps only:
+apply each schedule's step operator to all its inputs, renormalize, and
+optionally record every step's weights in the schedule's eigenbasis. The two
+engines differ only in the step operators they hand it: full applies the
+closed-form u_step(p_n) = C_n (I (x) M_n) C_n^-1, rebuilding the control pair
+at every step; simplified applies C_0 (I (x) M_n) C_0^-1, with the control
+pair frozen at the loop endpoint. evolve_many runs the grid with step records
+(evolve_full and evolve_simplified its one-cell case), and evolve_batch runs
+many (theta1, phi) rows to their final states, the simplified engine as one
 collapsed 2x2 chain per row. Every path checks and normalizes its inputs once,
 in _unit_rows, and every norm but evolve_batch's output one is _row_norms.
 Step operators, control pairs and eigenbases come from one call of their
-array forms per batch; only the simplified engine's M take one
+array forms per batch, one per schedule; only the simplified engine's M take one
 walk_operator_closed call per step, for perfbench's tracer. Diagnostics cover
 sheet tracking, the step-to-step drift of the control operator, and a small-N
 schedule optimizer. Its objective (_objective_rows over _case_fidelities)
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .metrics import BELL_LABELS, BELL_ROWS, bell_index, classify_rows, density_matrix
+from .metrics import BELL_LABELS, BELL_ROWS, bell_index, density_matrix, nearest_bell
 from .spectrum import eigensystem_array
 from .walk import (
     WalkParams,
@@ -206,7 +206,6 @@ class EvolutionReport:
     output_density: np.ndarray
     fidelities: tuple[float, float, float, float]
     classified_output: str
-    tie: bool
     log_magnitude: float
     per_step: StepRecords | None
 
@@ -219,7 +218,10 @@ def _row_norms(s: np.ndarray) -> np.ndarray:
 def _unit_rows(states) -> np.ndarray:
     """A stack of states, each any shape of 4 amplitudes, as (rows, 4) unit rows: the one input check of both engines.
     A misshapen stack, or a state whose norm is zero or not finite, raises DomainError with no numpy warning."""
-    psi = np.asarray(states, dtype=complex)
+    try:
+        psi = np.asarray(states, dtype=complex)
+    except ValueError:  # e.g. a ragged stack
+        raise DomainError("states must have 4 amplitudes each, got a stack that is not one complex array") from None
     if psi.ndim == 0 or math.prod(psi.shape[1:]) != 4:
         raise DomainError(f"states must have 4 amplitudes each, got shape {psi.shape}")
     with np.errstate(over="ignore"):  # a norm that overflows is rejected below
@@ -238,34 +240,35 @@ def _canonical_label(label) -> str:
 
 
 def _propagate(ops, psi, knobs: tuple | None = None):
-    """The propagation core of both engines: every row r from the unit state psi[r] through ops[n][r].
+    """The propagation core of both engines: input i of schedule s from the unit state psi[s, i] through ops[n][s].
 
-    ops yields one (rows, 4, 4) array of step operators per step, the only
-    thing an engine chooses. The state is renormalized after every step; the
-    discarded magnitudes accumulate in log_magnitude (scale-free for every
-    reported quantity but diagnostic for gain/loss balance). Given the five
-    knobs, each a float or (rows, steps), every step is recorded: the state's
-    weights in the biorthogonal eigenbasis of u_step (sheet tracking) and the
-    eta pair. Every value takes the same floating-point operations as a
-    per-row loop of u_step(p) @ psi, np.linalg.norm, math.log and vdot with
-    eigensystem(p).beta, so it is bitwise that loop's and independent of the
-    rows beside it. Returns the final states, the log magnitudes and one
-    StepRecords per row (or None), slices of one stacked computation.
+    ops yields one (S, 4, 4) array of step operators per step, one per
+    schedule and shared by its inputs, the only thing an engine chooses. The
+    state is renormalized after every step; the discarded magnitudes
+    accumulate in log_magnitude (scale-free for every reported quantity but
+    diagnostic for gain/loss balance). Given the five knobs, each a float or
+    (S, steps), every step is recorded: the state's weights in the schedule's
+    biorthogonal eigenbasis of u_step (sheet tracking) and the eta pair. Every
+    value takes the same floating-point operations as a per-input loop of
+    u_step(p) @ psi, np.linalg.norm, math.log and vdot with eigensystem(p).beta,
+    so it is bitwise that loop's and independent of the runs beside it. Returns
+    the final states (S, I, 4), and the log magnitudes and StepRecords (or
+    None) of every input, schedule-major, slices of one stacked computation.
     """
     eigen = None if knobs is None else eigensystem_array(*knobs)
     states, norms = [], []
     for u in ops:
-        psi = np.matmul(u, psi[:, :, None])[:, :, 0]
+        psi = np.matmul(u[:, None], psi[..., None])[..., 0]
         nrm = _row_norms(psi)
-        psi = psi / nrm[:, None]
-        norms.append(nrm)
+        psi = psi / nrm[..., None]
+        norms.append(nrm.ravel())
         if eigen is not None:
             states.append(psi)
     logmag = np.cumsum([[math.log(x) for x in row] for row in np.array(norms).T.tolist()], axis=1)  # np.log differs
     if eigen is None:
-        return psi, logmag[:, -1].tolist(), None
-    eta, _, beta = eigen
-    z = np.vecdot(beta, np.stack(states, axis=1)[:, :, None, :])
+        return psi, logmag[:, -1].tolist(), [None] * len(logmag)
+    eta, beta = eigen[0].repeat(psi.shape[1], axis=0), eigen[2]  # one eta pair per input, its schedule's
+    z = np.vecdot(beta[:, None], np.stack(states, axis=2)[..., None, :]).reshape(logmag.shape + (4,))
     raw = np.array([a ** 2 for a in np.hypot(z.real, z.imag).ravel().tolist()]).reshape(z.shape)  # numpy's x*x differs
     weights = raw / (((raw[..., 0] + raw[..., 1]) + raw[..., 2]) + raw[..., 3])[..., None]  # sum() as before 3.12
     for a in (raw, weights, logmag, eta):
@@ -274,21 +277,20 @@ def _propagate(ops, psi, knobs: tuple | None = None):
 
 
 def _step_operators(engine: str, knobs, schedules):
-    """One engine's (rows, 4, 4) step operators, step by step, for the stacked knobs of the schedules.
+    """One engine's (S, 4, 4) step operators, step by step, one per schedule, for their stacked knobs.
 
-    The simplified engine applies C_r (I (x) M_rn) C_r^-1 with the control pair
-    at row r's first step. (I (x) M) is the block diagonal of two M, so that is
-    sum_ij M_ij E_ij with per-row constants E_ij = sum_b C[:, 2b+i] C^-1[2b+j, :].
+    The simplified engine applies C_s (I (x) M_sn) C_s^-1 with the control pair
+    at schedule s's first step. (I (x) M) is the block diagonal of two M, so that is
+    sum_ij M_ij E_ij with per-schedule constants E_ij = sum_b C[:, 2b+i] C^-1[2b+j, :].
     Its M come from one walk_operator_closed call, the one-row case of
-    walk_operator_closed_array, per step of each distinct schedule object,
-    which keeps that layer visible to perfbench's per-function tracer.
+    walk_operator_closed_array, per step of each schedule, which keeps that
+    layer visible to perfbench's per-function tracer.
     """
     if _check_engine(engine) == "full":
         return np.moveaxis(u_step_array(*knobs), 1, 0)
     c, c_inv = control_operator_array(*(k if np.ndim(k) == 0 else k[:, 0] for k in knobs))  # at each row's start
     e = np.einsum("raqi,rqjb->rijab", c.reshape(-1, 4, 2, 2), c_inv.reshape(-1, 2, 2, 4)).reshape(-1, 4, 16)
-    chains = {key: [walk_operator_closed(p) for p in s.steps] for key, s in {id(s): s for s in schedules}.items()}
-    m = np.array([chains[id(s)] for s in schedules])
+    m = np.array([[walk_operator_closed(p) for p in s.steps] for s in schedules])
     return (np.matmul(m[:, n].reshape(-1, 1, 4), e).reshape(-1, 4, 4) for n in range(m.shape[1]))
 
 
@@ -304,24 +306,26 @@ def _stacked_knobs(schedules) -> tuple:
 
 def evolve_many(schedules, inputs, labels, engine: str = "full",
                 record_steps: bool = True) -> list[EvolutionReport]:
-    """Run row r's input through row r's schedule, every row in one propagation.
+    """Run every input of every schedule, the S x I grid in one propagation and one nearest_bell call.
 
-    The schedules must have equal length. Each report is bitwise the one
-    evolve gives for that row alone.
+    The S schedules must have one length, and their inputs share their step operators and eigenbases. inputs
+    holds S x I states schedule-major, input i of schedule s in row s * I + i (harness.case_inputs' layout),
+    and labels the I input labels. The reports come in that order, each bitwise the one evolve gives alone.
     """
     if len({s.n_steps for s in schedules}) != 1:
         raise ConfigError("evolve_many needs schedules of one length")
     knobs = _stacked_knobs(schedules)
-    psi, logmag, records = _propagate(_step_operators(engine, knobs, schedules), _unit_rows(inputs),
-                                      knobs if record_steps else None)
-    reports = []
-    for r, (sched, label, cls) in enumerate(zip(schedules, labels, classify_rows(psi))):
-        reports.append(EvolutionReport(
-            input_label=_canonical_label(label), direction=sched.direction, n_steps=sched.n_steps,
-            loop_label=sched.label, engine=engine, output_state=psi[r], output_density=density_matrix(psi[r]),
-            fidelities=cls.fidelities, classified_output=cls.label, tie=cls.tie, log_magnitude=logmag[r],
-            per_step=None if records is None else records[r]))
-    return reports
+    ops, psi = _step_operators(engine, knobs, schedules), _unit_rows(inputs)
+    if len(psi) != len(schedules) * len(labels):
+        raise ConfigError(f"evolve_many needs {len(schedules)} x {len(labels)} inputs, got {len(psi)}")
+    psi, logmag, records = _propagate(ops, psi.reshape(len(schedules), len(labels), 4), knobs if record_steps else None)
+    fids, index, _ = nearest_bell(psi := psi.reshape(-1, 4))
+    cases = [(sched, _canonical_label(label)) for sched in schedules for label in labels]
+    return [EvolutionReport(
+        input_label=label, direction=sched.direction, n_steps=sched.n_steps, loop_label=sched.label, engine=engine,
+        output_state=psi[r], output_density=density_matrix(psi[r]), fidelities=tuple(f),
+        classified_output=BELL_LABELS[j], log_magnitude=logmag[r], per_step=records[r])
+        for r, ((sched, label), f, j) in enumerate(zip(cases, fids.tolist(), index.tolist()))]
 
 
 def evolve_full(schedule: LoopSchedule, input_state, input_label: str = "custom",
@@ -381,7 +385,7 @@ def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
     knobs = (np.asarray(theta1, dtype=float), _DEFAULT.theta2, np.asarray(phi, dtype=float), _DEFAULT.gamma, _DEFAULT.k)
     psi = _unit_rows(psi0)
     if engine == "full":
-        return _propagate(np.moveaxis(u_step_array(*knobs), 1, 0), psi)[0]
+        return _propagate(np.moveaxis(u_step_array(*knobs), 1, 0), psi[:, None])[0][:, 0]
     c, c_inv = control_operator_array(*(k if np.ndim(k) == 0 else k[:, 0] for k in knobs))  # at each row's start
     framed = (c_inv @ psi[:, :, None]).reshape(-1, 2, 2)  # C_0^-1 psi0 as (block, coin)
     out = (c @ (framed @ _chain_products(walk_operator_closed_array(*knobs)).mT).reshape(-1, 4, 1))[:, :, 0]
@@ -654,17 +658,24 @@ def optimize_schedule(n_steps: int = 8, seed: int = 20260815, multistarts: int =
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
-    baseline = _objective_rows(np.zeros((1, n_steps)))[0]
-    best_x, best_val = np.zeros(n_steps), baseline
+    best_x, best = np.zeros(n_steps), []  # the baseline, x = 0 as start 0's first simplex scores it; then each better
+
+    def negated(rows):
+        values = _objective_rows(rows)
+        if not best:
+            best.append(values[0])
+        return -values
+
     group = max(1, _LOCKSTEP_ENTRIES // (n_steps * (n_steps + 1)))
     for first in range(0, multistarts, group):
         x0 = np.array([np.zeros(n_steps) if trial == 0 else rng.normal(0.0, 0.8, n_steps)
                        for trial in range(first, min(first + group, multistarts))])
-        for x, fun in zip(*_nelder_mead(lambda rows: -_objective_rows(rows), x0, maxiter)):
-            if -fun > best_val:
-                best_x, best_val = x, -fun
+        for x, fun in zip(*_nelder_mead(negated, x0, maxiter)):
+            if -fun > best[-1]:
+                best_x = x
+                best.append(-fun)
     return OptimizeResult(
         increments=tuple(float(v) for v in _increments_from_x(best_x)),
-        objective=float(best_val),
-        baseline_objective=float(baseline),
+        objective=float(best[-1]),
+        baseline_objective=float(best[0]),
     )

@@ -89,13 +89,7 @@ def nearest_bell(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fids, close.argmax(axis=1), close.sum(axis=1) > 1
 
 
-def classify_rows(states) -> list[Classification]:
-    """nearest_bell of an (R, 4) stack of normalized pure states, one Classification per row."""
-    fids, index, tie = nearest_bell(states)
-    return [Classification(label=BELL_LABELS[j], fidelities=tuple(f), tie=t)
-            for f, j, t in zip(fids.tolist(), index.tolist(), tie.tolist())]
-
-
 def classify(state: np.ndarray) -> Classification:
-    """Nearest Bell state of one normalized pure state: classify_rows of one row."""
-    return classify_rows(np.asarray(state, dtype=complex).reshape(1, 4))[0]
+    """Nearest Bell state of one normalized pure state: nearest_bell of one row."""
+    fids, index, tie = nearest_bell(np.asarray(state, dtype=complex).reshape(1, 4))
+    return Classification(label=BELL_LABELS[index[0]], fidelities=tuple(fids[0].tolist()), tie=bool(tie[0]))

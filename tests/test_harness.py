@@ -34,7 +34,7 @@ from eploop.loops import (
     loop1_schedule,
     loop2_schedule,
 )
-from eploop.metrics import bell_index, bell_state, classify_rows
+from eploop.metrics import bell_index, bell_state, classify
 from eploop.streams import substreams
 from eploop.tomo import MAX_RESAMPLES
 from eploop.walk import WalkParams
@@ -142,7 +142,7 @@ def test_disorder_run_matches_the_per_run_loop(engine, loop, granularity, input_
 
 
 def _reference_case_stats(cfg):
-    """The per-case loop over one evolve_batch call: runs filled group by group, classify_rows, then
+    """The per-case loop over one evolve_batch call: runs filled group by group, classify per run, then
     np.mean and np.std of each case's 1-D deviations."""
     cases = [(cfg.schedule(d), label) for d in cfg.directions for label in cfg.inputs]
     per_case = cfg.groups + 1
@@ -157,7 +157,7 @@ def _reference_case_stats(cfg):
                                                                              size=(draws, 2))
     psi0 = np.repeat([bell_eigenstate(label, sched.start) if cfg.input_kind == "eigenstate" else bell_state(label)
                       for sched, label in cases], per_case, axis=0)
-    outputs = classify_rows(evolve_batch(runs[..., 0], runs[..., 1], psi0, cfg.engine))
+    outputs = [classify(out) for out in evolve_batch(runs[..., 0], runs[..., 1], psi0, cfg.engine)]
     stats = []
     for case_idx, (sched, label) in enumerate(cases):
         base_cls, *group_cls = outputs[case_idx * per_case:(case_idx + 1) * per_case]

@@ -36,6 +36,7 @@ from eploop.loops import (
     schedule_from_phases,
     sheet_trace,
 )
+from eploop.harness import RunConfig, evolve_cases
 from eploop.loops import _increments_from_x, _nelder_mead, _objective_rows, _row_norms
 from eploop.metrics import bell_index, bell_state, classify, fidelity_pure
 from eploop.spectrum import eigensystem, find_ep
@@ -281,8 +282,9 @@ def test_a_norm_that_overflows_raises_domain_error_without_a_warning():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [np.ones(3), np.zeros(4), [math.nan, 0.0, 0.0, 1.0], [1e308, 1e308, 1e308, 0.0]],
-                         ids=["misshapen", "zero", "nan", "overflow"])
+@pytest.mark.parametrize("bad", [np.ones(3), np.zeros(4), [math.nan, 0.0, 0.0, 1.0], [1e308, 1e308, 1e308, 0.0],
+                                 [np.ones(4), np.ones(3)], [np.ones(4), np.ones((2, 2))]],
+                         ids=["misshapen", "zero", "nan", "overflow", "ragged", "mixed"])
 def test_every_evolution_path_rejects_a_bad_input_with_one_message(bad):
     theta1, phi = np.full((1, 3), -0.6), np.zeros((1, 3))
     messages = set()
@@ -402,9 +404,9 @@ def test_core_is_bitwise_the_scalar_step_loop(rows):
         expected = [_scalar_steps(steps, psi0) for steps, psi0 in rows]
     except TooCloseToEP as exc:  # e.g. gamma = 0 puts some steps on an EP
         with pytest.raises(TooCloseToEP, match=re.escape(str(exc))):
-            evolve_many(schedules, inputs, ["custom"] * len(rows))
+            evolve_many(schedules, inputs, ["custom"])
         return
-    reports = evolve_many(schedules, inputs, ["custom"] * len(rows))
+    reports = evolve_many(schedules, inputs, ["custom"])
     for rep, (psi, logmag, records) in zip(reports, expected):
         assert rep.output_state.tolist() == psi.tolist()
         assert rep.log_magnitude == logmag
@@ -432,6 +434,58 @@ def test_collapsed_simplified_batch_matches_the_stepwise_engine(n_steps, loop, d
         assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
 
+def _report_bits(rep):
+    """Every field of a report, arrays as their exact bytes."""
+    rec = rep.per_step
+    arrays = [rep.output_state, rep.output_density] + ([] if rec is None else
+                                                       [rec.weights_raw, rec.weights, rec.log_magnitude, rec.eta])
+    return ((rep.input_label, rep.direction, rep.n_steps, rep.loop_label, rep.engine, rep.fidelities,
+             rep.classified_output, rep.log_magnitude.hex(), rec is None),
+            [(a.shape, a.tobytes()) for a in arrays])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(st.lists(_STEP, min_size=n, max_size=n), min_size=1, max_size=3)),
+       st.lists(st.sampled_from(("zeta1", "zeta2", "zeta3", "zeta4", "custom", 3)), min_size=1, max_size=4),
+       st.sampled_from(tuple(ENGINES)), st.booleans(), st.data())
+def test_every_report_of_a_grid_is_bitwise_its_own_evolution(steps, labels, engine, record_steps, data):
+    schedules = [LoopSchedule.from_steps(s, direction) for s, direction in zip(steps, DIRECTIONS * 2)]
+    inputs = data.draw(st.lists(_STATES, min_size=len(schedules) * len(labels), max_size=len(schedules) * len(labels)))
+    cases = [(sched, label) for sched in schedules for label in labels]  # schedule-major, as the grid's inputs
+    try:
+        expected = [evolve(sched, psi, engine, label, record_steps) for (sched, label), psi in zip(cases, inputs)]
+    except (DomainError, SingularMatrix, TooCloseToEP):  # e.g. a step on an EP
+        with pytest.raises((DomainError, SingularMatrix, TooCloseToEP)):
+            evolve_many(schedules, inputs, labels, engine, record_steps)
+        return
+    reports = evolve_many(schedules, inputs, labels, engine, record_steps)
+    assert [_report_bits(rep) for rep in reports] == [_report_bits(rep) for rep in expected]
+
+
+def test_a_grid_needs_one_input_per_schedule_and_label():
+    schedules = [loop1_schedule(4, d) for d in DIRECTIONS]
+    for inputs in ([bell_state(1)] * 3, [bell_state(1)] * 8, [bell_state(1)]):
+        with pytest.raises(ConfigError) as info:
+            evolve_many(schedules, inputs, ["zeta1", "zeta2"])
+        assert "\n" not in str(info.value)
+    assert len(evolve_many(schedules, [bell_state(1)] * 4, ["zeta1", "zeta2"])) == 4
+
+
+def test_the_inputs_of_a_schedule_share_its_step_operators(monkeypatch):
+    shapes = collections.defaultdict(set)
+    for name in ("u_step_array", "eigensystem_array", "control_operator_array"):
+        def recorded(*knobs, _name=name, _fn=getattr(loops, name)):
+            shapes[_name].add(np.shape(knobs[0]))  # theta1, the first knob, varies along every loop
+            return _fn(*knobs)
+        monkeypatch.setattr(loops, name, recorded)
+    for engine in ENGINES:
+        reports = evolve_cases(RunConfig(n_steps=6, engine=engine, record_steps=True))
+        assert len(reports) == 8
+    assert shapes["u_step_array"] == {(2, 6)}
+    assert shapes["control_operator_array"] == {(2,)}
+    assert shapes["eigensystem_array"] - {()} == {(2, 6)}  # () is case_inputs' one eigenbasis per start
+
+
 def test_collapsed_simplified_batch_stays_finite_on_a_long_loop():
     # stepwise, M_{N-1}...M_0 on loop 1 reaches |P| ~ 1e115 at N = 5000; each level is rescaled
     sched = loop1_schedule(5000, "cw")
@@ -440,7 +494,7 @@ def test_collapsed_simplified_batch_stays_finite_on_a_long_loop():
     out = evolve_batch(np.tile(theta1, (4, 1)), np.tile(phi, (4, 1)), psi0, "simplified")
     assert np.isfinite(out).all()
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-14)
-    for got, rep in zip(out, evolve_many([sched] * 4, psi0, [1, 2, 3, 4], "simplified", record_steps=False)):
+    for got, rep in zip(out, evolve_many([sched], psi0, [1, 2, 3, 4], "simplified", record_steps=False)):
         assert classify(got).label == rep.classified_output
         assert np.allclose(got, rep.output_state, rtol=0, atol=1e-10)
 
@@ -459,11 +513,11 @@ def test_step_records_guard_the_ep_like_eigensystem():
         with pytest.raises(TooCloseToEP, match=guard):
             engine(near, psi0, record_steps=True)
         with pytest.raises(TooCloseToEP, match=guard):
-            evolve_many([healthy, near, healthy], [psi0] * 3, ["zeta1"] * 3, name)
+            evolve_many([healthy, near, healthy], [psi0] * 3, ["zeta1"], name)
     # u_step has no guard: without records the full engine runs through the EP step
     alone = evolve_full(near, psi0, record_steps=False)
     assert np.isfinite(alone.output_state).all()
-    batched = evolve_many([healthy, near], [psi0] * 2, ["zeta1"] * 2, "full", record_steps=False)
+    batched = evolve_many([healthy, near], [psi0] * 2, ["zeta1"], "full", record_steps=False)
     assert batched[1].output_state.tolist() == alone.output_state.tolist()
     with pytest.raises(ConfigError):
         evolve_many([healthy], [psi0], ["zeta1"], "exact")
@@ -486,7 +540,7 @@ def test_control_pairs_guard_the_first_failing_row_like_control_operator():
         starts = (healthy.start, singular, near_ep)
         schedules = [LoopSchedule.from_steps((p,) + healthy.steps[1:], "cw") for p in starts]
         with pytest.raises(SingularMatrix, match=guard):
-            evolve_many(schedules, [bell_state(1)] * 3, ["zeta1"] * 3, "simplified", record_steps=False)
+            evolve_many(schedules, [bell_state(1)] * 3, ["zeta1"], "simplified", record_steps=False)
         with pytest.raises(SingularMatrix, match=guard):
             control_drift(LoopSchedule.from_steps(starts, "cw"))
         if singular == _DEFAULT_SINGULAR_COIN:  # evolve_batch holds theta2, gamma and k at their defaults
@@ -673,6 +727,16 @@ def test_optimizer_trajectory_is_frozen(seed):
     result = optimize_schedule(8, multistarts=2, maxiter=60, seed=seed)
     assert (result.increments, result.objective) == FROZEN_OPTIMA[seed]
     assert result.baseline_objective == 0.5408925599324853
+
+
+def test_optimizer_scores_the_baseline_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(loops, "_objective_rows", lambda x: calls.append(x.copy()) or _objective_rows(x))
+    result = optimize_schedule(8, multistarts=2, maxiter=60, seed=7)
+    assert (result.increments, result.objective) == FROZEN_OPTIMA[7]
+    assert result.baseline_objective == 0.5408925599324853
+    assert len(calls) == 103
+    assert sum(not row.any() for x in calls for row in x) == 1  # x = 0, vertex 0 of start 0's first simplex
 
 
 def test_optimizer_improves_small_loop():

@@ -10,7 +10,6 @@ from eploop.metrics import (
     bell_state,
     CLASSIFY_TIE_TOL,
     classify,
-    classify_rows,
     density_matrix,
     fidelity_pure,
     nearest_bell,
@@ -94,18 +93,26 @@ _STATE = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
 ).filter(lambda psi: np.linalg.norm(psi) > 0.1).map(lambda psi: psi / np.linalg.norm(psi))
 
 
+def _nearest_bell_rows(states):
+    """nearest_bell of a stack as one (label, fidelities, tie) per row, Python values."""
+    fids, index, tie = nearest_bell(states)
+    return [(BELL_LABELS[j], tuple(f), t) for f, j, t in zip(fids.tolist(), index.tolist(), tie.tolist())]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.one_of(_STATE, st.sampled_from(_TIES)), min_size=1, max_size=12))
-def test_classify_rows_is_bitwise_the_fidelity_pure_form(states):
-    rows = classify_rows(np.array(states))
+def test_nearest_bell_is_bitwise_the_fidelity_pure_form(states):
+    rows = _nearest_bell_rows(np.array(states))
     assert len(rows) == len(states)
-    for state, cls in zip(states, rows):
-        assert (cls.label, cls.fidelities, cls.tie) == _classify_by_fidelity_pure(state)
-        assert classify(state) == cls
+    for state, row in zip(states, rows):
+        assert row == _classify_by_fidelity_pure(state)
+        cls = classify(state)
+        assert (cls.label, cls.fidelities, cls.tie) == row
+        assert type(cls.tie) is bool and all(type(f) is float for f in cls.fidelities)
 
 
-def test_classify_rows_tie_rule():
-    labels = [(c.label, c.tie) for c in classify_rows(np.array(_TIES))]
+def test_nearest_bell_tie_rule():
+    labels = [(label, tie) for label, _, tie in _nearest_bell_rows(np.array(_TIES))]
     assert labels == [("zeta1", True), ("zeta3", True), ("zeta1", True), ("zeta1", True), ("zeta3", True),
                       ("zeta2", True), ("zeta4", False)]
 
@@ -123,13 +130,12 @@ _EDGES = _TIES + [_split(CLASSIFY_TIE_TOL * (1 + e)) for e in (-1e-3, -1e-6, 0.0
     for a, b, c, d in ((0.0, -0.0, -0.0, 0.0), (-0.0, -0.0, 0.0, -0.0), (1.0, -0.0, -0.0, -0.0))]
 
 
-def test_nearest_bell_is_classify_rows_on_ties_and_signed_zeros():
+def test_nearest_bell_is_the_fidelity_pure_rule_on_ties_and_signed_zeros():
     states = np.array([psi / np.linalg.norm(psi) for psi in _EDGES])
-    fids, index, tie = nearest_bell(states)
     expected = [_classify_by_fidelity_pure(psi) for psi in states]
-    assert [(BELL_LABELS[j], tuple(f), t) for f, j, t in zip(fids.tolist(), index.tolist(), tie.tolist())] == expected
-    assert [(c.label, c.fidelities, c.tie) for c in classify_rows(states)] == expected
-    near = tie[len(_TIES):len(_TIES) + 5].tolist()
+    assert _nearest_bell_rows(states) == expected
+    assert [(c.label, c.fidelities, c.tie) for c in map(classify, states)] == expected
+    near = nearest_bell(states)[2][len(_TIES):len(_TIES) + 5].tolist()
     assert near[0] and not near[-1]  # the near-ties fall on both sides of the tolerance
 
 
@@ -139,7 +145,7 @@ def test_nearest_bell_names_the_first_non_finite_row():
     with pytest.raises(DomainError, match="row 2"):
         nearest_bell(states)
     with pytest.raises(DomainError, match="row 0"):
-        classify_rows(states[3:])
+        classify(states[3])
 
 
 # Hermitian 4x4 matrices of trace about 1, positive or slightly indefinite, like noisy reconstructions
