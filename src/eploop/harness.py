@@ -187,8 +187,9 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
     runs[...] = np.array([[sched.knobs[0], sched.knobs[2]] for sched in schedules]).mT[:, None, None]
     runs[:, :, 1:] += offsets.reshape(len(schedules), len(cfg.inputs), cfg.groups, draws, 2)
     theta1, phi = np.moveaxis(runs.reshape(-1, cfg.n_steps, 2), -1, 0)
+    _, theta2, _, gamma, k = schedules[0].knobs  # the loop's own, which both its directions share
     psi0 = np.repeat(case_inputs(cfg.inputs, cfg.input_kind, [s.start for s in schedules]), per_case, axis=0)
-    fids, index, _ = nearest_bell(evolve_batch(theta1, phi, psi0, cfg.engine))
+    fids, index, _ = nearest_bell(evolve_batch((theta1, theta2, phi, gamma, k), psi0, cfg.engine))
     index = index.reshape(len(cases), per_case)
     ref = index[:, 0]
     f_ref = fids.reshape(len(cases), per_case, 4)[np.arange(len(cases)), :, ref]  # (cases, runs)

@@ -10,10 +10,10 @@ engines differ only in the step operators they hand it: full applies the
 closed-form u_step(p_n) = C_n (I (x) M_n) C_n^-1, rebuilding the control pair
 at every step; simplified applies C_0 (I (x) M_n) C_0^-1, with the control
 pair frozen at the loop endpoint. evolve_many runs the grid with step records
-(evolve_full and evolve_simplified its one-cell case), and evolve_batch runs
-many (theta1, phi) rows to their final states, the simplified engine as one
-collapsed 2x2 chain per row. Every path checks and normalizes its inputs once,
-in _unit_rows, and every norm but evolve_batch's output one is _row_norms.
+(evolve_full and evolve_simplified its one-cell case). Runs that need only their
+final states may take the simplified engine in collapsed form, one 2x2 chain per
+run, which _collapsed_states applies. Every path checks and normalizes its
+inputs once, in _unit_rows, and every norm is _row_norms.
 Step operators, control pairs and eigenbases come from one call of their
 array forms per batch, one per schedule; only the simplified engine's M take one
 walk_operator_closed call per step, for perfbench's tracer. Diagnostics cover
@@ -123,7 +123,7 @@ def equal_phases(n_steps: int, direction: str) -> np.ndarray:
     return direction_sign(direction) * 2 * math.pi * n / n_steps - math.pi / 2
 
 
-# theta2, gamma and k of every circular schedule and of evolve_batch
+# theta2, gamma and k of every circular schedule
 _DEFAULT = WalkParams(theta1=0.0)
 
 
@@ -294,6 +294,23 @@ def _step_operators(engine: str, knobs, schedules):
     return (np.matmul(m[:, n].reshape(-1, 1, 4), e).reshape(-1, 4, 4) for n in range(m.shape[1]))
 
 
+def _frames(start_knobs, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only constants of collapsed chains from the given starts, row by row: C_0^T (rows, 4, 4) and
+    each row's inputs (rows, I, 4) in the control frame, psi C_0^-1^T as (rows, 2 * I, 2), one row per block."""
+    c, c_inv = control_operator_array(*start_knobs)
+    c_t, a = c.mT.copy(), (inputs @ c_inv.mT).reshape(len(c), -1, 2)
+    c_t.flags.writeable = a.flags.writeable = False
+    return c_t, a
+
+
+def _collapsed_states(P: np.ndarray, frames: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The simplified engine's outputs normalize(C_0 (I (x) P) C_0^-1 psi) as (len(C_0^T), -1, 4), one 2x2 chain
+    P = M_{N-1}...M_0 per row (rows, 2, 2) applied to its row's inputs in _frames, or to those of one shared start."""
+    c_t, a = frames
+    out = (a @ P.mT).reshape(len(c_t), -1, 4) @ c_t  # one shared start: one (4 * rows, 4) @ (4, 4)
+    return out / _row_norms(out)[..., None]
+
+
 def _stacked_knobs(schedules) -> tuple:
     """The five knobs of schedules of one length N, row by row: the float itself where every
     schedule holds the same float (bit for bit), else a (rows, N) array."""
@@ -371,25 +388,16 @@ def _chain_products(m: np.ndarray) -> np.ndarray:
     return np.moveaxis(x[:, :, 0], 0, -1).reshape(-1, 2, 2)
 
 
-def evolve_batch(theta1, phi, psi0, engine: str) -> np.ndarray:
-    """Final normalized states of many runs of one engine, propagated together.
-
-    Row r steps through (theta1[r, n], phi[r, n]), n = 0..N-1, with the other
-    knobs at their WalkParams defaults, from the state psi0[r]. The full
-    engine runs the propagation core without step records. The simplified
-    engine runs in collapsed form, normalize(C_0 (I (x) P) C_0^-1 psi0) with
-    one 2x2 chain P per row from _chain_products: equal to evolve_simplified
-    up to rounding, not bitwise.
-    """
-    _check_engine(engine)
-    knobs = (np.asarray(theta1, dtype=float), _DEFAULT.theta2, np.asarray(phi, dtype=float), _DEFAULT.gamma, _DEFAULT.k)
-    psi = _unit_rows(psi0)
-    if engine == "full":
-        return _propagate(np.moveaxis(u_step_array(*knobs), 1, 0), psi[:, None])[0][:, 0]
-    c, c_inv = control_operator_array(*(k if np.ndim(k) == 0 else k[:, 0] for k in knobs))  # at each row's start
-    framed = (c_inv @ psi[:, :, None]).reshape(-1, 2, 2)  # C_0^-1 psi0 as (block, coin)
-    out = (c @ (framed @ _chain_products(walk_operator_closed_array(*knobs)).mT).reshape(-1, 4, 1))[:, :, 0]
-    return out / np.linalg.norm(out, axis=1)[:, None]  # not _row_norms: fig5 and disorder bytes rest on these bits
+def evolve_batch(knobs, psi0, engine: str) -> np.ndarray:
+    """Final normalized states of many runs of one engine, propagated together: row r from the state psi0[r]
+    through the five knobs (theta1, theta2, phi, gamma, k), each a float that every row shares or a (rows, N)
+    array. The full engine runs the propagation core without step records; the simplified one runs
+    _collapsed_states of one 2x2 chain per row from _chain_products, equal to evolve_simplified up to rounding."""
+    psi = _unit_rows(psi0)[:, None]
+    if _check_engine(engine) == "full":
+        return _propagate(_step_operators(engine, knobs, None), psi)[0][:, 0]
+    P = _chain_products(walk_operator_closed_array(*knobs))
+    return _collapsed_states(P, _frames((k if np.ndim(k) == 0 else k[:, 0] for k in knobs), psi))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -451,14 +459,9 @@ def sheet_trace(report: EvolutionReport) -> SheetTrace:
 
 @functools.lru_cache(maxsize=16)
 def _start_frames(starts: tuple[WalkParams, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The constants of collapsed chains from the given starts, stacked row by row:
-    C_0^T (rows, 4, 4) and the four start eigenstates in the control frame,
-    psi_j C_0^-1^T as (rows, 8, 2), rows 2j and 2j+1 of eigenstate j holding its two blocks."""
-    C, C_inv = control_operator_array(*np.array([p.knobs for p in starts]).T)
-    c_t = C.mT.copy()
-    a = np.array([bell_eigenstates(p) @ c_inv.T for p, c_inv in zip(starts, C_inv)]).reshape(-1, 8, 2)
-    c_t.flags.writeable = a.flags.writeable = False
-    return c_t, a
+    """_frames of the given starts whose inputs are their four start eigenstates:
+    C_0^T (rows, 4, 4) and (rows, 8, 2), rows 2j and 2j+1 of eigenstate j holding its two blocks."""
+    return _frames(np.array([p.knobs for p in starts]).T, np.array([bell_eigenstates(p) for p in starts]))
 
 
 _TARGET_ROWS = {d: BELL_ROWS[[CHIRAL_TARGETS[d, j] - 1 for j in (1, 2, 3, 4)]] for d in DIRECTIONS}
@@ -470,21 +473,17 @@ def _case_fidelities(knobs, frames: tuple[np.ndarray, np.ndarray], targets: np.n
     knobs are the five step knobs (theta1, theta2, phi, gamma, k), each broadcastable to (rows, N);
     frames are _start_frames of each row's first step, whose eigenstates are the inputs, or of one
     start for all rows; targets are each row's four target states (rows, 4, 4), or those of R rows
-    that repeat in turn (R, 4, 4). The outputs are the simplified engine's, in collapsed form:
-    normalize(C_0 (I (x) P) C_0^-1 psi_j) with one 2x2 chain P = M_{N-1}...M_0 per row, applied to
-    the inputs as an 8x2. This equals evolve_simplified exactly; P is rescaled at every step in
-    place of the engine's renormalization. All rows step together, and every value takes the same
-    floating-point operations as the one-row scalar form, so it is bitwise that form's.
+    that repeat in turn (R, 4, 4). The outputs are _collapsed_states' with one 2x2 chain P = M_{N-1}...M_0
+    per row, which equals evolve_simplified exactly; P is rescaled at every step in place of the engine's
+    renormalization. All rows step together, and every value takes the same floating-point operations as
+    the one-row scalar form, so it is bitwise that form's.
     """
     m = walk_operator_closed_array(*knobs)
     P = m[:, 0] / np.abs(m[:, 0]).max(axis=(1, 2), keepdims=True)  # rescaled M_0 @ I: I changes no fidelity's bits
     for n in range(1, m.shape[1]):
         P = m[:, n] @ P
         P /= np.abs(P).max(axis=(1, 2), keepdims=True)  # unscaled, |P| reaches 1e115 at N = 5000 on loop 1
-    c_t, a = frames
-    out = (a @ P.mT).reshape(len(c_t), -1, 4) @ c_t  # one shared start: one (4 * rows, 4) @ (4, 4)
-    out = out / _row_norms(out)[..., None]
-    overlaps = np.vecdot(targets, out.reshape(-1, *targets.shape))
+    overlaps = np.vecdot(targets, _collapsed_states(P, frames).reshape(-1, *targets.shape))
     return np.hypot(overlaps.real, overlaps.imag)  # bitwise Python's abs; np.abs differs
 
 

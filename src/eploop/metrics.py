@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +21,14 @@ _BELL_VECTORS = {
 
 
 def bell_index(label) -> int:
-    """Normalize a Bell-state label ('zeta3' or 3) to its 1-based index."""
+    """Normalize a Bell-state label ('zeta3', or 3 as any integer but a bool) to its 1-based index."""
     if isinstance(label, str):
         if label not in BELL_LABELS:
             raise DomainError(f"unknown Bell label {label!r}")
         return BELL_LABELS.index(label) + 1
-    idx = int(label)
-    if idx not in (1, 2, 3, 4):
-        raise DomainError(f"Bell index must be 1..4, got {label!r}")
-    return idx
+    if isinstance(label, bool) or not isinstance(label, numbers.Integral) or label not in (1, 2, 3, 4):
+        raise DomainError(f"Bell index must be an integer 1..4, got {label!r}")
+    return int(label)
 
 
 def bell_state(label) -> np.ndarray:

@@ -260,6 +260,34 @@ def test_fig4_reports_keep_their_pinned_bytes(tmp_path, capsys):
     assert digests == FIG4_DIGESTS
 
 
+# sha256 of `eploop reproduce fig5` at the default seed, and of the stdout of `eploop disorder --loop L --n-steps 100
+# --seed S --format json`, taken once evolve_batch shared the optimizer's collapsed exit
+FIG5_DIGESTS = {
+    "fig5_disorder_N8.csv": "285b6db3a3ae3965d58e5d6bb47b85dc5dda02c54057097ab681c04ded2f6251",
+    "fig5_disorder_N100.csv": "401a200110e4abf4305b0c45a88916d41a57657293dc9982a26bc5d57482f7a6",
+}
+DISORDER_DIGESTS = {
+    (1, 1000): "98da21e035e721f1a29b2b23ebe83e2d1b00ed71a72a9976e7ed4939b64675bc",
+    (1, 1029): "91e4bce9f8d6b626d0bbda1ccb068318bf83152437a0fc79ba11646bd94ab09b",
+    (2, 1000): "83f0c0da5bca757ac38911a622dddf0b0f55604d58764ab82e80152e7579aa9e",
+    (2, 1029): "2354a9ea10a4c1a8f70243e7c610ee838ed8340400c98275ffaf77583621f812",
+}
+
+
+def test_fig5_reports_keep_their_pinned_bytes(tmp_path, capsys):
+    assert main(["reproduce", "fig5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == FIG5_DIGESTS
+
+
+@pytest.mark.parametrize("loop, seed", sorted(DISORDER_DIGESTS))
+def test_disorder_stdout_keeps_its_pinned_bytes(capsys, loop, seed):
+    assert main(["disorder", "--loop", str(loop), "--n-steps", "100", "--seed", str(seed), "--format", "json"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == DISORDER_DIGESTS[loop, seed]
+
+
 # sha256 of `eploop reproduce fig1b`, taken while riemann_surface made one quasienergy call per grid point
 FIG1B_DIGESTS = {
     "fig1b_ep.json": "d796c0470be49f60a424e6f80b1f6df654d3f10b73a50de37819f48bca925ffa",

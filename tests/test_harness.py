@@ -157,7 +157,8 @@ def _reference_case_stats(cfg):
                                                                              size=(draws, 2))
     psi0 = np.repeat([bell_eigenstate(label, sched.start) if cfg.input_kind == "eigenstate" else bell_state(label)
                       for sched, label in cases], per_case, axis=0)
-    outputs = [classify(out) for out in evolve_batch(runs[..., 0], runs[..., 1], psi0, cfg.engine)]
+    _, theta2, _, gamma, k = cases[0][0].knobs
+    outputs = [classify(out) for out in evolve_batch((runs[..., 0], theta2, runs[..., 1], gamma, k), psi0, cfg.engine)]
     stats = []
     for case_idx, (sched, label) in enumerate(cases):
         base_cls, *group_cls = outputs[case_idx * per_case:(case_idx + 1) * per_case]

@@ -231,6 +231,12 @@ def test_evolve_dispatcher():
         evolve(sched, np.zeros(4, dtype=complex))
 
 
+def _coin_knobs(theta1, phi):
+    """evolve_batch's five knobs for (theta1, phi) rows, with theta2, gamma and k at their WalkParams defaults."""
+    coin = WalkParams(theta1=0.0)
+    return theta1, coin.theta2, phi, coin.gamma, coin.k
+
+
 def test_evolve_batch_guards_the_ep_like_evolve_simplified():
     ep = find_ep()
     theta1 = np.array([[-0.6, -0.5], [ep.theta1, -0.5]])
@@ -240,20 +246,20 @@ def test_evolve_batch_guards_the_ep_like_evolve_simplified():
     with pytest.raises(TooCloseToEP):
         evolve_simplified(at_ep, psi0[1])
     with pytest.raises(TooCloseToEP):
-        evolve_batch(theta1, phi, psi0, "simplified")
-    out = evolve_batch(theta1, phi, psi0, "full")[1]
+        evolve_batch(_coin_knobs(theta1, phi), psi0, "simplified")
+    out = evolve_batch(_coin_knobs(theta1, phi), psi0, "full")[1]
     assert np.allclose(out, evolve_full(at_ep, psi0[1], record_steps=False).output_state, rtol=0, atol=1e-12)
     with pytest.raises(ConfigError):
-        evolve_batch(theta1, phi, psi0, "exact")
+        evolve_batch(_coin_knobs(theta1, phi), psi0, "exact")
 
 
 def test_evolve_batch_rejects_zero_and_misshapen_inputs():
     theta1, phi = np.full((2, 3), -0.6), np.zeros((2, 3))
     for engine in ENGINES:
         with pytest.raises(DomainError, match="zero state"):
-            evolve_batch(theta1, phi, [bell_state(1), np.zeros(4)], engine)
+            evolve_batch(_coin_knobs(theta1, phi), [bell_state(1), np.zeros(4)], engine)
         with pytest.raises(DomainError, match="4 amplitudes"):
-            evolve_batch(theta1, phi, [np.ones(3), np.ones(3)], engine)
+            evolve_batch(_coin_knobs(theta1, phi), [np.ones(3), np.ones(3)], engine)
 
 
 @pytest.mark.filterwarnings("error")
@@ -265,7 +271,7 @@ def test_non_finite_amplitudes_raise_domain_error_without_a_warning(amplitude):
         with pytest.raises(DomainError, match="norm (nan|inf)"):
             evolve(loop1_schedule(4, "cw"), psi, engine=engine)
         with pytest.raises(DomainError, match="norm (nan|inf)"):
-            evolve_batch(theta1, phi, [bell_state(1), psi], engine)
+            evolve_batch(_coin_knobs(theta1, phi), [bell_state(1), psi], engine)
     with pytest.raises(DomainError, match="row 0"):
         classify(np.array(psi))
 
@@ -278,7 +284,7 @@ def test_a_norm_that_overflows_raises_domain_error_without_a_warning():
         with pytest.raises(DomainError, match="norm inf"):
             evolve(loop1_schedule(4, "cw"), psi, engine=engine)
         with pytest.raises(DomainError, match="norm inf"):
-            evolve_batch(theta1, phi, [bell_state(1), psi], engine)
+            evolve_batch(_coin_knobs(theta1, phi), [bell_state(1), psi], engine)
 
 
 @pytest.mark.filterwarnings("error")
@@ -289,7 +295,7 @@ def test_every_evolution_path_rejects_a_bad_input_with_one_message(bad):
     theta1, phi = np.full((1, 3), -0.6), np.zeros((1, 3))
     messages = set()
     for engine in ENGINES:
-        for run in (lambda: evolve_batch(theta1, phi, [bad], engine),
+        for run in (lambda: evolve_batch(_coin_knobs(theta1, phi), [bad], engine),
                     lambda: evolve(loop1_schedule(3, "cw"), bad, engine=engine)):
             with pytest.raises(DomainError) as info:
                 run()
@@ -301,9 +307,9 @@ def test_both_engines_accept_any_shape_of_4_amplitudes():
     theta1, phi = np.full((2, 3), -0.6), np.zeros((2, 3))
     flat = np.array([bell_state(1), bell_state(3)])
     for engine in ENGINES:
-        expected = evolve_batch(theta1, phi, flat, engine)
-        assert np.array_equal(evolve_batch(theta1, phi, flat.reshape(2, 2, 2), engine), expected)
-        assert np.array_equal(evolve_batch(theta1, phi, flat[:, :, None], engine), expected)
+        expected = evolve_batch(_coin_knobs(theta1, phi), flat, engine)
+        assert np.array_equal(evolve_batch(_coin_knobs(theta1, phi), flat.reshape(2, 2, 2), engine), expected)
+        assert np.array_equal(evolve_batch(_coin_knobs(theta1, phi), flat[:, :, None], engine), expected)
         one = evolve(loop1_schedule(3, "cw"), flat[0], engine=engine).output_state
         assert np.array_equal(evolve(loop1_schedule(3, "cw"), flat[0].reshape(2, 2), engine=engine).output_state, one)
 
@@ -419,19 +425,26 @@ def test_core_is_bitwise_the_scalar_step_loop(rows):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(1, 64), st.sampled_from([loop1_schedule, loop2_schedule]), st.sampled_from(DIRECTIONS),
-       st.lists(st.tuples(st.floats(0.0, 0.1), st.integers(0, 2**32 - 1), _STATES), min_size=1, max_size=5))
-def test_collapsed_simplified_batch_matches_the_stepwise_engine(n_steps, loop, direction, rows):
-    # each row: the loop perturbed by uniform (theta1, phi) offsets of its own strength (0 keeps it exact)
+       st.lists(st.tuples(st.floats(0.0, 0.1), st.integers(0, 2**32 - 1), _STATES), min_size=1, max_size=5),
+       st.tuples(st.floats(0.1, 0.3), st.floats(0.1, 0.3), st.floats(-0.3, 0.3)))
+def test_collapsed_simplified_batch_matches_the_stepwise_engine(n_steps, loop, direction, rows, coin):
+    # each row: the loop perturbed by uniform (theta1, phi) offsets of its own strength (0 keeps it exact), on the
+    # coin (theta2, gamma, k) that every row shares, near the default one and clear of the EP guards
     base = loop(n_steps, direction)
     points = np.array([(p.theta1, p.phi) for p in base.steps])
     runs = np.array([points + np.random.default_rng(seed).uniform(-strength, strength, points.shape)
                      for strength, seed, _ in rows])
     psi0 = [psi for _, _, psi in rows]
-    schedules = [LoopSchedule.from_steps([WalkParams(theta1=t, phi=f) for t, f in run], direction) for run in runs]
-    got = evolve_batch(runs[..., 0], runs[..., 1], psi0, "simplified")
+    theta2, gamma, k = coin
+    schedules = [LoopSchedule.from_steps([WalkParams(t, theta2, f, gamma, k) for t, f in run], direction)
+                 for run in runs]
+    knobs = (runs[..., 0], theta2, runs[..., 1], gamma, k)
+    got = evolve_batch(knobs, psi0, "simplified")
     for out, sched, psi in zip(got, schedules, psi0):
         expected = evolve_simplified(sched, psi, record_steps=False).output_state
         assert np.allclose(out, expected, rtol=0, atol=1e-12)
+    full = evolve_many(schedules, psi0, ["custom"], "full", record_steps=False)
+    assert [out.tobytes() for out in evolve_batch(knobs, psi0, "full")] == [rep.output_state.tobytes() for rep in full]
 
 
 def _report_bits(rep):
@@ -491,7 +504,7 @@ def test_collapsed_simplified_batch_stays_finite_on_a_long_loop():
     sched = loop1_schedule(5000, "cw")
     theta1, phi = np.array([(p.theta1, p.phi) for p in sched.steps]).T
     psi0 = bell_eigenstates(sched.start)
-    out = evolve_batch(np.tile(theta1, (4, 1)), np.tile(phi, (4, 1)), psi0, "simplified")
+    out = evolve_batch(_coin_knobs(np.tile(theta1, (4, 1)), np.tile(phi, (4, 1))), psi0, "simplified")
     assert np.isfinite(out).all()
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-14)
     for got, rep in zip(out, evolve_many([sched], psi0, [1, 2, 3, 4], "simplified", record_steps=False)):
@@ -543,10 +556,9 @@ def test_control_pairs_guard_the_first_failing_row_like_control_operator():
             evolve_many(schedules, [bell_state(1)] * 3, ["zeta1"], "simplified", record_steps=False)
         with pytest.raises(SingularMatrix, match=guard):
             control_drift(LoopSchedule.from_steps(starts, "cw"))
-        if singular == _DEFAULT_SINGULAR_COIN:  # evolve_batch holds theta2, gamma and k at their defaults
-            runs = np.array([[(p.theta1, p.phi) for p in sched.steps] for sched in schedules])
-            with pytest.raises(SingularMatrix, match=guard):
-                evolve_batch(runs[..., 0], runs[..., 1], [bell_state(1)] * 3, "simplified")
+        knobs = np.moveaxis([[p.knobs for p in sched.steps] for sched in schedules], -1, 0)
+        with pytest.raises(SingularMatrix, match=guard):
+            evolve_batch(tuple(knobs), [bell_state(1)] * 3, "simplified")
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -33,12 +33,22 @@ def test_bell_state_values():
 def test_bell_index_accepts_labels_and_ints():
     assert bell_index("zeta3") == 3
     assert bell_index(2) == 2
+    assert bell_index(np.int64(4)) == 4 and type(bell_index(np.uint8(1))) is int
     with pytest.raises(DomainError):
         bell_index("zeta5")
     with pytest.raises(DomainError):
         bell_index("phi_plus")
     with pytest.raises(DomainError):
         bell_index(0)
+
+
+@pytest.mark.parametrize("label", [3.5, 2.9, 3.0, np.float64(1.0), True, False, np.True_, None, 1 + 0j],
+                         ids=["3.5", "2.9", "3.0", "float64", "True", "False", "numpy-True", "None", "complex"])
+def test_bell_index_rejects_what_is_not_a_bell_label(label):
+    for fn in (bell_index, bell_state):
+        with pytest.raises(DomainError) as info:
+            fn(label)
+        assert "\n" not in str(info.value)
 
 
 def test_density_matrix_properties():

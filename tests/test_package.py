@@ -61,3 +61,15 @@ def test_every_top_level_definition_is_read_outside_itself():
               and reads[node.name] == _read_names(node).count(node.name)  # recursion is no read
               and (path.stem, node.name) not in layers]
     assert unread == []
+
+
+def test_no_module_calls_numpys_norm():
+    """_row_norms is the one norm of src/: no module reads np.linalg.norm, or imports norm from numpy.linalg."""
+    calls = []
+    for path in sorted((ROOT / "src" / "eploop").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if ((isinstance(node, ast.Attribute) and node.attr == "norm" and getattr(node.value, "attr", "") == "linalg")
+                    or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                        and "norm" in [alias.name for alias in node.names])):
+                calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert calls == []
