@@ -394,6 +394,9 @@ def evolve_batch(knobs, psi0, engine: str) -> np.ndarray:
     array. The full engine runs the propagation core without step records; the simplified one runs
     _collapsed_states of one 2x2 chain per row from _chain_products, equal to evolve_simplified up to rounding."""
     psi = _unit_rows(psi0)[:, None]
+    shape = np.broadcast_shapes(*map(np.shape, knobs))
+    if len(shape) != 2 or shape[0] != len(psi):
+        raise ConfigError(f"evolve_batch needs (rows, N) knobs and one input per row, got {shape}, {len(psi)} inputs")
     if _check_engine(engine) == "full":
         return _propagate(_step_operators(engine, knobs, None), psi)[0][:, 0]
     P = _chain_products(walk_operator_closed_array(*knobs))

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NoBracket, TooCloseToEP
-from .walk import WalkParams, cpython_mul, d_arrays, params_at
-
-EIGENVECTOR_GUARD = 1e-8
+from .errors import ConfigError, DomainError, NoBracket
+from .walk import WalkParams, d_arrays, ep_gap, guard_ep
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ def quasienergy_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
     mode, a negative one a loss mode.
     """
     D0 = d_arrays(theta1, theta2, phi, gamma, k)[0]
-    s = np.sqrt(cpython_mul(D0, D0) - 1.0)
+    s = ep_gap(D0)  # unguarded: surface grids cross the EPs' neighbourhoods
     lam = 1j * np.log(np.stack([D0 + s, D0 - s]))
     return np.where(lam.real <= -math.pi, lam + 2 * math.pi, lam)
 
@@ -80,16 +78,13 @@ def eigensystem_array(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.nda
     and c = (s, -s, -s, s), row j times sqrt(2) c_j is (i(DX+DY), -DZ, 0, c_j)
     in alpha and (-i(DX-DY), DZ, 0, c_j) in conj(beta) for j < 2, and
     (DZ, i(DX-DY), c_j, 0) and (-DZ, -i(DX+DY), c_j, 0) for j >= 2.
-    Raises TooCloseToEP for the first element where |eta - D0| <= 1e-8: the
-    eigenvector prefactor 1/(eta - D0) diverges at the coalescence.
+    walk.guard_ep raises TooCloseToEP for the first element too close to an EP:
+    the eigenvector prefactor 1/(eta - D0) diverges at the coalescence.
     """
     knobs = (theta1, theta2, phi, gamma, k)
     D0, DX, DY, DZ = d_arrays(*knobs)
-    s = np.sqrt(cpython_mul(D0, D0) - 1.0)
-    abs_s = np.hypot(s.real, s.imag)  # bitwise Python's abs; np.abs differs
-    close = np.flatnonzero(abs_s <= EIGENVECTOR_GUARD)
-    if len(close):
-        raise TooCloseToEP(f"|eta - D0| = {np.ravel(abs_s)[close[0]]:.3e} at {params_at(knobs, close[0])}")
+    s = ep_gap(D0)
+    guard_ep(s, knobs)
     c = np.stack([s, -s, -s, s], axis=-1)
     alpha, beta = m = np.zeros((2,) + c.shape + (4,), dtype=complex)  # beta conjugated until the end
     alpha[..., :2, 0], alpha[..., :2, 1] = (1j * (DX + DY))[..., None], -DZ[..., None]
@@ -149,6 +144,41 @@ def surface_csv(grid: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def exceptional_points(
+    theta1_box: tuple[float, float] = (-0.5, -0.1),
+    theta2: float = WalkParams.theta2,
+    gamma: float = WalkParams.gamma,
+    k: float = WalkParams.k,
+) -> tuple[float, ...]:
+    """The theta1 of every EP on phi = 0 in the box [lo, hi], in closed form and ascending.
+
+    On phi = 0, D0 = d0 = A cos theta1 - B sin theta1 with A = cos 2k cos theta2
+    and B = cosh 2gamma sin theta2, so d0 = R cos(theta1 + delta) with
+    R = hypot(A, B) and delta = atan2(B, A), and d0 = +-1 at
+    theta1 = -delta +- arccos(+-1/R) + 2 pi n. They exist only if R >= 1, and
+    they are EPs only where dx = -sinh(2 gamma) sin(theta2) is nonzero (else
+    d0 = +-1 makes M = +-I). arccos(1/R) is taken as arctan(sqrt(R^2 - 1)) with
+    R^2 - 1 = (sinh 2gamma sin theta2)^2 - (sin 2k cos theta2)^2, which keeps
+    its digits for the narrow pairs of a small gamma, where R rounds to 1.
+    """
+    lo, hi = theta1_box
+    turn = 2 * math.pi
+    if not 0 <= hi - lo <= 2**20 * turn:
+        raise ConfigError(f"theta1 box needs LO <= HI within 2^20 turns, got [{lo}, {hi}]")
+    with np.errstate(invalid="ignore"):  # an infinite angle gives NaN: no EPs
+        sin2k, cos2k, s2, c2 = (float(f(x)) for f, x in ((np.sin, 2 * k), (np.cos, 2 * k),
+                                                          (np.sin, theta2), (np.cos, theta2)))
+    w, v = abs(math.sinh(2 * gamma) * s2), abs(sin2k * c2)
+    if not (0 < w < math.inf and v <= w):
+        return ()
+    delta = math.atan2(math.cosh(2 * gamma) * s2, cos2k * c2)
+    half = math.atan(math.sqrt((w - v) * (w + v)))
+    roots = set()
+    for base in (-delta - half, -delta + half, math.pi - delta - half, math.pi - delta + half):
+        roots.update(base + n * turn for n in range(math.ceil((lo - base) / turn), math.floor((hi - base) / turn) + 1))
+    return tuple(sorted(t for t in roots if lo <= t <= hi))
+
+
 def find_ep(
     theta1_box: tuple[float, float] = (-0.5, -0.1),
     theta2: float = WalkParams.theta2,
@@ -164,9 +194,12 @@ def find_ep(
     search is a 1-dim root of d0 -/+ 1. The box (lo < hi) may contain two such
     roots (the edges of the broken-symmetry window); one d_arrays call scans
     for the first sign change from lo, and its scalar calls bisect it for at
-    most 200 steps. The bisection stops early once the midpoint equals an end:
-    the ends are then adjacent doubles, and every further step would leave the
-    midpoint where it is.
+    most 200 steps. A pair of roots inside one scan cell changes no sign on
+    the scan, so then the closed-form root nearest lo (exceptional_points) is
+    bracketed from lo to the midpoint of the next root, or hi, and bisected.
+    The bisection stops early once the midpoint equals an end: the ends are
+    then adjacent doubles, and every further step would leave the midpoint
+    where it is.
     """
     if scan_points < 2:
         raise ConfigError(f"EP scan needs at least 2 points, got {scan_points}")
@@ -183,14 +216,18 @@ def find_ep(
     for target in (1.0, -1.0):
         hits = np.flatnonzero((d0[:-1] - target) * (d0[1:] - target) <= 0)
         if len(hits):
+            a, b = float(grid[hits[0]]), float(grid[hits[0] + 1])
             break
-    else:
-        raise NoBracket(
-            f"no sign change of d0 -/+ 1 for theta1 in [{lo}, {hi}] "
-            f"(theta2={theta2}, gamma={gamma}, k={k})"
-        )
+    else:  # a pair in one scan cell: the root nearest lo and the next lie within 2 turns of lo
+        roots = exceptional_points((lo, min(hi, lo + 4 * math.pi)), theta2, gamma, k)
+        a, b = lo, 0.5 * (roots[0] + roots[1]) if len(roots) > 1 else hi
+        target = 1.0 if roots and D0(roots[0]).real > 0 else -1.0
+        if not roots or (D0(a).real - target) * (D0(b).real - target) > 0:
+            raise NoBracket(
+                f"no sign change of d0 -/+ 1 for theta1 in [{lo}, {hi}] "
+                f"(theta2={theta2}, gamma={gamma}, k={k})"
+            )
 
-    a, b = float(grid[hits[0]]), float(grid[hits[0] + 1])
     fa = D0(a).real - target
     for _ in range(200):
         m = 0.5 * (a + b)

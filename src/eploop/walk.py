@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SingularMatrix, TooCloseToEP
 
-EP_PREFACTOR_GUARD = 1e-6
+EP_GUARD = 2.0 ** -13  # eps ** (1/4): where |s|^2 = |D0^2 - 1| <= sqrt(eps), half the digits are gone (README)
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,26 @@ def cpython_mul(a, b) -> np.ndarray:
     return z
 
 
+def ep_gap(D0) -> np.ndarray:
+    """s = eta_plus - D0 = sqrt(D0 D0 - 1) elementwise, numpy's principal root of CPython's D0 D0, minus 1.
+
+    The two eigenvalues of u_step are D0 +/- s; they coalesce at the EPs, where s = 0 and D0 = +-1.
+    """
+    return np.sqrt(cpython_mul(D0, D0) - 1.0)
+
+
+def guard_ep(s, knobs) -> None:
+    """Raise TooCloseToEP at the first flat element of the gaps s (of the knobs' first rows) with |s| <= EP_GUARD.
+
+    The eigenvectors of u_step carry the prefactor 1/s and the control pair
+    divides by s^2, so their error grows like eps/|s|^2 (README).
+    """
+    abs_s = np.ravel(np.hypot(s.real, s.imag))  # bitwise Python's abs; np.abs differs
+    close = np.flatnonzero(abs_s <= EP_GUARD)
+    if len(close):
+        raise TooCloseToEP(f"|eta - D0| = {abs_s[close[0]]:.3e} at {params_at(knobs, close[0])}")
+
+
 def _cpython_div(a, b) -> np.ndarray:
     """a / b elementwise, formed as CPython forms a complex quotient: Smith's method, dividing
     by the denominator (Smith, CACM 5(8), 1962; numpy's multiplies by its reciprocal)."""
@@ -244,7 +264,7 @@ def control_operator_array(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, n
     complex X+Y, X-Y and s^2 and a numpy complex sigma: products, and
     quotients by s^2 and X+Y, are CPython's complex arithmetic, and quotients
     by sigma and X-Y are numpy's. The first row that fails a guard raises:
-    TooCloseToEP when |eta - D0| = |s| <= 1e-6, else SingularMatrix when
+    guard_ep's TooCloseToEP, else SingularMatrix when
     |det B| = |X^2 - Y^2| / |s|^2 is at most 1e-12 max|B|^4, where
     max|B| = max(|X+Y|, |X-Y|, |s+iZ|, |s-iZ|) / (sqrt(2) |s|).
     """
@@ -252,22 +272,20 @@ def control_operator_array(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, n
     D0, X, Y, Z = d_arrays(*knobs)
     shape = np.shape(D0)
     D0, X, Y, Z = (np.ravel(v) for v in (D0, X, Y, Z))
+    s = ep_gap(D0)
     plus, minus, i, zero, one = X + Y, X - Y, np.full(len(D0), 1j), np.zeros(len(D0)), np.ones(len(D0))
     sq, det, iz, jz, i_minus, i_plus, j_plus, z_plus, mz_minus = cpython_mul(
         np.array([D0, plus, i, -i, i, i, -i, Z, -Z]), np.array([D0, minus, Z, Z, minus, plus, plus, plus, minus]))
     s2 = sq - 1.0
-    s = np.sqrt(s2)
     with np.errstate(all="ignore"):  # rows that fail a guard may divide by 0 or overflow here
         z = np.array([s, s2, det, plus, minus, s + iz, s - iz])
         abs_s, abs_s2, abs_det, *sides = np.hypot(z.real, z.imag)  # bitwise Python's abs; np.abs differs
         det_b = abs_det / abs_s2
         threshold = 1e-12 * (np.max(sides, axis=0) / (math.sqrt(2) * abs_s)) ** 4
-    close = abs_s <= EP_PREFACTOR_GUARD
-    failing = np.flatnonzero(close | (det_b <= threshold))
-    if len(failing):
-        r = failing[0]
-        if close[r]:
-            raise TooCloseToEP(f"|eta - D0| = {abs_s[r]:.3e} at {params_at(knobs, r)}")
+    singular = np.flatnonzero(det_b <= threshold)
+    guard_ep(s[:singular[0] + 1] if len(singular) else s, knobs)  # an EP row at or before it fails first
+    if len(singular):
+        r = singular[0]
         raise SingularMatrix(f"|det| = {det_b[r]:.3e} below threshold {threshold[r]:.3e}")
     sigma = np.sqrt(1.0 - sq)
     jzz, j_plus_minus, sigma_minus = cpython_mul(np.array([jz, j_plus, sigma]), np.array([Z, minus, minus]))

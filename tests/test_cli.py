@@ -21,6 +21,15 @@ def test_find_ep_json(capsys):
     assert out["residual"] < 1e-10
 
 
+def test_find_ep_finds_a_pair_inside_one_scan_cell(capsys):
+    # at gamma = 0.001, d0 > 1 only between the closed-form roots -0.196740104417 and -0.195959742649, inside
+    # one 1.56e-3 cell of the 257-point scan; d0 rounds to 1 over about 6e-13 (eps over its slope 3.9e-4) there
+    assert main(["find-ep", "--gamma", "0.001", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert -0.19674010441724507 - 1e-12 <= out["theta1"] <= -0.19595974264854063
+    assert out["residual"] < 1e-15
+
+
 def _exit_code(argv) -> int:
     """Exit code of `eploop argv`: main's return value, or argparse's SystemExit code."""
     try:
@@ -238,9 +247,9 @@ def test_evolve_merges_config_file(tmp_path, capsys):
 
 def test_negative_floats_in_exponent_notation_are_values(capsys):
     # argparse's own pattern took "-1e-7" for an option: "expected one argument"
-    assert main(["find-ep", "--gamma", "-1e-7"]) == 3
+    assert main(["find-ep", "--k", "-1e-1"]) == 3  # no EP beyond |k| = 0.0409 (gamma = -1e-7 has a pair 8e-8 wide)
     err = capsys.readouterr().err
-    assert err.startswith("numerical guard") and "gamma=-1e-07" in err, err
+    assert err.startswith("numerical guard") and "k=-0.1)" in err, err
     assert main(["find-ep", "--theta1-box", "-5E-1", "-1e-1", "--gamma", "-2e-1"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("0,-0.291776053115,")
     grid = ["--phi-range", "-1e-3", "0.1", "2", "--theta1-range", "-0.5", "-0.4", "2"]

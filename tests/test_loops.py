@@ -253,6 +253,16 @@ def test_evolve_batch_guards_the_ep_like_evolve_simplified():
         evolve_batch(_coin_knobs(theta1, phi), psi0, "exact")
 
 
+def test_evolve_batch_needs_one_input_per_knob_row():
+    theta1, phi = np.full((3, 4), -0.6), np.zeros((3, 4))
+    for engine in ENGINES:
+        for inputs in ([bell_state(1)] * 2, [bell_state(1)], [bell_state(1)] * 4):
+            with pytest.raises(ConfigError, match="one input per row") as info:
+                evolve_batch(_coin_knobs(theta1, phi), inputs, engine)
+            assert "\n" not in str(info.value)
+        assert evolve_batch(_coin_knobs(theta1, phi), [bell_state(1)] * 3, engine).shape == (3, 4)
+
+
 def test_evolve_batch_rejects_zero_and_misshapen_inputs():
     theta1, phi = np.full((2, 3), -0.6), np.zeros((2, 3))
     for engine in ENGINES:
@@ -390,12 +400,12 @@ def _scalar_steps(steps, psi0):
 
 
 _ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
-_EP_THETA1 = -0.2917760531146608  # within EIGENVECTOR_GUARD of the EP (at the default knobs, phi = 0)
+_EP_THETA1 = -0.2917760531146608  # within EP_GUARD of the EP (at the default knobs, phi = 0)
 # (theta1, theta2, phi, gamma, k) over the whole domain, or default knobs near the EP:
-# an offset of 1e-14 to 1e-8 puts |eta - D0| between about 1e-7 and 4e-5, outside the guard
+# an offset of 2e-7 to 1e-4 puts |eta - D0| between about 1.8e-4 and 4e-3, outside the guard (1.22e-4)
 _STEP = st.one_of(
     st.tuples(_ANGLE, _ANGLE, _ANGLE, st.floats(-2.0, 2.0), _ANGLE).map(lambda v: WalkParams(*v)),
-    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-14, 1e-8)).map(
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(2e-7, 1e-4)).map(
         lambda v: WalkParams(theta1=_EP_THETA1 + v[0] * v[1])),
 )
 
@@ -541,7 +551,7 @@ _DEFAULT_SINGULAR_COIN = WalkParams(theta1=1.3589832105906143, phi=math.pi / 2)
 
 
 def test_control_pairs_guard_the_first_failing_row_like_control_operator():
-    # rows: healthy, singular coin basis, inside EP_PREFACTOR_GUARD; the singular row fails first
+    # rows: healthy, singular coin basis, inside EP_GUARD; the singular row fails first
     healthy = loop1_schedule(6, "cw")
     near_ep = WalkParams(theta1=_EP_THETA1)
     with pytest.raises(TooCloseToEP):

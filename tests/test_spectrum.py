@@ -8,13 +8,15 @@ from eploop import spectrum
 from eploop.errors import ConfigError, DomainError, NoBracket, TooCloseToEP
 from eploop.spectrum import (
     eigensystem,
+    eigensystem_array,
+    exceptional_points,
     find_ep,
     point_in_polygon,
     quasienergy_array,
     riemann_surface,
     surface_csv,
 )
-from eploop.walk import WalkParams, u_step
+from eploop.walk import EP_GUARD, WalkParams, control_operator_array, d_arrays, ep_gap, u_step
 
 from test_walk import START, _reference_d_coefficients, random_params
 
@@ -72,6 +74,46 @@ def test_eigensystem_eta_pattern():
 def test_eigensystem_guards_at_coalescence():
     with pytest.raises(TooCloseToEP):
         eigensystem(WalkParams(theta1=-0.2917760531146608))
+
+
+def test_each_ep_of_the_default_box_is_two_2x2_jordan_blocks():
+    # the paper's quadruple degeneracy: at an EP, u_step has eta = D0 = +-1 four times, rank(u - D0 I) = 2 and
+    # (u - D0 I)^2 = 0, so it is similar to two copies of ((D0, 1), (0, D0)). Measured at the closed-form
+    # points: singular values 0.160, 0.160, 1e-15, 1e-15, max|(u - D0 I)^2| 2e-16, |eta - D0| up to 1.3e-8
+    # (a 2x2 block perturbed by eps splits its eigenvalue by about sqrt(eps)); the bounds leave 50x to 100x.
+    eps = exceptional_points()
+    assert [round(theta1, 6) for theta1 in eps] == [-0.291776, -0.13185]
+    for theta1 in eps:
+        u = u_step(WalkParams(theta1=theta1))
+        D0 = u[0, 0]
+        assert abs(abs(D0) - 1.0) <= 4.5e-16  # 2 ulp
+        nilpotent = u - D0 * np.eye(4)
+        singular_values = np.linalg.svd(nilpotent, compute_uv=False)
+        assert singular_values[1] > 0.1 and singular_values[2] < 1e-13
+        assert np.abs(nilpotent @ nilpotent).max() < 1e-14
+        assert np.abs(np.linalg.eigvals(u) - D0).max() < 1e-6
+
+
+def test_eigensystem_and_control_pair_refuse_from_the_same_gap_down():
+    # along phi = 0 across both EPs of the default box, |s| = |eta - D0| runs from about 0.04 down to 0
+    for root in exceptional_points():
+        offsets = np.geomspace(1e-17, 1e-2, 120)
+        theta1 = root + np.concatenate([-offsets, offsets])
+        s = ep_gap(d_arrays(theta1, WalkParams.theta2, 0.0, WalkParams.gamma, WalkParams.k)[0])
+        gaps = np.hypot(s.real, s.imag)
+        assert gaps.min() <= EP_GUARD < gaps.max()
+        for t, gap in zip(theta1.tolist(), gaps.tolist()):
+            knobs = WalkParams(theta1=t).knobs
+            if gap > EP_GUARD:  # both return: at this coin the det(B) test fires only below |s| = 1.14e-4
+                eigensystem_array(*knobs)
+                control_operator_array(*knobs)
+                continue
+            messages = []
+            for form in (eigensystem_array, control_operator_array):
+                with pytest.raises(TooCloseToEP) as info:
+                    form(*knobs)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1] == f"|eta - D0| = {gap:.3e} at {WalkParams(theta1=t)}"
 
 
 def test_riemann_surface_grid_order():
@@ -156,11 +198,16 @@ _BOX = st.one_of(
 @example((-0.5, -0.1), math.pi / 16, 0.2, 0.03, 257)
 @example((2.5, 3.1), math.pi / 16, 0.2, 0.0, 257)  # no +1 root: the -1 root at 2.85
 @example((2.9, 3.3), math.pi / 16, 0.2, 0.01, 257)  # the -1 root at 3.01
+@example((-0.5, -0.1), math.pi / 16, 0.001, 0.0, 257)  # a pair of roots inside one scan cell
 def test_find_ep_is_the_200_step_bisection(box, theta2, gamma, k, scan_points):
     expected = _bisect_200(box, theta2, gamma, k, scan_points)
-    if expected is None:
-        with pytest.raises(NoBracket):
-            find_ep(box, theta2, gamma, k, scan_points)
+    if expected is None:  # no sign change on the scan: the closed-form root nearest lo, if the box holds one
+        roots = exceptional_points(box, theta2, gamma, k)
+        if roots:
+            assert find_ep(box, theta2, gamma, k, scan_points).theta1 == pytest.approx(roots[0], abs=1e-9)
+        else:
+            with pytest.raises(NoBracket):
+                find_ep(box, theta2, gamma, k, scan_points)
         return
     target, theta1, residual = expected
     loc = find_ep(box, theta2, gamma, k, scan_points)

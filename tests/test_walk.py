@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from eploop.errors import SingularMatrix, TooCloseToEP
 from eploop.spectrum import (
-    EIGENVECTOR_GUARD,
     EigenSystem,
     eigensystem,
     eigensystem_array,
@@ -16,7 +15,7 @@ from eploop.spectrum import (
     quasienergy_array,
 )
 from eploop.walk import (
-    EP_PREFACTOR_GUARD,
+    EP_GUARD,
     DCoefficients,
     WalkParams,
     _libm,
@@ -177,7 +176,7 @@ def _reference_quasienergy(p: WalkParams) -> tuple[complex, complex]:
 def _reference_eigensystem(p: WalkParams) -> EigenSystem:
     d = _reference_d_coefficients(p)
     s = np.sqrt(complex(d.D0 * d.D0 - 1.0))
-    if abs(s) <= EIGENVECTOR_GUARD:
+    if abs(s) <= EP_GUARD:
         raise TooCloseToEP(f"|eta - D0| = {abs(s):.3e} at {p}")
     rt2 = math.sqrt(2)
 
@@ -206,7 +205,7 @@ def _reference_control_operator(p: WalkParams) -> tuple[np.ndarray, np.ndarray]:
     X, Y, Z = d.DX, d.DY, d.DZ
     s2 = d.D0 * d.D0 - 1.0
     s = np.sqrt(complex(s2))
-    if abs(s) <= EP_PREFACTOR_GUARD:
+    if abs(s) <= EP_GUARD:
         raise TooCloseToEP(f"|eta - D0| = {abs(s):.3e} at {p}")
     plus, minus = X + Y, X - Y
     det_b = abs(plus * minus) / abs(s2)
