@@ -12,8 +12,8 @@ at every step; simplified applies C_0 (I (x) M_n) C_0^-1, with the control
 pair frozen at the loop endpoint. evolve_many runs the grid with step records
 (evolve_full and evolve_simplified its one-cell case). Runs that need only their
 final states may take the simplified engine in collapsed form, one 2x2 chain per
-run, which _collapsed_states applies. Every path checks and normalizes its
-inputs once, in _unit_rows, and every norm is _row_norms.
+run (pairwise on coin_entries' planes in evolve_batch), applied by _collapsed_states.
+Every path checks and normalizes its inputs once, in _unit_rows; every norm is _row_norms.
 Step operators, control pairs and eigenbases come from one call of their
 array forms per batch, one per schedule; only the simplified engine's M take one
 walk_operator_closed call per step, for perfbench's tracer. Diagnostics cover
@@ -38,6 +38,7 @@ from .spectrum import eigensystem_array
 from .walk import (
     WalkParams,
     control_operator_array,
+    coin_entries,
     u_step_array,
     walk_operator_closed,
     walk_operator_closed_array,
@@ -369,23 +370,23 @@ def evolve(schedule: LoopSchedule, input_state, engine: str = "full", input_labe
     return ENGINES[_check_engine(engine)](schedule, input_state, input_label=input_label, record_steps=record_steps)
 
 
-def _chain_products(m: np.ndarray) -> np.ndarray:
-    """P_r = M_{r,N-1}...M_{r,0} for every row of an (rows, N, 2, 2) stack, up to a positive scale.
+def _chain_products(m00, m01, m10, m11) -> np.ndarray:
+    """P_r = M_{r,N-1}...M_{r,0} (rows, 2, 2) from the four (rows, N) entry planes of M, up to a positive scale.
 
     Pairwise levels: each multiplies the odd steps onto the even ones and
     carries an odd tail, so ceil(log2 N) levels in place of N steps. The 2x2
-    products are written out entry by entry (batched @ on 2x2 blocks is about
+    products are written out plane by plane (batched @ on 2x2 blocks is about
     4x slower), and each is divided by its largest |entry|, which leaves every
     normalized output as it is and keeps long loops finite.
     """
-    x = np.moveaxis(m.reshape(*m.shape[:2], 4), -1, 0)  # (4, rows, N): entries 00, 01, 10, 11
-    while x.shape[2] > 1:
-        hi, lo = x[:, :, 1::2], x[:, :, 0:x.shape[2] - 1:2]
-        prod = np.stack([hi[0] * lo[0] + hi[1] * lo[2], hi[0] * lo[1] + hi[1] * lo[3],
-                         hi[2] * lo[0] + hi[3] * lo[2], hi[2] * lo[1] + hi[3] * lo[3]])
-        prod /= np.abs(prod).max(axis=0)
-        x = np.concatenate([prod, x[:, :, -1:]], axis=2) if x.shape[2] % 2 else prod
-    return np.moveaxis(x[:, :, 0], 0, -1).reshape(-1, 2, 2)
+    x = (m00, m01, m10, m11)
+    while (n := x[0].shape[1]) > 1:
+        a, b, c, d = (v[:, 1::2] for v in x)  # the odd steps
+        e, f, g, h = (v[:, 0:n - 1:2] for v in x)  # the even steps before them
+        prod = np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+        prod /= np.maximum.reduce(np.abs(prod))
+        x = tuple(np.concatenate([prod, np.stack([v[:, -1:] for v in x])], axis=2) if n % 2 else prod)
+    return np.stack([v[:, 0] for v in x], axis=-1).reshape(-1, 2, 2)
 
 
 def evolve_batch(knobs, psi0, engine: str) -> np.ndarray:
@@ -394,12 +395,15 @@ def evolve_batch(knobs, psi0, engine: str) -> np.ndarray:
     array. The full engine runs the propagation core without step records; the simplified one runs
     _collapsed_states of one 2x2 chain per row from _chain_products, equal to evolve_simplified up to rounding."""
     psi = _unit_rows(psi0)[:, None]
-    shape = np.broadcast_shapes(*map(np.shape, knobs))
+    try:
+        shape = np.broadcast_shapes(*map(np.shape, knobs))
+    except ValueError:  # knobs that do not broadcast
+        shape = tuple(map(np.shape, knobs))
     if len(shape) != 2 or shape[0] != len(psi):
         raise ConfigError(f"evolve_batch needs (rows, N) knobs and one input per row, got {shape}, {len(psi)} inputs")
     if _check_engine(engine) == "full":
         return _propagate(_step_operators(engine, knobs, None), psi)[0][:, 0]
-    P = _chain_products(walk_operator_closed_array(*knobs))
+    P = _chain_products(*coin_entries(*knobs))
     return _collapsed_states(P, _frames((k if np.ndim(k) == 0 else k[:, 0] for k in knobs), psi))[:, 0]
 
 
@@ -481,11 +485,11 @@ def _case_fidelities(knobs, frames: tuple[np.ndarray, np.ndarray], targets: np.n
     renormalization. All rows step together, and every value takes the same floating-point operations as
     the one-row scalar form, so it is bitwise that form's.
     """
-    m = walk_operator_closed_array(*knobs)
-    P = m[:, 0] / np.abs(m[:, 0]).max(axis=(1, 2), keepdims=True)  # rescaled M_0 @ I: I changes no fidelity's bits
-    for n in range(1, m.shape[1]):
-        P = m[:, n] @ P
-        P /= np.abs(P).max(axis=(1, 2), keepdims=True)  # unscaled, |P| reaches 1e115 at N = 5000 on loop 1
+    m = walk_operator_closed_array(*knobs).swapaxes(0, 1)  # (N, rows, 2, 2): item n holds every row's M_n
+    P = m[0] / np.maximum.reduce(np.abs(m[0]), axis=(1, 2), keepdims=True)  # rescaled M_0 @ I: I changes no bits
+    for m_n in m[1:]:
+        P = m_n @ P
+        P /= np.maximum.reduce(np.abs(P), axis=(1, 2), keepdims=True)  # unscaled, |P| reaches 1e115 at N = 5000
     overlaps = np.vecdot(targets, _collapsed_states(P, frames).reshape(-1, *targets.shape))
     return np.hypot(overlaps.real, overlaps.imag)  # bitwise Python's abs; np.abs differs
 
@@ -530,15 +534,15 @@ class OptimizeResult:
 def _increment_phases(incr: np.ndarray, sign) -> np.ndarray:
     """Loop phases from the start point whose phase steps are `incr` (along its last axis), turning
     by sign: +1 counter-clockwise, -1 clockwise, or an array of signs that broadcasts."""
-    turns = np.zeros_like(incr)
-    np.cumsum(incr[..., :-1], axis=-1, out=turns[..., 1:])
+    turns = np.zeros(incr.shape)
+    np.add.accumulate(incr[..., :-1], axis=-1, out=turns[..., 1:])  # np.cumsum's bits, without its wrapper
     return -math.pi / 2 + sign * turns
 
 
 def _increments_from_x(x: np.ndarray) -> np.ndarray:
     """Phase increments from the optimizer's variables, along the last axis: a softmax scaled to a full turn."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return 2 * math.pi * e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return 2 * math.pi * e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 # scipy.optimize's Nelder-Mead coefficients (reflection, expansion, contraction, shrink), and
@@ -576,7 +580,7 @@ def _objective_rows(x: np.ndarray) -> np.ndarray:
     if not np.isfinite(fidelities).all():
         row = np.flatnonzero(~np.isfinite(fidelities).all(axis=1))[0]
         raise DomainError(f"case fidelities must be finite, got {fidelities[row].tolist()} at row {row}")
-    return fidelities.min(axis=1)
+    return np.minimum.reduce(fidelities, axis=1)
 
 
 def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

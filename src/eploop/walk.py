@@ -16,10 +16,12 @@ The closed forms work elementwise over broadcastable arrays of the five
 knobs, and the coefficient formula lives in _d_terms alone: d_coefficients,
 walk_operator_closed, u_step and control_operator are only the one-row cases
 of _d_terms, walk_operator_closed_array, u_step_array and
-control_operator_array.
+control_operator_array. M's entries are written once, in coin_entries, and
+the terms that theta1 and phi do not enter are cached per coin (_coin_terms).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +117,18 @@ def _libm(fn, x):
     return np.array([fn(v) for v in values.tolist()])[inverse].reshape(np.shape(x))
 
 
+def _coin_terms(theta2, gamma, k) -> tuple:
+    """(cos theta2, sin theta2, cos 2k, cosh 2gamma, dx, dz): the terms of _d_terms that theta1 and phi do not enter."""
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    return c2, s2, np.cos(2 * k), _libm(math.cosh, 2 * gamma), -_libm(math.sinh, 2 * gamma) * s2, c2 * np.sin(2 * k)
+
+
+@functools.lru_cache(maxsize=64)
+def _float_coin_terms(*bits: str) -> tuple:
+    """_coin_terms of three Python floats keyed on their float.hex bits: as floats, 0.0 and -0.0 share a key."""
+    return _coin_terms(*map(float.fromhex, bits))
+
+
 def _d_terms(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, ...]:
     """(d0, dx, dy, dz, D0, DX, DY, DZ) elementwise over broadcastable arrays of the five knobs.
 
@@ -122,16 +136,16 @@ def _d_terms(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, ...]:
     each element is bitwise the formula evaluated with the math module and
     Python's own float and complex arithmetic.
     """
+    # cached only if every term is finite, where a fresh call would not warn either
+    cached = type(theta2) is type(gamma) is type(k) is float and math.isfinite(theta2 + 2 * gamma + 2 * k)
+    c2, s2, c2k, ch, dx, dz = (_float_coin_terms(theta2.hex(), gamma.hex(), k.hex()) if cached
+                               else _coin_terms(theta2, gamma, k))
     c1, s1 = np.cos(theta1), np.sin(theta1)
-    c2, s2 = np.cos(theta2), np.sin(theta2)
-    c2k = np.cos(2 * k)
-    ch = _libm(math.cosh, 2 * gamma)
     d0 = c2k * c1 * c2 - ch * s1 * s2
-    dx = -_libm(math.sinh, 2 * gamma) * s2
     dy = -c2 * s1 * c2k - ch * c1 * s2
-    dz = c2 * np.sin(2 * k)
     cp, sp = np.cos(phi), np.sin(phi)
-    return d0, dx, dy, dz, cp * d0 + 1j * sp * dx, cp * dx + 1j * sp * d0, cp * dy + sp * dz, cp * dz - sp * dy
+    isp = 1j * sp
+    return d0, dx, dy, dz, cp * d0 + isp * dx, cp * dx + isp * d0, cp * dy + sp * dz, cp * dz - sp * dy
 
 
 def d_arrays(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -160,12 +174,19 @@ def walk_operator_closed(p: WalkParams) -> np.ndarray:
     return walk_operator_closed_array(*p.knobs)
 
 
-def walk_operator_closed_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
-    """walk_operator_closed over broadcastable arrays of the five knobs: shape (..., 2, 2)."""
+def coin_entries(theta1, theta2, phi, gamma, k) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """M's entries (M00, M01, M10, M11) = (D0 + i DZ, DX + DY, DX - DY, D0 - i DZ) elementwise over
+    broadcastable arrays of the five knobs, each of their broadcast shape: the one formula of M."""
     D0, DX, DY, DZ = d_arrays(theta1, theta2, phi, gamma, k)
-    m = np.empty(np.shape(D0) + (2, 2), dtype=complex)
-    m[..., 0, 0], m[..., 0, 1] = D0 + 1j * DZ, DX + DY
-    m[..., 1, 0], m[..., 1, 1] = DX - DY, D0 - 1j * DZ
+    iz = 1j * DZ
+    return D0 + iz, DX + DY, DX - DY, D0 - iz
+
+
+def walk_operator_closed_array(theta1, theta2, phi, gamma, k) -> np.ndarray:
+    """walk_operator_closed over broadcastable arrays of the five knobs: shape (..., 2, 2), coin_entries stacked."""
+    entries = coin_entries(theta1, theta2, phi, gamma, k)
+    m = np.empty(np.shape(entries[0]) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = entries
     return m
 
 

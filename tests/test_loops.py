@@ -40,7 +40,15 @@ from eploop.harness import RunConfig, evolve_cases
 from eploop.loops import _increments_from_x, _nelder_mead, _objective_rows, _row_norms
 from eploop.metrics import bell_index, bell_state, classify, fidelity_pure
 from eploop.spectrum import eigensystem, find_ep
-from eploop.walk import WalkParams, control_operator, u_step, walk_operator_closed, walk_operator_product
+from eploop.walk import (
+    WalkParams,
+    coin_entries,
+    control_operator,
+    u_step,
+    walk_operator_closed,
+    walk_operator_closed_array,
+    walk_operator_product,
+)
 
 from test_walk import SINGULAR_COIN
 
@@ -261,6 +269,41 @@ def test_evolve_batch_needs_one_input_per_knob_row():
                 evolve_batch(_coin_knobs(theta1, phi), inputs, engine)
             assert "\n" not in str(info.value)
         assert evolve_batch(_coin_knobs(theta1, phi), [bell_state(1)] * 3, engine).shape == (3, 4)
+
+
+def test_evolve_batch_rejects_knobs_that_do_not_broadcast():
+    theta1, phi = np.full((3, 5), -0.6), np.zeros((3, 4))
+    for engine in ENGINES:
+        with pytest.raises(ConfigError, match="one input per row") as info:
+            evolve_batch(_coin_knobs(theta1, phi), [bell_state(1)] * 3, engine)
+        assert "\n" not in str(info.value)
+
+
+def _reference_chain_products(m: np.ndarray) -> np.ndarray:
+    """The former (rows, N, 2, 2) form of loops._chain_products, its bitwise reference: the four entries as one
+    (4, rows, N) stack, pairwise levels, each product divided by its largest |entry|."""
+    x = np.moveaxis(m.reshape(*m.shape[:2], 4), -1, 0)  # (4, rows, N): entries 00, 01, 10, 11
+    while x.shape[2] > 1:
+        hi, lo = x[:, :, 1::2], x[:, :, 0:x.shape[2] - 1:2]
+        prod = np.stack([hi[0] * lo[0] + hi[1] * lo[2], hi[0] * lo[1] + hi[1] * lo[3],
+                         hi[2] * lo[0] + hi[3] * lo[2], hi[2] * lo[1] + hi[3] * lo[3]])
+        prod /= np.abs(prod).max(axis=0)
+        x = np.concatenate([prod, x[:, :, -1:]], axis=2) if x.shape[2] % 2 else prod
+    return np.moveaxis(x[:, :, 0], 0, -1).reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("rows", [1, 88])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 100, 257])
+def test_plane_chain_is_bitwise_the_stacked_chain(rows, n_steps):
+    """_chain_products on coin_entries' four planes is bitwise the stacked form, odd tails and one-step chains
+    included; the digests pin only the default study's shapes."""
+    rng = np.random.default_rng(rows * 1000 + n_steps)
+    theta1, phi = rng.uniform(-1.0, 0.2, (rows, n_steps)), rng.uniform(-0.3, 0.3, (rows, n_steps))
+    for knobs in (_coin_knobs(theta1, phi), (theta1, rng.uniform(0.05, 0.6, (rows, 1)), phi,
+                                             rng.uniform(0.02, 0.6, (rows, 1)), rng.uniform(-0.1, 0.1, (rows, 1)))):
+        P = loops._chain_products(*coin_entries(*knobs))
+        assert P.shape == (rows, 2, 2)
+        assert P.tobytes() == _reference_chain_products(walk_operator_closed_array(*knobs)).tobytes()
 
 
 def test_evolve_batch_rejects_zero_and_misshapen_inputs():

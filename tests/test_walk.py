@@ -1,5 +1,10 @@
+import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -18,7 +23,10 @@ from eploop.walk import (
     EP_GUARD,
     DCoefficients,
     WalkParams,
+    _d_terms,
+    _float_coin_terms,
     _libm,
+    coin_entries,
     control_operator,
     control_operator_array,
     d_arrays,
@@ -264,6 +272,7 @@ def test_array_forms_match_the_scalar_operators(points):
         assert _bits(m[j]) == _bits(walk_operator_closed(p)) == _bits(_reference_walk_operator_closed(p))
         assert _bits(u[j]) == _bits(u_step(p)) == _bits(_reference_u_step(p))
         assert _bits(lam[:, j]) == _bits(quasienergy_array(*p.knobs)) == _bits(_reference_quasienergy(p))
+    assert np.stack(coin_entries(*knobs), axis=-1).reshape(m.shape).tobytes() == m.tobytes()  # M's one formula
     # eigensystem and the control pair: equal row by row, or the first failing row's guard error
     for array_form, one_row, reference, bits, row_bits in _GUARDED_FORMS:
         expected = [_outcome(reference, p, bits) for p in params]
@@ -290,6 +299,56 @@ def test_libm_scalar_path_is_its_array_path(gamma, angles):
     array = walk_operator_closed_array(np.array([theta1]), np.array([theta2]), np.array([phi]),
                                        np.array([gamma]), np.array([0.0]))
     assert scalar.tobytes() == array.tobytes()
+
+
+_COIN_KNOB = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_COIN_KNOB, _COIN_KNOB, _COIN_KNOB), min_size=1, max_size=8),
+       st.tuples(_ANGLE, _ANGLE))
+@example(list(itertools.product([0.0, -0.0], repeat=3)), (-0.6, 0.0))
+def test_float_coins_are_cached_by_their_bits(coins, angles):
+    """_d_terms takes the coin terms of three Python floats from a cache keyed on their bits, so 0.0 and
+    -0.0 stay apart (a float-keyed cache returned dz = 0.0 for k = -0.0); np.float64 and (1,) knobs bypass
+    it. Every value is bitwise the uncached one, on the first call of a coin and on the cached repeat."""
+    theta1, phi = np.array([angles[0], 0.3, -1.1]), angles[1]
+    for theta2, gamma, k in coins:
+        fresh = [_d_terms(theta1, wrap(theta2), phi, wrap(gamma), wrap(k)) for wrap in (np.float64, np.atleast_1d)]
+        hits = _float_coin_terms.cache_info().hits
+        for _ in range(2):  # a miss or a hit, then a hit
+            cached = _d_terms(theta1, theta2, phi, gamma, k)
+            assert _bits(*cached) == _bits(*fresh[0]) == _bits(*fresh[1])
+        assert _float_coin_terms.cache_info().hits > hits
+        columns = np.broadcast_arrays(*cached)
+        for j, t1 in enumerate(theta1.tolist()):
+            p = WalkParams(t1, theta2, phi, gamma, k)
+            assert _bits(*(v[j] for v in columns)) == _bits(*astuple(_reference_d_coefficients(p)))
+
+
+def test_coins_that_can_warn_bypass_the_cache():
+    """A Python-float coin with a non-finite theta2, 2gamma or 2k is computed afresh on every call, so every
+    call warns as a fresh one does; the cache holds only coins whose terms raise no floating-point warning."""
+    info = _float_coin_terms.cache_info()
+    for theta2, gamma, k in ((0.1, 0.2, 1e308), (math.inf, 0.2, 0.0), (0.0, 1e308, 0.0), (0.1, math.nan, -0.0)):
+        caught = []
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as records:
+                warnings.simplefilter("always")
+                terms = _d_terms(np.array([0.3, -0.2]), theta2, 0.1, gamma, k)
+            caught.append([str(w.message) for w in records])
+            with np.errstate(all="ignore"):
+                fresh = _d_terms(np.array([0.3, -0.2]), theta2, 0.1, gamma, np.atleast_1d(k))
+            assert _bits(*terms) == _bits(*fresh)
+        assert caught[0] == caught[1] and bool(caught[0]) != math.isnan(gamma)  # a NaN spreads without a warning
+    assert _float_coin_terms.cache_info()[1:] == info[1:]  # no miss and no entry added (hits may differ)
+
+
+def test_coin_cache_is_empty_after_import():
+    code = "import eploop; from eploop import walk; print(walk._float_coin_terms.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0"]
 
 
 _DOUBLES = st.floats(-1e300, 1e300)  # subnormals and both zeros included
