@@ -31,6 +31,8 @@ from .harness import (
     GRANULARITIES,
     INPUT_KINDS,
     RunConfig,
+    counts_csv,
+    csv_text,
     disorder_csv,
     disorder_json,
     disorder_run,
@@ -41,6 +43,7 @@ from .harness import (
     report_dict,
     reproduce_figure,
     schedule_json,
+    surface_csv,
     tomography_summaries,
     write_text,
 )
@@ -57,8 +60,8 @@ from .optics import (
     sequence_text,
     start_params,
 )
-from .spectrum import find_ep, riemann_surface, surface_csv
-from .tomo import counts_csv, counts_from_csv, simulate_counts
+from .spectrum import find_ep, riemann_surface
+from .tomo import counts_from_csv, simulate_counts
 
 _WALK_KNOBS = ("theta1", "theta2", "phi", "gamma", "k")
 # compile-optics targets: the knobs each reads, and its compiler of (WalkParams, --theta)
@@ -239,67 +242,52 @@ def _load_config(args: argparse.Namespace, reads: tuple[str, ...]) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def _emit(args: argparse.Namespace, name: str, text: str, written: list[str]) -> None:
-    if args.out:
-        written.append(write_text(os.path.join(args.out, name), text))
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_surface(args, written) -> None:
+def _cmd_surface(args) -> list[tuple[str, str]]:
     grid = riemann_surface(**_given(args, "phi_range", "theta1_range", "theta2", "gamma", "k"))
     if args.format == "json":
-        _emit(args, "surface.json", dump_json({"samples": grid.tolist()}), written)
-    else:
-        _emit(args, "surface.csv", surface_csv(grid), written)
+        return [("surface.json", dump_json({"samples": grid.tolist()}))]
+    return [("surface.csv", surface_csv(grid))]
 
 
-def _cmd_find_ep(args, written) -> None:
+def _cmd_find_ep(args) -> list[tuple[str, str]]:
     ep = find_ep(**_given(args, "theta1_box", "theta2", "gamma", "k", "scan_points"))
     if args.format == "json":
-        _emit(args, "ep.json", ep_json(ep), written)
-    else:
-        _emit(args, "ep.csv",
-              "phi,theta1,residual\n"
-              f"{ep.phi:.12g},{ep.theta1:.12g},{ep.residual:.12g}\n", written)
+        return [("ep.json", ep_json(ep))]
+    return [("ep.csv", csv_text("phi,theta1,residual", [(ep.phi, ep.theta1, ep.residual)]))]
 
 
-def _cmd_evolve(args, written) -> None:
+def _cmd_evolve(args) -> list[tuple[str, str]]:
     reports = evolve_cases(_load_config(args, READS["evolve"]))
-    if args.format == "json":
-        # Encode one report at a time: every report's step dicts alive at once
-        # are enough containers to set off the cyclic garbage collector.
-        texts = [dump_json(report_dict(rep)) for rep in reports]
-        if args.out:
-            for rep, text in zip(reports, texts):
-                _emit(args, f"evolve_{rep.direction}_{rep.input_label}.json", text, written)
-        else:
-            # dump_json of the list: its items joined by "," without their newlines
-            sys.stdout.write("[" + ",".join(text[:-1] for text in texts) + "]\n")
-    else:
-        _emit(args, "evolve.csv", report_csv(reports), written)
+    if args.format == "csv":
+        return [("evolve.csv", report_csv(reports))]
+    # Encode one report at a time: every report's step dicts alive at once
+    # are enough containers to set off the cyclic garbage collector.
+    texts = [(f"evolve_{rep.direction}_{rep.input_label}.json", dump_json(report_dict(rep))) for rep in reports]
+    # without --out, dump_json of the list: its items joined by "," without their newlines
+    return texts if args.out else [("evolve.json", "[" + ",".join(text[:-1] for _, text in texts) + "]\n")]
 
 
-def _cmd_reproduce(args, written) -> None:
+def _cmd_reproduce(args) -> list[tuple[str, str]]:
+    """The written paths, one line each: reproduce_figure writes the figure's files itself."""
     cfg = _load_config(args, FIGURES[args.figure])
-    out_dir = args.out or "reports"
-    written.extend(reproduce_figure(args.figure, out_dir, cfg, optimized=args.optimized))
+    return [(path, path + "\n") for path in reproduce_figure(args.figure, args.out or "reports", cfg,
+                                                              optimized=args.optimized)]
 
 
-def _cmd_disorder(args, written) -> None:
+def _cmd_disorder(args) -> list[tuple[str, str]]:
     summary = disorder_run(_load_config(args, READS["disorder"]))
     to_text = disorder_json if args.format == "json" else disorder_csv
-    _emit(args, f"disorder.{args.format}", to_text(summary), written)
+    return [(f"disorder.{args.format}", to_text(summary))]
 
 
-def _cmd_tomo(args, written) -> None:
+def _cmd_tomo(args) -> list[tuple[str, str]]:
     if bool(args.state) == bool(args.counts):
         raise ConfigError("tomo needs exactly one of --state or --counts")
     cfg = _load_config(args, READS["tomo"])
+    texts = []
     if args.state:
-        rho_true = density_matrix(bell_state(args.state))
-        counts = simulate_counts(rho_true, cfg.tomo_config())
-        _emit(args, f"tomo_{args.state}_counts.csv", counts_csv(counts), written)
+        counts = simulate_counts(density_matrix(bell_state(args.state)), cfg.tomo_config())
+        texts.append((f"tomo_{args.state}_counts.csv", counts_csv(counts)))
     else:
         try:
             with open(args.counts, "r", encoding="utf-8") as fh:
@@ -307,12 +295,10 @@ def _cmd_tomo(args, written) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot read counts {args.counts}: {exc}") from exc
     body = tomography_summaries([counts], [cfg.tomo_config()], cfg.resamples)[0]
-    if args.state:
-        body = {"state": args.state, **body}
-    _emit(args, "tomo.json", dump_json(body), written)
+    return texts + [("tomo.json", dump_json({"state": args.state, **body} if args.state else body))]
 
 
-def _cmd_compile_optics(args, written) -> None:
+def _cmd_compile_optics(args) -> list[tuple[str, str]]:
     knobs, compile_target = _OPTICS[args.target]
     given = _given(args, "theta", *_WALK_KNOBS)
     unread = [f"--{name}" for name in given if name not in knobs]
@@ -320,33 +306,24 @@ def _cmd_compile_optics(args, written) -> None:
         raise ConfigError(f"compile-optics --target {args.target} does not read {' '.join(unread)}")
     theta = given.pop("theta", -0.6)
     seq = compile_target(replace(start_params(), **given), theta)
-    if args.format == "json":
-        body = dump_json({
-            "label": seq.label,
-            "elements": [
-                {"kind": e.kind, "params": list(e.params), "path": e.path}
-                for e in seq.elements
-            ],
-            "global_phase": [seq.global_phase.real, seq.global_phase.imag],
-            "scale": seq.scale,
-            "residual": seq.residual(),
-        })
-        _emit(args, f"optics_{args.target}.json", body, written)
-    else:
-        _emit(args, f"optics_{args.target}.txt", sequence_text(seq), written)
-
-
-def _cmd_optimize(args, written) -> None:
-    result = optimize_schedule(**_given(args, "n_steps", "seed", "multistarts", "maxiter"))
     if args.format == "csv":
-        lines = ["step,increment"]
-        for i, inc in enumerate(result.increments):
-            lines.append(f"{i},{inc:.12g}")
-        lines.append(f"# objective,{result.objective:.12g}")
-        lines.append(f"# baseline_objective,{result.baseline_objective:.12g}")
-        _emit(args, "schedule.csv", "\n".join(lines) + "\n", written)
-    else:
-        _emit(args, "schedule.json", schedule_json(result), written)
+        return [(f"optics_{args.target}.txt", sequence_text(seq))]
+    return [(f"optics_{args.target}.json", dump_json({
+        "label": seq.label,
+        "elements": [{"kind": e.kind, "params": list(e.params), "path": e.path} for e in seq.elements],
+        "global_phase": [seq.global_phase.real, seq.global_phase.imag],
+        "scale": seq.scale,
+        "residual": seq.residual(),
+    }))]
+
+
+def _cmd_optimize(args) -> list[tuple[str, str]]:
+    result = optimize_schedule(**_given(args, "n_steps", "seed", "multistarts", "maxiter"))
+    if args.format == "json":
+        return [("schedule.json", schedule_json(result))]
+    return [("schedule.csv", csv_text("step,increment", [*enumerate(result.increments),
+                                                        ("# objective", result.objective),
+                                                        ("# baseline_objective", result.baseline_objective)]))]
 
 
 _HANDLERS = {
@@ -368,10 +345,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Its texts are all built before any is written, so a failed command writes nothing:
+    with --out to their files, listing the paths on stdout, and else to stdout (reproduce_figure writes its own)."""
     args = _parser().parse_args(argv)
-    written: list[str] = []
     try:
-        _HANDLERS[args.command](args, written)
+        texts = _HANDLERS[args.command](args)
+        if args.out and args.command != "reproduce":
+            texts = [(name, write_text(os.path.join(args.out, name), text) + "\n") for name, text in texts]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -387,8 +367,7 @@ def main(argv=None) -> int:
     except EploopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for path in written:
-        print(path)
+    sys.stdout.write("".join(text for _, text in texts))
     return 0
 
 

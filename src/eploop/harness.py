@@ -1,5 +1,5 @@
 """Batch drivers: disorder Monte-Carlo, figure-style report generation,
-run configuration, and deterministic file writers.
+run configuration, every output encoder and the one file writer.
 
 Determinism contract: identical seed and configuration produce byte-identical
 output files within this implementation. All randomness flows through PCG64
@@ -35,9 +35,9 @@ from .loops import (
     optimize_schedule,
 )
 from .metrics import BELL_LABELS, BELL_ROWS, bell_index, bell_state, classify, density_matrix, nearest_bell
-from .spectrum import find_ep, riemann_surface, surface_csv
+from .spectrum import find_ep, riemann_surface
 from .streams import spawn_words, substreams
-from .tomo import TomoConfig, check_resamples, counts_csv, simulate_counts, tomography
+from .tomo import CountsTable, TomoConfig, check_resamples, simulate_counts, tomography
 
 GRANULARITIES = ("per_step", "per_loop")
 INPUT_KINDS = ("eigenstate", "bell")
@@ -252,20 +252,35 @@ def dump_json(obj) -> str:
 
 
 def write_text(path: str, text: str) -> str:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write `text` to `path`, making its directory; a path that cannot be written is a ConfigError."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def report_csv(reports) -> str:
-    lines = ["input,direction,N,loop,engine,classified,f_zeta1,f_zeta2,f_zeta3,f_zeta4"]
-    for r in reports:
-        fid = ",".join(f"{f:.12g}" for f in r.fidelities)
-        lines.append(
-            f"{r.input_label},{r.direction},{r.n_steps},{r.loop_label},{r.engine},{r.classified_output},{fid}"
-        )
+def csv_text(header: str, rows) -> str:
+    """The one CSV rule: a float cell prints as %.12g, any other as str(), and every line ends in \\n."""
+    lines = [header, *(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def report_csv(reports) -> str:
+    return csv_text("input,direction,N,loop,engine,classified,f_zeta1,f_zeta2,f_zeta3,f_zeta4",
+                    ((r.input_label, r.direction, r.n_steps, r.loop_label, r.engine, r.classified_output,
+                      *r.fidelities) for r in reports))
+
+
+def surface_csv(grid: np.ndarray) -> str:
+    """riemann_surface's grid, one row per point."""
+    return csv_text("phi,theta1,re_lp,im_lp,re_lm,im_lm", grid.tolist())
+
+
+def counts_csv(counts: CountsTable) -> str:
+    return csv_text("basis_a,basis_b,count", counts.records)
 
 
 def ep_json(ep) -> str:
@@ -305,22 +320,13 @@ def disorder_csv(summary: DisorderSummary) -> str:
 
     The off columns are the unperturbed run: its fidelity and a zero spread.
     """
-    lines = ["direction,input,mean_on,sd_on,mean_off,sd_off"]
-    for c in summary.cases:
-        lines.append(
-            f"{c.direction},{c.input_label},{c.mean_fidelity:.12g},{c.sd_fidelity:.12g},"
-            f"{c.base_fidelity:.12g},0"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text("direction,input,mean_on,sd_on,mean_off,sd_off",
+                    ((c.direction, c.input_label, c.mean_fidelity, c.sd_fidelity, c.base_fidelity, 0)
+                     for c in summary.cases))
 
 
-def _fig1b(out_dir: str) -> list[str]:
-    grid = riemann_surface()
-    ep = find_ep()
-    return [
-        write_text(os.path.join(out_dir, "fig1b_surface.csv"), surface_csv(grid)),
-        write_text(os.path.join(out_dir, "fig1b_ep.json"), ep_json(ep)),
-    ]
+def _fig1b() -> list[tuple[str, str]]:
+    return [("fig1b_surface.csv", surface_csv(riemann_surface())), ("fig1b_ep.json", ep_json(find_ep()))]
 
 
 def _input_report(label, schedule: LoopSchedule, input_kind: str) -> dict:
@@ -332,19 +338,16 @@ def _input_report(label, schedule: LoopSchedule, input_kind: str) -> dict:
         fidelities=cls.fidelities, classified_output=cls.label, log_magnitude=0.0, per_step=None))
 
 
-def _fig2(out_dir: str, cfg: RunConfig) -> list[str]:
+def _fig2(cfg: RunConfig) -> list[tuple[str, str]]:
     sched0 = loop1_schedule(100, "cw")
-    paths = [write_text(os.path.join(out_dir, f"fig2_input_{label}.json"),
-                        dump_json(_input_report(label, sched0, cfg.input_kind)))
+    texts = [(f"fig2_input_{label}.json", dump_json(_input_report(label, sched0, cfg.input_kind)))
              for label in BELL_LABELS]
     cases = replace(cfg, loop=1, n_steps=100, directions=DIRECTIONS, engine="full", inputs=BELL_LABELS)
-    return paths + [write_text(os.path.join(out_dir, f"fig2_{rep.direction}_{rep.input_label}.json"),
-                               dump_json(report_dict(rep)))
+    return texts + [(f"fig2_{rep.direction}_{rep.input_label}.json", dump_json(report_dict(rep)))
                     for rep in evolve_cases(cases)]
 
 
-def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
-    """The fig4 files, written only once every case's tomography has passed its guards."""
+def _fig4(cfg: RunConfig, optimized: bool) -> list[tuple[str, str]]:
     result = optimize_schedule(8) if optimized else None
     schedules = [result.schedule(d) if optimized else loop1_schedule(8, d) for d in DIRECTIONS]
     texts = [("fig4_schedule.json", schedule_json(result))] if optimized else []
@@ -365,18 +368,14 @@ def _fig4(out_dir: str, cfg: RunConfig, optimized: bool = False) -> list[str]:
                                    "bootstrap_sd": tomo["bootstrap_sd"]}
         stem = f"fig4_{rep.direction}_{rep.input_label}"
         texts += [(stem + ".json", dump_json(body)), (stem + "_counts.csv", counts_csv(counts))]
-    return [write_text(os.path.join(out_dir, name), text) for name, text in texts]
+    return texts
 
 
-def _fig5(out_dir: str, cfg: RunConfig) -> list[str]:
-    paths = []
-    for n_steps in (8, 100):
-        summary = disorder_run(replace(cfg, loop=1, n_steps=n_steps, directions=DIRECTIONS,
-                                       engine="simplified", inputs=BELL_LABELS))
-        paths.append(
-            write_text(os.path.join(out_dir, f"fig5_disorder_N{n_steps}.csv"), disorder_csv(summary))
-        )
-    return paths
+def _fig5(cfg: RunConfig) -> list[tuple[str, str]]:
+    return [(f"fig5_disorder_N{n_steps}.csv",
+             disorder_csv(disorder_run(replace(cfg, loop=1, n_steps=n_steps, directions=DIRECTIONS,
+                                               engine="simplified", inputs=BELL_LABELS))))
+            for n_steps in (8, 100)]
 
 
 # the RunConfig fields each figure reads; every other setting is fixed by the figure
@@ -385,6 +384,13 @@ FIGURES = {
     "fig2": ("input_kind", "record_steps"),
     "fig4": ("input_kind", "record_steps", "seed", "counts_per_basis", "psd_projection", "resamples"),
     "fig5": ("input_kind", "seed", "strength", "groups", "granularity"),
+}
+# each figure's (name, text) pairs, from its RunConfig and the optimized flag
+_FIGURE_TEXTS = {
+    "fig1b": lambda cfg, optimized: _fig1b(),
+    "fig2": lambda cfg, optimized: _fig2(cfg),
+    "fig4": _fig4,
+    "fig5": lambda cfg, optimized: _fig5(cfg),
 }
 
 
@@ -395,18 +401,15 @@ def reproduce_figure(which: str, out_dir: str, cfg: RunConfig | None = None, opt
     densities for 4 inputs and 8 evolution cases. fig4: N=8 simplified-engine
     cases with simulated tomography (equal spacing, or the optimizer's
     schedule when optimized=True). fig5: disorder summary tables at N=8 and
-    N=100.
+    N=100. A figure that fails writes no file: its texts are all built first.
     """
     if which not in FIGURES:
         raise ConfigError(f"figure must be one of {tuple(FIGURES)}, got {which!r}")
     if optimized and which != "fig4":
         raise ConfigError(f"optimized applies only to fig4, not {which}")
-    cfg = cfg or RunConfig()
-    os.makedirs(out_dir, exist_ok=True)
-    if which == "fig1b":
-        return _fig1b(out_dir)
-    if which == "fig2":
-        return _fig2(out_dir, cfg)
-    if which == "fig4":
-        return _fig4(out_dir, cfg, optimized=optimized)
-    return _fig5(out_dir, cfg)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
+    texts = _FIGURE_TEXTS[which](cfg or RunConfig(), optimized)
+    return [write_text(os.path.join(out_dir, name), text) for name, text in texts]

@@ -121,8 +121,8 @@ def riemann_surface(
 ) -> np.ndarray:
     """Quasienergy sheets sampled on a (phi, theta1) grid: a (P, 6) float array.
 
-    Columns are phi, theta1, Re/Im lambda_plus and Re/Im lambda_minus, the
-    columns of surface_csv; rows are phi-major, theta1-ascending. The default
+    Columns are phi, theta1, Re/Im lambda_plus and Re/Im lambda_minus, those
+    of harness.surface_csv; rows are phi-major, theta1-ascending. The default
     grid is fig1b's. Raises DomainError at the first grid point where a sheet
     is not finite.
     """
@@ -136,12 +136,6 @@ def riemann_surface(
         raise DomainError(f"quasienergy is not finite at phi={phi_bad}, theta1={theta1_bad} "
                           f"(theta2={theta2}, gamma={gamma}, k={k})")
     return grid
-
-
-def surface_csv(grid: np.ndarray) -> str:
-    lines = ["phi,theta1,re_lp,im_lp,re_lm,im_lm"]
-    lines.extend(",".join(f"{v:.12g}" for v in row) for row in grid.tolist())
-    return "\n".join(lines) + "\n"
 
 
 def exceptional_points(

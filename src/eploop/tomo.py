@@ -208,13 +208,6 @@ def bootstrap_error(counts: CountsTable, cfg: TomoConfig, resamples: int) -> tup
     return tuple(tomography([counts], [cfg], resamples)[2][0].tolist())
 
 
-def counts_csv(counts: CountsTable) -> str:
-    lines = ["basis_a,basis_b,count"]
-    for a, b, c in counts.records:
-        lines.append(f"{a},{b},{c}")
-    return "\n".join(lines) + "\n"
-
-
 def counts_from_csv(text: str) -> CountsTable:
     """Counts table from CSV text; rows may come in any order, one per basis pair."""
     lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]

@@ -396,6 +396,33 @@ def test_a_failed_fig4_writes_no_file(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == len(list(out.iterdir())) == 16
 
 
+@pytest.mark.parametrize("argv, blocker", [
+    (["find-ep", "--out", "F"], "F"),  # --out names a file
+    (["reproduce", "fig1b", "--out", "F"], "F"),
+    (["evolve", "--n-steps", "2", "--format", "json", "--out", "F/sub"], "F"),  # a file on the way
+    (["find-ep", "--out", "D"], "D/ep.csv"),  # the output file's name is taken by a directory
+])
+def test_an_unwritable_out_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, blocker):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("kept\n")
+    (tmp_path / "D" / "ep.csv").mkdir(parents=True)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot write ") and captured.err.count("\n") == 1, captured.err
+    assert blocker in captured.err and captured.out == ""
+    assert (tmp_path / "F").read_text() == "kept\n"
+
+
+def test_a_failed_command_writes_nothing(tmp_path, capsys):
+    # one count per basis: the state's counts are simulated before a bootstrap resample trips the trace guard
+    argv = ["tomo", "--state", "zeta1", "--counts-per-basis", "1", "--seed", "0"]
+    for out in ([], ["--out", str(tmp_path)]):
+        assert main(argv + out) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical guard: resample 7: reconstructed trace 0.000e+00 too small to normalize\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_optimize_schedule_quick(capsys):
     code = main(["optimize-schedule", "--n-steps", "4", "--multistarts", "1",
                  "--maxiter", "60"])

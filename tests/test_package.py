@@ -73,3 +73,20 @@ def test_no_module_calls_numpys_norm():
                         and "norm" in [alias.name for alias in node.names])):
                 calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert calls == []
+
+
+def test_one_write_path():
+    """Only cli.main writes to stdout, and only it and harness.reproduce_figure call write_text."""
+    sites = set()
+    for path in sorted((ROOT / "src" / "eploop").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                where = (path.stem, getattr(top, "name", None))
+                if (isinstance(node, ast.Attribute) and node.attr == "write"
+                        and isinstance(node.value, ast.Attribute) and node.value.attr == "stdout"):
+                    sites.add(("sys.stdout.write", *where))
+                elif isinstance(node, ast.Call) and "write_text" in (getattr(node.func, "id", None),
+                                                                     getattr(node.func, "attr", None)):
+                    sites.add(("write_text", *where))
+    assert sites == {("sys.stdout.write", "cli", "main"), ("write_text", "cli", "main"),
+                     ("write_text", "harness", "reproduce_figure")}

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eploop import spectrum
 from eploop.errors import ConfigError, DomainError, NoBracket, TooCloseToEP
+from eploop.harness import surface_csv
 from eploop.spectrum import (
     eigensystem,
     eigensystem_array,
@@ -14,7 +15,6 @@ from eploop.spectrum import (
     point_in_polygon,
     quasienergy_array,
     riemann_surface,
-    surface_csv,
 )
 from eploop.walk import EP_GUARD, WalkParams, control_operator_array, d_arrays, ep_gap, u_step
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from eploop import tomo
 from eploop.errors import ConfigError, IllConditioned
+from eploop.harness import counts_csv
 from eploop.metrics import bell_state, density_matrix, fidelity_pure
 from eploop.tomo import (
     BASIS_PAIRS,
@@ -12,7 +13,6 @@ from eploop.tomo import (
     TomoConfig,
     basis_projectors,
     bootstrap_error,
-    counts_csv,
     counts_from_csv,
     measurement_matrix,
     probabilities,
