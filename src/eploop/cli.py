@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -45,7 +44,7 @@ from .harness import (
     schedule_json,
     surface_csv,
     tomography_summaries,
-    write_text,
+    write_texts,
 )
 from .loops import DIRECTIONS, ENGINES, LOOPS, optimize_schedule
 from .metrics import BELL_LABELS, bell_state, density_matrix
@@ -174,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-ep", help="locate the spectral coalescence point")
     p.add_argument("--theta1-box", nargs=2, type=finite_float, metavar=("LO", "HI"))
-    p.add_argument("--scan-points", type=int)
     _walk_flags(p, "theta2", "gamma", "k")
     _shared_flags(p, "out", "format")
 
@@ -186,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("figure", choices=FIGURES)
     p.add_argument("--optimized", action="store_true",
                    help="fig4: use the optimized schedule instead of equal spacing")
-    _shared_flags(p, "config", "seed", "out")
+    _shared_flags(p, "config", "seed")
+    p.add_argument("--out", metavar="DIR", default="reports", help="output directory (default: reports)")
 
     p = sub.add_parser("disorder", help="Monte-Carlo robustness under angle noise")
     _run_flags(p, "disorder")
@@ -250,7 +249,7 @@ def _cmd_surface(args) -> list[tuple[str, str]]:
 
 
 def _cmd_find_ep(args) -> list[tuple[str, str]]:
-    ep = find_ep(**_given(args, "theta1_box", "theta2", "gamma", "k", "scan_points"))
+    ep = find_ep(**_given(args, "theta1_box", "theta2", "gamma", "k"))
     if args.format == "json":
         return [("ep.json", ep_json(ep))]
     return [("ep.csv", csv_text("phi,theta1,residual", [(ep.phi, ep.theta1, ep.residual)]))]
@@ -270,8 +269,7 @@ def _cmd_evolve(args) -> list[tuple[str, str]]:
 def _cmd_reproduce(args) -> list[tuple[str, str]]:
     """The written paths, one line each: reproduce_figure writes the figure's files itself."""
     cfg = _load_config(args, FIGURES[args.figure])
-    return [(path, path + "\n") for path in reproduce_figure(args.figure, args.out or "reports", cfg,
-                                                              optimized=args.optimized)]
+    return [(path, path + "\n") for path in reproduce_figure(args.figure, args.out, cfg, optimized=args.optimized)]
 
 
 def _cmd_disorder(args) -> list[tuple[str, str]]:
@@ -351,7 +349,7 @@ def main(argv=None) -> int:
     try:
         texts = _HANDLERS[args.command](args)
         if args.out and args.command != "reproduce":
-            texts = [(name, write_text(os.path.join(args.out, name), text) + "\n") for name, text in texts]
+            texts = [(path, path + "\n") for path in write_texts(args.out, texts)]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
 """Batch drivers: disorder Monte-Carlo, figure-style report generation,
-run configuration, every output encoder and the one file writer.
+run configuration, every output encoder and the one file writer (write_texts).
 
 Determinism contract: identical seed and configuration produce byte-identical
 output files within this implementation. All randomness flows through PCG64
@@ -262,6 +262,16 @@ def write_text(path: str, text: str) -> str:
     return path
 
 
+def write_texts(out_dir: str, texts) -> list[str]:
+    """Write each (name, text) pair to out_dir/name through write_text and return the paths. A target that is
+    an existing directory is a ConfigError raised before the first write, so it leaves no file behind."""
+    paths = [os.path.join(out_dir, name) for name, _ in texts]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+    return [write_text(path, text) for path, (_, text) in zip(paths, texts)]
+
+
 def csv_text(header: str, rows) -> str:
     """The one CSV rule: a float cell prints as %.12g, any other as str(), and every line ends in \\n."""
     lines = [header, *(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) for row in rows)]
@@ -401,15 +411,11 @@ def reproduce_figure(which: str, out_dir: str, cfg: RunConfig | None = None, opt
     densities for 4 inputs and 8 evolution cases. fig4: N=8 simplified-engine
     cases with simulated tomography (equal spacing, or the optimizer's
     schedule when optimized=True). fig5: disorder summary tables at N=8 and
-    N=100. A figure that fails writes no file: its texts are all built first.
+    N=100. A figure that fails writes no file, nor its directory: its texts
+    are all built first.
     """
     if which not in FIGURES:
         raise ConfigError(f"figure must be one of {tuple(FIGURES)}, got {which!r}")
     if optimized and which != "fig4":
         raise ConfigError(f"optimized applies only to fig4, not {which}")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
-    texts = _FIGURE_TEXTS[which](cfg or RunConfig(), optimized)
-    return [write_text(os.path.join(out_dir, name), text) for name, text in texts]
+    return write_texts(out_dir, _FIGURE_TEXTS[which](cfg or RunConfig(), optimized))

@@ -12,12 +12,9 @@ from .errors import DomainError
 BELL_LABELS = ("zeta1", "zeta2", "zeta3", "zeta4")
 CLASSIFY_TIE_TOL = 1e-9
 
-_BELL_VECTORS = {
-    1: np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
-    2: np.array([1, 0, 0, -1], dtype=complex) / math.sqrt(2),
-    3: np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2),
-    4: np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2),
-}
+# Bell state j as row j-1, in the (|00>,|01>,|10>,|11>) basis; read-only, as every caller shares it
+BELL_ROWS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) / math.sqrt(2)
+BELL_ROWS.setflags(write=False)
 
 
 def bell_index(label) -> int:
@@ -33,7 +30,7 @@ def bell_index(label) -> int:
 
 def bell_state(label) -> np.ndarray:
     """The four maximally entangled two-qubit states in the (|00>,|01>,|10>,|11>) basis."""
-    return _BELL_VECTORS[bell_index(label)].copy()
+    return BELL_ROWS[bell_index(label) - 1].copy()
 
 
 def density_matrix(state: np.ndarray) -> np.ndarray:
@@ -53,11 +50,6 @@ def fidelity_pure(psi: np.ndarray, other: np.ndarray) -> float:
     if other.ndim == 1:
         return float(abs(np.vdot(psi, other)))
     return float(math.sqrt(max(0.0, np.real(np.vdot(psi, other @ psi)))))
-
-
-# the four Bell states as rows, Bell state j in row j-1; read-only, as every caller shares it
-BELL_ROWS = np.array([_BELL_VECTORS[j] for j in (1, 2, 3, 4)])
-BELL_ROWS.setflags(write=False)
 
 
 def bell_fidelities(rho: np.ndarray) -> np.ndarray:

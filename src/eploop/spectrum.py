@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, NoBracket
 from .walk import WalkParams, d_arrays, ep_gap, guard_ep
 
+SCAN_POINTS = 257  # find_ep's scan of its box; a pair of roots it misses falls back on exceptional_points
+
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -178,7 +180,6 @@ def find_ep(
     theta2: float = WalkParams.theta2,
     gamma: float = WalkParams.gamma,
     k: float = WalkParams.k,
-    scan_points: int = 257,
 ) -> EpLocation:
     """Locate the eigenvalue coalescence D0^2 = 1 inside the search box.
 
@@ -187,16 +188,15 @@ def find_ep(
     loss. So for every k the EP lies on phi = 0, where D0 = d0 is real, and the
     search is a 1-dim root of d0 -/+ 1. The box (lo < hi) may contain two such
     roots (the edges of the broken-symmetry window); one d_arrays call scans
-    for the first sign change from lo, and its scalar calls bisect it for at
-    most 200 steps. A pair of roots inside one scan cell changes no sign on
-    the scan, so then the closed-form root nearest lo (exceptional_points) is
-    bracketed from lo to the midpoint of the next root, or hi, and bisected.
+    SCAN_POINTS points for the first sign change from lo, and its scalar calls
+    bisect it for at most 200 steps. A pair of roots inside one scan cell
+    changes no sign on the scan, so then the closed-form root nearest lo
+    (exceptional_points) is bracketed from lo to the midpoint of the next
+    root, or hi, and bisected.
     The bisection stops early once the midpoint equals an end: the ends are
     then adjacent doubles, and every further step would leave the midpoint
     where it is.
     """
-    if scan_points < 2:
-        raise ConfigError(f"EP scan needs at least 2 points, got {scan_points}")
     lo, hi = theta1_box
     if not lo < hi:
         raise ConfigError(f"theta1 box needs LO < HI, got [{lo}, {hi}]")
@@ -204,7 +204,7 @@ def find_ep(
     def D0(theta1):  # D0 = d0 exactly at phi = 0, so .real is d0
         return d_arrays(theta1, theta2, 0.0, gamma, k)[0]
 
-    grid = _axis(lo, hi, scan_points)
+    grid = _axis(lo, hi, SCAN_POINTS)
     with np.errstate(invalid="ignore"):  # an infinite 2k makes d0 NaN, which brackets no root
         d0 = D0(grid).real
     for target in (1.0, -1.0):

@@ -38,7 +38,6 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_find_ep_guard_exit_code(capsys):
     for argv in (
         ["find-ep", "--gamma", "0"],
@@ -161,7 +160,6 @@ def test_direction_and_input_repeat_and_drop_repeats(capsys):
     assert cases == [("ccw", "zeta3"), ("cw", "zeta3")]
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_evolve_rejects_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     for body, argv in (
@@ -196,7 +194,6 @@ def test_evolve_rejects_bad_config_file(tmp_path, capsys):
         (None, ["reproduce", "fig1b", "--seed", "5", "--out", str(tmp_path / "r")]),
         (None, ["reproduce", "fig2", "--optimized", "--out", str(tmp_path / "r")]),
         (None, ["reproduce", "fig5", "--optimized", "--out", str(tmp_path / "r")]),
-        (None, ["find-ep", "--scan-points", "-5"]),
         (None, ["compile-optics", "--target", "walk-step", "--theta1", "inf"]),
         (None, ["surface", "--theta2", "nan", "--phi-range", "-0.1", "0.1", "2",
                 "--theta1-range", "-0.5", "-0.4", "2"]),
@@ -390,7 +387,7 @@ def test_a_failed_fig4_writes_no_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == (f"numerical guard: fig4 case ccw zeta4, resample {resample}: "
                                 "reconstructed trace 0.000e+00 too small to normalize\n")
-        assert captured.out == "" and list(out.iterdir()) == []
+        assert captured.out == "" and not out.exists()
     out = tmp_path / "passed"
     assert main(["reproduce", "fig4", "--seed", "9", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(list(out.iterdir())) == 16
@@ -400,17 +397,29 @@ def test_a_failed_fig4_writes_no_file(tmp_path, capsys):
     (["find-ep", "--out", "F"], "F"),  # --out names a file
     (["reproduce", "fig1b", "--out", "F"], "F"),
     (["evolve", "--n-steps", "2", "--format", "json", "--out", "F/sub"], "F"),  # a file on the way
-    (["find-ep", "--out", "D"], "D/ep.csv"),  # the output file's name is taken by a directory
+    # an output file's name is taken by a directory: refused before the first write
+    (["find-ep", "--out", "D"], "D/ep.csv"),
+    (["reproduce", "fig1b", "--out", "D"], "D/fig1b_ep.json"),  # the figure's second file
+    (["evolve", "--n-steps", "2", "--format", "json", "--out", "D"], "D/evolve_ccw_zeta4.json"),  # the eighth
 ])
 def test_an_unwritable_out_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, blocker):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "F").write_text("kept\n")
-    (tmp_path / "D" / "ep.csv").mkdir(parents=True)
+    taken = ["ep.csv", "evolve_ccw_zeta4.json", "fig1b_ep.json"]
+    for name in taken:
+        (tmp_path / "D" / name).mkdir(parents=True)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: cannot write ") and captured.err.count("\n") == 1, captured.err
     assert blocker in captured.err and captured.out == ""
     assert (tmp_path / "F").read_text() == "kept\n"
+    assert sorted(p.name for p in (tmp_path / "D").iterdir()) == taken  # no file written beside them
+
+
+def test_reproduce_help_names_its_default_directory(capsys):
+    assert _exit_code(["reproduce", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal's width
+    assert "--out DIR output directory (default: reports)" in help_text and "stdout" not in help_text
 
 
 def test_a_failed_command_writes_nothing(tmp_path, capsys):
@@ -573,7 +582,7 @@ _FLOAT = _mostly(st.one_of(_NUMBERS.map(repr), _NUMBERS.map(lambda x: np.format_
 _NO_VALUE = st.just(())
 _SIZES = {
     "--n-steps": _ints(1, 6), "--groups": _ints(1, 3), "--resamples": _ints(2, 4),
-    "--multistarts": _ints(1, 2), "--maxiter": _ints(1, 3), "--scan-points": _ints(2, 9),
+    "--multistarts": _ints(1, 2), "--maxiter": _ints(1, 3),
     "--counts-per-basis": _ints(1, 50),
     "--phi-range": st.tuples(_FLOAT, _FLOAT, _ints(2, 4)),
     "--theta1-range": st.tuples(_FLOAT, _FLOAT, _ints(2, 4)),

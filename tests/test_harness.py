@@ -2,6 +2,7 @@ import json
 import math
 import os
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ def test_fig4_bytes_do_not_depend_on_the_stack_chunks(tmp_path, monkeypatch):
     for rows in (1, 8 * 13):  # one case per chunk; all eight cases in one
         monkeypatch.setattr(tomo, "MAX_STACK_ROWS", rows)
         paths = reproduce_figure("fig4", str(tmp_path / str(rows)), cfg)
-        texts[rows] = [(os.path.basename(p), open(p, "rb").read()) for p in paths]
+        texts[rows] = [(os.path.basename(p), Path(p).read_bytes()) for p in paths]
     assert len(texts[1]) == 16 and texts[1] == texts[8 * 13]
 
 

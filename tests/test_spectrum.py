@@ -158,15 +158,15 @@ def test_find_ep_frozen_location():
         assert loc.residual <= 1e-15, (k, loc)
 
 
-def _bisect_200(theta1_box, theta2, gamma, k, scan_points):
+def _bisect_200(theta1_box, theta2, gamma, k):
     """find_ep as it was: a math-module scan for the first bracket, then all 200 bisection steps."""
     def d0(theta1):
         return _reference_d_coefficients(WalkParams(theta1, theta2, 0.0, gamma, k)).d0
 
-    grid = np.linspace(*theta1_box, scan_points).tolist()
+    grid = np.linspace(*theta1_box, spectrum.SCAN_POINTS).tolist()
     values = [d0(t) for t in grid]
     for target in (1.0, -1.0):
-        hits = [i for i in range(scan_points - 1) if (values[i] - target) * (values[i + 1] - target) <= 0]
+        hits = [i for i in range(spectrum.SCAN_POINTS - 1) if (values[i] - target) * (values[i + 1] - target) <= 0]
         if hits:
             break
     else:
@@ -194,23 +194,23 @@ _BOX = st.one_of(
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(_BOX, st.floats(0.05, 0.4), st.floats(0.05, 0.5), st.floats(-0.04, 0.04), st.integers(2, 300))
-@example((-0.5, -0.1), math.pi / 16, 0.2, 0.03, 257)
-@example((2.5, 3.1), math.pi / 16, 0.2, 0.0, 257)  # no +1 root: the -1 root at 2.85
-@example((2.9, 3.3), math.pi / 16, 0.2, 0.01, 257)  # the -1 root at 3.01
-@example((-0.5, -0.1), math.pi / 16, 0.001, 0.0, 257)  # a pair of roots inside one scan cell
-def test_find_ep_is_the_200_step_bisection(box, theta2, gamma, k, scan_points):
-    expected = _bisect_200(box, theta2, gamma, k, scan_points)
+@given(_BOX, st.floats(0.05, 0.4), st.floats(0.05, 0.5), st.floats(-0.04, 0.04))
+@example((-0.5, -0.1), math.pi / 16, 0.2, 0.03)
+@example((2.5, 3.1), math.pi / 16, 0.2, 0.0)  # no +1 root: the -1 root at 2.85
+@example((2.9, 3.3), math.pi / 16, 0.2, 0.01)  # the -1 root at 3.01
+@example((-0.5, -0.1), math.pi / 16, 0.001, 0.0)  # a pair of roots inside one scan cell
+def test_find_ep_is_the_200_step_bisection(box, theta2, gamma, k):
+    expected = _bisect_200(box, theta2, gamma, k)
     if expected is None:  # no sign change on the scan: the closed-form root nearest lo, if the box holds one
         roots = exceptional_points(box, theta2, gamma, k)
         if roots:
-            assert find_ep(box, theta2, gamma, k, scan_points).theta1 == pytest.approx(roots[0], abs=1e-9)
+            assert find_ep(box, theta2, gamma, k).theta1 == pytest.approx(roots[0], abs=1e-9)
         else:
             with pytest.raises(NoBracket):
-                find_ep(box, theta2, gamma, k, scan_points)
+                find_ep(box, theta2, gamma, k)
         return
     target, theta1, residual = expected
-    loc = find_ep(box, theta2, gamma, k, scan_points)
+    loc = find_ep(box, theta2, gamma, k)
     assert (loc.theta1.hex(), loc.residual.hex()) == (theta1.hex(), residual.hex()), target
 
 

@@ -440,6 +440,18 @@ def test_control_operator_guards_singular_coin_basis():
         control_operator(p)
 
 
+def test_control_operator_guard_scale_refuses_a_basis_far_from_the_eps():
+    # |eta - D0| = 0.235, far outside EP_GUARD, and |det B| = 3.8e-11 is above the threshold's floor 2.5e-13
+    # (1e-12 max|B|^4 with max|B| = 1/sqrt(2)), yet DX + DY ~ 1e-13: only the max|B|^4 scale refuses this
+    # point. With the threshold held at its floor, C comes back 3.4e-2 off the 50-digit reference.
+    p = WalkParams(theta1=-2.973689939217915, theta2=0.493714208735262, phi=0.0, gamma=1.910592653156368,
+                   k=-0.13491773532474194)
+    d = d_coefficients(p)
+    assert abs(d.DX + d.DY) < 1e-12 and abs(np.sqrt(complex(d.D0 * d.D0 - 1.0))) > 0.2
+    with pytest.raises(SingularMatrix, match=r"^\|det\| = 3\.835e-11 below threshold 1\.801e-05$"):
+        control_operator(p)
+
+
 def test_control_inverse_matches_reference_start_value():
     reference = np.array(
         [
