@@ -48,30 +48,19 @@ from .harness import (
 )
 from .loops import DIRECTIONS, ENGINES, LOOPS, optimize_schedule
 from .metrics import BELL_LABELS, bell_state, density_matrix
-from .optics import (
-    compile_control_endpoint,
-    compile_gain_loss,
-    compile_gain_loss_inverse,
-    compile_phase_shift,
-    compile_rotation,
-    compile_symmetry_break,
-    compile_walk_step,
-    sequence_text,
-    start_params,
-)
 from .spectrum import find_ep, riemann_surface
 from .tomo import counts_from_csv, simulate_counts
 
 _WALK_KNOBS = ("theta1", "theta2", "phi", "gamma", "k")
-# compile-optics targets: the knobs each reads, and its compiler of (WalkParams, --theta)
+# compile-optics targets: the knobs each reads, and its compiler of (the optics module, WalkParams, --theta)
 _OPTICS = {
-    "rotation": (("theta",), lambda p, theta: compile_rotation(theta)),
-    "phase-shift": (("k",), lambda p, theta: compile_phase_shift(p.k)),
-    "symmetry-break": (("phi",), lambda p, theta: compile_symmetry_break(p.phi)),
-    "gain": (("gamma",), lambda p, theta: compile_gain_loss(p.gamma)),
-    "gain-inverse": (("gamma",), lambda p, theta: compile_gain_loss_inverse(p.gamma)),
-    "walk-step": (_WALK_KNOBS, lambda p, theta: compile_walk_step(p)),
-    "control": (_WALK_KNOBS, lambda p, theta: compile_control_endpoint(p)),
+    "rotation": (("theta",), lambda o, p, theta: o.compile_rotation(theta)),
+    "phase-shift": (("k",), lambda o, p, theta: o.compile_phase_shift(p.k)),
+    "symmetry-break": (("phi",), lambda o, p, theta: o.compile_symmetry_break(p.phi)),
+    "gain": (("gamma",), lambda o, p, theta: o.compile_gain_loss(p.gamma)),
+    "gain-inverse": (("gamma",), lambda o, p, theta: o.compile_gain_loss_inverse(p.gamma)),
+    "walk-step": (_WALK_KNOBS, lambda o, p, theta: o.compile_walk_step(p)),
+    "control": (_WALK_KNOBS, lambda o, p, theta: o.compile_control_endpoint(p)),
 }
 
 
@@ -302,10 +291,12 @@ def _cmd_compile_optics(args) -> list[tuple[str, str]]:
     unread = [f"--{name}" for name in given if name not in knobs]
     if unread:
         raise ConfigError(f"compile-optics --target {args.target} does not read {' '.join(unread)}")
+    from . import optics  # loaded here: no other command reads it
+
     theta = given.pop("theta", -0.6)
-    seq = compile_target(replace(start_params(), **given), theta)
+    seq = compile_target(optics, replace(optics.start_params(), **given), theta)
     if args.format == "csv":
-        return [(f"optics_{args.target}.txt", sequence_text(seq))]
+        return [(f"optics_{args.target}.txt", optics.sequence_text(seq))]
     return [(f"optics_{args.target}.json", dump_json({
         "label": seq.label,
         "elements": [{"kind": e.kind, "params": list(e.params), "path": e.path} for e in seq.elements],

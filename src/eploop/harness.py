@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,8 +144,7 @@ class CaseStats:
         return self.base_fidelity - self.mean_fidelity
 
 
-@dataclass(frozen=True)
-class DisorderSummary:
+class DisorderSummary(NamedTuple):
     cases: tuple[CaseStats, ...]
 
     @property
@@ -412,10 +412,16 @@ def reproduce_figure(which: str, out_dir: str, cfg: RunConfig | None = None, opt
     cases with simulated tomography (equal spacing, or the optimizer's
     schedule when optimized=True). fig5: disorder summary tables at N=8 and
     N=100. A figure that fails writes no file, nor its directory: its texts
-    are all built first.
+    are all built first. An out_dir that is a file, or lies under one, is
+    refused before the figure is built.
     """
     if which not in FIGURES:
         raise ConfigError(f"figure must be one of {tuple(FIGURES)}, got {which!r}")
     if optimized and which != "fig4":
         raise ConfigError(f"optimized applies only to fig4, not {which}")
+    head = out_dir
+    while head and not os.path.exists(head):  # up to the first part of out_dir that exists, or the working directory
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError(f"cannot write {out_dir}: {head} is not a directory")
     return write_texts(out_dir, _FIGURE_TEXTS[which](cfg or RunConfig(), optimized))

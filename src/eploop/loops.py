@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,27 +57,21 @@ CHIRAL_TARGETS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
 class LoopSchedule:
     """N walk steps around a loop as their five knobs (theta1, theta2, phi, gamma, k), the
     argument order of the array forms: each a float that every step shares or a read-only
-    (N,) array. Circular schedules vary theta1 and phi only."""
+    (N,) array. Circular schedules vary theta1 and phi only. Schedules compare and hash by identity."""
 
-    knobs: tuple
-    direction: str
-    label: str
-    n_steps: int = field(init=False)
+    __slots__ = ("knobs", "direction", "label", "n_steps")
 
-    def __post_init__(self):
-        knobs = tuple(float(v) if np.ndim(v) == 0 else np.array(v, dtype=float) for v in self.knobs)
+    def __init__(self, knobs: tuple, direction: str, label: str):
+        knobs = tuple(float(v) if np.ndim(v) == 0 else np.array(v, dtype=float) for v in knobs)
         arrays = [v for v in knobs if isinstance(v, np.ndarray)]
         if len(knobs) != 5 or len({v.shape for v in arrays}) != 1 or arrays[0].ndim != 1 or not arrays[0].size:
             raise ConfigError("schedule needs at least 1 step: five knobs, floats or (N,) arrays of one length")
-        _check_direction(self.direction)
         for v in arrays:
             v.flags.writeable = False
-        object.__setattr__(self, "knobs", knobs)
-        object.__setattr__(self, "n_steps", len(arrays[0]))
+        self.knobs, self.direction, self.label, self.n_steps = knobs, _check_direction(direction), label, len(arrays[0])
 
     @classmethod
     def from_steps(cls, steps, direction: str, label: str = "custom") -> LoopSchedule:
@@ -407,8 +402,7 @@ def evolve_batch(knobs, psi0, engine: str) -> np.ndarray:
     return _collapsed_states(P, _frames((k if np.ndim(k) == 0 else k[:, 0] for k in knobs), psi))[:, 0]
 
 
-@dataclass(frozen=True)
-class ControlDriftReport:
+class ControlDriftReport(NamedTuple):
     deviations: tuple[float, ...]
     global_max: float
     flips: int
@@ -435,8 +429,7 @@ def control_drift(schedule: LoopSchedule) -> ControlDriftReport:
                               flips=int((dev_flip < dev_id).sum()))
 
 
-@dataclass(frozen=True)
-class SheetTrace:
+class SheetTrace(NamedTuple):
     switches: int
     switch_steps: tuple[int, ...]
 
@@ -516,8 +509,7 @@ def min_case_fidelity(schedules: dict[str, LoopSchedule]) -> float:
     return min(math.inf, *fidelities)
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
+class OptimizeResult(NamedTuple):
     increments: tuple[float, ...]
     objective: float
     baseline_objective: float

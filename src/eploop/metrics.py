@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ def bell_fidelities(rho: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, overlaps))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     label: str
     fidelities: tuple[float, float, float, float]
     tie: bool

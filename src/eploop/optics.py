@@ -9,7 +9,7 @@ target only up to the amplitude discarded at the beam splitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,13 +36,19 @@ def start_params() -> WalkParams:
     return WalkParams(theta1=-0.6)
 
 
-@dataclass(frozen=True)
-class OpticalElement:
+class _ElementFields(NamedTuple):
     kind: str
     params: tuple[float, ...] = ()
     path: str = "both"
 
-    def __post_init__(self):
+
+class OpticalElement(_ElementFields):
+    """One bench element, checked when constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in SINGLE_PHOTON_KINDS + TWO_PHOTON_KINDS:
             raise DomainError(f"unknown element kind {self.kind!r}")
         if self.path not in ("upper", "lower", "both"):
@@ -51,6 +57,7 @@ class OpticalElement:
             t_h, t_v = self.params
             if not (0.0 <= t_h <= 1.0 and 0.0 <= t_v <= 1.0):
                 raise DomainError(f"transmittances must lie in [0, 1], got {self.params}")
+        return self
 
 
 def hwp(theta: float, path: str = "both") -> OpticalElement:
@@ -119,8 +126,7 @@ def jones_two_photon(e: OpticalElement) -> np.ndarray:
     return kron(j, j)
 
 
-@dataclass(frozen=True)
-class ElementSequence:
+class ElementSequence(NamedTuple):
     elements: tuple[OpticalElement, ...]
     target: np.ndarray
     global_phase: complex = 1.0 + 0.0j

@@ -15,7 +15,7 @@ eigensystem_array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .walk import WalkParams, d_arrays, ep_gap, guard_ep
 SCAN_POINTS = 257  # find_ep's scan of its box; a pair of roots it misses falls back on exceptional_points
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Right/left eigenstates of u_step with their eigenvalues.
 
     Index convention: alpha[0] and alpha[3] carry eta_plus, alpha[1] and
@@ -46,8 +45,7 @@ class EigenSystem:
         return (self.eta_plus, self.eta_minus, self.eta_minus, self.eta_plus)
 
 
-@dataclass(frozen=True)
-class EpLocation:
+class EpLocation(NamedTuple):
     phi: float
     theta1: float
     residual: float

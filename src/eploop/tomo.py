@@ -9,11 +9,12 @@ normalization, with eigenvalue clipping as an optional projection step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, IllConditioned
+from .linalg import kron
 from .metrics import bell_fidelities
 from .streams import substreams
 
@@ -39,21 +40,27 @@ MAX_RESAMPLES = 10**5
 MAX_STACK_ROWS = MAX_RESAMPLES + 1
 
 
-@dataclass(frozen=True)
-class TomoConfig:
+class _TomoFields(NamedTuple):
     counts_per_basis: int = 10000
     seed: int = 0
     psd_projection: bool = False
 
-    def __post_init__(self):
+
+class TomoConfig(_TomoFields):
+    """A tomography run's settings, checked when constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.counts_per_basis <= MAX_COUNTS_PER_BASIS:
             raise ConfigError(f"counts_per_basis must lie in [1, {MAX_COUNTS_PER_BASIS}], got {self.counts_per_basis}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        return self
 
 
-@dataclass(frozen=True)
-class CountsTable:
+class CountsTable(NamedTuple):
     records: tuple[tuple[str, str, int], ...]
 
     def counts(self) -> np.ndarray:
@@ -64,7 +71,7 @@ def basis_projectors() -> list[np.ndarray]:
     """The 16 rank-1 projectors, pair order (H,H), (H,V), ... (R,R)."""
     out = []
     for a, b in BASIS_PAIRS:
-        v = np.kron(_KETS[a], _KETS[b])
+        v = kron(_KETS[a], _KETS[b])
         out.append(np.outer(v, v.conj()))
     return out
 

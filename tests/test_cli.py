@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eploop import harness
 from eploop.cli import READS, build_parser, main
 from eploop.harness import FIGURES, RunConfig
 
@@ -414,6 +415,19 @@ def test_an_unwritable_out_exits_2_with_one_line(tmp_path, monkeypatch, capsys, 
     assert blocker in captured.err and captured.out == ""
     assert (tmp_path / "F").read_text() == "kept\n"
     assert sorted(p.name for p in (tmp_path / "D").iterdir()) == taken  # no file written beside them
+
+
+def test_reproduce_refuses_an_out_file_before_building_the_figure(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("kept\n")
+    built = []
+    monkeypatch.setitem(harness._FIGURE_TEXTS, "fig4", lambda cfg, optimized: built.append(optimized) or [])
+    for out in ("F", "F/sub", "F/sub/"):
+        assert main(["reproduce", "fig4", "--optimized", "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write {out}: F is not a directory\n"
+    assert built == [] and (tmp_path / "F").read_text() == "kept\n"
+    assert main(["reproduce", "fig4", "--optimized", "--out", "D/sub"]) == 0  # the builder the test counts
+    assert built == [True]
 
 
 def test_reproduce_help_names_its_default_directory(capsys):

@@ -1,6 +1,12 @@
 import ast
 import collections
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import eploop
 
@@ -92,3 +98,58 @@ def test_one_write_path():
                     sites.add((called, *where))
     assert sites == {("sys.stdout.write", "cli", "main"), ("write_text", "harness", "write_texts"),
                      ("write_texts", "cli", "main"), ("write_texts", "harness", "reproduce_figure")}
+
+
+# run in a fresh process: what importing the CLI loads, and which eploop classes are dataclasses
+_STARTUP = """
+import json, sys
+import eploop, eploop.cli
+loaded = sorted(m for m in sys.modules if m.startswith("eploop."))
+records = sorted({c.__name__ for m in loaded for c in vars(sys.modules[m]).values()
+                  if isinstance(c, type) and c.__module__.startswith("eploop") and hasattr(c, "__dataclass_fields__")})
+first_use = eploop.compile_walk_step.__module__
+print(json.dumps([loaded, records, first_use]))
+"""
+
+
+def test_importing_the_cli_leaves_optics_unloaded():
+    """Start-up guard: only compile-optics loads optics; linalg stays loaded, as perfbench's tracer patches it; and
+    only the records that dataclasses.fields, replace or astuple read are dataclasses."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _STARTUP], env=env, capture_output=True, text=True, check=True)
+    loaded, records, first_use = json.loads(out.stdout)
+    assert "eploop.optics" not in loaded and "eploop.linalg" in loaded
+    assert records == ["CaseStats", "DCoefficients", "EvolutionReport", "RunConfig", "StepRecords", "WalkParams"]
+    assert first_use == "eploop.optics"
+    assert eploop.__getattr__("compile_walk_step") is eploop.optics.compile_walk_step
+    with pytest.raises(AttributeError, match="has no attribute 'compile_nothing'"):
+        eploop.__getattr__("compile_nothing")
+
+
+def test_value_records_compare_and_hash_by_value():
+    records = [eploop.Classification("zeta1", (1.0, 0.0, 0.0, 0.0), False), eploop.EpLocation(0.0, -0.3, 1e-12),
+               eploop.loops.ControlDriftReport((0.1, 0.2), 0.2, 1), eploop.SheetTrace(1, (3,)),
+               eploop.OptimizeResult((1.0, 2.0), 0.9, 0.8), eploop.DisorderSummary(()),
+               eploop.CountsTable((("H", "H", 7),)), eploop.TomoConfig(5, 1), eploop.OpticalElement("HWP", (0.1,))]
+    for record in records:
+        twin = type(record)(*record)
+        assert twin is not record and twin == record and hash(twin) == hash(record), record
+    schedule = eploop.loop1_schedule(8, "cw")
+    twin = eploop.loop1_schedule(8, "cw")
+    assert schedule == schedule and schedule != twin and len({schedule, twin, schedule}) == 2
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: eploop.TomoConfig(counts_per_basis=0), eploop.ConfigError,
+     "counts_per_basis must lie in [1, 1000000000000], got 0"),
+    (lambda: eploop.TomoConfig(7, -1), eploop.ConfigError, "seed must be >= 0, got -1"),
+    (lambda: eploop.OpticalElement("MIRROR", (0.1,)), eploop.DomainError, "unknown element kind 'MIRROR'"),
+    (lambda: eploop.OpticalElement("HWP", (0.1,), path="middle"), eploop.DomainError,
+     "path must be upper/lower/both, got 'middle'"),
+    (lambda: eploop.OpticalElement("PPBS", (1.2, 0.5)), eploop.DomainError,
+     "transmittances must lie in [0, 1], got (1.2, 0.5)"),
+])
+def test_checked_records_refuse_bad_fields_when_constructed(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
