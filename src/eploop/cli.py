@@ -30,6 +30,7 @@ from .harness import (
     GRANULARITIES,
     INPUT_KINDS,
     RunConfig,
+    check_out_dir,
     counts_csv,
     csv_text,
     disorder_csv,
@@ -334,10 +335,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. Its texts are all built before any is written, so a failed command writes nothing:
-    with --out to their files, listing the paths on stdout, and else to stdout (reproduce_figure writes its own)."""
+    """Run one command. An --out that is a file, or lies under one, is refused before the command starts. Its
+    texts are all built before any is written, so a failed command writes nothing: with --out to their files,
+    listing the paths on stdout, and else to stdout (reproduce_figure writes its own)."""
     args = _parser().parse_args(argv)
     try:
+        if args.out:
+            check_out_dir(args.out)
         texts = _HANDLERS[args.command](args)
         if args.out and args.command != "reproduce":
             texts = [(path, path + "\n") for path in write_texts(args.out, texts)]

@@ -262,6 +262,16 @@ def write_text(path: str, text: str) -> str:
     return path
 
 
+def check_out_dir(out_dir: str) -> None:
+    """Refuse an out_dir that is a file, or lies under one, with a ConfigError. It reads the file system only,
+    so a command checks its out_dir before it does any work."""
+    head = out_dir
+    while head and not os.path.exists(head):  # up to the first part of out_dir that exists, or the working directory
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError(f"cannot write {out_dir}: {head} is not a directory")
+
+
 def write_texts(out_dir: str, texts) -> list[str]:
     """Write each (name, text) pair to out_dir/name through write_text and return the paths. A target that is
     an existing directory is a ConfigError raised before the first write, so it leaves no file behind."""
@@ -413,15 +423,11 @@ def reproduce_figure(which: str, out_dir: str, cfg: RunConfig | None = None, opt
     schedule when optimized=True). fig5: disorder summary tables at N=8 and
     N=100. A figure that fails writes no file, nor its directory: its texts
     are all built first. An out_dir that is a file, or lies under one, is
-    refused before the figure is built.
+    refused (check_out_dir) before the figure is built.
     """
     if which not in FIGURES:
         raise ConfigError(f"figure must be one of {tuple(FIGURES)}, got {which!r}")
     if optimized and which != "fig4":
         raise ConfigError(f"optimized applies only to fig4, not {which}")
-    head = out_dir
-    while head and not os.path.exists(head):  # up to the first part of out_dir that exists, or the working directory
-        head = os.path.dirname(head)
-    if head and not os.path.isdir(head):
-        raise ConfigError(f"cannot write {out_dir}: {head} is not a directory")
+    check_out_dir(out_dir)
     return write_texts(out_dir, _FIGURE_TEXTS[which](cfg or RunConfig(), optimized))

@@ -20,9 +20,10 @@ walk_operator_closed call per step, for perfbench's tracer. Diagnostics cover
 sheet tracking, the step-to-step drift of the control operator, and a small-N
 schedule optimizer. Its objective (_objective_rows over _case_fidelities)
 scores many points per call in the collapsed form, one stacked 2x2 chain per
-direction of each point. An in-house Nelder-Mead (_nelder_mead) moves all
-starts in lockstep, scoring each simplex step's points in one such call; it
-takes scipy's steps bit for bit, and scipy is not imported.
+direction of each point. An in-house Nelder-Mead runs each start as an
+ask-and-tell generator (_nelder_mead_start) that takes scipy's steps bit for
+bit, and _nelder_mead scores the next points of every running start in one
+such call, so the starts need not move in step; scipy is not imported.
 """
 from __future__ import annotations
 
@@ -540,11 +541,8 @@ def _increments_from_x(x: np.ndarray) -> np.ndarray:
 # scipy.optimize's Nelder-Mead coefficients (reflection, expansion, contraction, shrink), and
 # the optimizer's tolerances on the simplex's spread in x and in value
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-# its trial points A*xbar + B*worst, by the index a step picks: reflection, expansion, outside and inside contraction
-_TRIAL_A = np.array([[1 + _RHO], [1 + _RHO * _CHI], [1 + _PSI * _RHO], [1 - _PSI]])
-_TRIAL_B = np.array([[-_RHO], [-_RHO * _CHI], [-_PSI * _RHO], [_PSI]])
 _XATOL, _FATOL = 1e-4, 1e-6
-# simplex entries a lockstep group of starts holds (a group has at least one start), and the
+# simplex entries a group of starts holds (a group has at least one start), and the
 # row-steps one objective call scores at most: memory stays flat in the number of starts
 _LOCKSTEP_ENTRIES = 2**14
 _SIGNS = np.array([[direction_sign(d)] for d in DIRECTIONS])  # row d of _objective_rows' (B, 2, N) phases
@@ -575,60 +573,78 @@ def _objective_rows(x: np.ndarray) -> np.ndarray:
     return np.minimum.reduce(fidelities, axis=1)
 
 
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every simplex's vertices in ascending order of value, by np.argsort and a take per row."""
-    ind = np.argsort(fsim, axis=1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, ind], fsim[rows, ind]
+def _nelder_mead_start(x0: np.ndarray, maxiter: int):
+    """scipy.optimize's Nelder-Mead from x0 (N,) as an ask-and-tell generator: it yields each block of
+    points it needs next (the initial simplex, one trial point, or the n shrunk vertices) as (B, N) rows,
+    is sent their B values, and returns its (x, fun).
+
+    The steps are scipy's (Nelder & Mead, Comput. J. 7, 308, 1965) with the same initial simplex,
+    coefficients, expressions and sorting, so the points asked for and the (x, fun) returned are scipy's
+    bit for bit. It stops on scipy's xatol/fatol test (_XATOL, _FATOL) or when the iterations, counted
+    from 1, reach maxiter.
+    """
+    n = len(x0)
+    sim = np.repeat(x0[None], n + 1, axis=0)
+    k = np.arange(n)
+    sim[k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)  # scipy's nonzdelt and zdelt
+    fsim = yield sim
+    for _ in range(2):  # sorted twice, as scipy does
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+    for _ in range(1, maxiter):
+        # scipy's max|f_0 - f_i| exactly, as fsim is sorted, NaN last; then its x test where that passes
+        if fsim[-1] - fsim[0] <= _FATOL and np.abs(sim[1:] - sim[0]).max() <= _XATOL:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+        (fxr,) = yield xr[None]
+        if fxr < fsim[0]:
+            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+            (fxe,) = yield xe[None]
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                (fxc,) = yield xc[None]
+                kept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                (fxc,) = yield xc[None]
+                kept = fxc < fsim[-1]
+            if kept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                sim[1:] = sim[0] + _SIGMA * (sim[1:] - sim[0])
+                fsim[1:] = yield sim[1:]
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0], fsim.min()
 
 
 def _nelder_mead(f_rows, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize f from every start x0[s] (S, N) by Nelder-Mead, all starts in lockstep; returns
-    each start's (x, fun).
+    """Minimize f from every start x0[s] (S, N) by Nelder-Mead, one _nelder_mead_start per start;
+    returns each start's (x, fun).
 
-    f_rows maps (B, N) points to B values, each independent of the rows
-    beside it. The steps are those of scipy.optimize's Nelder-Mead (Nelder &
-    Mead, Comput. J. 7, 308, 1965) with the same coefficients, expressions and
-    sorting, so each start visits scipy's points and returns its (x, fun) bit
-    for bit. One iteration scores every running start's reflection in one
-    call, then the expansions and contractions that the rules pick in at most
-    one more, then every shrink in one more. A start stops on scipy's
-    xatol/fatol test (_XATOL, _FATOL) or when the iterations, counted from 1,
-    reach maxiter.
+    f_rows maps (B, N) points to B values, each independent of the rows beside it. Each round scores
+    the pending block of every running start, in start order, in one f_rows call and sends each start
+    its slice, so the starts need not move in step: the run makes as many calls as its longest start
+    asks for blocks, and each start returns scipy's (x, fun) bit for bit.
     """
-    n_starts, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    k = np.arange(n)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)  # scipy's nonzdelt and zdelt
-    fsim = f_rows(sim.reshape(-1, n)).reshape(n_starts, n + 1)
-    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))  # sorted twice, as scipy does
-    x, fun, running = np.empty_like(x0), np.empty(n_starts), np.arange(n_starts)
-    for _ in range(1, maxiter):
-        # scipy's max|f_0 - f_i| exactly, as the simplices are sorted, NaN last; then its x test where that passes
-        close = fsim[:, -1] - fsim[:, 0] <= _FATOL
-        if close.any():
-            done = close & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
-            x[running[done]], fun[running[done]] = sim[done, 0], np.min(fsim[done], axis=1)
-            running, sim, fsim = running[~done], sim[~done], fsim[~done]
-            if not len(running):
-                break
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        trials = _TRIAL_A * xbar[:, None] + _TRIAL_B * sim[:, -1:]  # (S, 4, N), scipy's bits as x - y == x + (-y)
-        fxr = f_rows(trials[:, 0])
-        kind = np.where(fxr < fsim[:, 0], 1, np.where(fxr < fsim[:, -2], 0, 3 - (fxr < fsim[:, -1])))
-        fx2, second = fxr.copy(), kind.nonzero()[0]  # fx2 = fxr where kept, so take2 is False there
-        if len(second):
-            fx2[second] = f_rows(trials[second, kind[second]])
-        take2 = np.where(kind == 2, fx2 <= fxr, fx2 < np.where(kind == 3, fsim[:, -1], fxr))
-        replace = take2 | (kind < 2)  # the worst vertex; the other contractions shrink
-        sim[replace, -1] = trials[replace, (take2 * kind)[replace]]
-        fsim[replace, -1] = np.where(take2, fx2, fxr)[replace]
-        if not replace.all():
-            best, rest = sim[~replace, :1], sim[~replace, 1:]
-            sim[~replace, 1:] = shrunk = best + _SIGMA * (rest - best)
-            fsim[~replace, 1:] = f_rows(shrunk.reshape(-1, n)).reshape(-1, n)
-        sim, fsim = _sort_simplices(sim, fsim)
-    x[running], fun[running] = sim[:, 0], np.min(fsim, axis=1)
+    x, fun = np.empty_like(x0), np.empty(len(x0))
+    starts = [_nelder_mead_start(x, maxiter) for x in x0]
+    pending = {s: next(start) for s, start in enumerate(starts)}
+    while pending:
+        values = f_rows(np.concatenate(list(pending.values())))
+        stop = 0
+        for s, block in list(pending.items()):
+            stop += len(block)
+            try:
+                pending[s] = starts[s].send(values[stop - len(block):stop])
+            except StopIteration as done:
+                x[s], fun[s] = done.value
+                del pending[s]
     return x, fun
 
 
@@ -641,10 +657,11 @@ def optimize_schedule(n_steps: int = 8, seed: int = 20260815, multistarts: int =
     runs from equal spacing plus seeded random restarts, drawn in start order,
     and the best of all starts (including the unoptimized one) is kept, so the
     result never falls below the equal-spacing baseline. The starts run in
-    lockstep (_nelder_mead), in groups of at most _LOCKSTEP_ENTRIES simplex
-    entries, each step scoring all its points in one _objective_rows call; the
-    result is bitwise scipy's Nelder-Mead run start by start, whatever the
-    group size.
+    groups of at most _LOCKSTEP_ENTRIES simplex entries (_nelder_mead): each
+    round scores the next points of every running start of a group in one
+    _objective_rows call, so a group makes as many calls as its longest start
+    asks for. The result is bitwise scipy's Nelder-Mead run start by start,
+    whatever the group size.
     """
     if n_steps < 4:
         raise ConfigError(f"optimizer needs at least 4 steps, got {n_steps}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eploop import harness
+from eploop import cli, harness
 from eploop.cli import READS, build_parser, main
 from eploop.harness import FIGURES, RunConfig
 
@@ -402,6 +402,9 @@ def test_a_failed_fig4_writes_no_file(tmp_path, capsys):
     (["find-ep", "--out", "D"], "D/ep.csv"),
     (["reproduce", "fig1b", "--out", "D"], "D/fig1b_ep.json"),  # the figure's second file
     (["evolve", "--n-steps", "2", "--format", "json", "--out", "D"], "D/evolve_ccw_zeta4.json"),  # the eighth
+    # refused before the optimizer or the Monte-Carlo starts
+    (["optimize-schedule", "--out", "F"], "F"),
+    (["disorder", "--out", "F/sub"], "F"),
 ])
 def test_an_unwritable_out_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, blocker):
     monkeypatch.chdir(tmp_path)
@@ -428,6 +431,23 @@ def test_reproduce_refuses_an_out_file_before_building_the_figure(tmp_path, monk
     assert built == [] and (tmp_path / "F").read_text() == "kept\n"
     assert main(["reproduce", "fig4", "--optimized", "--out", "D/sub"]) == 0  # the builder the test counts
     assert built == [True]
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface"], ["find-ep"], ["evolve"], ["reproduce", "fig1b"], ["disorder"], ["tomo"],
+    ["compile-optics", "--target", "rotation"], ["optimize-schedule"],
+])
+def test_every_command_refuses_an_out_file_before_its_handler_runs(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("kept\n")
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, argv[0], lambda args: ran.append(args.out) or [])
+    for out in ("F", "F/sub", "F/sub/"):
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write {out}: F is not a directory\n"
+    assert ran == [] and (tmp_path / "F").read_text() == "kept\n"
+    assert main(argv + ["--out", "D/sub"]) == 0  # the handler the test counts
+    assert ran == ["D/sub"]
 
 
 def test_reproduce_help_names_its_default_directory(capsys):

@@ -354,6 +354,15 @@ def test_fig4_bytes_do_not_depend_on_the_stack_chunks(tmp_path, monkeypatch):
     assert len(texts[1]) == 16 and texts[1] == texts[8 * 13]
 
 
+def test_reproduce_figure_refuses_an_out_file_for_library_callers(tmp_path, monkeypatch):
+    (tmp_path / "F").write_text("kept\n")
+    built = []
+    monkeypatch.setitem(harness._FIGURE_TEXTS, "fig4", lambda cfg, optimized: built.append(optimized) or [])
+    with pytest.raises(ConfigError, match="F is not a directory"):
+        reproduce_figure("fig4", str(tmp_path / "F" / "sub"), optimized=True)
+    assert built == [] and (tmp_path / "F").read_text() == "kept\n"
+
+
 def test_reproduce_rejects_unknown_figure(tmp_path):
     with pytest.raises(ConfigError):
         reproduce_figure("fig9", str(tmp_path))

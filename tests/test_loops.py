@@ -795,7 +795,7 @@ def test_optimizer_scores_the_baseline_once(monkeypatch):
     result = optimize_schedule(8, multistarts=2, maxiter=60, seed=7)
     assert (result.increments, result.objective) == FROZEN_OPTIMA[7]
     assert result.baseline_objective == 0.5408925599324853
-    assert len(calls) == 103
+    assert len(calls) == 95
     assert sum(not row.any() for x in calls for row in x) == 1  # x = 0, vertex 0 of start 0's first simplex
 
 
@@ -927,6 +927,22 @@ def test_lockstep_cases_take_every_kind_of_step():
             kinds += _lockstep_matches_scipy(f_rows, rng.uniform(-2.0, 2.0, (3, n)), 200)
     # status 0: stopped on xatol/fatol; status 2: stopped at maxiter
     assert {"expansion", "reflection", "outside", "inside", "shrink", "status 0", "status 2"} <= set(kinds), kinds
+
+
+@pytest.mark.parametrize("starts", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(_ROW_FUNCTIONS) + ["objective"])
+def test_a_group_call_joins_block_k_of_every_start_in_start_order(name, starts):
+    f_rows, maxiter = (_objective_rows, 60) if name == "objective" else (_ROW_FUNCTIONS[name], 200)
+    x0 = np.random.default_rng(starts).normal(0.0, 0.8, (starts, 8))
+    x0[0] = 0.0
+    alone = [[] for _ in x0]  # the blocks each start asks for, run alone
+    for start, blocks in zip(x0, alone):
+        _nelder_mead(lambda rows: blocks.append(rows.copy()) or f_rows(rows), start[None], maxiter)
+    calls = []
+    _nelder_mead(lambda rows: calls.append(rows.copy()) or f_rows(rows), x0, maxiter)
+    assert len(calls) == max(map(len, alone)) and len(set(map(len, alone))) > 1
+    for k, call in enumerate(calls):
+        assert call.tobytes() == np.concatenate([blocks[k] for blocks in alone if k < len(blocks)]).tobytes()
 
 
 def test_optimizer_results_do_not_depend_on_the_group_size(monkeypatch):
