@@ -22,7 +22,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields, replace
 
 from .errors import ConfigError, EploopError, NumericalGuardError
 from .harness import (
@@ -119,7 +118,7 @@ _RUN_FLAGS = {
     "psd_projection": ("--psd", dict(action="store_const", const=True,
                                      help="project the reconstruction onto the PSD cone")),
 }
-_FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_FIELD_DEFAULTS = RunConfig._field_defaults
 # where a command's default differs from RunConfig's
 _DEFAULTS = {"disorder": {"engine": "simplified"}, "tomo": {"seed": 0}}
 _CONFIG_ONLY = {"disorder": ("inputs",)}  # fields a command reads from --config alone
@@ -151,53 +150,78 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
     return {name: value for name in names if (value := getattr(args, name)) is not None}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="eploop", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("surface", help="quasienergy sheets on a parameter grid")
+def _surface_flags(p: argparse.ArgumentParser) -> None:
     for flag in ("--phi-range", "--theta1-range"):
         p.add_argument(flag, nargs=3, type=finite_float, metavar=("MIN", "MAX", "POINTS"))
     _walk_flags(p, "theta2", "gamma", "k")
     _shared_flags(p, "out", "format")
 
-    p = sub.add_parser("find-ep", help="locate the spectral coalescence point")
+
+def _find_ep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta1-box", nargs=2, type=finite_float, metavar=("LO", "HI"))
     _walk_flags(p, "theta2", "gamma", "k")
     _shared_flags(p, "out", "format")
 
-    p = sub.add_parser("evolve", help="run loop evolutions and classify outputs")
+
+def _evolve_flags(p: argparse.ArgumentParser) -> None:
     _run_flags(p, "evolve")
     _shared_flags(p, "config", "out", "format")
 
-    p = sub.add_parser("reproduce", help="regenerate a figure-style dataset")
+
+def _reproduce_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("figure", choices=FIGURES)
     p.add_argument("--optimized", action="store_true",
                    help="fig4: use the optimized schedule instead of equal spacing")
     _shared_flags(p, "config", "seed")
     p.add_argument("--out", metavar="DIR", default="reports", help="output directory (default: reports)")
 
-    p = sub.add_parser("disorder", help="Monte-Carlo robustness under angle noise")
+
+def _disorder_flags(p: argparse.ArgumentParser) -> None:
     _run_flags(p, "disorder")
     _shared_flags(p, "config", "seed", "out", "format")
 
-    p = sub.add_parser("tomo", help="simulate or invert two-photon tomography")
+
+def _tomo_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", choices=BELL_LABELS, help="simulate counts for this Bell state")
     p.add_argument("--counts", metavar="PATH", help="reconstruct from an existing counts CSV")
     _run_flags(p, "tomo")
     _shared_flags(p, "config", "seed", "out")
 
-    p = sub.add_parser("compile-optics", help="compile an operator into wave-plate elements")
+
+def _compile_optics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", choices=tuple(_OPTICS), required=True)
     p.add_argument("--theta", type=finite_float, help="rotation angle (rotation target only)")
     _walk_flags(p, *_WALK_KNOBS)
     _shared_flags(p, "out", "format")
 
-    p = sub.add_parser("optimize-schedule", help="optimize loop phase increments at small N")
+
+def _optimize_flags(p: argparse.ArgumentParser) -> None:
     for flag in ("--n-steps", "--multistarts", "--maxiter"):  # defaults: optimize_schedule's
         p.add_argument(flag, type=int)
     _shared_flags(p, "seed", "out", "format")
 
+
+# each subcommand's help line and the function that adds its flags, in the order `eploop --help` lists them
+_COMMANDS = {
+    "surface": ("quasienergy sheets on a parameter grid", _surface_flags),
+    "find-ep": ("locate the spectral coalescence point", _find_ep_flags),
+    "evolve": ("run loop evolutions and classify outputs", _evolve_flags),
+    "reproduce": ("regenerate a figure-style dataset", _reproduce_flags),
+    "disorder": ("Monte-Carlo robustness under angle noise", _disorder_flags),
+    "tomo": ("simulate or invert two-photon tomography", _tomo_flags),
+    "compile-optics": ("compile an operator into wave-plate elements", _compile_optics_flags),
+    "optimize-schedule": ("optimize loop phase increments at small N", _optimize_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone. An argv that starts with `command` parses,
+    fails and prints its help on both alike; only the top level's own help and errors need every subcommand."""
+    parser = _Parser(prog="eploop", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -295,7 +319,7 @@ def _cmd_compile_optics(args) -> list[tuple[str, str]]:
     from . import optics  # loaded here: no other command reads it
 
     theta = given.pop("theta", -0.6)
-    seq = compile_target(optics, replace(optics.start_params(), **given), theta)
+    seq = compile_target(optics, optics.start_params()._replace(**given), theta)
     if args.format == "csv":
         return [(f"optics_{args.target}.txt", optics.sequence_text(seq))]
     return [(f"optics_{args.target}.json", dump_json({
@@ -329,16 +353,19 @@ _HANDLERS = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused: parse_args leaves it unchanged."""
-    return build_parser()
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """build_parser(command), built on the first call and reused: parse_args leaves it unchanged."""
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
-    """Run one command. An --out that is a file, or lies under one, is refused before the command starts. Its
-    texts are all built before any is written, so a failed command writes nothing: with --out to their files,
-    listing the paths on stdout, and else to stdout (reproduce_figure writes its own)."""
-    args = _parser().parse_args(argv)
+    """Run one command. Its parser holds only the subcommand that argv starts with, as shared flags follow the
+    subcommand name; any other first argument (none, -h, an unknown word) gets the full parser. An --out that
+    is a file, or lies under one, is refused before the command starts. Its texts are all built before any is
+    written, so a failed command writes nothing: with --out to their files, listing the paths on stdout, and
+    else to stdout (reproduce_figure writes its own)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         if args.out:
             check_out_dir(args.out)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -37,15 +36,13 @@ from .loops import (
 )
 from .metrics import BELL_LABELS, BELL_ROWS, bell_index, bell_state, classify, density_matrix, nearest_bell
 from .spectrum import find_ep, riemann_surface
-from .streams import spawn_words, substreams
 from .tomo import CountsTable, TomoConfig, check_resamples, simulate_counts, tomography
 
 GRANULARITIES = ("per_step", "per_loop")
 INPUT_KINDS = ("eigenstate", "bell")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     loop: int = 1
     n_steps: int = 100
     directions: tuple[str, ...] = ("cw", "ccw")
@@ -61,7 +58,14 @@ class RunConfig:
     seed: int = 1234
     record_steps: bool = False
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """A run's settings, checked when constructed, copies made by _replace included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("loop", "n_steps", "counts_per_basis", "resamples", "groups", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -100,11 +104,15 @@ class RunConfig:
             raise ConfigError(f"disorder needs >= 1 group, got {self.groups}")
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}")
+        return self
+
+    def _replace(self, **changes) -> RunConfig:
+        """A copy with `changes`, checked: NamedTuple's own _replace would skip __new__."""
+        return RunConfig(**self._asdict() | changes)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         coerced = dict(data)
@@ -129,8 +137,7 @@ class RunConfig:
         )
 
 
-@dataclass(frozen=True)
-class CaseStats:
+class CaseStats(NamedTuple):
     input_label: str
     direction: str
     reference_label: str
@@ -174,6 +181,8 @@ def disorder_run(cfg: RunConfig) -> DisorderSummary:
     streams.substreams call seeds them all. All runs, each case's unperturbed one first, go through one
     evolve_batch and one nearest_bell call, and each statistic is one reduction over the (cases, groups) rows.
     """
+    from .streams import substreams  # loaded on first use: only the commands that draw read it
+
     schedules = [cfg.schedule(d) for d in cfg.directions]
     cases = [(sched, label) for sched in schedules for label in cfg.inputs]
     per_case = cfg.groups + 1  # the unperturbed run, then one row per group
@@ -362,12 +371,14 @@ def _fig2(cfg: RunConfig) -> list[tuple[str, str]]:
     sched0 = loop1_schedule(100, "cw")
     texts = [(f"fig2_input_{label}.json", dump_json(_input_report(label, sched0, cfg.input_kind)))
              for label in BELL_LABELS]
-    cases = replace(cfg, loop=1, n_steps=100, directions=DIRECTIONS, engine="full", inputs=BELL_LABELS)
+    cases = cfg._replace(loop=1, n_steps=100, directions=DIRECTIONS, engine="full", inputs=BELL_LABELS)
     return texts + [(f"fig2_{rep.direction}_{rep.input_label}.json", dump_json(report_dict(rep)))
                     for rep in evolve_cases(cases)]
 
 
 def _fig4(cfg: RunConfig, optimized: bool) -> list[tuple[str, str]]:
+    from .streams import spawn_words  # loaded on first use, as in disorder_run
+
     result = optimize_schedule(8) if optimized else None
     schedules = [result.schedule(d) if optimized else loop1_schedule(8, d) for d in DIRECTIONS]
     texts = [("fig4_schedule.json", schedule_json(result))] if optimized else []
@@ -393,8 +404,8 @@ def _fig4(cfg: RunConfig, optimized: bool) -> list[tuple[str, str]]:
 
 def _fig5(cfg: RunConfig) -> list[tuple[str, str]]:
     return [(f"fig5_disorder_N{n_steps}.csv",
-             disorder_csv(disorder_run(replace(cfg, loop=1, n_steps=n_steps, directions=DIRECTIONS,
-                                               engine="simplified", inputs=BELL_LABELS))))
+             disorder_csv(disorder_run(cfg._replace(loop=1, n_steps=n_steps, directions=DIRECTIONS,
+                                                    engine="simplified", inputs=BELL_LABELS))))
             for n_steps in (8, 100)]
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -172,27 +171,21 @@ def bell_eigenstate(label, p: WalkParams) -> np.ndarray:
     return bell_eigenstates(p)[bell_index(label) - 1]
 
 
-def expected_output(direction: str, label) -> str:
-    """Chirality-table target around Loop 1 for a given input and direction."""
-    return BELL_LABELS[CHIRAL_TARGETS[(_check_direction(direction), bell_index(label))] - 1]
-
-
-@dataclass(frozen=True, eq=False)
-class StepRecords:
+class StepRecords(NamedTuple):
     """Every step of one evolution as read-only arrays, row n for step n: the state's weights in the
     biorthogonal eigenbasis of u_step, raw and normalized to sum 1 (N, 4), the accumulated log of the
-    discarded norms (N,) and the (eta_plus, eta_minus) pair of the step's u_step (N, 2)."""
+    discarded norms (N,) and the (eta_plus, eta_minus) pair of the step's u_step (N, 2). Records compare
+    and hash by identity, as their array fields have no single truth value."""
 
     weights_raw: np.ndarray
     weights: np.ndarray
     log_magnitude: np.ndarray
     eta: np.ndarray
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionReport:
-    """One evolution's outcome; reports compare and hash by identity, as their array fields
-    have no single truth value."""
+class EvolutionReport(NamedTuple):
+    """One evolution's outcome; reports compare and hash by identity, as StepRecords do."""
 
     input_label: str
     direction: str
@@ -205,6 +198,7 @@ class EvolutionReport:
     classified_output: str
     log_magnitude: float
     per_step: StepRecords | None
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _row_norms(s: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConventionMismatch, DomainError
 from .linalg import kron
-from .metrics import bell_state
 from .walk import (
     WalkParams,
     control_operator,
@@ -296,16 +295,6 @@ def transmittance_from_gamma(gamma: float) -> tuple[float, float]:
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0 for the (1, t) normalization, got {gamma}")
     return 1.0, math.exp(-4.0 * gamma)
-
-
-def prepared_state(label) -> np.ndarray:
-    """The product state C^-1 |zeta_label> fed into the bench at the start point.
-
-    Not normalized: the control operator is not unitary, and the missing
-    norm is exactly the post-selection amplitude of the preparation stage.
-    """
-    _, c_inv = control_operator(start_params())
-    return c_inv @ bell_state(label)
 
 
 def _fmt_param(x: float) -> str:

@@ -23,6 +23,7 @@ from .errors import ConfigError, DomainError, NoBracket
 from .walk import WalkParams, d_arrays, ep_gap, guard_ep
 
 SCAN_POINTS = 257  # find_ep's scan of its box; a pair of roots it misses falls back on exceptional_points
+_DEFAULT = WalkParams._field_defaults  # the knobs' defaults: WalkParams.theta2 is a field descriptor
 
 
 class EigenSystem(NamedTuple):
@@ -115,9 +116,9 @@ def _axis(lo: float, hi: float, count: float) -> np.ndarray:
 def riemann_surface(
     phi_range: tuple[float, float, int] = (-0.3, 0.3, 61),
     theta1_range: tuple[float, float, int] = (-0.8, 0.0, 61),
-    theta2: float = WalkParams.theta2,
-    gamma: float = WalkParams.gamma,
-    k: float = WalkParams.k,
+    theta2: float = _DEFAULT["theta2"],
+    gamma: float = _DEFAULT["gamma"],
+    k: float = _DEFAULT["k"],
 ) -> np.ndarray:
     """Quasienergy sheets sampled on a (phi, theta1) grid: a (P, 6) float array.
 
@@ -140,9 +141,9 @@ def riemann_surface(
 
 def exceptional_points(
     theta1_box: tuple[float, float] = (-0.5, -0.1),
-    theta2: float = WalkParams.theta2,
-    gamma: float = WalkParams.gamma,
-    k: float = WalkParams.k,
+    theta2: float = _DEFAULT["theta2"],
+    gamma: float = _DEFAULT["gamma"],
+    k: float = _DEFAULT["k"],
 ) -> tuple[float, ...]:
     """The theta1 of every EP on phi = 0 in the box [lo, hi], in closed form and ascending.
 
@@ -175,9 +176,9 @@ def exceptional_points(
 
 def find_ep(
     theta1_box: tuple[float, float] = (-0.5, -0.1),
-    theta2: float = WalkParams.theta2,
-    gamma: float = WalkParams.gamma,
-    k: float = WalkParams.k,
+    theta2: float = _DEFAULT["theta2"],
+    gamma: float = _DEFAULT["gamma"],
+    k: float = _DEFAULT["k"],
 ) -> EpLocation:
     """Locate the eigenvalue coalescence D0^2 = 1 inside the search box.
 

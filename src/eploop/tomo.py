@@ -8,6 +8,7 @@ normalization, with eigenvalue clipping as an optional projection step.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, IllConditioned
 from .linalg import kron
 from .metrics import bell_fidelities
-from .streams import substreams
 
 BASIS_LABELS = ("H", "V", "D", "R")
 
@@ -81,12 +81,17 @@ def measurement_matrix() -> np.ndarray:
     return np.array([p.conj().reshape(-1) for p in basis_projectors()])
 
 
-_MEAS = measurement_matrix()
+@functools.cache
+def _meas() -> np.ndarray:
+    """measurement_matrix, built on first use and kept read-only."""
+    meas = measurement_matrix()
+    meas.flags.writeable = False
+    return meas
 
 
 def probabilities(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    return np.real(_MEAS @ rho.reshape(-1))
+    return np.real(_meas() @ rho.reshape(-1))
 
 
 def simulate_counts(rho: np.ndarray, cfg: TomoConfig) -> CountsTable:
@@ -111,8 +116,9 @@ def _reconstruct_rows(freqs: np.ndarray, psd_projection: bool) -> np.ndarray:
     A row that trips a guard raises for the first such row, with that row's
     message and its index as the error's `row`.
     """
-    sol = np.linalg.solve(np.broadcast_to(_MEAS, (len(freqs), 16, 16)), freqs.astype(complex)[..., None])[..., 0]
-    residual = np.abs((_MEAS @ sol[..., None])[..., 0] - freqs).max(axis=1)
+    meas = _meas()
+    sol = np.linalg.solve(np.broadcast_to(meas, (len(freqs), 16, 16)), freqs.astype(complex)[..., None])[..., 0]
+    residual = np.abs((meas @ sol[..., None])[..., 0] - freqs).max(axis=1)
     bound = 1e-8 * np.fmax(1.0, np.abs(freqs).max(axis=1))
     rho = sol.reshape(-1, 4, 4)
     rho = 0.5 * (rho + rho.conj().mT)
@@ -177,6 +183,8 @@ def tomography(tables, cfgs, resamples: int) -> tuple[np.ndarray, np.ndarray, np
     fires is the one for the first failing row in that order, named in its
     message (observed counts or resample r) and by its table's index `row`.
     """
+    from .streams import substreams  # loaded on first use: only the commands that draw read it
+
     check_resamples(resamples)
     if len(tables) != len(cfgs):
         raise ConfigError(f"need one configuration per table, got {len(cfgs)} for {len(tables)}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .errors import SingularMatrix, TooCloseToEP
 EP_GUARD = 2.0 ** -13  # eps ** (1/4): where |s|^2 = |D0^2 - 1| <= sqrt(eps), half the digits are gone (README)
 
 
-@dataclass(frozen=True)
-class WalkParams:
-    """The five scalar knobs of one walk step (angles in radians)."""
+class WalkParams(NamedTuple):
+    """The five scalar knobs of one walk step (angles in radians). The defaults are in _field_defaults:
+    a NamedTuple's class attributes are its field descriptors."""
 
     theta1: float
     theta2: float = math.pi / 16
@@ -45,11 +45,10 @@ class WalkParams:
     @property
     def knobs(self) -> tuple[float, float, float, float, float]:
         """(theta1, theta2, phi, gamma, k), the argument order of the array forms."""
-        return (self.theta1, self.theta2, self.phi, self.gamma, self.k)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class DCoefficients:
+class DCoefficients(NamedTuple):
     """Step-operator coefficients: real d-quadruple and complex D-quadruple."""
 
     d0: float

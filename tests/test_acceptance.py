@@ -82,6 +82,8 @@ def test_criterion_03_biorthonormal_eigensystem_and_bell_overlap():
             continue
         checked += 1
         g = np.array([[np.vdot(es.beta[i], es.alpha[j]) for j in range(4)] for i in range(4)])
+        # holds for |s| >= 1.3e-3, where C_TOL eps/|s|^2 <= 1e-9; these draws have |s| >= 0.27, and
+        # test_ep_conditioning checks the gaps from EP_GUARD up to there
         assert np.max(np.abs(g - np.eye(4))) < 1e-9
     for j in range(1, 5):
         v = ep.bell_eigenstate(j, START)

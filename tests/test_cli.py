@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -516,7 +515,7 @@ _READ_SETS = {
     "fig4": ("input_kind", "record_steps", "seed", "counts_per_basis", "psd_projection", "resamples"),
     "fig5": ("input_kind", "seed", "strength", "groups", "granularity"),
 }
-_KEYS = [f.name for f in fields(RunConfig)] + ["unknown", "nsteps"]
+_KEYS = [*RunConfig._fields, "unknown", "nsteps"]
 
 
 def test_read_sets_are_the_documented_table():
@@ -678,3 +677,47 @@ def test_flag_values_exit_0_2_or_3_with_one_line(tmp_path, monkeypatch, capsys, 
     assert code in (0, 2, 3), (argv, code, err)
     if code:
         assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+
+
+
+def _outcome(capsys, parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of a parse of argv that exits: --help, or an argparse error."""
+    with pytest.raises(SystemExit) as exited:
+        parse(argv)
+    return (exited.value.code, *capsys.readouterr())
+
+
+# one bad choice per subcommand, and the arguments it requires before an unknown flag can be the error
+_BAD_CHOICE = {"surface": ["--format", "xml"], "find-ep": ["--format", "xml"], "evolve": ["--engine", "exact"],
+               "reproduce": ["fig3"], "disorder": ["--granularity", "per_run"], "tomo": ["--state", "zeta5"],
+               "compile-optics": ["--target", "mirror"], "optimize-schedule": ["--format", "yaml"]}
+_REQUIRED = {"reproduce": ["fig1b"], "compile-optics": ["--target", "rotation"]}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+def test_main_parses_with_the_parser_of_its_command_alone_as_the_full_parser_does(capsys, monkeypatch, command):
+    """main builds only the subcommand its argv starts with; help, an unknown flag and a bad choice each print the
+    same bytes and exit with the same code as through the full parser, which the flag-value fuzzer reads."""
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or build_parser(name))
+    cli._parser.cache_clear()
+    for tail, code, message in ((["--help"], 0, f"usage: eploop {command} [-h]"),
+                                ([*_REQUIRED.get(command, []), "--no-such-flag"], 2,
+                                 "config error: unrecognized arguments: --no-such-flag\n"),
+                                (_BAD_CHOICE[command], 2, "invalid choice")):
+        got = _outcome(capsys, main, [command, *tail])
+        assert got == _outcome(capsys, build_parser().parse_args, [command, *tail]), tail
+        assert got[0] == code and message in got[1] + got[2], (tail, got)
+    alone = next(a for a in cli._parser(command)._actions if isinstance(a, argparse._SubParsersAction))
+    assert built == [command] and list(alone.choices) == [command]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ([], 2, "the following arguments are required: command"),
+    (["--help"], 0, "{surface,find-ep,evolve,reproduce,disorder,tomo,compile-optics,optimize-schedule}"),
+    (["nonsense"], 2, "argument command: invalid choice: 'nonsense'"),
+])
+def test_main_parses_any_other_first_argument_with_the_full_parser(capsys, argv, code, message):
+    got = _outcome(capsys, main, argv)
+    assert got == _outcome(capsys, build_parser().parse_args, argv)
+    assert got[0] == code and message in got[1] + got[2], got

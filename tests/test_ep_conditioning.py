@@ -18,14 +18,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 mpmath = pytest.importorskip("mpmath")
 
 from eploop.errors import SingularMatrix  # noqa: E402
-from eploop.spectrum import eigensystem_array, exceptional_points  # noqa: E402
+from eploop.spectrum import eigensystem, eigensystem_array, exceptional_points  # noqa: E402
 from eploop.walk import (  # noqa: E402
     EP_GUARD,
     WalkParams,
+    control_operator,
     control_operator_array,
     d_arrays,
     ep_gap,
+    u_step,
     u_step_array,
+    walk_operator_closed,
     walk_operator_closed_array,
 )
 
@@ -163,3 +166,37 @@ def test_closed_forms_near_both_eps_keep_their_identities_to_c_eps_over_s_square
     assert np.abs(_np(u_mp) - u_step_array(*knobs)).max() < 1e-14  # the mp layouts are the code's
     assert np.abs(_np(m4_mp) - m4).max() < 1e-14
     assert max(_rel_err(c, c_mp), _rel_err(c_inv, c_inv_mp)) <= tol
+
+
+# Three seeded-draw tests assert fixed bounds: biorthonormality < 1e-9 (test_acceptance::test_criterion_03_… and
+# test_spectrum::test_eigensystem_biorthonormal), and C (I x M) C^-1 - u_step < 1e-8 and C C^-1 - I < 1e-10
+# (test_walk::test_control_operator_similarity). C_TOL eps/|s|^2 lies within a bound b where
+# |s| >= sqrt(C_TOL eps / b): from 1.3e-3, 4.2e-4 and 4.2e-3. Their draws have |s| >= 0.27; below those gaps,
+# down to the guard, the residuals hold only to C_TOL eps/|s|^2, which the next test checks.
+FIXED_BOUNDS = (1e-9, 1e-8, 1e-10)
+FIXED_BOUND_GAP = max(math.sqrt(C_TOL * EPS / bound) for bound in FIXED_BOUNDS)  # 4.2e-3
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_COINS, st.integers(0, 3), st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0))
+@example(_COIN, 0, 0.0, 0.0)  # the default box's two EPs, from either end of the range
+@example(_COIN, 1, math.pi, 1.0)
+def test_the_fixed_bound_identities_keep_c_eps_over_s_squared_from_the_guard_up(coin, which, angle, u):
+    """The three residuals of the fixed-bound tests, each in that test's own form, at |s| log-uniform from just
+    outside EP_GUARD to FIXED_BOUND_GAP. Over 2,640 random draws of this domain the largest ratios to
+    eps/|s|^2 were 1.9 (biorthonormality), 4.0 (C (I x M) C^-1 - u_step) and 3.8 (C C^-1 - I)."""
+    lo = 1.1 * EP_GUARD
+    p = WalkParams(*_near_ep(coin, which, angle, lo * (FIXED_BOUND_GAP / lo) ** u))
+    s = abs(complex(ep_gap(d_arrays(*p)[0])))
+    assert EP_GUARD < s < 1.01 * FIXED_BOUND_GAP
+    tol = C_TOL * EPS / s**2
+    es = eigensystem(p)
+    gram = np.array([[np.vdot(es.beta[i], es.alpha[j]) for j in range(4)] for i in range(4)])
+    assert np.abs(gram - np.eye(4)).max() <= tol
+    try:
+        c, c_inv = control_operator(p)
+    except SingularMatrix:  # the det(B) test refuses near an EP above EP_GUARD when |X -/+ Y| is large (README)
+        return
+    m4 = np.kron(np.eye(2), walk_operator_closed(p))
+    assert np.abs(c @ m4 @ c_inv - u_step(p)).max() <= tol
+    assert np.abs(c @ c_inv - np.eye(4)).max() <= tol

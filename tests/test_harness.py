@@ -1,7 +1,6 @@
 import json
 import math
 import os
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +105,7 @@ def _reference_disorder_run(cfg):
             draws = 1 if cfg.granularity == "per_loop" else sched.n_steps
             offsets = rng.uniform(-cfg.strength, cfg.strength, size=(draws, 2))
             offsets = np.broadcast_to(offsets, (sched.n_steps, 2)).tolist()
-            steps = tuple(replace(p, theta1=p.theta1 + dth, phi=p.phi + dph)
+            steps = tuple(p._replace(theta1=p.theta1 + dth, phi=p.phi + dph)
                           for p, (dth, dph) in zip(sched.steps, offsets))
             rep = evolve(LoopSchedule.from_steps(steps, sched.direction, sched.label),
                          psi0, engine=cfg.engine, record_steps=False)
@@ -173,7 +172,7 @@ def _reference_case_stats(cfg):
 
 def _bits(case):
     """A CaseStats with every float as its exact bytes."""
-    return [v.hex() if isinstance(v, float) else v for v in (getattr(case, f.name) for f in fields(case))]
+    return [v.hex() if isinstance(v, float) else v for v in case]
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -213,14 +212,14 @@ def test_evolve_cases_rows_do_not_depend_on_their_neighbours(engine, loop, input
     batched = evolve_cases(cfg)
     assert len(batched) == len(alone)
     for got, want in zip(batched, alone):
-        for f in fields(got):
-            assert _plain(getattr(got, f.name)) == _plain(getattr(want, f.name)), f.name
+        for name in got._fields:
+            assert _plain(getattr(got, name)) == _plain(getattr(want, name)), name
 
 
 def _plain(value):
     """A report field with its arrays, step records' included, as lists, for == comparison."""
     if isinstance(value, StepRecords):
-        return [_plain(getattr(value, f.name)) for f in fields(value)]
+        return [_plain(v) for v in value]
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
@@ -275,7 +274,7 @@ _JSON_VALUES = st.recursive(
 
 # At most two keys, so that one bad value rarely hides the checks behind it.
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)] + ["unknown"]),
+@given(st.dictionaries(st.sampled_from([*RunConfig._fields, "unknown"]),
                        _JSON_VALUES | st.lists(_JSON_VALUES, max_size=3), max_size=2))
 def test_run_config_from_dict_returns_or_raises_config_error(data):
     try:

@@ -28,7 +28,6 @@ from eploop.loops import (
     evolve_full,
     evolve_many,
     evolve_simplified,
-    expected_output,
     loop1_schedule,
     loop2_schedule,
     min_case_fidelity,
@@ -38,7 +37,7 @@ from eploop.loops import (
 )
 from eploop.harness import RunConfig, evolve_cases
 from eploop.loops import _increments_from_x, _nelder_mead, _objective_rows, _row_norms
-from eploop.metrics import bell_index, bell_state, classify, fidelity_pure
+from eploop.metrics import BELL_LABELS, bell_index, bell_state, classify, fidelity_pure
 from eploop.spectrum import eigensystem, find_ep
 from eploop.walk import (
     WalkParams,
@@ -185,14 +184,10 @@ def test_bell_eigenstates_match_the_per_label_overlap_loop(theta1, phi, gamma, k
 
 
 def test_expected_output_table():
-    assert expected_output("cw", 1) == "zeta2"
-    assert expected_output("cw", 2) == "zeta2"
-    assert expected_output("cw", 3) == "zeta3"
-    assert expected_output("cw", 4) == "zeta3"
-    assert expected_output("ccw", 1) == "zeta1"
-    assert expected_output("ccw", 2) == "zeta1"
-    assert expected_output("ccw", 3) == "zeta4"
-    assert expected_output("ccw", 4) == "zeta4"
+    assert {key: BELL_LABELS[j - 1] for key, j in CHIRAL_TARGETS.items()} == {
+        ("cw", 1): "zeta2", ("cw", 2): "zeta2", ("cw", 3): "zeta3", ("cw", 4): "zeta3",
+        ("ccw", 1): "zeta1", ("ccw", 2): "zeta1", ("ccw", 3): "zeta4", ("ccw", 4): "zeta4",
+    }
     assert set(CHIRAL_TARGETS) == {(d, j) for d in DIRECTIONS for j in range(1, 5)}
 
 
@@ -201,7 +196,7 @@ def test_full_engine_chirality_frozen_values():
         sched = loop1_schedule(100, direction)
         for j in range(1, 5):
             rep = evolve_full(sched, bell_eigenstate(j, sched.start), record_steps=False)
-            tgt = expected_output(direction, j)
+            tgt = BELL_LABELS[CHIRAL_TARGETS[(direction, j)] - 1]
             assert rep.classified_output == tgt
             f = rep.fidelities[bell_index(tgt) - 1]
             expected = FULL_SWITCH_F if rep.classified_output != f"zeta{j}" else FULL_STAY_F
@@ -212,7 +207,7 @@ def test_simplified_engine_frozen_values():
     for (direction, j), expected in SIMPL_F.items():
         sched = loop1_schedule(100, direction)
         rep = evolve_simplified(sched, bell_eigenstate(j, sched.start), record_steps=False)
-        tgt = expected_output(direction, j)
+        tgt = BELL_LABELS[CHIRAL_TARGETS[(direction, j)] - 1]
         assert rep.classified_output == tgt
         assert rep.fidelities[bell_index(tgt) - 1] == pytest.approx(expected, abs=1e-9)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eploop.errors import ConventionMismatch, DomainError
-from eploop.metrics import bell_state
 from eploop.optics import (
     ElementSequence,
     OpticalElement,
@@ -21,7 +20,6 @@ from eploop.optics import (
     jones_two_photon,
     phase_plate,
     ppbs,
-    prepared_state,
     qwp,
     sequence_text,
     start_params,
@@ -123,15 +121,6 @@ def test_gamma_transmittance_round_trip():
         gamma_from_transmittance(1.5, 0.45)
     with pytest.raises(DomainError):
         transmittance_from_gamma(-0.1)
-
-
-def test_prepared_state_maps_back_to_bell():
-    c, _ = control_operator(start_params())
-    for j in range(1, 5):
-        prep = prepared_state(j)
-        out = c @ prep
-        out = out / np.linalg.norm(out)
-        assert abs(np.vdot(bell_state(j), out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sequence_text_format():

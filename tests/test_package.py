@@ -104,7 +104,7 @@ def test_one_write_path():
 _STARTUP = """
 import json, sys
 import eploop, eploop.cli
-loaded = sorted(m for m in sys.modules if m.startswith("eploop."))
+loaded = sorted(m for m in sys.modules if m.startswith("eploop.") or m == "dataclasses")
 records = sorted({c.__name__ for m in loaded for c in vars(sys.modules[m]).values()
                   if isinstance(c, type) and c.__module__.startswith("eploop") and hasattr(c, "__dataclass_fields__")})
 first_use = eploop.compile_walk_step.__module__
@@ -113,13 +113,15 @@ print(json.dumps([loaded, records, first_use]))
 
 
 def test_importing_the_cli_leaves_optics_unloaded():
-    """Start-up guard: only compile-optics loads optics; linalg stays loaded, as perfbench's tracer patches it; and
-    only the records that dataclasses.fields, replace or astuple read are dataclasses."""
+    """Start-up guard: only compile-optics loads optics, and only the commands that draw load streams; tomo and
+    linalg stay loaded, as perfbench's tracer patches them; and no record is a dataclass, nor is dataclasses
+    imported at all."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", _STARTUP], env=env, capture_output=True, text=True, check=True)
     loaded, records, first_use = json.loads(out.stdout)
-    assert "eploop.optics" not in loaded and "eploop.linalg" in loaded
-    assert records == ["CaseStats", "DCoefficients", "EvolutionReport", "RunConfig", "StepRecords", "WalkParams"]
+    assert "eploop.optics" not in loaded and "eploop.streams" not in loaded and "dataclasses" not in loaded
+    assert "eploop.tomo" in loaded and "eploop.linalg" in loaded
+    assert records == []
     assert first_use == "eploop.optics"
     assert eploop.__getattr__("compile_walk_step") is eploop.optics.compile_walk_step
     with pytest.raises(AttributeError, match="has no attribute 'compile_nothing'"):
@@ -130,7 +132,9 @@ def test_value_records_compare_and_hash_by_value():
     records = [eploop.Classification("zeta1", (1.0, 0.0, 0.0, 0.0), False), eploop.EpLocation(0.0, -0.3, 1e-12),
                eploop.loops.ControlDriftReport((0.1, 0.2), 0.2, 1), eploop.SheetTrace(1, (3,)),
                eploop.OptimizeResult((1.0, 2.0), 0.9, 0.8), eploop.DisorderSummary(()),
-               eploop.CountsTable((("H", "H", 7),)), eploop.TomoConfig(5, 1), eploop.OpticalElement("HWP", (0.1,))]
+               eploop.CountsTable((("H", "H", 7),)), eploop.TomoConfig(5, 1), eploop.OpticalElement("HWP", (0.1,)),
+               eploop.WalkParams(-0.3), eploop.d_coefficients(eploop.WalkParams(-0.3, phi=0.1)),
+               eploop.RunConfig(n_steps=8), eploop.CaseStats("zeta1", "cw", "zeta2", 0.9, 0.8, 0.01, 0.5)]
     for record in records:
         twin = type(record)(*record)
         assert twin is not record and twin == record and hash(twin) == hash(record), record
@@ -139,10 +143,25 @@ def test_value_records_compare_and_hash_by_value():
     assert schedule == schedule and schedule != twin and len({schedule, twin, schedule}) == 2
 
 
+def test_array_records_compare_and_hash_by_identity():
+    """EvolutionReport and StepRecords hold arrays, which have no single truth value: a record equals only itself."""
+    schedule = eploop.loop1_schedule(4, "cw")
+    report = eploop.evolve_full(schedule, eploop.bell_eigenstate(1, schedule.start), record_steps=True)
+    for record in (report, report.per_step):
+        twin = type(record)(*record)
+        assert record == record and not record != record
+        assert twin != record and not twin == record and len({record, twin, record}) == 2, type(record)
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: eploop.TomoConfig(counts_per_basis=0), eploop.ConfigError,
      "counts_per_basis must lie in [1, 1000000000000], got 0"),
     (lambda: eploop.TomoConfig(7, -1), eploop.ConfigError, "seed must be >= 0, got -1"),
+    (lambda: eploop.RunConfig(loop=3), eploop.ConfigError, "loop must be 1 or 2, got 3"),
+    # a copy made as the fig2 and fig5 builders make theirs is checked as well
+    (lambda: eploop.RunConfig()._replace(loop=1, n_steps=0, engine="simplified"), eploop.ConfigError,
+     "n_steps must be >= 1, got 0"),
+    (lambda: eploop.RunConfig()._replace(inputs=("zeta5",)), eploop.ConfigError, "unknown input label 'zeta5'"),
     (lambda: eploop.OpticalElement("MIRROR", (0.1,)), eploop.DomainError, "unknown element kind 'MIRROR'"),
     (lambda: eploop.OpticalElement("HWP", (0.1,), path="middle"), eploop.DomainError,
      "path must be upper/lower/both, got 'middle'"),

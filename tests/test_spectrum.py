@@ -62,6 +62,8 @@ def test_eigensystem_biorthonormal():
             continue
         checked += 1
         g = np.array([[np.vdot(es.beta[i], es.alpha[j]) for j in range(4)] for i in range(4)])
+        # holds for |s| >= 1.3e-3, where C_TOL eps/|s|^2 <= 1e-9; these draws have |s| >= 0.35, and
+        # test_ep_conditioning checks the gaps from EP_GUARD up to there
         assert np.max(np.abs(g - np.eye(4))) < 1e-9
 
 
@@ -99,7 +101,8 @@ def test_eigensystem_and_control_pair_refuse_from_the_same_gap_down():
     for root in exceptional_points():
         offsets = np.geomspace(1e-17, 1e-2, 120)
         theta1 = root + np.concatenate([-offsets, offsets])
-        s = ep_gap(d_arrays(theta1, WalkParams.theta2, 0.0, WalkParams.gamma, WalkParams.k)[0])
+        default = WalkParams._field_defaults  # WalkParams.theta2 is a field descriptor, not the default
+        s = ep_gap(d_arrays(theta1, default["theta2"], 0.0, default["gamma"], default["k"])[0])
         gaps = np.hypot(s.real, s.imag)
         assert gaps.min() <= EP_GUARD < gaps.max()
         for t, gap in zip(theta1.tolist(), gaps.tolist()):
