@@ -1,18 +1,20 @@
 """Command-line interface.
 
 Subcommands: surface, find-ep, evolve, reproduce, disorder, tomo,
-compile-optics, optimize-schedule. Shared flags (given after the subcommand,
-each only on the subcommands that read it): --config <path> JSON run
-configuration, --seed <any non-negative integer>, --out <dir>, --format
-csv|json (default csv). Every other run setting of evolve, disorder and tomo
-is one RunConfig field with one flag (_RUN_FLAGS), and each command takes the
-flags of the fields it reads (READS); --direction and --input repeat, with
-repeats dropped. A config key or --seed outside the RunConfig fields a command
-reads (READS, harness.FIGURES) is a configuration error. The other commands
-pass on only the flags given (_given), so each default lives in the library,
-and compile-optics rejects a knob its target does not read. No flag may be
-abbreviated. Exit codes: 0 success, 2 configuration error (a size too large
-to allocate included), 3 numerical-guard error.
+compile-optics, optimize-schedule, each one row of _COMMANDS (help line, flag
+builder, handler). Shared flags (given after the subcommand, each only on the
+subcommands that read it): --config <path> JSON run configuration, --seed
+<any non-negative integer>, --out <dir>, --format csv|json (default csv).
+Every other run setting of evolve, disorder and tomo is one RunConfig field
+with one flag (_RUN_FLAGS), and each command takes the flags of the fields it
+reads (READS); --direction and --input repeat, with repeats dropped. A config
+key or --seed outside the RunConfig fields a command reads (READS, or the
+figure's row of harness.FIGURES) is a configuration error, and so are evolve's
+step records as CSV. The other commands hand the library every flag given, by
+its dest (_given), so each default lives in the library and the parser is the
+one list of its arguments; compile-optics rejects a knob its target does not
+read. No flag may be abbreviated. Exit codes: 0 success, 2 configuration error
+(a size too large to allocate included), 3 numerical-guard error.
 """
 from __future__ import annotations
 
@@ -118,7 +120,6 @@ _RUN_FLAGS = {
     "psd_projection": ("--psd", dict(action="store_const", const=True,
                                      help="project the reconstruction onto the PSD cone")),
 }
-_FIELD_DEFAULTS = RunConfig._field_defaults
 # where a command's default differs from RunConfig's
 _DEFAULTS = {"disorder": {"engine": "simplified"}, "tomo": {"seed": 0}}
 _CONFIG_ONLY = {"disorder": ("inputs",)}  # fields a command reads from --config alone
@@ -131,7 +132,7 @@ def _shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
 
 def _run_flags(p: argparse.ArgumentParser, command: str) -> None:
     """The flags of the fields `command` reads, with the command's default in each help."""
-    defaults = _FIELD_DEFAULTS | _DEFAULTS.get(command, {})
+    defaults = RunConfig._field_defaults | _DEFAULTS.get(command, {})
     for name in READS[command]:
         if name in _RUN_FLAGS and name not in _CONFIG_ONLY.get(command, ()):
             flag, kwargs = _RUN_FLAGS[name]
@@ -145,9 +146,10 @@ def _walk_flags(p: argparse.ArgumentParser, *knobs: str) -> None:
         p.add_argument(f"--{knob}", type=finite_float)
 
 
-def _given(args: argparse.Namespace, *names: str) -> dict:
-    """The flags among `names` that the command line gave, by dest: every other one keeps its default."""
-    return {name: value for name in names if (value := getattr(args, name)) is not None}
+def _given(args: argparse.Namespace) -> dict:
+    """Every flag the command line gave but command, out and format, by dest: the others keep the library's defaults."""
+    return {name: value for name, value in vars(args).items()
+            if value is not None and name not in ("command", "out", "format")}
 
 
 def _surface_flags(p: argparse.ArgumentParser) -> None:
@@ -201,35 +203,23 @@ def _optimize_flags(p: argparse.ArgumentParser) -> None:
     _shared_flags(p, "seed", "out", "format")
 
 
-# each subcommand's help line and the function that adds its flags, in the order `eploop --help` lists them
-_COMMANDS = {
-    "surface": ("quasienergy sheets on a parameter grid", _surface_flags),
-    "find-ep": ("locate the spectral coalescence point", _find_ep_flags),
-    "evolve": ("run loop evolutions and classify outputs", _evolve_flags),
-    "reproduce": ("regenerate a figure-style dataset", _reproduce_flags),
-    "disorder": ("Monte-Carlo robustness under angle noise", _disorder_flags),
-    "tomo": ("simulate or invert two-photon tomography", _tomo_flags),
-    "compile-optics": ("compile an operator into wave-plate elements", _compile_optics_flags),
-    "optimize-schedule": ("optimize loop phase increments at small N", _optimize_flags),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone. An argv that starts with `command` parses,
     fails and prints its help on both alike; only the top level's own help and errors need every subcommand."""
     parser = _Parser(prog="eploop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_flags) in _COMMANDS.items():
+    for name, (help_line, add_flags, _) in _COMMANDS.items():
         if command in (None, name):
             add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
-def _load_config(args: argparse.Namespace, reads: tuple[str, ...]) -> RunConfig:
+def _load_config(args: argparse.Namespace) -> RunConfig:
     """Merge precedence: explicit flags > config file > subcommand defaults.
 
-    A config key or --seed outside `reads` is a ConfigError.
+    A config key or --seed outside the command's READS row, or its figure's FIGURES row, is a ConfigError.
     """
+    reads = FIGURES[args.figure][0] if args.command == "reproduce" else READS[args.command]
     command = " ".join(filter(None, (args.command, getattr(args, "figure", None))))
     data = dict(_DEFAULTS.get(args.command, {}))
     if args.config:
@@ -246,7 +236,7 @@ def _load_config(args: argparse.Namespace, reads: tuple[str, ...]) -> RunConfig:
         if unread:
             raise ConfigError(f"{command} does not read config keys {unread}")
         data.update(loaded)
-    for name in _FIELD_DEFAULTS:
+    for name in RunConfig._field_defaults:
         value = getattr(args, name, None)
         if value is not None:
             if name not in reads:  # only --seed is ever on a command that does not read it
@@ -256,21 +246,24 @@ def _load_config(args: argparse.Namespace, reads: tuple[str, ...]) -> RunConfig:
 
 
 def _cmd_surface(args) -> list[tuple[str, str]]:
-    grid = riemann_surface(**_given(args, "phi_range", "theta1_range", "theta2", "gamma", "k"))
+    grid = riemann_surface(**_given(args))
     if args.format == "json":
         return [("surface.json", dump_json({"samples": grid.tolist()}))]
     return [("surface.csv", surface_csv(grid))]
 
 
 def _cmd_find_ep(args) -> list[tuple[str, str]]:
-    ep = find_ep(**_given(args, "theta1_box", "theta2", "gamma", "k"))
+    ep = find_ep(**_given(args))
     if args.format == "json":
         return [("ep.json", ep_json(ep))]
     return [("ep.csv", csv_text("phi,theta1,residual", [(ep.phi, ep.theta1, ep.residual)]))]
 
 
 def _cmd_evolve(args) -> list[tuple[str, str]]:
-    reports = evolve_cases(_load_config(args, READS["evolve"]))
+    cfg = _load_config(args)
+    if cfg.record_steps and args.format == "csv":  # refused before the run: its CSV has no step columns
+        raise ConfigError("evolve writes step records as JSON only: record_steps needs --format json")
+    reports = evolve_cases(cfg)
     if args.format == "csv":
         return [("evolve.csv", report_csv(reports))]
     # Encode one report at a time: every report's step dicts alive at once
@@ -282,12 +275,12 @@ def _cmd_evolve(args) -> list[tuple[str, str]]:
 
 def _cmd_reproduce(args) -> list[tuple[str, str]]:
     """The written paths, one line each: reproduce_figure writes the figure's files itself."""
-    cfg = _load_config(args, FIGURES[args.figure])
+    cfg = _load_config(args)
     return [(path, path + "\n") for path in reproduce_figure(args.figure, args.out, cfg, optimized=args.optimized)]
 
 
 def _cmd_disorder(args) -> list[tuple[str, str]]:
-    summary = disorder_run(_load_config(args, READS["disorder"]))
+    summary = disorder_run(_load_config(args))
     to_text = disorder_json if args.format == "json" else disorder_csv
     return [(f"disorder.{args.format}", to_text(summary))]
 
@@ -295,7 +288,7 @@ def _cmd_disorder(args) -> list[tuple[str, str]]:
 def _cmd_tomo(args) -> list[tuple[str, str]]:
     if bool(args.state) == bool(args.counts):
         raise ConfigError("tomo needs exactly one of --state or --counts")
-    cfg = _load_config(args, READS["tomo"])
+    cfg = _load_config(args)
     texts = []
     if args.state:
         counts = simulate_counts(density_matrix(bell_state(args.state)), cfg.tomo_config())
@@ -311,8 +304,8 @@ def _cmd_tomo(args) -> list[tuple[str, str]]:
 
 
 def _cmd_compile_optics(args) -> list[tuple[str, str]]:
-    knobs, compile_target = _OPTICS[args.target]
-    given = _given(args, "theta", *_WALK_KNOBS)
+    given = _given(args)
+    knobs, compile_target = _OPTICS[given.pop("target")]
     unread = [f"--{name}" for name in given if name not in knobs]
     if unread:
         raise ConfigError(f"compile-optics --target {args.target} does not read {' '.join(unread)}")
@@ -332,7 +325,7 @@ def _cmd_compile_optics(args) -> list[tuple[str, str]]:
 
 
 def _cmd_optimize(args) -> list[tuple[str, str]]:
-    result = optimize_schedule(**_given(args, "n_steps", "seed", "multistarts", "maxiter"))
+    result = optimize_schedule(**_given(args))
     if args.format == "json":
         return [("schedule.json", schedule_json(result))]
     return [("schedule.csv", csv_text("step,increment", [*enumerate(result.increments),
@@ -340,15 +333,16 @@ def _cmd_optimize(args) -> list[tuple[str, str]]:
                                                         ("# baseline_objective", result.baseline_objective)]))]
 
 
-_HANDLERS = {
-    "surface": _cmd_surface,
-    "find-ep": _cmd_find_ep,
-    "evolve": _cmd_evolve,
-    "reproduce": _cmd_reproduce,
-    "disorder": _cmd_disorder,
-    "tomo": _cmd_tomo,
-    "compile-optics": _cmd_compile_optics,
-    "optimize-schedule": _cmd_optimize,
+# each subcommand's help line, flag builder and handler, in the order `eploop --help` lists them
+_COMMANDS = {
+    "surface": ("quasienergy sheets on a parameter grid", _surface_flags, _cmd_surface),
+    "find-ep": ("locate the spectral coalescence point", _find_ep_flags, _cmd_find_ep),
+    "evolve": ("run loop evolutions and classify outputs", _evolve_flags, _cmd_evolve),
+    "reproduce": ("regenerate a figure-style dataset", _reproduce_flags, _cmd_reproduce),
+    "disorder": ("Monte-Carlo robustness under angle noise", _disorder_flags, _cmd_disorder),
+    "tomo": ("simulate or invert two-photon tomography", _tomo_flags, _cmd_tomo),
+    "compile-optics": ("compile an operator into wave-plate elements", _compile_optics_flags, _cmd_compile_optics),
+    "optimize-schedule": ("optimize loop phase increments at small N", _optimize_flags, _cmd_optimize),
 }
 
 
@@ -369,7 +363,7 @@ def main(argv=None) -> int:
     try:
         if args.out:
             check_out_dir(args.out)
-        texts = _HANDLERS[args.command](args)
+        texts = _COMMANDS[args.command][2](args)
         if args.out and args.command != "reproduce":
             texts = [(path, path + "\n") for path in write_texts(args.out, texts)]
     except ConfigError as exc:

@@ -261,9 +261,10 @@ def dump_json(obj) -> str:
 
 
 def write_text(path: str, text: str) -> str:
-    """Write `text` to `path`, making its directory; a path that cannot be written is a ConfigError."""
+    """Write `text` to `path`, making the directories of the path as given, as mkdir -p does (the kernel resolves
+    a .. after them); a path that cannot be written is a ConfigError."""
     try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
@@ -409,19 +410,12 @@ def _fig5(cfg: RunConfig) -> list[tuple[str, str]]:
             for n_steps in (8, 100)]
 
 
-# the RunConfig fields each figure reads; every other setting is fixed by the figure
+# each figure's RunConfig fields read (the figure fixes every other setting) and its builder of (name, text) pairs
 FIGURES = {
-    "fig1b": (),
-    "fig2": ("input_kind", "record_steps"),
-    "fig4": ("input_kind", "record_steps", "seed", "counts_per_basis", "psd_projection", "resamples"),
-    "fig5": ("input_kind", "seed", "strength", "groups", "granularity"),
-}
-# each figure's (name, text) pairs, from its RunConfig and the optimized flag
-_FIGURE_TEXTS = {
-    "fig1b": lambda cfg, optimized: _fig1b(),
-    "fig2": lambda cfg, optimized: _fig2(cfg),
-    "fig4": _fig4,
-    "fig5": lambda cfg, optimized: _fig5(cfg),
+    "fig1b": ((), lambda cfg, optimized: _fig1b()),
+    "fig2": (("input_kind", "record_steps"), lambda cfg, optimized: _fig2(cfg)),
+    "fig4": (("input_kind", "record_steps", "seed", "counts_per_basis", "psd_projection", "resamples"), _fig4),
+    "fig5": (("input_kind", "seed", "strength", "groups", "granularity"), lambda cfg, optimized: _fig5(cfg)),
 }
 
 
@@ -441,4 +435,4 @@ def reproduce_figure(which: str, out_dir: str, cfg: RunConfig | None = None, opt
     if optimized and which != "fig4":
         raise ConfigError(f"optimized applies only to fig4, not {which}")
     check_out_dir(out_dir)
-    return write_texts(out_dir, _FIGURE_TEXTS[which](cfg or RunConfig(), optimized))
+    return write_texts(out_dir, FIGURES[which][1](cfg or RunConfig(), optimized))

@@ -419,11 +419,37 @@ def test_an_unwritable_out_exits_2_with_one_line(tmp_path, monkeypatch, capsys, 
     assert sorted(p.name for p in (tmp_path / "D").iterdir()) == taken  # no file written beside them
 
 
+@pytest.mark.parametrize("argv, written", [
+    # the kernel resolves each .. after the directories before it exist, as mkdir -p makes them
+    (["evolve", "--n-steps", "3", "--direction", "cw", "--input", "zeta1", "--format", "json", "--out", "y/sub/.."],
+     "y/evolve_cw_zeta1.json"),
+    (["reproduce", "fig1b", "--out", "y/sub/../r"], "y/r/fig1b_ep.json"),
+    (["find-ep", "--out", "y/./sub"], "y/sub/ep.csv"),
+])
+def test_an_out_through_missing_directories_and_dotdot_writes_as_mkdir_p(tmp_path, monkeypatch, capsys, argv, written):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert (tmp_path / written).is_file() and (tmp_path / "y" / "sub").is_dir()
+    assert os.path.basename(written) in capsys.readouterr().out
+
+
+def test_evolve_refuses_step_records_as_csv_before_the_run(tmp_path, monkeypatch, capsys):
+    # the CSV has no step columns: the records would be computed and dropped
+    monkeypatch.setattr(cli, "evolve_cases", lambda cfg: pytest.fail("evolve ran"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"record_steps": true}')
+    for argv in (["evolve", "--record-steps"], ["evolve", "--config", str(cfg), "--format", "csv"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "config error: evolve writes step records as JSON only: "
+                                           "record_steps needs --format json\n"), argv
+
+
 def test_reproduce_refuses_an_out_file_before_building_the_figure(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "F").write_text("kept\n")
     built = []
-    monkeypatch.setitem(harness._FIGURE_TEXTS, "fig4", lambda cfg, optimized: built.append(optimized) or [])
+    monkeypatch.setitem(harness.FIGURES, "fig4",
+                        (harness.FIGURES["fig4"][0], lambda cfg, optimized: built.append(optimized) or []))
     for out in ("F", "F/sub", "F/sub/"):
         assert main(["reproduce", "fig4", "--optimized", "--out", out]) == 2
         assert capsys.readouterr().err == f"config error: cannot write {out}: F is not a directory\n"
@@ -440,7 +466,7 @@ def test_every_command_refuses_an_out_file_before_its_handler_runs(tmp_path, mon
     monkeypatch.chdir(tmp_path)
     (tmp_path / "F").write_text("kept\n")
     ran = []
-    monkeypatch.setitem(cli._HANDLERS, argv[0], lambda args: ran.append(args.out) or [])
+    monkeypatch.setitem(cli._COMMANDS, argv[0], cli._COMMANDS[argv[0]][:2] + (lambda args: ran.append(args.out) or [],))
     for out in ("F", "F/sub", "F/sub/"):
         assert main(argv + ["--out", out]) == 2
         assert capsys.readouterr().err == f"config error: cannot write {out}: F is not a directory\n"
@@ -519,7 +545,7 @@ _KEYS = [*RunConfig._fields, "unknown", "nsteps"]
 
 
 def test_read_sets_are_the_documented_table():
-    assert {**READS, **FIGURES} == _READ_SETS
+    assert {**READS, **{fig: reads for fig, (reads, _) in FIGURES.items()}} == _READ_SETS
 
 
 _JSON_VALUES = st.recursive(

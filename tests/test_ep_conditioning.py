@@ -3,11 +3,12 @@
 s = eta - D0 = sqrt(D0^2 - 1) is formed from D0^2 - 1, which cancels near an
 EP, so its relative error grows like eps/|s|^2. The eigenvectors carry 1/s and
 the control pair divides by s^2 and sigma = sqrt(1 - D0^2), so every output's
-error scales the same way. Each check below is C_TOL eps/|s|^2 with
+error scales the same way. Each identity check below is C_TOL eps/|s|^2 with
 C_TOL = 8: over this test's draws and 523 more of its domain, the largest
 measured ratios to eps/|s|^2 were 2.0 (biorthonormality), 1.6 (the
 eigensystem against mpmath), 3.2 (C (I x M) C^-1 - u_step) and 2.7 (the
-control pair against mpmath).
+control pair against mpmath). find_ep's root is held to the closed form's
+within a bound derived from d0's rounding and its slope at the root.
 """
 import math
 
@@ -17,8 +18,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 mpmath = pytest.importorskip("mpmath")
 
-from eploop.errors import SingularMatrix  # noqa: E402
-from eploop.spectrum import eigensystem, eigensystem_array, exceptional_points  # noqa: E402
+from eploop.errors import NoBracket, SingularMatrix  # noqa: E402
+from eploop.spectrum import eigensystem, eigensystem_array, exceptional_points, find_ep  # noqa: E402
 from eploop.walk import (  # noqa: E402
     EP_GUARD,
     WalkParams,
@@ -133,6 +134,36 @@ def test_closed_form_eps_are_the_50_digit_roots(coin):
     roots = exceptional_points((-math.pi, math.pi), *coin)
     assert len(roots) == len(exact)
     assert all(abs(MP.mpf(got) - want) <= 4 * math.ulp(math.pi) for got, want in zip(roots, exact))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.floats(-3.5, 3.5), st.floats(1e-6, 3.0), _COINS)
+@example(-0.5, 0.4, _COIN)  # the default box: 3.1 doubles from the root, against a bound of 229
+@example(-0.5, 0.4, (_COIN[0], 0.001, 0.0))  # a pair inside one scan cell: the closed-form bracket
+def test_find_ep_lies_within_its_rounding_bound_of_the_closed_form_root(lo, width, coin):
+    """find_ep bisects the sign of the float d0 -/+ 1 down to adjacent doubles and returns one of them.
+
+    walk._d_terms forms d0 = T1 - T2 with T1 = cos 2k cos theta1 cos theta2 and T2 = cosh 2gamma sin theta1
+    sin theta2: sin and cos within 1 ulp (eps relative), math.cosh within 2, and two products each, so T1 is
+    within 4 eps |T1|, T2 within 5 eps |T2| and the difference within eps/2 more: E = eps (4 |T1| + 5 |T2| + 1/2).
+    At a root d0 = R cos(theta1 + delta) has slope -/+ sqrt(R^2 - 1), so, to first order, the exact root lies
+    within E / sqrt(R^2 - 1) of the last bracket: at most E / (sqrt(R^2 - 1) ulp) + 1 doubles from what find_ep
+    returns. The bound is derived, not fitted: the largest distance was 0.30 of it over this test's 152 draws
+    and 0.27 over 921 more random bracketing ones (up to 820 doubles, where theta1 is small and its doubles dense).
+    """
+    try:
+        got = find_ep((lo, lo + width), *coin).theta1
+    except NoBracket:
+        assume(False)
+    t2, g, k = (MP.mpf(v) for v in coin)
+    a, b = MP.cos(2 * k) * MP.cos(t2), MP.cosh(2 * g) * MP.sin(t2)
+    r, delta = MP.sqrt(a * a + b * b), MP.atan2(b, a)
+    # the 50-digit closed-form root nearest the one found, theta1 = -delta +- arccos(+-1/R) + 2 pi n
+    bases = [-delta + sign * MP.acos(target / r) for target in (1, -1) for sign in (1, -1)]
+    root = min((t + MP.nint((got - t) / (2 * MP.pi)) * 2 * MP.pi for t in bases), key=lambda t: abs(t - got))
+    rounding = EPS * (4 * abs(a * MP.cos(root)) + 5 * abs(b * MP.sin(root)) + 0.5)
+    ulp = math.ulp(max(abs(got), abs(float(root))))
+    assert abs(got - root) / ulp <= rounding / (MP.sqrt(r * r - 1) * ulp) + 1
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

@@ -356,7 +356,8 @@ def test_fig4_bytes_do_not_depend_on_the_stack_chunks(tmp_path, monkeypatch):
 def test_reproduce_figure_refuses_an_out_file_for_library_callers(tmp_path, monkeypatch):
     (tmp_path / "F").write_text("kept\n")
     built = []
-    monkeypatch.setitem(harness._FIGURE_TEXTS, "fig4", lambda cfg, optimized: built.append(optimized) or [])
+    monkeypatch.setitem(harness.FIGURES, "fig4",
+                        (harness.FIGURES["fig4"][0], lambda cfg, optimized: built.append(optimized) or []))
     with pytest.raises(ConfigError, match="F is not a directory"):
         reproduce_figure("fig4", str(tmp_path / "F" / "sub"), optimized=True)
     assert built == [] and (tmp_path / "F").read_text() == "kept\n"
