@@ -6,10 +6,11 @@ output files within this implementation. All randomness flows through PCG64
 generators keyed by SeedSequence(entropy=seed, spawn_key=(tags...)) so cases,
 groups, and resamples own independent substreams regardless of execution
 order. streams.spawn_words computes the seed words of a whole family of such
-substreams in one array pass and streams.substreams hands them to PCG64, so
-each generator starts in bitwise the state SeedSequence gives it; a counts
-table's key-less stream is SeedSequence(seed) itself. JSON floats print with
-repr (shortest round-trip form).
+substreams in one array pass, from the pool numpy gives as
+SeedSequence(seed).pool, and streams.substreams hands them to PCG64, so each
+generator starts in bitwise the state SeedSequence gives it; a counts table's
+key-less stream is default_rng(seed), the PCG64 of SeedSequence(seed). JSON
+floats print with repr (shortest round-trip form).
 """
 from __future__ import annotations
 

@@ -4,18 +4,19 @@ Every seeded stream of the package is the PCG64 generator of
 SeedSequence(entropy=seed, spawn_key=key) (NumPy NEP 19). SeedSequence hashes
 the run entropy, then the spawn key, into a pool of four 32-bit words, and
 hashes the pool into the generator's seed words. The pool after the run
-entropy is the same for every key, so it is computed once with Python ints;
-only the spawn-key words and the output hash run over the rows, as uint64
-arrays masked to 32 bits. The words are bitwise those of
+entropy is the same for every key: it is SeedSequence(seed).pool, read once
+from numpy. Only the spawn-key words and the output hash run over the rows, as
+uint64 arrays masked to 32 bits. The words are bitwise those of
 SeedSequence(...).generate_state, and PCG64 seeds itself from them, so every
-stream starts in exactly the state that SeedSequence gives it.
+stream starts in exactly the state that SeedSequence gives it. Importing this
+module imports numpy.random; only the code that draws imports it.
 """
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -26,15 +27,9 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _hash(value, xor, mult):
-    """One SeedSequence hash step on 32-bit words held in ints or uint64 arrays."""
+    """One SeedSequence hash step on 32-bit words held in uint64 arrays."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
-
-
-def _hashmix(value: int, const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix on an int: (hashed value, next constant)."""
-    nxt = const * _MULT_A & _MASK32
-    return _hash(value, const, nxt), nxt
 
 
 def _hash_columns(const: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -49,27 +44,6 @@ def _hash_columns(const: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray
 def _mix(x, y):
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> 16
-
-
-def _entropy_pool(entropy: int) -> tuple[list[int], int]:
-    """The pool after the run entropy, padded to the pool size as a spawn key requires, and the hash constant."""
-    words = [entropy >> 32 * i & _MASK32 for i in range(max(1, -(-entropy.bit_length() // 32)))]
-    words += [0] * (_POOL_SIZE - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, const
 
 
 def spawn_words(entropy: int, keys, n_words: int = 4) -> np.ndarray:
@@ -89,9 +63,11 @@ def spawn_words(entropy: int, keys, n_words: int = 4) -> np.ndarray:
         raise ValueError(f"keys must be a (rows, k >= 1) array of integers, got shape {keys.shape} {keys.dtype}")
     if keys.size and not (keys.min() >= 0 and keys.max() <= _MASK32):
         raise ValueError("spawn-key entries must lie in [0, 2**32)")
-    pool, const = _entropy_pool(entropy)
-    lanes = np.array(pool, dtype=np.uint64)[:, None].repeat(len(keys), axis=1)  # (4, rows)
-    for column in keys.astype(np.uint64).T:  # each key word mixes into every lane
+    # the run entropy's L >= 1 words took 16 + 4 max(0, L - 4) hash steps, each multiplying the constant by MULT_A
+    n_entropy_words = max(1, -(-entropy.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, n_entropy_words - _POOL_SIZE), 2**32) & _MASK32
+    lanes = np.array(np.random.SeedSequence(entropy).pool, dtype=np.uint64)[:, None].repeat(len(keys), axis=1)
+    for column in keys.astype(np.uint64).T:  # each key word mixes into every lane of the (4, rows) pool
         xor, mult, const = _hash_columns(const, _MULT_A, _POOL_SIZE)
         lanes = _mix(lanes, _hash(column, xor, mult))
     # the output hash cycles through the pool, two 32-bit words per uint64
@@ -100,30 +76,19 @@ def spawn_words(entropy: int, keys, n_words: int = 4) -> np.ndarray:
     return np.ascontiguousarray((data[0::2] | data[1::2] << 32).T)
 
 
-@functools.cache
-def _words_type() -> type:
-    """The seed sequence that hands PCG64 one row of spawn_words.
+class _Words(ISeedSequence):
+    """The seed sequence that hands PCG64 one row of spawn_words."""
 
-    numpy.random is imported here, on first use, as np.random is: importing it
-    costs about 6 MB of resident memory that commands drawing no random
-    numbers (evolve, reproduce fig2) would otherwise pay.
-    """
-    from numpy.random.bit_generator import ISeedSequence
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-    class Words(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"holds {len(self.words)} uint64 words, asked for {n_words} {np.dtype(dtype)}")
-            return np.ascontiguousarray(self.words)  # PCG64 reads the buffer as it lies
-
-    return Words
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {len(self.words)} uint64 words, asked for {n_words} {np.dtype(dtype)}")
+        return np.ascontiguousarray(self.words)  # PCG64 reads the buffer as it lies
 
 
 def substreams(entropy: int, keys):
     """np.random.Generator(PCG64(SeedSequence(entropy=entropy, spawn_key=k))) for every row k of `keys`, lazily."""
-    words_type = _words_type()
     for words in spawn_words(entropy, keys):
-        yield np.random.Generator(np.random.PCG64(words_type(words)))
+        yield np.random.Generator(np.random.PCG64(_Words(words)))

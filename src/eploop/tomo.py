@@ -97,8 +97,7 @@ def probabilities(rho: np.ndarray) -> np.ndarray:
 def simulate_counts(rho: np.ndarray, cfg: TomoConfig) -> CountsTable:
     """Poisson counts around counts_per_basis * Tr(P_b rho), one seeded stream."""
     probs = np.clip(probabilities(rho), 0.0, None)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    draws = rng.poisson(cfg.counts_per_basis * probs)
+    draws = np.random.default_rng(cfg.seed).poisson(cfg.counts_per_basis * probs)
     records = tuple(
         (a, b, int(c)) for (a, b), c in zip(BASIS_PAIRS, draws)
     )

@@ -511,6 +511,17 @@ def test_optimize_schedule_leaves_scipy_unimported():
     assert out.stdout.strip() == "[]"
 
 
+def test_python_dash_m_runs_main(capsys):
+    argv = ["evolve", "--n-steps", "4", "--direction", "cw", "--input", "zeta1"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-m", "eploop", *argv], env=env, capture_output=True, text=True)
+    assert main(argv) == 0
+    assert (out.returncode, out.stdout, out.stderr) == (0, capsys.readouterr().out, "")
+    out = subprocess.run([sys.executable, "-m", "eploop", *argv, "--bogus"], env=env, capture_output=True, text=True)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("config error") and out.stderr.count("\n") == 1, out.stderr
+
+
 def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
     for argv in (
         ["surface", "--seed", "1"],

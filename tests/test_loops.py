@@ -17,6 +17,8 @@ from eploop.loops import (
     CHIRAL_TARGETS,
     DIRECTIONS,
     ENGINES,
+    LOOP1_CENTER,
+    LOOP1_RADIUS,
     LoopSchedule,
     OptimizeResult,
     bell_eigenstate,
@@ -37,8 +39,8 @@ from eploop.loops import (
 )
 from eploop.harness import RunConfig, evolve_cases
 from eploop.loops import _increments_from_x, _nelder_mead, _objective_rows, _row_norms
-from eploop.metrics import BELL_LABELS, bell_index, bell_state, classify, fidelity_pure
-from eploop.spectrum import eigensystem, find_ep
+from eploop.metrics import BELL_LABELS, bell_index, bell_state, classify, fidelity_pure, nearest_bell
+from eploop.spectrum import eigensystem, exceptional_points, find_ep
 from eploop.walk import (
     WalkParams,
     coin_entries,
@@ -221,6 +223,39 @@ def test_loop2_fidelities_frozen():
     rep = evolve_full(sched, bell_eigenstate(1, sched.start), record_steps=False)
     assert rep.classified_output == "zeta1"
     assert max(rep.fidelities) == pytest.approx(0.9942232751454556, abs=1e-9)
+
+
+def _loop1_table(engine: str, k: float = 0.0, gamma: float | None = None) -> dict:
+    """Loop 1's output table {(direction, j): output index} at N = 100 through evolve_batch: one k and one gamma
+    for every step, and input j the eigenstate nearest zeta_j at the k = 0 start with that gamma."""
+    table = {}
+    for direction in DIRECTIONS:
+        sched = loop1_schedule(100, direction)
+        theta1, theta2, phi, default_gamma, _ = sched.knobs
+        g = default_gamma if gamma is None else gamma
+        psi0 = bell_eigenstates(sched.start._replace(gamma=g))
+        knobs = (np.broadcast_to(theta1, (4, 100)), theta2, np.broadcast_to(phi, (4, 100)), g, k)
+        outputs = nearest_bell(evolve_batch(knobs, psi0, engine))[1]
+        table.update({(direction, j): int(out) + 1 for j, out in enumerate(outputs, start=1)})
+    return table
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_loop1_switches_only_in_a_narrow_window_of_k(engine):
+    # measured edges at N = 100: |k| <= 0.009 holds in the full engine, <= 0.008 in the simplified one
+    for k in (-0.005, 0.005):
+        assert _loop1_table(engine, k=k) == CHIRAL_TARGETS
+    for k in (-0.01, 0.01):
+        assert _loop1_table(engine, k=k) != CHIRAL_TARGETS
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_enclosing_an_ep_is_not_enough_to_switch(engine):
+    (ep,) = exceptional_points((-0.6, -0.2), gamma=0.05)
+    assert ep == pytest.approx(-0.21685, abs=1e-5) and abs(ep - LOOP1_CENTER) < LOOP1_RADIUS
+    # with gain and loss this weak, both directions swap each invariant block: no chirality
+    swap = {1: 2, 2: 1, 3: 4, 4: 3}
+    assert _loop1_table(engine, gamma=0.05) == {(d, j): swap[j] for d in DIRECTIONS for j in swap}
 
 
 def test_evolve_dispatcher():

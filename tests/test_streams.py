@@ -54,11 +54,21 @@ def test_spawn_words_rejects_what_seedsequence_would_read_otherwise():
         next(substreams(-1, [(0,)]))
 
 
-def test_commands_that_draw_nothing_leave_numpy_random_unimported():
-    # importing numpy.random costs about 6 MB of resident memory
+@pytest.mark.parametrize("argv", [
+    ["surface"],
+    ["find-ep"],
+    ["evolve", "--n-steps", "4"],
+    ["evolve", "--n-steps", "4", "--format", "json", "--record-steps"],
+    ["compile-optics", "--target", "walk-step"],
+    ["reproduce", "fig1b"],
+    ["reproduce", "fig2"],
+], ids=lambda argv: "-".join(word.lstrip("-") for word in argv))
+def test_commands_that_draw_nothing_leave_numpy_random_unimported(argv, tmp_path):
+    # importing numpy.random costs about 6 MB of resident memory; streams imports it when it loads
     code = ("import contextlib, io, sys; from eploop.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()): main(['evolve', '--n-steps', '4', '--format', 'json'])\n"
-            "print('numpy.random' in sys.modules)")
+            f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n"
+            "print('numpy.random' in sys.modules, 'eploop.streams' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                         cwd=tmp_path)  # reproduce writes its files under reports/ in the working directory
+    assert out.stdout.strip() == "False False"
